@@ -8,13 +8,15 @@ value and fails on more-than-``THRESHOLD``-fold regressions.
 
 Guarded prefixes: ``movelog/``, ``sched/``, ``strategy/`` (which
 includes the ``strategy/sharded_*`` multiprocess-runner entries and the
-``strategy/kernel_*`` fused-kernel entries) and ``service/`` (the
+``strategy/kernel_*`` fused-kernel entries), ``service/`` (the
 artifact-store warm/cold paths and bound-server latencies from
-``bench_service.py``) and ``fleet/`` (controller HTTP latencies and
-the two-worker sweep overhead from ``bench_fleet.py``) — the hot-path
-numbers the compiled backend,
-columnar log, batched/sharded/kernel strategy loops, and memoized
-service exist for.  Only keys present in both files are compared
+``bench_service.py``), ``fleet/`` (controller HTTP latencies and
+the two-worker sweep overhead from ``bench_fleet.py``) and
+``optimal/`` (the exact RBW search on E7's six CDAGs, from
+``bench_bound_validation.py``) — the hot-path numbers the compiled
+backend, columnar log, batched/sharded/kernel strategy loops, memoized
+service and bitmask optimum search exist for.  Only keys present in
+both files are compared
 (smoke mode measures the smallest sizes; committed entries at other
 sizes are informational), but every *required group* must overlap in at
 least one key — a refactor that silently stops measuring the sharded
@@ -51,7 +53,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 COMMITTED = REPO / "BENCH_core.json"
 GUARDED_PREFIXES = (
-    "movelog/", "sched/", "strategy/", "service/", "fleet/"
+    "movelog/", "sched/", "strategy/", "service/", "fleet/", "optimal/"
 )
 #: each of these prefixes must overlap the baseline in >= 1 entry
 REQUIRED_GROUPS = (
@@ -66,6 +68,7 @@ REQUIRED_GROUPS = (
     "fleet/",
     "fleet/sweep_",
     "fleet/metrics_scrape",
+    "optimal/",
 )
 THRESHOLD = float(os.environ.get("BENCH_GUARD_THRESHOLD", "3.0"))
 
@@ -85,6 +88,7 @@ def run_smoke(out_json: Path) -> None:
         str(REPO / "benchmarks" / "bench_compiled_core.py"),
         str(REPO / "benchmarks" / "bench_service.py"),
         str(REPO / "benchmarks" / "bench_fleet.py"),
+        str(REPO / "benchmarks" / "bench_bound_validation.py"),
         "-q", "-m", "not bench", "--benchmark-disable",
     ]
     print("+", " ".join(cmd), flush=True)

@@ -69,7 +69,7 @@ from ..core.cdag import CDAG
 from ..distsim.cluster import SimulatedCluster
 from ..machine.catalog import IBM_BGQ, PAPER_MACHINES
 from ..machine.spec import MachineSpec
-from ..pebbling.optimal import optimal_rbw_io
+from ..pebbling.optimal import SearchBudgetExceeded, optimal_rbw_io
 from ..pebbling.strategies import spill_game_rbw
 
 __all__ = [
@@ -306,12 +306,12 @@ def experiment_matmul_bounds(
 # ----------------------------------------------------------------------
 # E7 — Bound-machinery validation (LB <= OPT <= UB)
 # ----------------------------------------------------------------------
-def experiment_bound_validation(s: int = 3) -> List[Dict[str, object]]:
-    """Sandwich validation on small CDAGs where the optimum is computable.
+def bound_validation_cases(s: int = 3) -> List[Tuple[str, CDAG, int]]:
+    """E7's small CDAGs as ``(name, cdag, S)``.
 
-    For each small CDAG: the Corollary 1 / wavefront lower bounds, the
-    exact optimum from exhaustive search, and the heuristic spill-game
-    upper bound.  Soundness requires LB <= OPT <= UB on every row.
+    Every engine needs enough red pebbles to hold a vertex's operands
+    plus its result, so ``S`` is ``s`` bumped per CDAG when its fan-in
+    demands it (``s=1`` gives each CDAG's smallest feasible ``S``).
     """
     cases: List[Tuple[str, CDAG]] = [
         ("reduction tree (8 leaves)", reduction_tree_cdag(8)),
@@ -321,24 +321,34 @@ def experiment_bound_validation(s: int = 3) -> List[Dict[str, object]]:
         ("butterfly n=4", butterfly_cdag(2)),
         ("stencil 3x(T=2)", grid_stencil_cdag((3,), 2)),
     ]
-    rows: List[Dict[str, object]] = []
+    out: List[Tuple[str, CDAG, int]] = []
     for name, cdag in cases:
-        ops = len(cdag.operations)
-        # Every engine needs enough red pebbles to hold a vertex's operands
-        # plus its result; bump S per CDAG when its fan-in demands it.
         max_indeg = max(
             (cdag.in_degree(v) for v in cdag.vertices if not cdag.is_input(v)),
             default=0,
         )
-        s_case = max(s, max_indeg + 1)
+        out.append((name, cdag, max(s, max_indeg + 1)))
+    return out
+
+
+def experiment_bound_validation(s: int = 3) -> List[Dict[str, object]]:
+    """Sandwich validation on small CDAGs where the optimum is computable.
+
+    For each small CDAG: the Corollary 1 / wavefront lower bounds, the
+    exact optimum from exhaustive search, and the heuristic spill-game
+    upper bound.  Soundness requires LB <= OPT <= UB on every row.
+    """
+    rows: List[Dict[str, object]] = []
+    for name, cdag, s_case in bound_validation_cases(s):
+        ops = len(cdag.operations)
         wf = automated_wavefront_bound(cdag, s=s_case)
         lb = wf.value
         # The exhaustive optimum is exponential; skip gracefully if the
         # state budget is hit (the LB <= UB part of the sandwich is still
-        # reported) so the experiment remains robust on slow machines.
+        # reported).  Any other error is a bug and must propagate.
         try:
             opt: Optional[int] = optimal_rbw_io(cdag, s_case, max_states=400_000).io
-        except Exception:
+        except SearchBudgetExceeded:
             opt = None
         ub = spill_game_rbw(cdag, s_case, policy="belady").io_count
         sound = (lb <= ub) if opt is None else (lb <= opt <= ub)

@@ -12,8 +12,8 @@
   ``workers=N`` it shards independent per-processor subgames across a
   process pool (:class:`ShardedStrategyRunner`) and merges the shard
   logs into one canonical, move-for-move-faithful record.
-* :func:`optimal_rbw_io` finds the exact optimum on tiny CDAGs by
-  uniform-cost search, used to validate the bounds.
+* :func:`optimal_rbw_io` finds the exact optimum on small CDAGs by a
+  bitmask A* search (0-1 BFS), used to validate the bounds.
 """
 
 from .hierarchy import LevelSpec, MemoryHierarchy

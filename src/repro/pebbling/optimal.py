@@ -1,41 +1,78 @@
-"""Exhaustive search for the optimal (minimum-I/O) RBW pebble game.
+"""Exact search for the optimal (minimum-I/O) RBW pebble game.
 
-For tiny CDAGs the optimal game can be found by uniform-cost search over
-the game's state space.  A state is the triple
+For small CDAGs the optimal game ``IO_S(C)`` (Definition 4, no
+recomputation) is found by an A* search over the game's state space,
+run as a 0-1 BFS.  It is exponential in the worst case and only meant
+for validation: E7, the test-suite and
+``benchmarks/bench_bound_validation.py`` use it to sandwich the
+analytical lower bounds and the spill-game upper bounds.
 
-``(red pebbles, blue pebbles, white pebbles)``
+State
+-----
+Vertices are numbered ``0..n-1`` and a state is three bitmasks
+``(red, blue, white)``, packed into one int as the visited-dict key.
+``white`` holds operations only: inputs are never computed, so no rule
+and no goal test reads an input's white bit.  Per-vertex predecessor and
+successor masks turn the rules into bit operations:
 
-and the transitions are the RBW rules, with edge cost 1 for loads and
-stores (R1, R2) and cost 0 for computes and deletes (R3, R4).  The search
-explores states in order of accumulated I/O, so the first time a goal
-state (all operations white-pebbled, all outputs blue-pebbled) is popped,
-its cost is the exact I/O complexity ``IO_S(C)``.
+* R3 compute an unfired operation whose predecessors are all red;
+* R1 load a blue value that has an unfired successor;
+* R2 store a red, non-blue value that is an output or has an unfired
+  successor;
+* R4 delete a red value.
 
-This is exponential in the worst case and only intended for validation:
-the test-suite and ``benchmarks/bench_bound_validation.py`` use it to
-sandwich the analytical lower bounds and the heuristic upper bounds on
-CDAGs of up to a dozen or so vertices.
+Loads and stores cost 1, computes and deletes cost 0.  The start state
+has every input blue; the goal has every operation white and every
+output blue.
 
-Pruning used (all safe — they never remove an optimal play):
+Pruning (each prune is safe: it never removes every optimal play)
+-----------------------------------------------------------------
+* Only useful loads and stores: a value no future move reads, and that
+  is not an unstored output, never needs to move.
+* A delete is generated only when the value is dead (no unfired
+  successor, not an output) or fast memory is full.  Any other delete
+  can be postponed until the next move that needs a free red pebble,
+  which is then a delete on a full memory.
+* A state in which a computed value is neither red nor blue while it
+  still has an unfired successor or is an unstored output is never
+  pushed.  RBW forbids recomputation, so that value can never be red
+  again and the state cannot reach the goal.
 
-* deletions are only generated for values with no remaining unfired
-  successor *or* when fast memory is full (deleting early never helps
-  otherwise, because keeping a pebble cannot invalidate later moves);
-* a value that is already blue-pebbled or dead (all successors fired and
-  not an output) is never stored;
-* compute moves are preferred: from any state we first close over all
-  zero-cost computes that don't exceed the pebble budget -- this is *not*
-  applied as a forced reduction (it could be suboptimal to fire greedily
-  when memory is tight), but computes are expanded before I/O moves so
-  the queue finds cheap completions early.
+Heuristic
+---------
+``h = |{v in inputs | white : v not red, v has an unfired successor}|
++ |outputs - blue|``.  Every counted value needs its own load, and
+every unstored output its own store, so ``h`` is admissible.  It is
+also consistent, ``h(s) <= cost(s, s') + h(s')`` on every move:
+
+* a load lowers ``h`` by exactly 1, at cost 1 (the loaded value was
+  counted: it is blue, so an input or a computed operation);
+* a store lowers ``h`` by 1 (an output) or 0 (a spill), at cost 1;
+* a compute leaves ``h`` unchanged: its operands and the new value are
+  red, hence not counted, and it never touches ``blue``;
+* a delete raises ``h`` by 1 if the value still has an unfired
+  successor, else by 0.
+
+So the reduced cost ``cost + h(s') - h(s)`` of every move is 0 or 1.
+The search keeps ``f = g + h`` per state, pushes 0-moves on the front of
+a deque and 1-moves on the back, and pops states in nondecreasing ``f``
+order like Dijkstra would.  At the goal ``h = 0``, so the first goal
+popped has ``f = IO_S(C)``.
+
+Reach
+-----
+The six E7 CDAGs (at most 15 vertices) take a few thousand expansions
+in total.  20-24-vertex CDAGs such as ``diamond_cdag(5, 4)``,
+``diamond_cdag(6, 4)`` or ``grid_stencil_cdag((5,), 3)`` at ``S = 4``
+finish within E7's ``max_states=400_000`` budget.  ``max_states``
+counts expanded states.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, Iterable
 
 from ..core.cdag import CDAG, Vertex
 from .state import GameError
@@ -54,9 +91,6 @@ class OptimalSearchResult:
     io: int
     states_expanded: int
     num_red: int
-
-
-State = Tuple[FrozenSet, FrozenSet, FrozenSet]  # (red, blue, white)
 
 
 def optimal_rbw_io(
@@ -86,79 +120,89 @@ def optimal_rbw_io(
             f"S={num_red} cannot fire a vertex with {max_need - 1} operands"
         )
 
-    inputs = set(cdag.inputs)
-    outputs = set(cdag.outputs)
-    operations = [v for v in vertices if v not in inputs]
-    preds: Dict[Vertex, Tuple[Vertex, ...]] = {
-        v: tuple(cdag.predecessors(v)) for v in vertices
-    }
-    succs: Dict[Vertex, Tuple[Vertex, ...]] = {
-        v: tuple(cdag.successors(v)) for v in vertices
-    }
+    n = len(vertices)
+    index: Dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
 
-    start: State = (frozenset(), frozenset(inputs), frozenset())
+    def mask(vs: Iterable[Vertex]) -> int:
+        m = 0
+        for v in vs:
+            m |= 1 << index[v]
+        return m
 
-    def is_goal(state: State) -> bool:
-        red, blue, white = state
-        for v in operations:
-            if v not in white:
-                return False
-        return outputs <= blue
+    inputs = mask(cdag.inputs)
+    outputs = mask(cdag.outputs)
+    ops = ((1 << n) - 1) & ~inputs
+    preds = [mask(cdag.predecessors(v)) for v in vertices]
+    # successors that still have to fire; inputs never do
+    succs = [mask(cdag.successors(v)) & ops for v in vertices]
+    n2 = 2 * n
 
-    def successors_of(state: State):
-        red, blue, white = state
-        n_red = len(red)
-        # R3 compute (cost 0)
-        if n_red < num_red:
-            for v in operations:
-                if v in white:
-                    continue
-                if all(p in red for p in preds[v]):
-                    yield 0, (red | {v}, blue, white | {v})
-        # R1 load (cost 1)
-        if n_red < num_red:
-            for v in blue:
-                if v not in red:
-                    # Loading a value no future move can use is wasteful:
-                    # only load if it has an unfired successor or it is an
-                    # output not yet blue (outputs in blue already satisfy
-                    # the goal, so that case never triggers).
-                    if any(s not in white for s in succs[v]):
-                        new_white = white | {v} if v not in white else white
-                        yield 1, (red | {v}, blue, new_white)
-        # R2 store (cost 1)
-        for v in red:
-            if v not in blue:
-                useful = v in outputs or any(s not in white for s in succs[v])
-                if useful:
-                    yield 1, (red, blue | {v}, white)
-        # R4 delete (cost 0) — only when full or the value is dead.
-        for v in red:
-            dead = v not in outputs and all(s in white for s in succs[v])
-            if dead or n_red == num_red:
-                yield 0, (red - {v}, blue, white)
-
-    best: Dict[State, int] = {start: 0}
-    heap: List[Tuple[int, int, State]] = [(0, 0, start)]
-    counter = itertools.count(1)
+    h0 = sum(1 for i in range(n) if inputs >> i & 1 and succs[i])
+    h0 += (outputs & ~inputs).bit_count()
+    # entries are (f, red, blue, white); best maps packed state -> f
+    best: Dict[int, int] = {inputs << n: h0}
+    queue = deque([(h0, 0, inputs, 0)])
     expanded = 0
-    while heap:
-        cost, _, state = heapq.heappop(heap)
-        if cost > best.get(state, float("inf")):
+    while queue:
+        f, red, blue, white = queue.popleft()
+        if f > best[red | blue << n | white << n2]:
             continue
-        if is_goal(state):
+        if white == ops and not outputs & ~blue:
             return OptimalSearchResult(
-                io=cost, states_expanded=expanded, num_red=num_red
+                io=f, states_expanded=expanded, num_red=num_red
             )
         expanded += 1
         if expanded > max_states:
             raise SearchBudgetExceeded(
                 f"exceeded {max_states} expanded states "
-                f"(|V|={len(vertices)}, S={num_red})"
+                f"(|V|={n}, S={num_red})"
             )
-        for delta, nxt in successors_of(state):
-            ncost = cost + delta
-            if ncost < best.get(nxt, float("inf")):
-                best[nxt] = ncost
-                heapq.heappush(heap, (ncost, next(counter), nxt))
+        unfired = ops & ~white
+        n_red = red.bit_count()
+        moves = []  # (reduced cost, red, blue, white)
+        if n_red < num_red:
+            # R3 compute: h is unchanged
+            cand = unfired
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                if not preds[bit.bit_length() - 1] & ~red:
+                    moves.append((0, red | bit, blue, white | bit))
+            # R1 load: cost 1, and h drops by 1
+            cand = blue & ~red
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                if succs[bit.bit_length() - 1] & unfired:
+                    moves.append((0, red | bit, blue, white))
+        full = n_red == num_red
+        cand = red
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            live = succs[bit.bit_length() - 1] & unfired
+            if blue & bit:
+                # R4 delete a stored value: h rises by 1 if it is live
+                if full or not (live or outputs & bit):
+                    moves.append((1 if live else 0, red ^ bit, blue, white))
+            elif outputs & bit:
+                # R2 store an output: cost 1, and h drops by 1
+                moves.append((0, red, blue | bit, white))
+            elif live:
+                # R2 spill: cost 1, h unchanged
+                moves.append((1, red, blue | bit, white))
+            else:
+                # R4 delete a dead value.  Deleting the only copy of a
+                # needed one would make the goal unreachable.
+                moves.append((0, red ^ bit, blue, white))
+        for step, r, b, w in moves:
+            key = r | b << n | w << n2
+            nf = f + step
+            old = best.get(key)
+            if old is None or nf < old:
+                best[key] = nf
+                if step:
+                    queue.append((nf, r, b, w))
+                else:
+                    queue.appendleft((nf, r, b, w))
     raise GameError("state space exhausted without completing the game")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.evaluation import (
+    experiments,
     experiment_balance_conditions,
     experiment_bound_validation,
     experiment_cg_bounds,
@@ -15,6 +16,7 @@ from repro.evaluation import (
     format_table,
     render_report,
 )
+from repro.pebbling import SearchBudgetExceeded
 
 
 class TestE1Table1:
@@ -91,6 +93,23 @@ class TestE7Validation:
     def test_all_rows_sound(self):
         rows = experiment_bound_validation()
         assert len(rows) >= 5
+        assert all(r["sound"] for r in rows)
+
+    def test_search_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the exact search")
+
+        monkeypatch.setattr(experiments, "optimal_rbw_io", broken)
+        with pytest.raises(RuntimeError, match="bug in the exact search"):
+            experiment_bound_validation()
+
+    def test_budget_exceeded_gives_skipped_rows(self, monkeypatch):
+        def over_budget(*args, **kwargs):
+            raise SearchBudgetExceeded("over budget")
+
+        monkeypatch.setattr(experiments, "optimal_rbw_io", over_budget)
+        rows = experiment_bound_validation()
+        assert all(r["optimal_io"] == "(skipped)" for r in rows)
         assert all(r["sound"] for r in rows)
 
 

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import CDAG, chain_cdag, outer_product_cdag, reduction_tree_cdag
+from repro.bounds import automated_wavefront_bound
+from repro.core import (
+    CDAG,
+    chain_cdag,
+    diamond_cdag,
+    grid_stencil_cdag,
+    outer_product_cdag,
+    reduction_tree_cdag,
+)
 from repro.pebbling import (
     GameError,
     SearchBudgetExceeded,
@@ -68,6 +76,19 @@ class TestOptimalityAgainstHeuristics:
         cdag = reduction_tree_cdag(6)
         ios = [optimal_rbw_io(cdag, num_red=s).io for s in (3, 4, 8)]
         assert ios == sorted(ios, reverse=True)
+
+
+class TestReach:
+    @pytest.mark.parametrize(
+        "cdag", [diamond_cdag(5, 4), grid_stencil_cdag((5,), 3)],
+        ids=["diamond_5x4", "stencil_5_T3"],
+    )
+    def test_twenty_vertex_cdag_within_e7_budget(self, cdag):
+        assert cdag.num_vertices() == 20
+        res = optimal_rbw_io(cdag, num_red=4, max_states=400_000)
+        lb = automated_wavefront_bound(cdag, s=4).value
+        ub = spill_game_rbw(cdag, num_red=4, policy="belady").io_count
+        assert lb <= res.io <= ub
 
 
 class TestGuards:
