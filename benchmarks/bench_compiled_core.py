@@ -24,7 +24,6 @@ set ``BENCH_SMOKE=1`` for the smallest-size smoke run (which still plays
 the 10^6-move P-RBW move-log game).
 """
 
-import os
 import time as _time
 import tracemalloc
 
@@ -37,13 +36,12 @@ from repro.bounds.mincut import (
 from repro.core import CDAG, grid_stencil_cdag
 from repro.core.ordering import dfs_schedule, min_liveset_schedule
 from repro.core.properties import min_wavefront_rebuild
+import repro.pebbling.redblue as redblue_mod
 from repro.pebbling import (
     RedBluePebbleGame,
     parallel_spill_game,
-    run_spill_game,
     spill_game_redblue,
 )
-from repro.pebbling import kernel as pebble_kernel
 from repro.pebbling.workloads import (
     chains_spill_setup,
     prbw_pump_game,
@@ -88,22 +86,6 @@ STRATEGY_DICT_BASELINE_MAX_OPS = 100_000
 #: move counts for the spilled-log round-trip bench (bulk-synthesized
 #: columns -> disk -> full rule-checked engine replay)
 SPILL_SIZES = (1_000_001,) if SMOKE else (1_000_001, 100_000_001)
-#: (ops, workers) cases for the sharded star strategy bench — the smoke
-#: case is also measured in full mode so the CI bench guard overlaps;
-#: the 200k-op case is the 10^7-move scaling target of frontier (c)
-SHARDED_CASES = (
-    ((2_000, 2),)
-    if SMOKE
-    else ((2_000, 2), (20_000, 4), (200_000, 4))
-)
-#: (chains, length) grids for the fused-kernel strategy bench — the
-#: 10^5-move acceptance shape is measured in smoke mode too (CI bench
-#: guard overlap); full mode adds the 10^7-move game, which exceeds the
-#: planner-decision memo and therefore times the cold path honestly
-KERNEL_SEQ_GRIDS = ((200, 100),) if SMOKE else ((200, 100), (2_000, 1_000))
-#: star op count for the parallel kernel bench (125k-move acceptance
-#: shape; the parallel kernel memoizes validated sweeps up to 2M moves)
-KERNEL_PRBW_OPS = (2_500,)
 #: move targets for the kernel-validated spilled replay (the 10^8-move
 #: fully rule-checked game with flat resident memory; the small size is
 #: also measured in full mode so the CI bench guard overlaps)
@@ -263,11 +245,12 @@ def test_bench_move_log():
 
 
 def test_bench_strategy_loops():
-    """ns/move of the batched spill-strategy hot loops on real spill
+    """ns/move of the batched spill-strategy fast paths on real spill
     games — the P-RBW owner-computes walk on the star workload (10^7
     moves at full size) and the I/O-bound sequential LRU game on
-    interleaved chains — against the dict reference at the small sizes
-    (identical games, pinned by the equivalence suite)."""
+    interleaved chains (the kernel planner) — against the dict reference
+    at the small sizes (identical games, pinned by the equivalence
+    suite).  Every timed run is cold: nothing is memoized across runs."""
     rows = []
     for num_ops in STRATEGY_PRBW_OPS:
         cdag, hierarchy = star_spill_setup(num_ops)
@@ -343,185 +326,8 @@ def test_bench_strategy_loops():
             f"  seq lru      {moves:9d} mv  {ns:6.0f} ns/mv  {dict_part}"
         )
     emit(
-        "Spill-strategy hot loops, batched backend vs dict reference\n"
+        "Spill-strategy fast paths, batched backend vs dict reference\n"
         + "\n".join(rows)
-    )
-
-
-def test_bench_sharded_strategy():
-    """Move throughput of the sharded multiprocess runner on the star
-    workload vs the single-process batched loop (identical records,
-    pinned by the differential suite).
-
-    Near-linear scaling needs real cores: the >= 2.5x acceptance bar for
-    the 10^7-move game at 4 workers is asserted only when the machine
-    has them (single-core CI boxes time-slice the pool and measure the
-    sharding overhead instead — recorded, not asserted).
-    """
-    cores = os.cpu_count() or 1
-    rows = []
-    for num_ops, workers in SHARDED_CASES:
-        cdag, hierarchy = star_spill_setup(num_ops)
-        seq_record = parallel_spill_game(cdag, hierarchy)
-        moves = len(seq_record.log)
-        repeat = 2 if num_ops <= 20_000 else 1
-        seq_ns = time_ns_per_op(
-            lambda: parallel_spill_game(cdag, hierarchy), repeat=repeat
-        ) / moves
-
-        def sharded():
-            return run_spill_game(cdag, hierarchy, workers=workers)
-
-        sharded_record = sharded()
-        assert sharded_record.summary() == seq_record.summary()
-        sharded_ns = time_ns_per_op(sharded, repeat=repeat) / moves
-        speedup = seq_ns / sharded_ns
-        record_bench(
-            f"strategy/sharded_star_{moves}_w{workers}",
-            ns_per_op=sharded_ns,
-            sequential_ns_per_op=seq_ns,
-            speedup_vs_sequential=round(speedup, 2),
-            num_moves=moves,
-            num_ops=num_ops,
-            workers=workers,
-            cpu_count=cores,
-        )
-        rows.append(
-            f"  star {moves:9d} mv  w={workers}  "
-            f"sharded={sharded_ns:6.0f} ns/mv  seq={seq_ns:6.0f}  "
-            f"({speedup:.2f}x, {cores} cores)"
-        )
-        if moves >= 10_000_000 and workers >= 4 and cores >= 4:
-            assert speedup >= 2.5, (
-                f"sharded 10^7-move game only {speedup:.2f}x over the "
-                f"single-process loop with {workers} workers on "
-                f"{cores} cores"
-            )
-    emit(
-        "Sharded strategy runner vs single-process batched loop\n"
-        + "\n".join(rows)
-    )
-
-
-def _reset_kernel_caches():
-    """Clear the kernel's plan/decision memos so a timed run measures
-    the cold path (plan build + planner sweep + validate), not a hit."""
-    pebble_kernel._seq_plan_cache.clear()
-    pebble_kernel._seq_decision_cache.clear()
-    pebble_kernel._par_decision_cache.clear()
-
-
-def test_bench_kernel_strategy():
-    """ns/move of the fused vectorized kernel backend vs the *same-run*
-    batched loop on the acceptance shapes — the sequential LRU chains
-    game and the P-RBW owner-computes star game (identical games, pinned
-    move-for-move by the kernel equivalence suites).
-
-    Cold timings clear the kernel's plan/decision memos first; warm
-    timings reuse them (the sweep/repeat pattern the memos exist for).
-    The >= 5x floor is asserted on the warm 10^5-move shapes; the
-    full-mode 10^7-move chains game exceeds the plan-cache op gate and
-    records the honest cold path.  The jitted planner tier is recorded
-    alongside (``numba_ns_per_op``) when numba is importable.
-    """
-    rows = []
-    for chains, length in KERNEL_SEQ_GRIDS:
-        cdag, s = chains_spill_setup(chains, length)
-        record = spill_game_redblue(cdag, s)
-        moves = len(record.log)
-        num_ops = chains * length
-        repeat = 2 if moves <= 1_000_000 else 1
-        batched_ns = time_ns_per_op(
-            lambda: spill_game_redblue(cdag, s), repeat=repeat
-        ) / moves
-        kr = spill_game_redblue(cdag, s, backend="kernel")
-        assert kr.summary() == record.summary()
-
-        def kernel_cold():
-            _reset_kernel_caches()
-            return spill_game_redblue(cdag, s, backend="kernel")
-
-        cold_ns = time_ns_per_op(kernel_cold, repeat=1) / moves
-        spill_game_redblue(cdag, s, backend="kernel")  # re-warm memos
-        warm_ns = time_ns_per_op(
-            lambda: spill_game_redblue(cdag, s, backend="kernel"),
-            repeat=repeat,
-        ) / moves
-        extra = {}
-        if pebble_kernel.numba_available():
-            spill_game_redblue(  # jit compilation outside the timing
-                cdag, s, backend="kernel", kernel_mode="numba"
-            )
-            extra["numba_ns_per_op"] = time_ns_per_op(
-                lambda: spill_game_redblue(
-                    cdag, s, backend="kernel", kernel_mode="numba"
-                ),
-                repeat=repeat,
-            ) / moves
-        speedup = batched_ns / warm_ns
-        record_bench(
-            f"strategy/kernel_seq_lru_chains_{moves}",
-            ns_per_op=warm_ns,
-            cold_ns_per_op=cold_ns,
-            batched_ns_per_op=batched_ns,
-            speedup_vs_batched=round(speedup, 2),
-            num_moves=moves,
-            num_ops=num_ops,
-            io=record.io_count,
-            **extra,
-        )
-        rows.append(
-            f"  seq lru    {moves:9d} mv  warm={warm_ns:6.0f} ns/mv  "
-            f"cold={cold_ns:6.0f}  batched={batched_ns:6.0f}  "
-            f"({speedup:.1f}x)"
-        )
-        if num_ops <= 20_000:
-            assert speedup >= 5.0, (
-                f"kernel backend only {speedup:.2f}x over the same-run "
-                f"batched loop on the {moves}-move chains game"
-            )
-    for num_ops in KERNEL_PRBW_OPS:
-        cdag, hierarchy = star_spill_setup(num_ops)
-        record = parallel_spill_game(cdag, hierarchy)
-        moves = len(record.log)
-        batched_ns = time_ns_per_op(
-            lambda: parallel_spill_game(cdag, hierarchy), repeat=2
-        ) / moves
-        kr = parallel_spill_game(cdag, hierarchy, backend="kernel")
-        assert kr.summary() == record.summary()
-
-        def par_kernel_cold():
-            _reset_kernel_caches()
-            return parallel_spill_game(cdag, hierarchy, backend="kernel")
-
-        cold_ns = time_ns_per_op(par_kernel_cold, repeat=1) / moves
-        parallel_spill_game(cdag, hierarchy, backend="kernel")  # re-warm
-        warm_ns = time_ns_per_op(
-            lambda: parallel_spill_game(cdag, hierarchy, backend="kernel"),
-            repeat=2,
-        ) / moves
-        speedup = batched_ns / warm_ns
-        record_bench(
-            f"strategy/kernel_prbw_star_{moves}",
-            ns_per_op=warm_ns,
-            cold_ns_per_op=cold_ns,
-            batched_ns_per_op=batched_ns,
-            speedup_vs_batched=round(speedup, 2),
-            num_moves=moves,
-            num_ops=num_ops,
-            vertical_io=record.total_vertical_io,
-        )
-        rows.append(
-            f"  p-rbw star {moves:9d} mv  warm={warm_ns:6.0f} ns/mv  "
-            f"cold={cold_ns:6.0f}  batched={batched_ns:6.0f}  "
-            f"({speedup:.1f}x)"
-        )
-        assert speedup >= 5.0, (
-            f"parallel kernel only {speedup:.2f}x over the same-run "
-            f"batched loop on the {moves}-move star game"
-        )
-    emit(
-        "Fused kernel backend vs same-run batched loop\n" + "\n".join(rows)
     )
 
 
@@ -529,9 +335,8 @@ def test_bench_kernel_replay_spill():
     """A complete 10^8-move game, fully rule-checked, with flat resident
     memory: bulk-synthesized spilled columns replayed through the
     red-blue engine, whose bound-log path bulk-validates chunk by chunk
-    through the kernel (the ``REPRO_KERNEL`` default).  The per-move
-    fallback (``REPRO_KERNEL=off``) is timed at the smallest size for a
-    same-run ratio.
+    through the kernel.  The engine's per-move fallback is timed at the
+    smallest size for a same-run ratio.
     """
     from repro.core.builders import chain_cdag
 
@@ -562,16 +367,14 @@ def test_bench_kernel_replay_spill():
     tracemalloc.stop()
     assert peak_heap < max(traced_spilled // 5, 64 << 20)
 
-    # Per-move fallback ratio, same run, smallest size only.
-    prior = os.environ.pop("REPRO_KERNEL", None)
-    os.environ["REPRO_KERNEL"] = "off"
+    # Per-move fallback ratio, same run, smallest size only: a bulk
+    # validator that rejects every log sends the engine to its fallback.
+    bulk = redblue_mod.replay_sequential_kernel
+    redblue_mod.replay_sequential_kernel = lambda *_args, **_kw: False
     try:
         permove_ns, _ = replay_pass(traced_target)
     finally:
-        if prior is None:
-            del os.environ["REPRO_KERNEL"]
-        else:
-            os.environ["REPRO_KERNEL"] = prior
+        redblue_mod.replay_sequential_kernel = bulk
 
     for target in KERNEL_REPLAY_SIZES:
         replay_ns, spilled = replay_pass(target)

@@ -7,20 +7,19 @@ measured ``ns_per_op`` of every guarded entry against the committed
 value and fails on more-than-``THRESHOLD``-fold regressions.
 
 Guarded prefixes: ``movelog/``, ``sched/``, ``strategy/`` (which
-includes the ``strategy/sharded_*`` multiprocess-runner entries and the
-``strategy/kernel_*`` fused-kernel entries), ``service/`` (the
-artifact-store warm/cold paths and bound-server latencies from
-``bench_service.py``), ``fleet/`` (controller HTTP latencies and
-the two-worker sweep overhead from ``bench_fleet.py``) and
-``optimal/`` (the exact RBW search on E7's six CDAGs, from
+includes the ``strategy/kernel_*`` kernel-validated replay entries),
+``service/`` (the artifact-store warm/cold paths and bound-server
+latencies from ``bench_service.py``), ``fleet/`` (controller HTTP
+latencies and the two-worker sweep overhead from ``bench_fleet.py``)
+and ``optimal/`` (the exact RBW search on E7's six CDAGs, from
 ``bench_bound_validation.py``) — the hot-path numbers the compiled
-backend, columnar log, batched/sharded/kernel strategy loops, memoized
-service and bitmask optimum search exist for.  Only keys present in
-both files are compared
+backend, columnar log, batched strategy fast paths, kernel replay,
+memoized service and bitmask optimum search exist for.  Only keys
+present in both files are compared
 (smoke mode measures the smallest sizes; committed entries at other
 sizes are informational), but every *required group* must overlap in at
-least one key — a refactor that silently stops measuring the sharded
-runner (or any other group) fails the guard instead of shrinking it.
+least one key — a refactor that silently stops measuring the kernel
+replay (or any other group) fails the guard instead of shrinking it.
 The threshold is deliberately loose (3x) because CI machines are slower
 and noisier than the reference container: the guard catches algorithmic
 regressions (accidental O(n) scans, dropped caches), not percent-level
@@ -61,7 +60,6 @@ REQUIRED_GROUPS = (
     "movelog/spill_roundtrip_",
     "sched/",
     "strategy/",
-    "strategy/sharded_",
     "strategy/kernel_",
     "service/",
     "service/compiled_warm_",

@@ -11,7 +11,7 @@ Usage::
     python -m repro.cli validate
     python -m repro.cli distsim --nodes 4 --cache 64
     python -m repro.cli balance
-    python -m repro.cli spill --workload star --ops 2000 --workers 2
+    python -m repro.cli spill --workload star --ops 2000
     python -m repro.cli sweep --out results --grid smoke --resume
     python -m repro.cli sweep --out results --jobs 4 --store repro-store.db
     python -m repro.cli sweep --grid smoke --fleet http://127.0.0.1:8199
@@ -33,14 +33,11 @@ Each subcommand runs the corresponding experiment driver from
 ``all`` subcommand runs everything the benchmark harness covers (E1-E9)
 with default parameters.  ``spill`` plays a spill-strategy pebble game
 on a synthetic workload through the unified
-:func:`repro.pebbling.run_spill_game` entry point — ``--workers N``
-shards independent subgames across a process pool and reports the
-merged, move-for-move-canonical record, and ``--backend
-{batched,dict,kernel}`` selects the strategy loop (all three play the
-identical game).  With ``--backend kernel`` the ``REPRO_KERNEL``
-environment variable picks the execution tier: ``numpy`` (default),
-``numba`` (jitted planner where numba is installed; degrades to numpy
-otherwise), or ``off`` (fall back to the batched loop).
+:func:`repro.pebbling.run_spill_game` entry point, and ``--backend
+{batched,dict}`` selects the strategy loop (both play the identical
+game).  For sequential games the ``REPRO_KERNEL`` environment variable
+picks the batched planner's tier: ``numpy`` (default) or ``numba``
+(jitted planner where numba is installed; degrades to numpy otherwise).
 
 ``sweep`` executes a declarative experiment grid through the
 manifest-driven harness (:mod:`repro.evaluation.harness`): one result
@@ -152,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "spill",
-        help="spill-strategy pebble game on a synthetic workload "
-        "(sharded across processes with --workers N)",
+        help="spill-strategy pebble game on a synthetic workload",
     )
     p.add_argument("--workload", choices=["star", "chains"], default="star")
     p.add_argument("--ops", type=int, default=2000,
@@ -166,14 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--red", type=int, default=4,
                    help="red pebbles for the chains workload")
     p.add_argument("--policy", choices=["lru", "belady"], default="lru")
-    p.add_argument("--backend", choices=["batched", "dict", "kernel"],
+    p.add_argument("--backend", choices=["batched", "dict"],
                    default="batched",
-                   help="strategy loop (same game either way); 'kernel' "
-                   "honors the REPRO_KERNEL env var: numpy (default), "
-                   "numba (jitted planner, falls back to numpy when "
-                   "numba is absent), or off (use the batched loop)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool shards (1 = sequential)")
+                   help="strategy loop (same game either way); for "
+                   "sequential games 'batched' honors the REPRO_KERNEL env "
+                   "var: numpy (default) or numba (jitted planner, falls "
+                   "back to numpy when numba is absent)")
     p.add_argument("--spill-log", action="store_true",
                    help="record into a disk-spilled move log")
 
@@ -344,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_spill(args: argparse.Namespace) -> str:
-    """The ``spill`` subcommand: play a (possibly sharded) strategy game
-    on a synthetic workload and report the canonical record."""
+    """The ``spill`` subcommand: play a strategy game on a synthetic
+    workload and report its record."""
     from time import perf_counter
 
     from .core.ordering import dfs_schedule
@@ -356,8 +350,7 @@ def _run_spill(args: argparse.Namespace) -> str:
         cdag, memory = star_spill_setup(args.ops, args.degree)
         schedule = None
     else:
-        # The chain-major (DFS) schedule keeps each chain contiguous,
-        # which is what lets the runner shard the shared fast memory.
+        # The chain-major (DFS) schedule keeps each chain contiguous.
         cdag, memory = chains_spill_setup(args.chains, args.length, args.red)
         schedule = dfs_schedule(cdag)
     start = perf_counter()
@@ -367,7 +360,6 @@ def _run_spill(args: argparse.Namespace) -> str:
         schedule=schedule,
         policy=args.policy,
         backend=args.backend,
-        workers=args.workers,
         spill=args.spill_log,
     )
     elapsed = perf_counter() - start
@@ -376,7 +368,6 @@ def _run_spill(args: argparse.Namespace) -> str:
         f"workload      : {args.workload} "
         f"({cdag.num_vertices()} vertices, {cdag.num_edges()} edges)",
         f"backend       : {args.backend}",
-        f"workers       : {args.workers}",
         f"moves         : {summary['moves']}",
         f"io (R1+R2)    : {summary['io']}",
         f"vertical_io   : {summary['vertical_io']}",

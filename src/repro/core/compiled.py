@@ -35,19 +35,12 @@ from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional
 
 import numpy as np
-
-try:  # scipy is optional: every consumer has a pure-python fallback
-    from scipy import sparse as _sparse
-    from scipy.sparse import csgraph as _csgraph
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sparse = None
-    _csgraph = None
+from scipy import sparse as _sparse
+from scipy.sparse import csgraph as _csgraph
 
 Vertex = Hashable
 
-__all__ = ["CompiledCDAG", "HAVE_SCIPY"]
-
-HAVE_SCIPY = _sparse is not None
+__all__ = ["CompiledCDAG"]
 
 
 class CompiledCDAG:
@@ -310,9 +303,7 @@ class CompiledCDAG:
     # Reachability
     # ------------------------------------------------------------------
     def _adjacency_matrix(self, direction: str):
-        """scipy CSR adjacency (cached); ``None`` when scipy is absent."""
-        if _sparse is None:
-            return None
+        """scipy CSR adjacency (cached)."""
         if direction == "succ":
             if self._succ_matrix is None:
                 self._succ_matrix = _sparse.csr_matrix(
@@ -337,24 +328,11 @@ class CompiledCDAG:
 
     def _reach(self, start: int, direction: str) -> np.ndarray:
         """Ids reachable from ``start`` (exclusive) along ``direction``."""
-        mat = self._adjacency_matrix(direction)
-        if mat is not None:
-            nodes = _csgraph.breadth_first_order(
-                mat, start, directed=True, return_predecessors=False
-            )
-            return nodes[nodes != start].astype(np.int32)
-        # Pure-python fallback BFS.
-        lists = self.succ_lists if direction == "succ" else self.pred_lists
-        seen = bytearray(self.n)
-        stack = list(lists[start])
-        out: List[int] = []
-        while stack:
-            u = stack.pop()
-            if not seen[u]:
-                seen[u] = 1
-                out.append(u)
-                stack.extend(lists[u])
-        return np.asarray(out, dtype=np.int32)
+        nodes = _csgraph.breadth_first_order(
+            self._adjacency_matrix(direction), start, directed=True,
+            return_predecessors=False,
+        )
+        return nodes[nodes != start].astype(np.int32)
 
     def ancestors_ids(self, i: int) -> np.ndarray:
         """Ids of all strict ancestors of vertex id ``i``."""

@@ -24,7 +24,8 @@ partitioning and min-cut lower bounds rely on:
   for the upper-bound schedulers).
 
 The vertex min-cut is computed by the classic vertex-splitting reduction
-to edge min-cut / max-flow, using :mod:`networkx` maximum-flow.
+to edge min-cut / max-flow, using scipy's sparse maximum-flow
+(:mod:`networkx` in the :func:`min_wavefront_rebuild` reference).
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from .cdag import CDAG, CDAGError, Vertex
-from .compiled import HAVE_SCIPY, CompiledCDAG
+from scipy.sparse import csr_matrix as _csr_matrix
+from scipy.sparse.csgraph import maximum_flow as _maximum_flow
 
-if HAVE_SCIPY:
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import maximum_flow as _maximum_flow
+from .cdag import CDAG, CDAGError, Vertex
+from .compiled import CompiledCDAG
 
 __all__ = [
     "in_set",
@@ -315,9 +315,8 @@ class WavefrontSolver:
     — only which vertices are forced onto the S/T sides changes.  The
     seed implementation rebuilt a :class:`networkx.DiGraph` from scratch
     per candidate, which dominated ``max_min_wavefront``; this solver
-    builds the split graph **once** and per query only toggles the
-    capacities of the pre-allocated source/sink arcs (scipy backend) or
-    adds/removes the two terminal nodes (networkx fallback).
+    builds the split graph **once** (a scipy CSR network) and per query
+    only toggles the capacities of the pre-allocated source/sink arcs.
 
     Obtain instances via ``cdag.compiled().wavefront_solver()`` — they
     are cached alongside the compiled snapshot, so repeated
@@ -330,29 +329,17 @@ class WavefrontSolver:
         self._inf = n + 1
         self._source = 2 * n
         self._sink = 2 * n + 1
-        if HAVE_SCIPY:
-            (
-                indptr,
-                indices,
-                self._data,
-                self._src_pos,
-                self._sink_pos,
-                self._internal_pos,
-            ) = _split_graph_csr(compiled, np.ones(n, dtype=np.int64))
-            self._graph = _csr_matrix(
-                (self._data, indices, indptr), shape=(2 * n + 2, 2 * n + 2)
-            )
-            self._base = None
-        else:  # hoisted networkx fallback: base graph built once
-            g = nx.DiGraph()
-            inf = float("inf")
-            for v in range(n):
-                g.add_edge(2 * v, 2 * v + 1, capacity=1)
-            succ_lists = compiled.succ_lists
-            for v in range(n):
-                for w in succ_lists[v]:
-                    g.add_edge(2 * v + 1, 2 * w, capacity=inf)
-            self._base = g
+        (
+            indptr,
+            indices,
+            self._data,
+            self._src_pos,
+            self._sink_pos,
+            self._internal_pos,
+        ) = _split_graph_csr(compiled, np.ones(n, dtype=np.int64))
+        self._graph = _csr_matrix(
+            (self._data, indices, indptr), shape=(2 * n + 2, 2 * n + 2)
+        )
 
     def vertex_cut_ids(
         self,
@@ -368,56 +355,30 @@ class WavefrontSolver:
         """
         if len(forced_s) == 0 or len(forced_t) == 0:
             return 0  # no source/sink side: nothing to separate
-        if HAVE_SCIPY:
-            data = self._data
-            inf = self._inf
-            int_pos = (
-                self._internal_pos[uncuttable]
-                if uncuttable is not None and uncuttable.size
-                else None
-            )
-            snk_pos = self._sink_pos[forced_t]
-            src_pos = self._src_pos[forced_s]
-            try:
-                if int_pos is not None:
-                    data[int_pos] = inf
-                data[snk_pos] = inf
-                data[src_pos] = inf
-                return int(
-                    _maximum_flow(
-                        self._graph, self._source, self._sink
-                    ).flow_value
-                )
-            finally:
-                # The network is cached and shared across queries: restore
-                # capacities even if max-flow (or an interrupt) blew up.
-                if int_pos is not None:
-                    data[int_pos] = 1
-                data[snk_pos] = 0
-                data[src_pos] = 0
-        g = self._base
-        inf = float("inf")
-        touched = (
-            uncuttable.tolist()
+        data = self._data
+        inf = self._inf
+        int_pos = (
+            self._internal_pos[uncuttable]
             if uncuttable is not None and uncuttable.size
-            else []
+            else None
         )
+        snk_pos = self._sink_pos[forced_t]
+        src_pos = self._src_pos[forced_s]
         try:
-            for v in touched:
-                g[2 * v][2 * v + 1]["capacity"] = inf
-            for v in forced_t.tolist():
-                g.add_edge(2 * v + 1, self._sink, capacity=inf)
-            for v in forced_s.tolist():
-                g.add_edge(self._source, 2 * v, capacity=inf)
-            cut_value, _ = nx.minimum_cut(g, self._source, self._sink)
-            return int(cut_value)
+            if int_pos is not None:
+                data[int_pos] = inf
+            data[snk_pos] = inf
+            data[src_pos] = inf
+            return int(
+                _maximum_flow(self._graph, self._source, self._sink).flow_value
+            )
         finally:
-            if self._source in g:
-                g.remove_node(self._source)
-            if self._sink in g:
-                g.remove_node(self._sink)
-            for v in touched:
-                g[2 * v][2 * v + 1]["capacity"] = 1
+            # The network is cached and shared across queries: restore
+            # capacities even if max-flow (or an interrupt) blew up.
+            if int_pos is not None:
+                data[int_pos] = 1
+            data[snk_pos] = 0
+            data[src_pos] = 0
 
     def min_wavefront_id(
         self,

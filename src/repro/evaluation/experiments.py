@@ -20,7 +20,7 @@ Experiments
 * E8 — Simulated-cluster measurements vs the parallel bounds.
 * E9 — Balance-condition sweep across algorithms x machines x levels.
 * Spill — strategy pebble games on synthetic workloads (the
-  ``workload x policy x backend x workers`` axes of the harness grid).
+  ``workload x policy x backend`` axes of the harness grid).
 
 Seeds
 -----
@@ -466,8 +466,7 @@ def experiment_balance_conditions(
 
 
 # ----------------------------------------------------------------------
-# Spill-strategy games (harness grid axes: workload x policy x backend
-# x workers)
+# Spill-strategy games (harness grid axes: workload x policy x backend)
 # ----------------------------------------------------------------------
 def experiment_spill_strategies(
     workload: str = "star",
@@ -480,14 +479,12 @@ def experiment_spill_strategies(
     component_size: int = 12,
     policy: str = "lru",
     backend: str = "batched",
-    workers: int = 1,
     seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Play one complete spill-strategy game and report its move/I/O row.
 
     This is the driver behind the harness's spill cells: every strategy
-    axis (``policy``, ``backend`` incl. ``kernel``, ``workers`` incl.
-    the sharded multiprocess runner) is a first-class parameter, so one
+    axis (``policy``, ``backend``) is a first-class parameter, so one
     grid sweeps the whole strategy engine.  Workloads:
 
     * ``"star"`` — owner-computes P-RBW hierarchy walk
@@ -515,8 +512,7 @@ def experiment_spill_strategies(
         snapshot_seed = 0
     elif workload == "chains":
         cdag, memory = chains_spill_setup(chains, length, num_red)
-        # Chain-major (DFS) order keeps each chain contiguous, which is
-        # what lets the sharded runner split the shared fast memory.
+        # Chain-major (DFS) order keeps each chain contiguous.
         schedule = dfs_schedule(cdag)
         snapshot_params = {"chains": chains, "length": length}
         snapshot_seed = 0
@@ -555,7 +551,6 @@ def experiment_spill_strategies(
         schedule=schedule,
         policy=policy,
         backend=backend,
-        workers=workers,
     )
     summary = record.summary()
     return [
@@ -563,7 +558,6 @@ def experiment_spill_strategies(
             "workload": workload,
             "policy": policy,
             "backend": backend,
-            "workers": workers,
             "seed": seed,
             "num_vertices": cdag.num_vertices(),
             "num_edges": cdag.num_edges(),

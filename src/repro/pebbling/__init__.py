@@ -7,11 +7,10 @@
   :class:`MemoryHierarchy` (Figure 1), distinguishing vertical and
   horizontal data movement.
 * Strategies (:mod:`repro.pebbling.strategies`) produce complete games —
-  upper bounds on I/O — from schedules and owner-computes assignments.
-* :func:`run_spill_game` is the unified strategy entry point; with
-  ``workers=N`` it shards independent per-processor subgames across a
-  process pool (:class:`ShardedStrategyRunner`) and merges the shard
-  logs into one canonical, move-for-move-faithful record.
+  upper bounds on I/O — from schedules and owner-computes assignments,
+  through a ``dict`` reference loop or the default ``batched`` fast path.
+* :func:`run_spill_game` is the unified strategy entry point for all
+  three games.
 * :func:`optimal_rbw_io` finds the exact optimum on small CDAGs by a
   bitmask A* search (0-1 BFS), used to validate the bounds.
 """
@@ -21,12 +20,7 @@ from .optimal import OptimalSearchResult, SearchBudgetExceeded, optimal_rbw_io
 from .parallel import ParallelRBWPebbleGame
 from .rbw import RBWPebbleGame
 from .redblue import RedBluePebbleGame
-from .sharded import (
-    ShardedStrategyRunner,
-    ShardPlan,
-    ShardSpec,
-    run_spill_game,
-)
+from .sharded import run_spill_game
 from .state import GameError, GameRecord, Move, MoveKind, MoveLog
 from .strategies import (
     contiguous_block_assignment,
@@ -44,9 +38,6 @@ __all__ = [
     "ParallelRBWPebbleGame",
     "RBWPebbleGame",
     "RedBluePebbleGame",
-    "ShardedStrategyRunner",
-    "ShardPlan",
-    "ShardSpec",
     "run_spill_game",
     "GameError",
     "GameRecord",

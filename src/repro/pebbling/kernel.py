@@ -1,18 +1,19 @@
-"""Fused vectorized pebble-rule kernel (``backend="kernel"``).
+"""Fused vectorized pebble-rule kernel: the sequential fast path.
 
-The batched strategy loops (:mod:`repro.pebbling.strategies`) spend their
-per-move budget on Python-interpreter rule checks: every load, store,
-compute, and delete is one engine method call that validates its rule and
+``spill_game_rbw``/``spill_game_redblue`` with the default
+``backend="batched"`` run here.  A per-move strategy loop spends its
+budget on Python-interpreter rule checks: every load, store, compute,
+and delete is one engine method call that validates its rule and
 appends one log row.  This module breaks that floor by splitting each
 strategy into three bulk phases that run a *chunk of macro-steps* at a
 time:
 
 1. **Plan** — a static, schedule-derived description of every macro-step
    (operands, retires, output/self-retire flags) is precomputed with
-   numpy array passes and cached per compiled CDAG.  The only remaining
-   per-move Python work is the *policy decision* (which victim to evict),
-   a tight loop over plain ints that emits one packed outcome word per
-   operand touch / compute slot — no engine calls, no log appends.
+   numpy array passes.  The only remaining per-move Python work is the
+   *policy decision* (which victim to evict), a tight loop over plain
+   ints that emits one packed outcome word per operand touch / compute
+   slot — no engine calls, no log appends.
 2. **Splice** — the outcome words are expanded into the exact move
    columns (opcode + vertex id) with vectorized scatter/cumsum passes.
 3. **Validate + append** — every pebble rule (R1-R4 and the red-pebble
@@ -21,31 +22,28 @@ time:
    prefix queries), then the columns land in the
    :class:`~repro.pebbling.state.MoveLog` via one ``extend_block``.
 
-The same chunked validator drives a replay fast path
-(:func:`replay_sequential_kernel`): a log bound to the engine's compiled
-CDAG is checked rule-for-rule in bulk and bulk-appended, falling back to
-the per-move loop (for its exact diagnostics) only when a chunk fails.
+The same chunked validators drive the engines' replay fast paths
+(:func:`replay_sequential_kernel`, :func:`replay_parallel_kernel`): a
+log bound to the engine's compiled CDAG is checked rule-for-rule in bulk
+and bulk-appended, falling back to the per-move loop (for its exact
+diagnostics) only when a chunk fails.
 
 Capability probe
 ----------------
-``REPRO_KERNEL`` (or the explicit ``kernel_mode=`` argument of the
-strategy entry points) selects the execution tier:
+``REPRO_KERNEL`` selects the planner tier:
 
 * ``"numpy"`` (default) — the always-available vectorized kernel above;
 * ``"numba"`` — additionally JIT-compiles the single-operand LRU planner
   loop (:func:`_lru_arity1_flat`) when numba is importable, degrading
-  silently to ``"numpy"`` when it is not;
-* ``"off"`` — the strategy entry points fall back to the pinned
-  ``batched`` reference loops and replay uses the per-move path.
+  silently to ``"numpy"`` when it is not.
 
-The planner emits exactly the moves the ``batched``/``dict`` backends
-emit — the randomized differential suite pins all three move-for-move.
+The planner emits exactly the moves the ``dict`` reference loop emits —
+the randomized differential suite pins them move-for-move.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from typing import List, Optional
 
 import numpy as np
@@ -70,14 +68,14 @@ __all__ = [
     "numba_available",
     "sequential_spill_kernel",
     "replay_sequential_kernel",
-    "parallel_spill_kernel",
     "replay_parallel_kernel",
 ]
 
-_KERNEL_MODES = ("numpy", "numba", "off")
+_KERNEL_MODES = ("numpy", "numba")
 #: macro-steps per plan/splice/validate chunk (bounds resident memory at
-#: 10^8-move scale: one chunk of columns, never the whole game)
-_CHUNK_OPS = 65536
+#: 10^8-move scale: one chunk of columns and validator scratch, never the
+#: whole game)
+_CHUNK_OPS = 16384
 #: max rows per replay validation slice — a spilled log's on-disk blocks
 #: can be arbitrarily large (bulk synthesis writes 10^6-row blocks), and
 #: the chunk validators allocate ~90 B/row of scratch, so replay re-slices
@@ -90,15 +88,11 @@ _NO_VICTIM_MSG = (
 )
 
 
-def kernel_mode(mode: Optional[str] = None) -> str:
-    """Resolve the kernel execution tier.
-
-    An explicit ``mode`` wins; otherwise the ``REPRO_KERNEL`` environment
-    variable is consulted (default ``"numpy"``).  Raises ``ValueError``
-    for unknown tiers.
-    """
-    if mode is None:
-        mode = os.environ.get("REPRO_KERNEL", "").strip().lower() or "numpy"
+def kernel_mode() -> str:
+    """Resolve the planner tier from the ``REPRO_KERNEL`` environment
+    variable (default ``"numpy"``).  Raises ``ValueError`` for unknown
+    tiers."""
+    mode = os.environ.get("REPRO_KERNEL", "").strip().lower() or "numpy"
     if mode not in _KERNEL_MODES:
         raise ValueError(
             f"kernel mode must be one of {_KERNEL_MODES}, got {mode!r}"
@@ -136,8 +130,7 @@ class _SeqPlan:
     """Flat arrays describing every macro-step of a sequential schedule.
 
     Everything here is independent of the eviction policy and of the red
-    pebble budget, so one plan serves every run over the same schedule.
-    Per macro-step ``k`` (a fired non-input vertex):
+    pebble budget.  Per macro-step ``k`` (a fired non-input vertex):
 
     * ``op_vid[k]``/``op_clock[k]`` — vertex id and schedule position;
     * operands in CSR form (``p_indptr``/``op_preds``), with
@@ -156,14 +149,13 @@ class _SeqPlan:
         "nops", "op_vid", "op_clock", "p_indptr", "op_preds", "ret_edge",
         "fl", "seg_indptr", "comp_slot", "slot_comp", "slot_vid",
         "st_indptr", "st_len", "st_kinds", "st_vids", "arity1",
-        "max_need", "nslots", "input_ids", "pos", "_rows_a1",
+        "max_need", "nslots", "input_ids", "pos",
     )
 
 
 def _build_seq_plan(c, sched_ids: np.ndarray) -> _SeqPlan:
     n = c.n
     plan = _SeqPlan()
-    plan._rows_a1 = None
     fired = ~c.is_input_mask[sched_ids]
     op_vid = sched_ids[fired].astype(np.int64)
     nops = len(op_vid)
@@ -262,45 +254,15 @@ def _build_seq_plan(c, sched_ids: np.ndarray) -> _SeqPlan:
     return plan
 
 
-# Plan cache for the default (topological) schedule, keyed by the
-# compiled CDAG's identity.  The compiled object is kept alive in the
-# value so its id cannot be reused; explicit schedules are never cached.
-_seq_plan_cache: "OrderedDict[int, tuple]" = OrderedDict()
-_SEQ_PLAN_CACHE_CAP = 8
-_SEQ_PLAN_CACHE_MAX_OPS = 300_000
-
-
-def _seq_plan_for(cdag, c, schedule):
-    """Return ``(plan, cached)`` — ``cached`` is True when the plan
-    lives in the plan cache (and decision memoization may apply)."""
-    if schedule is not None:
+def _seq_plan_for(cdag, c, schedule) -> _SeqPlan:
+    """The plan of ``schedule`` (validated), or of the topological
+    schedule when ``schedule`` is None."""
+    if schedule is None:
+        schedule = topological_schedule(cdag)
+    else:
+        schedule = list(schedule)
         validate_schedule(cdag, schedule)
-        sched_ids = np.asarray(c.ids_of(schedule), dtype=np.int64)
-        return _build_seq_plan(c, sched_ids), False
-    key = id(c)
-    hit = _seq_plan_cache.get(key)
-    if hit is not None and hit[0] is c:
-        _seq_plan_cache.move_to_end(key)
-        return hit[1], True
-    sched_ids = np.asarray(
-        c.ids_of(topological_schedule(cdag)), dtype=np.int64
-    )
-    plan = _build_seq_plan(c, sched_ids)
-    if plan.nops <= _SEQ_PLAN_CACHE_MAX_OPS:
-        _seq_plan_cache[key] = (c, plan)
-        while len(_seq_plan_cache) > _SEQ_PLAN_CACHE_CAP:
-            _seq_plan_cache.popitem(last=False)
-        return plan, True
-    return plan, False
-
-
-# Decision cache: the planner's packed outcome words are deterministic
-# given (plan, policy, num_red), so repeated runs over a cached plan —
-# bench repeats, parameter sweeps, sharded re-submissions — reuse them
-# and skip straight to splice + rule validation.  Every run still
-# re-validates every move; only the victim-selection loop is memoized.
-_seq_decision_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_SEQ_DECISION_CACHE_CAP = 4
+    return _build_seq_plan(c, np.asarray(c.ids_of(schedule), dtype=np.int64))
 
 
 # ======================================================================
@@ -329,22 +291,16 @@ def _plan_lru_arity1(plan, c, num_red):
     cnt = 0
     nops = plan.nops
     none_pair = (-1, -1)
-    rows = plan._rows_a1
-    if rows is None:
-        rows = [
-            list(zip(
-                plan.op_clock[a:min(a + _CHUNK_OPS, nops)].tolist(),
-                plan.op_vid[a:min(a + _CHUNK_OPS, nops)].tolist(),
-                plan.op_preds[a:min(a + _CHUNK_OPS, nops)].tolist(),
-                plan.fl[a:min(a + _CHUNK_OPS, nops)].tolist(),
-            ))
-            for a in range(0, nops, _CHUNK_OPS)
-        ]
-        plan._rows_a1 = rows
-    for chunk_rows in rows:
+    for a in range(0, nops, _CHUNK_OPS):
+        b = min(a + _CHUNK_OPS, nops)
         out: List[int] = []
         append = out.append
-        for clock, i, p, fl in chunk_rows:
+        for clock, i, p, fl in zip(
+            plan.op_clock[a:b].tolist(),
+            plan.op_vid[a:b].tolist(),
+            plan.op_preds[a:b].tolist(),
+            plan.fl[a:b].tolist(),
+        ):
             if p in red:
                 del red[p]
                 red[p] = clock
@@ -803,7 +759,7 @@ def _plan_lru_arity1_numba(plan, c, num_red, use_jit=True):
 # ======================================================================
 # Splice: packed outcome words -> move columns
 # ======================================================================
-def _splice_seq(plan, a, b, outcomes, want_marks):
+def _splice_seq(plan, a, b, outcomes):
     """Expand one chunk of outcome words into (kinds, vids) columns."""
     o = np.asarray(outcomes, dtype=np.int64)
     s0 = int(plan.seg_indptr[a])
@@ -846,8 +802,7 @@ def _splice_seq(plan, a, b, outcomes, want_marks):
         didx = np.repeat(dst0 - rel, stl) + np.arange(t1 - t0)
         kinds[didx] = plan.st_kinds[t0:t1]
         vids[didx] = plan.st_vids[t0:t1]
-    op_ends = (starts[cs] + ext[cs]) if want_marks else None
-    return kinds, vids, op_ends
+    return kinds, vids
 
 
 # ======================================================================
@@ -1010,65 +965,42 @@ def sequential_spill_kernel(
     num_red: int,
     schedule,
     policy: str,
-    step_marks,
     rbw: bool,
-    mode: str = "numpy",
 ):
-    """Kernel driver behind ``spill_game_rbw``/``spill_game_redblue``
-    with ``backend="kernel"``: plan -> splice -> validate -> bulk append,
+    """Fast driver behind ``spill_game_rbw``/``spill_game_redblue``
+    (``backend="batched"``): plan -> splice -> validate -> bulk append,
     one chunk of macro-steps at a time.  Move-for-move equal to the
-    ``batched``/``dict`` backends."""
-    from .strategies import _check_capacity, _gc_paused, _validate_policy
+    ``dict`` reference loop."""
+    from .strategies import _check_capacity, _gc_paused
 
-    _validate_policy(policy)
+    mode = kernel_mode()
     c = cdag.compiled()
-    plan, plan_cached = _seq_plan_for(cdag, c, schedule)
+    plan = _seq_plan_for(cdag, c, schedule)
     _check_capacity(
         num_red, [plan.max_need] if plan.nops else [], "S"
     )
-    dkey = (id(plan), policy, num_red)
-    hit = _seq_decision_cache.get(dkey) if plan_cached else None
-    memo: Optional[list] = None
-    if hit is not None and hit[0] is plan:
-        _seq_decision_cache.move_to_end(dkey)
-        chunks = iter(hit[1])
+    if policy == "belady":
+        chunks = _plan_belady(plan, c, num_red)
+    elif plan.arity1 and mode == "numba" and numba_available():
+        chunks = _plan_lru_arity1_numba(plan, c, num_red)
+    elif plan.arity1:
+        chunks = _plan_lru_arity1(plan, c, num_red)
     else:
-        if plan_cached:
-            memo = []
-        if policy == "belady":
-            chunks = _plan_belady(plan, c, num_red)
-        elif plan.arity1 and mode == "numba" and numba_available():
-            chunks = _plan_lru_arity1_numba(plan, c, num_red)
-        elif plan.arity1:
-            chunks = _plan_lru_arity1(plan, c, num_red)
-        else:
-            chunks = _plan_lru_generic(plan, c, num_red)
+        chunks = _plan_lru_generic(plan, c, num_red)
 
     log = game.record.log
     carry = _SeqCarry(c, rbw)
-    want_marks = step_marks is not None
-    total = 0
     a = 0
     with _gc_paused():
         for out in chunks:
             b = min(a + _CHUNK_OPS, plan.nops)
-            if memo is not None:
-                out = np.asarray(out, dtype=np.int64)
-                memo.append(out)
-            kinds, vids, op_ends = _splice_seq(plan, a, b, out, want_marks)
+            kinds, vids = _splice_seq(plan, a, b, out)
             if not _validate_seq_chunk(c, kinds, vids, carry, num_red):
                 raise GameError(
-                    "kernel backend produced an invalid move sequence"
+                    "kernel planner produced an invalid move sequence"
                 )
             log.extend_block(kinds, vids)
-            if want_marks:
-                step_marks.extend((op_ends + total).tolist())
-            total += len(kinds)
             a = b
-    if memo is not None:
-        _seq_decision_cache[dkey] = (plan, memo)
-        while len(_seq_decision_cache) > _SEQ_DECISION_CACHE_CAP:
-            _seq_decision_cache.popitem(last=False)
     game.red_ids = set(np.flatnonzero(carry.red).tolist())
     game.blue_ids = set(np.flatnonzero(carry.blue).tolist())
     if rbw:
@@ -1103,7 +1035,7 @@ def replay_sequential_kernel(game, log, rbw: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Parallel (P-RBW) half: hierarchy tables, bulk validator, drivers
+# Parallel (P-RBW) half: hierarchy tables, bulk validator, replay
 # ---------------------------------------------------------------------------
 
 #: held-state expected *before* each P-RBW opcode within a (vertex,
@@ -1185,27 +1117,6 @@ def _build_hier_tab(hierarchy) -> _HierTab:
     tab.iid_index = np.concatenate(
         [np.arange(cn, dtype=np.int64) for cn in counts]
     )
-    return tab
-
-
-_hier_tab_cache: "OrderedDict[tuple, _HierTab]" = OrderedDict()
-_HIER_TAB_CACHE_CAP = 8
-
-
-def _hier_key(hierarchy) -> tuple:
-    return tuple((spec.count, spec.capacity) for spec in hierarchy.levels)
-
-
-def _hier_tab_for(hierarchy) -> _HierTab:
-    hkey = _hier_key(hierarchy)
-    tab = _hier_tab_cache.get(hkey)
-    if tab is None:
-        tab = _build_hier_tab(hierarchy)
-        _hier_tab_cache[hkey] = tab
-        while len(_hier_tab_cache) > _HIER_TAB_CACHE_CAP:
-            _hier_tab_cache.popitem(last=False)
-    else:
-        _hier_tab_cache.move_to_end(hkey)
     return tab
 
 
@@ -1472,85 +1383,6 @@ def _finalize_parallel(game, tab: _HierTab, carry: _ParCarry) -> None:
         record.compute_per_processor[int(p)] = int(carry.comp[p])
 
 
-#: memoized (compiled CDAG, hierarchy shape) -> validated move columns.
-#: The parallel planner is deterministic given the default schedule and
-#: assignment, so repeat runs skip the per-move engine loop; every warm
-#: run still re-checks all P-RBW rules via _validate_par_chunk.
-_par_decision_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_PAR_DECISION_CACHE_CAP = 4
-#: never memoize games above this many moves (bounds resident memory)
-_PAR_MEMO_MAX_MOVES = 2_000_000
-
-
-def parallel_spill_kernel(cdag, hierarchy, assignment, schedule, spill,
-                          step_marks) -> "object":
-    """P-RBW spill strategy through the kernel backend.
-
-    Cold runs execute the pinned batched planner through the per-move
-    engine (every rule checked by the engine itself) and memoize the
-    resulting move columns per (compiled CDAG, hierarchy shape).  Warm
-    runs bulk-validate the memoized columns with
-    :func:`_validate_par_chunk` — every rule re-checked in vectorized
-    form — and bulk-append them, skipping the Python planner entirely.
-    """
-    from .parallel import ParallelRBWPebbleGame
-    from .strategies import (
-        _gc_paused,
-        _parallel_spill_batched,
-        _parallel_spill_prepare,
-    )
-
-    c = cdag.compiled()
-    tab = _hier_tab_for(hierarchy)
-    memo_ok = (
-        schedule is None
-        and assignment is None
-        and c.n * tab.NI <= _PAR_HELD_GATE
-    )
-    dkey = (id(c), _hier_key(hierarchy))
-    hit = _par_decision_cache.get(dkey) if memo_ok else None
-    if hit is not None and hit[0] is c:
-        _par_decision_cache.move_to_end(dkey)
-        _, chunks, marks = hit
-        game = ParallelRBWPebbleGame(cdag, hierarchy, spill=spill)
-        carry = _ParCarry(c, tab)
-        log = game.record.log
-        with _gc_paused():
-            for kinds, vids, lcs, scs in chunks:
-                if not _validate_par_chunk(
-                    c, tab, carry, kinds, vids, lcs, scs
-                ):
-                    raise GameError(
-                        "kernel backend produced an invalid move sequence"
-                    )
-                log.extend_block(kinds, vids, lcs, scs)
-        _finalize_parallel(game, tab, carry)
-        if step_marks is not None:
-            step_marks.extend(marks)
-        game.assert_complete()
-        return game.record
-
-    schedule, assignment, c2 = _parallel_spill_prepare(
-        cdag, hierarchy, assignment, schedule
-    )
-    game = ParallelRBWPebbleGame(cdag, hierarchy, spill=spill)
-    marks: List[int] = []
-    record = _parallel_spill_batched(
-        game, cdag, hierarchy, assignment, schedule, c2, marks
-    )
-    if step_marks is not None:
-        step_marks.extend(marks)
-    if memo_ok and len(record.log) <= _PAR_MEMO_MAX_MOVES:
-        chunks = [
-            tuple(np.array(col, copy=True) for col in chunk)
-            for chunk in record.log.iter_chunks()
-        ]
-        _par_decision_cache[dkey] = (c, chunks, list(marks))
-        while len(_par_decision_cache) > _PAR_DECISION_CACHE_CAP:
-            _par_decision_cache.popitem(last=False)
-    return record
-
-
 def replay_parallel_kernel(game, log) -> bool:
     """Bulk-validate and bulk-append a bound columnar P-RBW log during
     engine replay.  Returns True on success (the game holds the final
@@ -1558,7 +1390,7 @@ def replay_parallel_kernel(game, log) -> bool:
     so the caller falls back to the per-move loop for exact diagnostics.
     """
     c = game._c
-    tab = _hier_tab_for(game.hierarchy)
+    tab = _build_hier_tab(game.hierarchy)
     if c.n * tab.NI > _PAR_HELD_GATE:
         return False
     carry = _ParCarry(c, tab)

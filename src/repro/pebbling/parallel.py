@@ -74,6 +74,7 @@ from typing import Dict, Set, Tuple
 
 from ..core.cdag import CDAG, Vertex
 from .hierarchy import MemoryHierarchy
+from .kernel import replay_parallel_kernel
 from .state import (
     _INST_MASK,
     _INST_SHIFT,
@@ -539,11 +540,9 @@ class ParallelRBWPebbleGame(CompiledEngineMixin):
         self.reset()
         log = moves.log if isinstance(moves, GameRecord) else moves
         if isinstance(log, MoveLog) and log.is_bound_to(self._c):
-            from .kernel import kernel_mode, replay_parallel_kernel
-
             # Bulk path: vectorized rule checks + block appends; falls
             # back to the per-move loop (exact diagnostics) on failure.
-            if kernel_mode() != "off" and replay_parallel_kernel(self, log):
+            if replay_parallel_kernel(self, log):
                 self.assert_complete()
                 return self.record
             # One block at a time: spilled logs page in via memmap chunks.

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Set
 
 from ..core.cdag import CDAG, Vertex
+from .kernel import replay_sequential_kernel
 from .state import (
     OP_COMPUTE,
     OP_DELETE,
@@ -251,13 +252,9 @@ class RBWPebbleGame(CompiledEngineMixin):
         self.reset()
         log = moves.log if isinstance(moves, GameRecord) else moves
         if isinstance(log, MoveLog) and log.is_bound_to(self._c):
-            from .kernel import kernel_mode, replay_sequential_kernel
-
             # Bulk path: vectorized rule checks + block appends; falls
             # back to the per-move loop (exact diagnostics) on failure.
-            if kernel_mode() == "off" or not replay_sequential_kernel(
-                self, log, rbw=True
-            ):
+            if not replay_sequential_kernel(self, log, rbw=True):
                 handlers = (
                     self.load_id, self.store_id,
                     self.compute_id, self.delete_id,

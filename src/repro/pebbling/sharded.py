@@ -1,795 +1,49 @@
-"""Sharded multiprocess execution of spill-strategy pebble games.
+"""The unified spill-strategy entry point, :func:`run_spill_game`.
 
-ROADMAP frontier (c): strategy games were single-threaded even though
-workloads like the P-RBW star game are embarrassingly parallel.  This
-module closes it with :class:`ShardedStrategyRunner`: the CDAG's
-weakly-connected components are grouped into *shards* that provably
-cannot interact inside the strategy loop, each shard plays its subgame
-in a ``multiprocessing`` worker — the batched-LRU / P-RBW hot loops of
-:mod:`repro.pebbling.strategies`, recording into a spill-backed
-:class:`~repro.pebbling.state.MoveLog` — and the shard logs are merged
-into one canonical :class:`~repro.pebbling.state.GameRecord` by a stable
-interleave keyed on the *global macro-step clock* (the scheduled
-vertex's position).  The merged record is **move-for-move identical** to
-the sequential run of the same strategy on the same schedule, replays
-green through the engines' rule checkers, and is pinned against both
-sequential backends by the differential suite
-(``tests/pebbling/test_sharded_strategies.py``).
-
-When is sharding faithful?
---------------------------
-Per-component move bursts only depend on state the component itself can
-touch, so components may run in separate processes whenever one of two
-statically-checked criteria holds:
-
-* **Instance-disjoint** (criterion A): the bounded storage instances a
-  component's processors use (register files, caches — unbounded level-L
-  memories never constrain a move) are disjoint from every other
-  shard's.  Such shards cannot share an eviction heap, so *any* schedule
-  interleaving is safe.  This is the per-processor case of the P-RBW
-  owner-computes strategy.
-* **Contiguous and residue-free** (criterion B): the component's
-  operations occupy a contiguous run of the (atom-relative) schedule and
-  the strategy provably empties every shared bounded instance when the
-  component finishes (all values are retired; for the P-RBW loop this
-  requires the component to have no output-tagged sink, which would keep
-  its pebbles).  Then a later component sharing the same instances
-  starts from exactly the state the sequential run would give it —
-  empty.  This is the star / chains case: thousands of independent
-  subgames marching through one processor's registers.
-
-Components failing both criteria stay fused into one shard; a fully
-connected CDAG therefore degrades gracefully to the ordinary sequential
-run.
-
-Determinism contract
---------------------
-The plan (component grouping, shard assignment) is a pure function of
-``(cdag, schedule, assignment, workers)``; workers are keyed by shard
-index, and the merge orders moves by the global macro-step clock carried
-in the shard results — never by pool completion order.  Hence the same
-inputs (e.g. the same workload seed) and the same ``workers`` produce
-**byte-identical merged column blocks**, run after run, regardless of
-OS scheduling.  This is asserted by the determinism regression test.
+The module keeps its historical name because callers import
+``run_spill_game`` from here: the harness's spill cells, and tracing
+and benchmark tools that wrap ``repro.pebbling.sharded.run_spill_game``
+and read its ``backend`` default.
 
 Usage::
 
     from repro.pebbling import run_spill_game
-    record = run_spill_game(cdag, hierarchy, workers=4)   # P-RBW, sharded
-    record = run_spill_game(cdag, 8, workers=2, engine="redblue")
+    record = run_spill_game(cdag, hierarchy)            # P-RBW
+    record = run_spill_game(cdag, 8, engine="redblue")  # red-blue, S=8
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import shutil
-import tempfile
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from ..core.cdag import CDAG, Vertex
-from ..core.ordering import topological_schedule, validate_schedule
-from .hierarchy import LevelSpec, MemoryHierarchy
-from .state import GameError, GameRecord, MoveLog
-from .strategies import (
-    _check_capacity,
-    _validate_backend,
-    _validate_num_red,
-    _validate_policy,
-    contiguous_block_assignment,
-    parallel_spill_game,
-    spill_game_rbw,
-    spill_game_redblue,
-)
+from .hierarchy import MemoryHierarchy
+from .state import GameRecord
+from .strategies import parallel_spill_game, spill_game_rbw, spill_game_redblue
 
-__all__ = ["ShardPlan", "ShardSpec", "ShardedStrategyRunner", "run_spill_game"]
-
-_ENGINES = ("rbw", "redblue", "parallel")
+__all__ = ["run_spill_game"]
 
 
-# ======================================================================
-# Planning
-# ======================================================================
-@dataclass
-class ShardSpec:
-    """One shard of a :class:`ShardPlan`: the vertex ids it owns (in
-    global insertion order) and the global schedule positions of its
-    operations (in schedule order)."""
-
-    vertex_ids: List[int]
-    op_positions: np.ndarray  # int64, strictly increasing
-
-    @property
-    def num_ops(self) -> int:
-        return len(self.op_positions)
-
-
-@dataclass
-class ShardPlan:
-    """The result of :meth:`ShardedStrategyRunner.plan`.
-
-    ``shards`` lists the worker subgames; ``criterion`` records why the
-    split is faithful (``"instance-disjoint"``, ``"contiguous"``, a
-    combination, or ``"unsharded"`` when everything stays fused).
-    """
-
-    shards: List[ShardSpec] = field(default_factory=list)
-    criterion: str = "unsharded"
-    num_components: int = 0
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-
-def _weak_components(c) -> Tuple[int, np.ndarray]:
-    """Weakly-connected component labels of the compiled CDAG."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    if c.n == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    adj = csr_matrix(
-        (
-            np.ones(c.m, dtype=np.int8),
-            c.succ_indices,
-            c.succ_indptr,
-        ),
-        shape=(c.n, c.n),
-    )
-    return connected_components(adj, directed=True, connection="weak")
-
-
-def _bounded_instances_of(
-    hierarchy: MemoryHierarchy, processors
-) -> frozenset:
-    """The capacity-bounded storage instances serving ``processors`` —
-    the state through which P-RBW subgames could interact."""
-    insts = set()
-    for proc in processors:
-        for level in range(1, hierarchy.num_levels + 1):
-            if hierarchy.capacity(level) is not None:
-                insts.add(hierarchy.instance_of_processor(level, proc))
-    return frozenset(insts)
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-# ======================================================================
-# The runner
-# ======================================================================
-class ShardedStrategyRunner:
-    """Run a spill-strategy game sharded across a process pool.
-
-    Parameters
-    ----------
-    cdag:
-        The full CDAG.
-    memory:
-        ``int`` — red-pebble budget for a sequential game (``engine``
-        selects RBW or red-blue) — or a
-        :class:`~repro.pebbling.hierarchy.MemoryHierarchy` for the
-        parallel P-RBW owner-computes strategy.
-    schedule / assignment / policy / backend:
-        As in :mod:`repro.pebbling.strategies`; defaults are resolved
-        **globally** (one topological schedule, one owner-computes
-        assignment) before sharding, so shard subgames see exactly the
-        slices the sequential run would.
-    workers:
-        Maximum pool size.  The planner may produce fewer shards (it
-        never splits unsafely); one shard runs inline without a pool.
-    spill:
-        Spill setting of the **merged** output log.  Worker logs always
-        spill to a scratch handoff directory and are merged chunk-wise,
-        so resident memory stays flat regardless of game length.
-
-    Determinism: see the module docstring — same ``(cdag, schedule,
-    assignment, workers)`` in, byte-identical merged columns out.
-    """
-
-    def __init__(
-        self,
-        cdag: CDAG,
-        memory,
-        schedule: Optional[Sequence[Vertex]] = None,
-        assignment: Optional[Dict[Vertex, int]] = None,
-        policy: str = "lru",
-        backend: str = "batched",
-        engine: str = "rbw",
-        workers: int = 2,
-        spill=False,
-        mp_context: Optional[str] = None,
-    ) -> None:
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise ValueError(f"workers must be an int, got {workers!r}")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        _validate_policy(policy)
-        _validate_backend(backend)
-        self.cdag = cdag
-        self.hierarchy: Optional[MemoryHierarchy] = None
-        self.num_red: Optional[int] = None
-        if isinstance(memory, MemoryHierarchy):
-            self.hierarchy = memory
-            self.engine = "parallel"
-            if memory.capacity(memory.num_levels) is not None:
-                raise GameError(
-                    "parallel_spill_game requires unbounded level-L memories"
-                )
-        else:
-            _validate_num_red(memory)
-            self.num_red = memory
-            if engine not in ("rbw", "redblue"):
-                raise ValueError(
-                    f"engine must be 'rbw' or 'redblue', got {engine!r}"
-                )
-            self.engine = engine
-        self.policy = policy
-        self.backend = backend
-        self.workers = workers
-        self.spill = spill
-        self.mp_context = mp_context
-        # Resolve schedule/assignment once, globally.
-        self._c = cdag.compiled()
-        self.schedule = (
-            list(schedule) if schedule is not None
-            else topological_schedule(cdag)
-        )
-        validate_schedule(cdag, self.schedule)
-        if self.hierarchy is not None and assignment is None:
-            assignment = contiguous_block_assignment(
-                cdag, self.hierarchy.num_processors, self.schedule
-            )
-        self.assignment = assignment
-        self._global_capacity_check()
-
-    # ------------------------------------------------------------------
-    def _global_capacity_check(self) -> None:
-        """Raise the same capacity errors the sequential run would, even
-        when the offending operation would land in some other shard."""
-        c = self._c
-        is_input = c.is_input_mask
-        degrees = [
-            len(c.pred_lists[i]) + 1
-            for i in range(c.n)
-            if not is_input[i]
-        ]
-        if self.hierarchy is not None:
-            unknown = [
-                v for v in self.cdag.vertices if v not in self.assignment
-            ]
-            if unknown:
-                raise GameError(
-                    f"assignment misses vertices, e.g. {unknown[:3]}"
-                )
-            s1 = self.hierarchy.capacity(1)
-            if s1 is not None:
-                _check_capacity(s1, degrees, "S_1")
-        else:
-            _check_capacity(self.num_red, degrees, "S")
-
-    # ------------------------------------------------------------------
-    def plan(self) -> ShardPlan:
-        """Compute the shard decomposition (no game is played).
-
-        Components are fused into *atoms* when they can touch the same
-        bounded storage instance; atoms split back into per-component
-        units only where criterion B (contiguous + residue-free) holds.
-        Units are then packed into at most ``workers`` shards in
-        schedule order, balanced by operation count.
-        """
-        c = self._c
-        n_comp, labels = _weak_components(c)
-        pos = np.empty(c.n, dtype=np.int64)
-        pos[c.ids_of(self.schedule)] = np.arange(c.n, dtype=np.int64)
-        is_input = c.is_input_mask
-        is_sink = c.out_degree == 0
-        is_output = c.is_output_mask
-
-        comp_vertices: List[List[int]] = [[] for _ in range(n_comp)]
-        for i, lab in enumerate(labels.tolist()):
-            comp_vertices[lab].append(i)
-        comp_ops = [
-            sorted(
-                (int(pos[i]) for i in verts if not is_input[i])
-            )
-            for verts in comp_vertices
-        ]
-        plan = ShardPlan(num_components=n_comp)
-
-        with_ops = [k for k in range(n_comp) if comp_ops[k]]
-        zero_ops = [k for k in range(n_comp) if not comp_ops[k]]
-        if not with_ops:
-            return plan
-
-        # ---- atoms: components that can share bounded instances -----
-        uf = _UnionFind(len(with_ops))
-        if self.hierarchy is not None:
-            inst_owner: Dict[tuple, int] = {}
-            assign_id = [
-                self.assignment[c.vertex(i)] for i in range(c.n)
-            ]
-            for j, k in enumerate(with_ops):
-                procs = {
-                    assign_id[i]
-                    for i in comp_vertices[k]
-                    if not is_input[i]
-                }
-                for inst in _bounded_instances_of(self.hierarchy, procs):
-                    if inst in inst_owner:
-                        uf.union(inst_owner[inst], j)
-                    else:
-                        inst_owner[inst] = j
-        else:
-            # Sequential games share the single fast memory.
-            for j in range(1, len(with_ops)):
-                uf.union(0, j)
-
-        atoms: Dict[int, List[int]] = {}
-        for j in range(len(with_ops)):
-            atoms.setdefault(uf.find(j), []).append(j)
-
-        # ---- units: split atoms where criterion B holds --------------
-        units: List[List[int]] = []  # lists of with_ops indices
-        used_b = used_a = False
-        for members in atoms.values():
-            if len(members) == 1:
-                units.append(members)
-                continue
-            ranges = sorted(
-                (comp_ops[with_ops[j]][0], comp_ops[with_ops[j]][-1], j)
-                for j in members
-            )
-            contiguous = all(
-                ranges[t][1] < ranges[t + 1][0]
-                for t in range(len(ranges) - 1)
-            )
-            residue_free = True
-            if self.hierarchy is not None:
-                # The P-RBW loop keeps pebbles on output-tagged sinks.
-                for j in members:
-                    k = with_ops[j]
-                    if any(
-                        is_output[i] and is_sink[i]
-                        for i in comp_vertices[k]
-                    ):
-                        residue_free = False
-                        break
-            if contiguous and residue_free:
-                units.extend([j] for j in members)
-                used_b = True
-            else:
-                units.append(members)
-        if len(atoms) > 1:
-            used_a = True
-
-        # ---- pack units into at most `workers` shards ----------------
-        units.sort(key=lambda ms: comp_ops[with_ops[ms[0]]][0])
-        total_ops = sum(len(comp_ops[k]) for k in with_ops)
-        shards_units: List[List[int]] = []
-        cum = 0
-        bound = 0.0
-        for unit in units:
-            if not shards_units or (
-                cum >= bound and len(shards_units) < self.workers
-            ):
-                shards_units.append([])
-                bound = (
-                    total_ops * len(shards_units) / min(
-                        self.workers, len(units)
-                    )
-                )
-            shards_units[-1].extend(unit)
-            cum += sum(len(comp_ops[with_ops[j]]) for j in unit)
-
-        for members in shards_units:
-            verts: List[int] = []
-            ops: List[int] = []
-            for j in members:
-                k = with_ops[j]
-                verts.extend(comp_vertices[k])
-                ops.extend(comp_ops[k])
-            verts.sort()
-            plan.shards.append(
-                ShardSpec(verts, np.array(sorted(ops), dtype=np.int64))
-            )
-        # Pure-input components produce no moves; ride along with the
-        # first shard so per-shard completeness checks see them.
-        if zero_ops and plan.shards:
-            first = plan.shards[0]
-            extra = [i for k in zero_ops for i in comp_vertices[k]]
-            first.vertex_ids = sorted(first.vertex_ids + extra)
-
-        if len(plan.shards) <= 1:
-            plan.criterion = "unsharded"
-        else:
-            parts = []
-            if used_a:
-                parts.append("instance-disjoint")
-            if used_b:
-                parts.append("contiguous")
-            plan.criterion = "+".join(parts) or "instance-disjoint"
-        return plan
-
-    # ------------------------------------------------------------------
-    def _run_inline(self) -> GameRecord:
-        """Single-shard fallback: the ordinary sequential strategy."""
-        return _play_unsharded(
-            self.cdag,
-            self.hierarchy if self.hierarchy is not None else self.num_red,
-            schedule=self.schedule,
-            assignment=self.assignment,
-            policy=self.policy,
-            backend=self.backend,
-            engine=self.engine,
-            spill=self.spill,
-        )
-
-    def _shared_state(self, plan: ShardPlan, handoff: str) -> dict:
-        """Everything a worker needs to materialize its subgame.
-
-        Under the ``fork`` start method this dict is published through a
-        module global and inherited by the pool processes via
-        copy-on-write — the multi-million-tuple sub-CDAG edge lists are
-        then built *inside* each worker, in parallel, and never pickled
-        through the pool pipe.  (The spawn fallback serializes each
-        shard's structural payload once — cached across runs — and
-        ships the blob; see :func:`_payload_struct_blob`.)
-        """
-        c = self._c
-        pos = np.empty(c.n, dtype=np.int64)
-        pos[c.ids_of(self.schedule)] = np.arange(c.n, dtype=np.int64)
-        state = {
-            "c": c,
-            "pred_lists": c.pred_lists,  # materialized pre-fork
-            "pos": pos,
-            "shard_ids": [shard.vertex_ids for shard in plan.shards],
-            "name": self.cdag.name,
-            "engine": self.engine,
-            "policy": self.policy,
-            "backend": self.backend,
-            "spill_dir": handoff,
-            "num_red": self.num_red,
-            "levels": None,
-            "assign_ids": None,
-        }
-        if self.hierarchy is not None:
-            state["levels"] = [
-                (spec.count, spec.capacity) for spec in self.hierarchy.levels
-            ]
-            state["assign_ids"] = [
-                self.assignment[c.vertex(i)] for i in range(c.n)
-            ]
-        return state
-
-    def run(self) -> GameRecord:
-        """Play the sharded game and return the merged, canonical record.
-
-        Shards run in a ``multiprocessing`` pool — start method ``fork``
-        where available, so workers inherit the CDAG and shard tables by
-        copy-on-write instead of pickling them — each into a
-        spill-backed log inside a scratch handoff directory; the parent
-        re-attaches the logs, remaps shard vertex ids to global compiled
-        ids, and merges by the global macro-step clock.  Falls back to
-        the plain sequential strategy when the plan yields a single
-        shard.
-        """
-        global _FORK_STATE
-        plan = self.plan()
-        if plan.num_shards <= 1 or self.workers <= 1:
-            return self._run_inline()
-        handoff = tempfile.mkdtemp(prefix="sharded-game-")
-        shard_logs: List[MoveLog] = []
-        try:
-            state = self._shared_state(plan, handoff)
-            methods = multiprocessing.get_all_start_methods()
-            method = self.mp_context or (
-                "fork" if "fork" in methods else None
-            )
-            ctx = multiprocessing.get_context(method)
-            use_fork = ctx.get_start_method() == "fork"
-            if use_fork:
-                _FORK_STATE = state
-                jobs = list(range(plan.num_shards))
-            else:
-                # Spawn fallback: the structural payload is built *and*
-                # pickled once per shard (cached across runs) — each
-                # pool submission then ships a flat bytes blob plus the
-                # small per-run parameter dict, instead of re-walking
-                # the edge lists through the pickler per submission.
-                jobs = [
-                    (
-                        _payload_struct_blob(state, idx),
-                        _payload_params(state, idx),
-                    )
-                    for idx in range(plan.num_shards)
-                ]
-            try:
-                with ctx.Pool(
-                    processes=min(self.workers, plan.num_shards)
-                ) as pool:
-                    results = pool.map(_shard_worker, jobs)
-            finally:
-                _FORK_STATE = None
-            return self._merge(plan, results, shard_logs)
-        finally:
-            for log in shard_logs:
-                log.close()
-            shutil.rmtree(handoff, ignore_errors=True)
-
-    def _merge(
-        self,
-        plan: ShardPlan,
-        results: List[dict],
-        shard_logs: List[MoveLog],
-    ) -> GameRecord:
-        c = self._c
-        keys: List[np.ndarray] = []
-        vid_maps: List[np.ndarray] = []
-        for shard, res in zip(plan.shards, results):
-            log = MoveLog.attach_spill(res["manifest"])
-            shard_logs.append(log)
-            marks = np.asarray(res["marks"], dtype=np.int64)
-            if len(marks) != shard.num_ops:
-                raise GameError(
-                    f"shard {res['index']} recorded {len(marks)} "
-                    f"macro-steps for {shard.num_ops} operations"
-                )
-            bursts = np.diff(marks, prepend=0)
-            keys.append(np.repeat(shard.op_positions, bursts))
-            # The sub-CDAG's compiled ids follow the shard vertex list,
-            # which is sorted by global id — the id translation *is*
-            # that list.
-            vid_maps.append(np.asarray(shard.vertex_ids, dtype=np.int32))
-        merged = MoveLog.merge(
-            shard_logs,
-            keys,
-            compiled=c,
-            spill=self.spill,
-            vid_maps=vid_maps,
-        )
-        record = GameRecord(log=merged)
-        for res in results:
-            for key, val in res["vertical_io"].items():
-                record.vertical_io[key] = (
-                    record.vertical_io.get(key, 0) + val
-                )
-            for key, val in res["horizontal_io"].items():
-                record.horizontal_io[key] = (
-                    record.horizontal_io.get(key, 0) + val
-                )
-            for key, val in res["compute_per_processor"].items():
-                record.compute_per_processor[key] = (
-                    record.compute_per_processor.get(key, 0) + val
-                )
-            record.peak_red = max(record.peak_red, res["peak_red"])
-        return record
-
-
-# ======================================================================
-# Worker (module-level: importable under the spawn start method)
-# ======================================================================
-#: shared state published by the parent just before forking the pool —
-#: inherited copy-on-write, so shard payloads are never pickled
-_FORK_STATE: Optional[dict] = None
-
-
-#: in-process cache of the *structural* part of shard payloads — the
-#: sub-CDAG vertex/edge/io lists and restricted schedule, which dominate
-#: the payload build cost but depend only on (compiled CDAG, shard
-#: split, schedule order), not on per-run strategy parameters.  Keyed by
-#: (id(compiled), num_shards, shard index); entries pin the compiled
-#: object and verify the shard ids + schedule order on every hit, so an
-#: id() collision after GC can never serve stale lists.  Repeated
-#: parameter sweeps over the same CDAG skip the rebuild entirely; under
-#: the ``fork`` start method a warm parent cache is inherited by the
-#: pool workers copy-on-write.
-_payload_struct_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_PAYLOAD_STRUCT_CACHE_CAP = 64
-
-
-def _payload_struct_entry(state: dict, idx: int) -> list:
-    """The cache entry ``[c, ids, order, struct, blob]`` for shard
-    ``idx``, building (or rebuilding, on a stale hit) the structural
-    payload as needed.  ``blob`` is the struct's pickled form, filled
-    lazily by :func:`_payload_struct_blob` for the spawn path."""
-    c = state["c"]
-    ids = state["shard_ids"][idx]
-    pos = state["pos"]
-    id_arr = np.asarray(ids, dtype=np.int64)
-    order = id_arr[np.argsort(pos[id_arr], kind="stable")]
-    key = (id(c), len(state["shard_ids"]), idx)
-    hit = _payload_struct_cache.get(key)
-    if (
-        hit is not None
-        and hit[0] is c
-        and np.array_equal(hit[1], id_arr)
-        and np.array_equal(hit[2], order)
-    ):
-        _payload_struct_cache.move_to_end(key)
-        return hit
-    verts_table = c._verts
-    pred_lists = state["pred_lists"]
-    verts = [verts_table[i] for i in ids]
-    # Components are closed under edges, so every predecessor of a shard
-    # vertex is a shard vertex — no membership filter needed.
-    edges = [
-        (verts_table[p], verts_table[i])
-        for i in ids
-        for p in pred_lists[i]
-    ]
-    is_input = c.is_input_mask
-    is_output = c.is_output_mask
-    struct = {
-        "verts": verts,
-        "edges": edges,
-        "inputs": [verts_table[i] for i in ids if is_input[i]],
-        "outputs": [verts_table[i] for i in ids if is_output[i]],
-        "name": f"{state['name']}[shard{idx}]",
-        "schedule": [verts_table[i] for i in order.tolist()],
-    }
-    entry = [c, id_arr, order, struct, None]
-    _payload_struct_cache[key] = entry
-    while len(_payload_struct_cache) > _PAYLOAD_STRUCT_CACHE_CAP:
-        _payload_struct_cache.popitem(last=False)
-    return entry
-
-
-def _payload_struct(state: dict, idx: int) -> dict:
-    """The cached structural payload of shard ``idx`` (see cache note)."""
-    return _payload_struct_entry(state, idx)[3]
-
-
-def _payload_struct_blob(state: dict, idx: int) -> bytes:
-    """Shard ``idx``'s structural payload, serialized exactly once.
-
-    The pickled blob is cached alongside the struct, so repeated spawn
-    runs over the same CDAG/split reuse both the Python lists *and*
-    their serialized form; shipping a ready-made ``bytes`` through the
-    pool pipe is a flat copy instead of a per-submission recursive walk
-    over the multi-million-tuple edge lists."""
-    entry = _payload_struct_entry(state, idx)
-    if entry[4] is None:
-        entry[4] = pickle.dumps(entry[3], protocol=pickle.HIGHEST_PROTOCOL)
-    return entry[4]
-
-
-def _payload_params(state: dict, idx: int) -> dict:
-    """The small, per-run half of shard ``idx``'s payload: strategy
-    parameters plus the handoff directory, which changes every run and
-    must therefore stay out of the structural cache."""
-    params = {
-        "index": idx,
-        "engine": state["engine"],
-        "policy": state["policy"],
-        "backend": state["backend"],
-        "spill_dir": state["spill_dir"],
-        "num_red": state["num_red"],
-        "levels": state["levels"],
-        "assign": None,
-    }
-    assign_ids = state["assign_ids"]
-    if assign_ids is not None:
-        params["assign"] = [assign_ids[i] for i in state["shard_ids"][idx]]
-    return params
-
-
-def _materialize_payload(state: dict, idx: int) -> dict:
-    """Build shard ``idx``'s self-contained subgame description from the
-    shared state: sub-CDAG edge lists in global insertion order, the
-    restriction of the global schedule, and the strategy parameters.
-    Runs in the worker under ``fork`` (parallel, structural lists served
-    from the copy-on-write-inherited cache when warm); the ``spawn``
-    path ships the same struct as a pre-pickled blob instead (see
-    :func:`_payload_struct_blob`)."""
-    return {**_payload_struct(state, idx), **_payload_params(state, idx)}
-
-
-def _shard_worker(job) -> dict:
-    """Play one shard's subgame and hand back its spilled log.
-
-    Runs in a pool worker.  ``job`` is either a shard index (``fork``
-    start method: the shared state arrives by copy-on-write through
-    ``_FORK_STATE`` and the payload is materialized here, in parallel)
-    or a ``(struct_blob, params)`` pair (``spawn`` fallback: the
-    structural lists arrive as a once-pickled blob, decoded here).  The
-    worker plays the requested strategy loop, recording macro-step marks
-    into a spill-backed log under the parent's handoff directory, then
-    *detaches* the log so the column files survive this process and the
-    parent can merge them without re-piping the data.
-    """
-    if isinstance(job, int):
-        payload = _materialize_payload(_FORK_STATE, job)
-    else:
-        blob, params = job
-        payload = {**pickle.loads(blob), **params}
-    cdag = CDAG.from_edge_list(
-        payload["verts"],
-        payload["edges"],
-        payload["inputs"],
-        payload["outputs"],
-        name=payload["name"],
-    )
-    marks: List[int] = []
-    if payload["engine"] == "parallel":
-        hierarchy = MemoryHierarchy(
-            [LevelSpec(count, cap) for count, cap in payload["levels"]]
-        )
-        assignment = dict(zip(payload["verts"], payload["assign"]))
-        record = parallel_spill_game(
-            cdag,
-            hierarchy,
-            assignment=assignment,
-            schedule=payload["schedule"],
-            backend=payload["backend"],
-            spill=payload["spill_dir"],
-            step_marks=marks,
-        )
-    else:
-        runner = (
-            spill_game_redblue
-            if payload["engine"] == "redblue"
-            else spill_game_rbw
-        )
-        record = runner(
-            cdag,
-            payload["num_red"],
-            schedule=payload["schedule"],
-            policy=payload["policy"],
-            backend=payload["backend"],
-            spill=payload["spill_dir"],
-            step_marks=marks,
-        )
-    manifest = record.log.detach_spill()
-    return {
-        "index": payload["index"],
-        "manifest": manifest,
-        "marks": marks,
-        "vertical_io": record.vertical_io,
-        "horizontal_io": record.horizontal_io,
-        "compute_per_processor": record.compute_per_processor,
-        "peak_red": record.peak_red,
-    }
-
-
-# ======================================================================
-# Unified entry point
-# ======================================================================
-def _play_unsharded(
+def run_spill_game(
     cdag: CDAG,
     memory,
-    schedule,
-    assignment,
-    policy: str,
-    backend: str,
-    engine: str,
-    spill,
+    schedule: Optional[Sequence[Vertex]] = None,
+    assignment: Optional[Dict[Vertex, int]] = None,
+    policy: str = "lru",
+    backend: str = "batched",
+    engine: str = "rbw",
+    spill=False,
 ) -> GameRecord:
-    """Shared single-process dispatch: the ``workers=1`` path of
-    :func:`run_spill_game` and the runner's single-shard fallback."""
+    """Play a complete spill-strategy game.
+
+    ``memory`` selects the model: an ``int`` plays a sequential game
+    with that many red pebbles (``engine="rbw"`` or ``"redblue"``), a
+    :class:`~repro.pebbling.hierarchy.MemoryHierarchy` plays the P-RBW
+    owner-computes strategy.  A thin dispatcher over
+    :func:`~repro.pebbling.strategies.spill_game_rbw`,
+    :func:`~repro.pebbling.strategies.spill_game_redblue` and
+    :func:`~repro.pebbling.strategies.parallel_spill_game`.
+    """
     if isinstance(memory, MemoryHierarchy):
         return parallel_spill_game(
             cdag,
@@ -808,62 +62,5 @@ def _play_unsharded(
         schedule=schedule,
         policy=policy,
         backend=backend,
-        spill=spill,
-    )
-
-
-def run_spill_game(
-    cdag: CDAG,
-    memory,
-    schedule: Optional[Sequence[Vertex]] = None,
-    assignment: Optional[Dict[Vertex, int]] = None,
-    policy: str = "lru",
-    backend: str = "batched",
-    engine: str = "rbw",
-    spill=False,
-    workers: int = 1,
-    mp_context: Optional[str] = None,
-) -> GameRecord:
-    """Play a complete spill-strategy game, optionally sharded.
-
-    ``memory`` selects the model: an ``int`` plays a sequential game
-    with that many red pebbles (``engine="rbw"`` or ``"redblue"``), a
-    :class:`~repro.pebbling.hierarchy.MemoryHierarchy` plays the P-RBW
-    owner-computes strategy.  With ``workers > 1`` independent
-    per-processor subgames are executed across a process pool by
-    :class:`ShardedStrategyRunner` and merged into one canonical record
-    — move-for-move identical to the ``workers=1`` run; with
-    ``workers=1`` this is a thin dispatcher over
-    :func:`~repro.pebbling.strategies.spill_game_rbw`,
-    :func:`~repro.pebbling.strategies.spill_game_redblue` and
-    :func:`~repro.pebbling.strategies.parallel_spill_game`.
-    """
-    if workers is None:
-        workers = 1
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ValueError(f"workers must be an int, got {workers!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1:
-        return ShardedStrategyRunner(
-            cdag,
-            memory,
-            schedule=schedule,
-            assignment=assignment,
-            policy=policy,
-            backend=backend,
-            engine=engine,
-            workers=workers,
-            spill=spill,
-            mp_context=mp_context,
-        ).run()
-    return _play_unsharded(
-        cdag,
-        memory,
-        schedule=schedule,
-        assignment=assignment,
-        policy=policy,
-        backend=backend,
-        engine=engine,
         spill=spill,
     )

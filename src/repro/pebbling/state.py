@@ -306,9 +306,6 @@ class _SpillStore:
     failing that, when the ``weakref.finalize`` registered at
     construction fires on collection/interpreter exit (the spill is
     scratch backing storage for a live log, not an archive).
-    :meth:`detach` transfers ownership instead: the files survive the
-    store and process, to be re-opened elsewhere via :meth:`attach` —
-    the cross-process handoff the sharded runner's workers use.
     """
 
     #: column name -> dtype, in the block tuple order of ``MoveLog._flush``
@@ -343,30 +340,6 @@ class _SpillStore:
         self._finalizer = weakref.finalize(
             self, _release_spill, tuple(self._files.values()), self.directory
         )
-
-    @classmethod
-    def attach(cls, manifest: dict) -> "_SpillStore":
-        """Re-open a store from a :meth:`detach` manifest (new owner).
-
-        The attached store owns the files from here on: closing it (or
-        dropping it) removes the directory, exactly like a store that
-        created its files itself.
-        """
-        self = cls.__new__(cls)
-        self.directory = manifest["directory"]
-        self.paths = {
-            name: os.path.join(self.directory, name + ".bin")
-            for name, _ in self._SPEC
-        }
-        self._files = {
-            name: open(path, "ab") for name, path in self.paths.items()
-        }
-        self.rows = int(manifest["rows"])
-        self._block_rows = [int(n) for n in manifest["block_rows"]]
-        self._finalizer = weakref.finalize(
-            self, _release_spill, tuple(self._files.values()), self.directory
-        )
-        return self
 
     def append_block(self, kinds, vids, locs, srcs) -> None:
         n = len(kinds)
@@ -417,101 +390,9 @@ class _SpillStore:
             if os.path.exists(p)
         )
 
-    def concat_from(self, other: "_SpillStore", vid_map=None) -> None:
-        """Append every block of ``other`` by direct column-file copy.
-
-        The position-ordered fast path of :meth:`MoveLog.merge`: three
-        of the four column files are concatenated with OS-buffered block
-        copies (``shutil.copyfileobj`` — no rows ever materialize in
-        Python), and only the 4-byte vertex-id column is streamed
-        through numpy when a ``vid_map`` translation is required.
-        ``other`` must be fully flushed; it is left untouched.
-        """
-        for name, dtype in self._SPEC:
-            other._files[name].flush()
-            if name == "vids" and vid_map is not None:
-                mm = np.memmap(
-                    other.paths[name], dtype=dtype, mode="r",
-                    shape=(other.rows,),
-                )
-                step = 1 << 20
-                for start in range(0, other.rows, step):
-                    np.ascontiguousarray(
-                        vid_map[mm[start:start + step]], dtype=dtype
-                    ).tofile(self._files[name])
-            else:
-                with open(other.paths[name], "rb") as src:
-                    shutil.copyfileobj(src, self._files[name], 1 << 20)
-        self._block_rows.extend(other._block_rows)
-        self.rows += other.rows
-
-    def detach(self) -> dict:
-        """Flush and release the files *without* deleting them.
-
-        Returns a manifest (directory + block layout) from which
-        :meth:`attach` reconstructs a read-side store — possibly in a
-        different process.  The caller inherits responsibility for the
-        directory.
-        """
-        for f in self._files.values():
-            f.flush()
-            f.close()
-        self._finalizer.detach()
-        return {
-            "directory": self.directory,
-            "rows": self.rows,
-            "block_rows": list(self._block_rows),
-        }
-
     def close(self) -> None:
         """Release files and directory (idempotent; safe to call twice)."""
         self._finalizer()
-
-
-class _MergeCursor:
-    """Read cursor over one :meth:`MoveLog.merge` input: chunk-paged rows
-    plus the per-row sort keys, consumed strictly left to right."""
-
-    __slots__ = ("keys", "pos", "end", "index", "_chunks", "_cur", "_off",
-                 "_vid_map")
-
-    def __init__(self, log, keys: np.ndarray, index: int, vid_map) -> None:
-        self.keys = keys
-        self.pos = 0
-        self.end = len(keys)
-        self.index = index
-        self._chunks = log.iter_chunks()
-        self._cur = None
-        self._off = 0
-        self._vid_map = vid_map
-
-    @property
-    def next_key(self) -> int:
-        return int(self.keys[self.pos])
-
-    def count_upto(self, limit_key: int, side: str) -> int:
-        """Rows from the cursor whose key precedes ``limit_key``
-        (``side="right"``: <=, ``"left"``: <)."""
-        return int(np.searchsorted(self.keys, limit_key, side=side)) - self.pos
-
-    def take(self, n: int):
-        """Yield ``n`` rows as column-tuple slices, paging chunks on
-        demand (vertex ids remapped when a vid map was given)."""
-        while n > 0:
-            if self._cur is None or self._off >= len(self._cur[0]):
-                self._cur = next(self._chunks)
-                self._off = 0
-            avail = len(self._cur[0]) - self._off
-            m = min(n, avail)
-            kinds, vids, locs, srcs = self._cur
-            sl = slice(self._off, self._off + m)
-            v = vids[sl]
-            if self._vid_map is not None:
-                v = self._vid_map[v]
-            yield (kinds[sl], v, locs[sl], srcs[sl])
-            self._off += m
-            self.pos += m
-            n -= m
 
 
 class MoveLog:
@@ -712,151 +593,6 @@ class MoveLog:
         self._len += n
 
     # ------------------------------------------------------------------
-    # Merging
-    # ------------------------------------------------------------------
-    @classmethod
-    def merge(
-        cls,
-        logs: Sequence["MoveLog"],
-        keys: Sequence,
-        compiled=None,
-        spill=False,
-        block_size: int = 65536,
-        vid_maps: Optional[Sequence] = None,
-    ) -> "MoveLog":
-        """Stable k-way merge of move logs ordered by per-row sort keys.
-
-        ``keys[j]`` is an integer array aligned with the rows of
-        ``logs[j]`` and **non-decreasing** within each log (the sharded
-        runner uses the global macro-step clock of the move's burst).
-        The merged log orders every row by ``(key, input index)`` with
-        rows of equal key from the same input keeping their relative
-        order — so each input's row order is preserved exactly, and ties
-        across inputs resolve to the lower input index.
-
-        ``vid_maps[j]`` (optional) is an id-translation array applied to
-        input ``j``'s vertex-id column (``new_vid = vid_maps[j][vid]``);
-        inputs with a vid map must contain only non-negative (bound)
-        vertex ids.  This is how shard logs recorded against a
-        sub-CDAG's compiled ids land in the global id space.
-
-        The merge is streaming: inputs are paged chunk-at-a-time (via
-        :meth:`iter_chunks`, so spilled inputs stay memory-flat), runs
-        destined for the output are coalesced to ``block_size`` rows and
-        bulk-appended, and the output may itself be spilled
-        (``spill=...``).  Only the key arrays are held in RAM (8
-        bytes/move).
-
-        **Position-ordered fast path.** When the inputs' key ranges do
-        not interleave — ``max(keys[j]) <= min(keys[j+1])`` for every
-        consecutive pair in input order, the contiguous-shard case of
-        the sharded runner — the k-way cursor machinery is skipped
-        entirely and the logs are concatenated in input order.  Spilled
-        inputs feeding a spilled output are concatenated at the *file*
-        level (``shutil.copyfileobj`` over the column files; only the
-        vertex-id column streams through numpy, and only when a vid map
-        must be applied), so the parent never pages move rows at all.
-        The resulting log is row-for-row identical to the general
-        path's.
-
-        >>> a, b = MoveLog(), MoveLog()
-        >>> a.append_ids(OP_LOAD, 0); a.append_ids(OP_DELETE, 0)
-        >>> b.append_ids(OP_COMPUTE, 1)
-        >>> m = MoveLog.merge([a, b], [[0, 2], [1]])
-        >>> m.kinds().tolist() == [OP_LOAD, OP_COMPUTE, OP_DELETE]
-        True
-        """
-        if len(logs) != len(keys):
-            raise ValueError("merge needs one key array per log")
-        if vid_maps is not None and len(vid_maps) != len(logs):
-            raise ValueError("merge needs one vid map (or None) per log")
-        entries = []  # (index, log, keys, vid_map) of the non-empty inputs
-        for j, (log, key) in enumerate(zip(logs, keys)):
-            key = np.ascontiguousarray(key, dtype=np.int64)
-            if len(key) != len(log):
-                raise ValueError(
-                    f"keys[{j}] has {len(key)} entries for a "
-                    f"{len(log)}-move log"
-                )
-            if key.size > 1 and np.any(np.diff(key) < 0):
-                raise ValueError(
-                    f"keys[{j}] must be non-decreasing within the log"
-                )
-            vm = None
-            if vid_maps is not None and vid_maps[j] is not None:
-                vm = np.ascontiguousarray(vid_maps[j], dtype=np.int32)
-                if log._extra_verts:
-                    raise ValueError(
-                        f"logs[{j}] holds interned (negative) vertex ids; "
-                        "vid maps require fully bound logs"
-                    )
-            if len(log):
-                entries.append((j, log, key, vm))
-        out = cls(compiled=compiled, block_size=block_size, spill=spill)
-        # Ties across inputs resolve to the lower input index, so
-        # concatenation in input order is exact whenever consecutive
-        # key ranges touch but never cross.
-        if all(
-            entries[t][2][-1] <= entries[t + 1][2][0]
-            for t in range(len(entries) - 1)
-        ):
-            for _j, log, _key, vm in entries:
-                if out._spill is not None and log._spill is not None:
-                    log._flush()
-                    out._flush()
-                    out._spill.concat_from(log._spill, vm)
-                    out._len += len(log)
-                else:
-                    for kinds, vids, locs, srcs in log.iter_chunks():
-                        if vm is not None:
-                            vids = vm[vids]
-                        out.extend_block(kinds, vids, locs, srcs)
-            return out
-        cursors = [
-            _MergeCursor(log, key, j, vm) for j, log, key, vm in entries
-        ]
-        pending: List[List[np.ndarray]] = [[], [], [], []]
-        pending_rows = 0
-
-        def flush_pending() -> None:
-            nonlocal pending_rows
-            if not pending_rows:
-                return
-            cols = [
-                np.concatenate(p) if len(p) > 1 else p[0] for p in pending
-            ]
-            out.extend_block(cols[0], cols[1], cols[2], cols[3])
-            for p in pending:
-                p.clear()
-            pending_rows = 0
-
-        active = cursors
-        while active:
-            # The strictly smallest (key, input index) pair leads; its
-            # maximal run — every row preceding the runner-up's next pair
-            # — is copied in bulk (searchsorted + chunk slices).
-            best = min(active, key=lambda cur: (cur.next_key, cur.index))
-            others = [
-                (cur.next_key, cur.index) for cur in active if cur is not best
-            ]
-            if others:
-                limit_key, limit_idx = min(others)
-                side = "right" if best.index < limit_idx else "left"
-                take = best.count_upto(limit_key, side)
-            else:
-                take = best.end - best.pos
-            for chunk in best.take(take):
-                for acc, col in zip(pending, chunk):
-                    acc.append(col)
-                pending_rows += len(chunk[0])
-                if pending_rows >= block_size:
-                    flush_pending()
-            if best.pos >= best.end:
-                active = [cur for cur in active if cur is not best]
-        flush_pending()
-        return out
-
-    # ------------------------------------------------------------------
     # Spill management
     # ------------------------------------------------------------------
     @property
@@ -883,40 +619,6 @@ class MoveLog:
         if self._spill is not None:
             self._spill.close()
             self._reset_after_spill_release()
-
-    def detach_spill(self) -> dict:
-        """Flush everything to disk and hand off the spill files.
-
-        Returns a manifest from which :meth:`attach_spill` reconstructs
-        the log — typically in a *different process*: this is how the
-        sharded runner's workers return their shard logs without piping
-        gigabytes of column data through the pool.  The files are no
-        longer owned by this log (its finalizer is disarmed); the
-        attaching side inherits them.  This log is empty afterwards.
-        """
-        if self._spill is None:
-            raise ValueError("detach_spill requires a spilled log")
-        self._flush()
-        manifest = self._spill.detach()
-        manifest["len"] = self._len
-        self._spill = None
-        self._reset_after_spill_release()
-        return manifest
-
-    @classmethod
-    def attach_spill(
-        cls, manifest: dict, compiled=None, block_size: int = 65536
-    ) -> "MoveLog":
-        """Re-open a log from a :meth:`detach_spill` manifest.
-
-        The attached log owns the spill files (closing it removes them)
-        and supports every read path; appends go to a fresh staging
-        block, preserving row order.
-        """
-        log = cls(compiled=compiled, block_size=block_size)
-        log._spill = _SpillStore.attach(manifest)
-        log._len = int(manifest["len"])
-        return log
 
     def _reset_after_spill_release(self) -> None:
         self._spill = None

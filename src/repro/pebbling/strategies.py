@@ -29,15 +29,18 @@ Two backends, one semantics
 ---------------------------
 Every strategy exists in two implementations selected by ``backend``:
 
-* ``"batched"`` (the default) is the production hot loop.  Per-value
-  recency/next-use bookkeeping lives in flat id-indexed arrays (one
-  ``last_use`` array per bounded storage instance for the hierarchy
-  game), victims come out of per-instance lazy-deletion min-heaps
-  instead of ``min(..., key=...)`` scans over the resident set, and the
-  logical clock advances once per *macro-step* (scheduled vertex), so
-  all operand touches of one step share a single batched clock update.
-  Eviction cost drops from O(resident) to O(log resident) amortized,
-  which is what takes 10^7-move P-RBW games from minutes to seconds.
+* ``"batched"`` (the default) is the production fast path.  Sequential
+  games run the vectorized kernel planner
+  (:mod:`repro.pebbling.kernel`): victims are chosen in a tight loop over
+  plain ints, and the resulting moves are spliced and rule-checked a
+  chunk of macro-steps at a time.  The P-RBW game runs a flat-array
+  loop: per-value recency lives in one id-indexed ``last_use`` array per
+  bounded storage instance, victims come out of per-instance
+  lazy-deletion min-heaps instead of ``min(..., key=...)`` scans over
+  the resident set, and the logical clock advances once per
+  *macro-step* (scheduled vertex).  Eviction cost drops from
+  O(resident) to O(log resident) amortized, which is what takes 10^7-move
+  P-RBW games from minutes to seconds.
 * ``"dict"`` is the seed-era reference loop (tuple-keyed ``last_use``
   dictionaries, linear victim scans).  It is kept verbatim as the
   executable specification; randomized equivalence tests pin the batched
@@ -46,9 +49,10 @@ Every strategy exists in two implementations selected by ``backend``:
 Both backends run entirely in the integer-id space of the compiled CDAG
 backend (:meth:`CDAG.compiled`): schedules are converted to id arrays
 once up front, pebble state and liveness counters are id-indexed lists,
-and the engines' ``*_id`` rule methods are used throughout, so no vertex
-name is hashed inside the spill loops.  Each such rule call appends a row
-of plain integers to the engine's columnar
+and moves are rule-checked by the engines' ``*_id`` methods (or, on the
+sequential fast path, by the kernel's bulk validator), so no vertex name
+is hashed inside the spill loops.  Every move lands as a row of plain
+integers in the engine's columnar
 :class:`~repro.pebbling.state.MoveLog`, so the records returned here stay
 cheap at 10^6+ moves and replay column-to-column (engine ``replay``,
 ``partition_from_game``, ``DistributedExecutor.run_record``) without ever
@@ -67,6 +71,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.cdag import CDAG, Vertex
 from ..core.ordering import topological_schedule, validate_schedule
 from .hierarchy import MemoryHierarchy
+from .kernel import sequential_spill_kernel
 from .parallel import ParallelRBWPebbleGame
 from .rbw import RBWPebbleGame
 from .redblue import RedBluePebbleGame
@@ -80,7 +85,7 @@ __all__ = [
 ]
 
 _POLICIES = ("lru", "belady")
-_BACKENDS = ("batched", "dict", "kernel")
+_BACKENDS = ("batched", "dict")
 
 
 @contextmanager
@@ -144,9 +149,8 @@ def _sequential_spill(
     game,
     cdag: CDAG,
     num_red: int,
-    schedule: Sequence[Vertex],
+    schedule: Optional[Sequence[Vertex]],
     policy: str,
-    step_marks: Optional[List[int]] = None,
 ) -> GameRecord:
     """Reference driver for the red-blue and RBW engines (dict backend).
 
@@ -158,7 +162,7 @@ def _sequential_spill(
     resident set linearly — kept as the executable specification the
     batched backend is pinned against.
     """
-    _validate_policy(policy)
+    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
     validate_schedule(cdag, schedule)
 
     c = cdag.compiled()
@@ -238,9 +242,6 @@ def _sequential_spill(
         game.load_id(i)
         last_use[i] = clock
 
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
     for i in sched_ids:
         clock = position[i]
         if is_input[i]:
@@ -265,229 +266,9 @@ def _sequential_spill(
                 game.delete_id(p)
         if remaining_uses[i] == 0 and i in red_ids:
             game.delete_id(i)
-        if marks_append is not None:
-            marks_append(len(log))
 
     # Outputs that are inputs passed straight through (rare, but legal
     # under flexible tagging) need a blue pebble; inputs already have one.
-    game.assert_complete()
-    return game.record
-
-
-# ======================================================================
-# Sequential spill-based strategies — batched backend
-# ======================================================================
-def _sequential_spill_batched(
-    game,
-    cdag: CDAG,
-    num_red: int,
-    schedule: Sequence[Vertex],
-    policy: str,
-    step_marks: Optional[List[int]] = None,
-) -> GameRecord:
-    """Batched driver: flat id-indexed ``last_use`` + lazy-heap eviction.
-
-    Move-for-move equivalent to :func:`_sequential_spill` (pinned by the
-    randomized equivalence suite) but the victim scan is replaced by a
-    lazy-deletion heap: every *touch* of a value pushes its fresh
-    ``(recency-or-next-use, id)`` key, stale entries are discarded when
-    popped, and pinned entries are set aside and re-pushed.  The clock is
-    batched per macro-step — one update per scheduled vertex, shared by
-    all of that step's operand touches.
-    """
-    _validate_policy(policy)
-    validate_schedule(cdag, schedule)
-
-    c = cdag.compiled()
-    n = c.n
-    sched_ids = c.ids_of(schedule)
-    pred_lists = c.pred_lists
-    is_input = c.is_input_mask.tolist()
-    is_output = c.is_output_mask.tolist()
-
-    position = [0] * n
-    for k, i in enumerate(sched_ids):
-        position[i] = k
-    remaining_uses: List[int] = c.out_degree.tolist()
-
-    _check_capacity(
-        num_red,
-        [len(pred_lists[i]) + 1 for i in range(n) if not is_input[i]],
-        "S",
-    )
-
-    red_ids: Set[int] = game.red_ids
-    blue_ids: Set[int] = game.blue_ids
-    store_id = game.store_id
-    load_id = game.load_id
-    delete_id = game.delete_id
-    compute_id = game.compute_id
-
-    # Flat id-indexed recency array (persists across evictions, exactly
-    # like the reference dict) + the lazy eviction heap.
-    last_use: List[int] = [-1] * n
-    heap: List[tuple] = []
-    belady = policy == "belady"
-    if belady:
-        succ_lists = c.succ_lists
-        future_uses: List[List[int]] = [
-            sorted((position[s] for s in succ_lists[i]), reverse=True)
-            for i in range(n)
-        ]
-        # Sentinel "never used again"; orders after every real position
-        # and matches the reference's +inf because it compares last.
-        NEVER = len(sched_ids)
-        # Latest pushed next-use key per id (staleness detection).
-        cur_next: List[int] = [-1] * n
-
-    clock = 0
-
-    def touch(i: int) -> None:
-        """Record a use of ``i`` now and push its fresh eviction key."""
-        last_use[i] = clock
-        if belady:
-            uses = future_uses[i]
-            while uses and uses[-1] <= clock:
-                uses.pop()
-            nxt = uses[-1] if uses else NEVER
-            cur_next[i] = nxt
-            heappush(heap, (-nxt, clock, i))
-        else:
-            heappush(heap, (clock, i))
-
-    def pick_victim(pinned: Set[int]) -> int:
-        # Compaction: touches outnumber evictions, so the lazy heap
-        # accumulates stale entries (10^7-move games would drag millions
-        # of dead tuples through every pop).  When stale entries dominate,
-        # rebuild from the live resident set — every resident value's
-        # current key is O(S) to re-derive, and the invariant "every
-        # resident value has one valid entry" is restored exactly.
-        if len(heap) > 64 and len(heap) > 8 * len(red_ids):
-            if belady:
-                heap[:] = [
-                    (-cur_next[u], last_use[u], u) for u in red_ids
-                ]
-            else:
-                heap[:] = [(last_use[u], u) for u in red_ids]
-            heapify(heap)
-        aside = []
-        victim = -1
-        if belady:
-            # Reference victim: max (next_use, -max(last_use,0), -id)
-            # == heap-min of (-next_use, last_use, id); last_use >= 0 for
-            # every resident value (loads/computes always touch).
-            while heap:
-                entry = heap[0]
-                neg_nxt, lu, u = entry
-                if u not in red_ids or lu != last_use[u] or -neg_nxt != cur_next[u]:
-                    heappop(heap)
-                    continue
-                nxt = -neg_nxt
-                if nxt < clock:
-                    # The cached next use passed without a touch: its
-                    # consumer is an input vertex that never fires
-                    # (flexible tagging).  Recompute like the reference's
-                    # lazy next_use() and retry.
-                    heappop(heap)
-                    uses = future_uses[u]
-                    while uses and uses[-1] < clock:
-                        uses.pop()
-                    nxt = uses[-1] if uses else NEVER
-                    cur_next[u] = nxt
-                    heappush(heap, (-nxt, lu, u))
-                    continue
-                if u in pinned:
-                    aside.append(heappop(heap))
-                    continue
-                victim = u
-                break
-        else:
-            while heap:
-                entry = heap[0]
-                lu, u = entry
-                if u not in red_ids or lu != last_use[u]:
-                    heappop(heap)
-                    continue
-                if u in pinned:
-                    aside.append(heappop(heap))
-                    continue
-                victim = u
-                break
-        for entry in aside:
-            heappush(heap, entry)
-        if victim < 0:
-            raise GameError(
-                "no evictable red pebble: fast memory too small for this "
-                "schedule step"
-            )
-        return victim
-
-    def make_room(pinned: Set[int]) -> None:
-        while len(red_ids) >= num_red:
-            victim = pick_victim(pinned)
-            if victim not in blue_ids and (
-                remaining_uses[victim] > 0 or is_output[victim]
-            ):
-                store_id(victim)
-            delete_id(victim)
-
-    lru = not belady
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
-    with _gc_paused():
-        for i in sched_ids:
-            clock = position[i]
-            if is_input[i]:
-                continue
-            preds = pred_lists[i]
-            pinned = set(preds)
-            pinned.add(i)
-            for p in preds:
-                if p in red_ids:
-                    # Inlined LRU touch (the hottest line of the loop).
-                    if lru:
-                        last_use[p] = clock
-                        heappush(heap, (clock, p))
-                    else:
-                        touch(p)
-                    continue
-                if p not in blue_ids:
-                    raise GameError(
-                        f"value {c.vertex(p)!r} is neither in fast memory "
-                        "nor backed in slow memory; the spill strategy "
-                        "should have stored it"
-                    )
-                if len(red_ids) >= num_red:
-                    make_room(pinned)
-                load_id(p)
-                if lru:
-                    last_use[p] = clock
-                    heappush(heap, (clock, p))
-                else:
-                    touch(p)
-            if len(red_ids) >= num_red:
-                make_room(pinned)
-            compute_id(i)
-            if lru:
-                last_use[i] = clock
-                heappush(heap, (clock, i))
-            else:
-                touch(i)
-            if is_output[i]:
-                store_id(i)
-            for p in preds:
-                ru = remaining_uses[p] - 1
-                remaining_uses[p] = ru
-                if ru == 0 and p in red_ids:
-                    if is_output[p] and p not in blue_ids:
-                        store_id(p)
-                    delete_id(p)
-            if remaining_uses[i] == 0 and i in red_ids:
-                delete_id(i)
-            if marks_append is not None:
-                marks_append(len(log))
-
     game.assert_complete()
     return game.record
 
@@ -499,44 +280,26 @@ def spill_game_rbw(
     policy: str = "lru",
     backend: str = "batched",
     spill=False,
-    step_marks: Optional[List[int]] = None,
-    kernel_mode: Optional[str] = None,
 ) -> GameRecord:
     """Play a complete RBW game along ``schedule`` with an LRU/Belady
     spill policy.  Returns the game record (an I/O upper bound).
 
-    ``backend="batched"`` (default) uses the lazy-heap hot loop;
-    ``backend="dict"`` runs the reference implementation (identical
-    games, pinned by equivalence tests); ``backend="kernel"`` runs the
-    fused vectorized kernel (:mod:`repro.pebbling.kernel`) — identical
-    moves again, with the rule checks done as bulk numpy passes.
-    ``kernel_mode`` (or the ``REPRO_KERNEL`` environment variable)
-    selects the kernel tier: ``"numpy"`` (default), ``"numba"`` (JIT
-    planner when numba is importable, numpy otherwise), or ``"off"``
-    (fall back to the ``batched`` loop).  ``spill`` forwards to the
-    engine's move log (disk-backed columns for very long games).
-    ``step_marks`` (a caller-provided list) receives the cumulative log
-    length after every fired operation, delimiting each macro-step's
-    move burst — the sharded runner merges shard logs on these marks.
+    ``backend="batched"`` (default) runs the vectorized kernel planner
+    (:mod:`repro.pebbling.kernel`; the ``REPRO_KERNEL`` environment
+    variable picks its ``numpy`` or ``numba`` tier); ``backend="dict"``
+    runs the reference implementation (identical games, pinned by
+    equivalence tests).  ``spill`` forwards to the engine's move log
+    (disk-backed columns for very long games).
     """
     _validate_policy(policy)
     _validate_backend(backend)
     _validate_num_red(num_red)
-    if backend == "kernel":
-        from .kernel import kernel_mode as _resolve_mode
-        from .kernel import sequential_spill_kernel
-
-        mode = _resolve_mode(kernel_mode)
-        if mode != "off":
-            game = RBWPebbleGame(cdag, num_red, spill=spill)
-            return sequential_spill_kernel(
-                game, cdag, num_red, schedule, policy, step_marks,
-                rbw=True, mode=mode,
-            )
-    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
     game = RBWPebbleGame(cdag, num_red, spill=spill)
-    driver = _sequential_spill if backend == "dict" else _sequential_spill_batched
-    return driver(game, cdag, num_red, schedule, policy, step_marks)
+    if backend == "batched":
+        return sequential_spill_kernel(
+            game, cdag, num_red, schedule, policy, rbw=True
+        )
+    return _sequential_spill(game, cdag, num_red, schedule, policy)
 
 
 def spill_game_redblue(
@@ -546,34 +309,22 @@ def spill_game_redblue(
     policy: str = "lru",
     backend: str = "batched",
     spill=False,
-    step_marks: Optional[List[int]] = None,
-    kernel_mode: Optional[str] = None,
 ) -> GameRecord:
     """Play a complete Hong-Kung red-blue game along ``schedule``.
 
     The strategy never recomputes (it spills instead), so its cost is an
     upper bound for both the red-blue and the RBW I/O complexity.  See
-    :func:`spill_game_rbw` for ``backend``, ``kernel_mode``, ``spill``
-    and ``step_marks``.
+    :func:`spill_game_rbw` for ``backend`` and ``spill``.
     """
     _validate_policy(policy)
     _validate_backend(backend)
     _validate_num_red(num_red)
-    if backend == "kernel":
-        from .kernel import kernel_mode as _resolve_mode
-        from .kernel import sequential_spill_kernel
-
-        mode = _resolve_mode(kernel_mode)
-        if mode != "off":
-            game = RedBluePebbleGame(cdag, num_red, strict=False, spill=spill)
-            return sequential_spill_kernel(
-                game, cdag, num_red, schedule, policy, step_marks,
-                rbw=False, mode=mode,
-            )
-    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
     game = RedBluePebbleGame(cdag, num_red, strict=False, spill=spill)
-    driver = _sequential_spill if backend == "dict" else _sequential_spill_batched
-    return driver(game, cdag, num_red, schedule, policy, step_marks)
+    if backend == "batched":
+        return sequential_spill_kernel(
+            game, cdag, num_red, schedule, policy, rbw=False
+        )
+    return _sequential_spill(game, cdag, num_red, schedule, policy)
 
 
 # ======================================================================
@@ -649,7 +400,6 @@ def _parallel_spill_dict(
     assignment: Dict[Vertex, int],
     schedule: Sequence[Vertex],
     c,
-    step_marks: Optional[List[int]] = None,
 ) -> GameRecord:
     """Reference P-RBW owner-computes loop (dict backend, seed semantics)."""
     L = hierarchy.num_levels
@@ -774,9 +524,6 @@ def _parallel_spill_dict(
                 game.move_up_id(i, inst[0], inst[1])
             last_use[(inst, i)] = clock
 
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
     for i in sched_ids:
         clock += 1
         if is_input[i]:
@@ -810,8 +557,6 @@ def _parallel_spill_dict(
         if remaining_uses[i] == 0 and not is_output[i]:
             for (lvl, idx) in list(shades(i)):
                 game.delete_id(i, lvl, idx)
-        if marks_append is not None:
-            marks_append(len(log))
 
     game.assert_complete()
     return game.record
@@ -824,7 +569,6 @@ def _parallel_spill_batched(
     assignment: Dict[Vertex, int],
     schedule: Sequence[Vertex],
     c,
-    step_marks: Optional[List[int]] = None,
 ) -> GameRecord:
     """Batched P-RBW owner-computes loop.
 
@@ -1034,9 +778,6 @@ def _parallel_spill_batched(
                 st[3][i] = clock
                 heappush(st[2], (clock, i))
 
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
     with _gc_paused():
         for i in sched_ids:
             clock += 1
@@ -1081,8 +822,6 @@ def _parallel_spill_batched(
                     delete_all_id(p)
             if remaining_uses[i] == 0 and not is_output[i]:
                 delete_all_id(i)
-            if marks_append is not None:
-                marks_append(len(log))
 
     game.assert_complete()
     return game.record
@@ -1095,8 +834,6 @@ def parallel_spill_game(
     schedule: Optional[Sequence[Vertex]] = None,
     backend: str = "batched",
     spill=False,
-    step_marks: Optional[List[int]] = None,
-    kernel_mode: Optional[str] = None,
 ) -> GameRecord:
     """Play a complete P-RBW game with an owner-computes strategy.
 
@@ -1110,24 +847,10 @@ def parallel_spill_game(
 
     ``backend="batched"`` (default) runs the flat-array + lazy-heap hot
     loop; ``backend="dict"`` runs the reference loop (identical games,
-    pinned by equivalence tests); ``backend="kernel"`` memoizes the
-    deterministic default-schedule game per (CDAG, hierarchy shape) and
-    re-validates it with bulk vectorized rule checks on repeat runs (see
-    :mod:`repro.pebbling.kernel`; ``kernel_mode``/``REPRO_KERNEL`` =
-    ``"off"`` falls back to ``batched``).  ``spill`` forwards to the
-    engine's move log (disk-backed columns for very long games).
-    ``step_marks`` receives the cumulative log length after every fired
-    operation (see :func:`spill_game_rbw`).
+    pinned by equivalence tests).  ``spill`` forwards to the engine's
+    move log (disk-backed columns for very long games).
     """
     _validate_backend(backend)
-    if backend == "kernel":
-        from .kernel import kernel_mode as _resolve_mode
-        from .kernel import parallel_spill_kernel
-
-        if _resolve_mode(kernel_mode) != "off":
-            return parallel_spill_kernel(
-                cdag, hierarchy, assignment, schedule, spill, step_marks
-            )
     schedule, assignment, c = _parallel_spill_prepare(
         cdag, hierarchy, assignment, schedule
     )
@@ -1135,4 +858,4 @@ def parallel_spill_game(
     driver = (
         _parallel_spill_dict if backend == "dict" else _parallel_spill_batched
     )
-    return driver(game, cdag, hierarchy, assignment, schedule, c, step_marks)
+    return driver(game, cdag, hierarchy, assignment, schedule, c)

@@ -78,6 +78,18 @@ DEFAULT_PORT = 8177
 SERVICE_SCHEMA = "repro-service/1"
 
 
+def _number(body: Dict, name: str, default, kind=int):
+    """``body[name]`` (or ``default``) converted by ``kind``.  A value
+    that does not convert is a client error naming the field."""
+    value = body.get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{name!r} must be a number, got {value!r}"
+        ) from None
+
+
 class BoundService:
     """Endpoint logic, independent of HTTP plumbing (unit-testable).
 
@@ -137,7 +149,7 @@ class BoundService:
         params = body.get("params")
         if params is not None and not isinstance(params, dict):
             raise ValueError("'params' must be a mapping when present")
-        return builder, params, int(body.get("seed", 0))
+        return builder, params, _number(body, "seed", 0)
 
     def compiled(self, body: Dict) -> Dict:
         self._count("/v1/compiled")
@@ -176,10 +188,12 @@ class BoundService:
     def bound(self, body: Dict) -> Dict:
         self._count("/v1/bound")
         builder, params, seed = self._query_triple(body)
-        s = int(body.get("s", 16))
+        s = _number(body, "s", 16)
         method = body.get("method", "wavefront")
-        max_candidates = int(body.get("max_candidates", 32))
+        max_candidates = _number(body, "max_candidates", 32)
         u_upper = body.get("u_upper")
+        if u_upper is not None:
+            u_upper = _number(body, "u_upper", None, float)
         result, hit = cached_bound(
             self.store,
             builder,
@@ -188,7 +202,7 @@ class BoundService:
             s=s,
             method=method,
             max_candidates=max_candidates,
-            u_upper=None if u_upper is None else float(u_upper),
+            u_upper=u_upper,
         )
         spec = compiled_spec(builder, params, seed)
         spec["s"] = s
@@ -196,7 +210,7 @@ class BoundService:
         if method == "wavefront":
             spec["max_candidates"] = max_candidates
         if method == "hong_kung":
-            spec["u_upper"] = float(u_upper)
+            spec["u_upper"] = u_upper
         return {"key": artifact_key("bound", spec), "cached": hit, **result}
 
     def pebble(self, body: Dict) -> Dict:
@@ -204,7 +218,7 @@ class BoundService:
         params = body.get("params")
         if params is not None and not isinstance(params, dict):
             raise ValueError("'params' must be a mapping when present")
-        seed = int(body.get("seed", 0))
+        seed = _number(body, "seed", 0)
         row, hit = cached_spill(self.store, params, seed)
         return {"cached": hit, **row}
 

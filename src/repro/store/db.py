@@ -116,6 +116,31 @@ class _SingleFlight:
                 self._locks[key] = (held, refs - 1)
 
 
+class _ThreadConnection:
+    """One thread's SQLite connection, closed when the thread ends.
+
+    Only the store's ``threading.local`` refers to the holder, so the
+    holder is freed, and closes its connection, as soon as its thread
+    exits.  A bare connection would linger until a cyclic garbage
+    collection, because ``sqlite3.Connection`` refers to itself through
+    its statement cache.
+    """
+
+    __slots__ = ("conn",)
+
+    def __init__(self, conn: sqlite3.Connection) -> None:
+        self.conn = conn
+
+    def __del__(self) -> None:
+        try:
+            self.conn.close()
+        except sqlite3.ProgrammingError:
+            # Freed from another thread (the store itself was dropped
+            # while this thread lived): the connection closes once the
+            # garbage collector frees it.
+            pass
+
+
 class ArtifactStore:
     """A content-addressed artifact cache in one SQLite file.
 
@@ -168,8 +193,6 @@ class ArtifactStore:
         #: serializes same-key callers behind one handle
         self._owner = f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
         self._local = threading.local()
-        self._all_conns = []
-        self._conns_mu = threading.Lock()
         self._counter_mu = threading.Lock()
         self._flight = _SingleFlight()
         self.metrics = metrics
@@ -190,9 +213,9 @@ class ArtifactStore:
     # Connections
     # ------------------------------------------------------------------
     def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            return conn
+        held = getattr(self._local, "held", None)
+        if held is not None:
+            return held.conn
         conn = sqlite3.connect(
             str(self.path), timeout=self.busy_timeout_s
         )
@@ -207,21 +230,19 @@ class ArtifactStore:
             ("schema", STORE_SCHEMA_VERSION),
         )
         conn.commit()
-        self._local.conn = conn
-        with self._conns_mu:
-            self._all_conns.append(conn)
+        # Per thread only: the bound server runs one thread per request,
+        # and each request's connection must close when its thread ends.
+        self._local.held = _ThreadConnection(conn)
         return conn
 
     def close(self) -> None:
-        """Close every connection this store opened (all threads)."""
-        with self._conns_mu:
-            conns, self._all_conns = self._all_conns, []
-        for conn in conns:
-            try:
-                conn.close()
-            except sqlite3.Error:  # pragma: no cover - already closed
-                pass
-        self._local = threading.local()
+        """Close the calling thread's connection (other threads'
+        connections close when those threads end).  The store stays
+        usable: the next call from this thread opens a new connection."""
+        held = getattr(self._local, "held", None)
+        if held is not None:
+            self._local.held = None
+            held.conn.close()
 
     def __enter__(self) -> "ArtifactStore":
         return self

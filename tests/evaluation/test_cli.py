@@ -47,9 +47,9 @@ class TestParser:
         args = parser.parse_args(["distsim", "--nodes", "2", "--cache", "16"])
         assert args.nodes == 2 and args.cache == 16
         args = parser.parse_args(
-            ["spill", "--workload", "star", "--ops", "64", "--workers", "2"]
+            ["spill", "--workload", "star", "--ops", "64", "--backend", "dict"]
         )
-        assert args.workload == "star" and args.workers == 2
+        assert args.workload == "star" and args.backend == "dict"
 
 
 class TestExecution:
@@ -96,19 +96,20 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "moves         : 800" in out  # 50 moves/op at degree 8
 
-    def test_spill_sharded_matches_sequential_counts(self, capsys):
+    def test_spill_dict_backend_matches_counts(self, capsys):
         assert main(["spill", "--workload", "star", "--ops", "16",
-                     "--workers", "2"]) == 0
+                     "--backend", "dict"]) == 0
         out = capsys.readouterr().out
         assert "moves         : 800" in out
-        assert "workers       : 2" in out
+        assert "backend       : dict" in out
 
-    def test_spill_kernel_backend_matches_counts(self, capsys):
-        assert main(["spill", "--workload", "star", "--ops", "16",
-                     "--backend", "kernel"]) == 0
-        out = capsys.readouterr().out
-        assert "moves         : 800" in out
-        assert "backend       : kernel" in out
+    @pytest.mark.parametrize("removed", [["--workers", "2"],
+                                         ["--backend", "kernel"]])
+    def test_spill_rejects_removed_options(self, removed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spill", "--workload", "star", "--ops", "16", *removed])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_sweep_smoke_resume_and_reproduce(self, tmp_path, capsys):
         """The harness subcommands end to end: sweep a smoke grid,
@@ -220,5 +221,5 @@ class TestExecution:
         )
         spill_help = sub.choices["spill"].format_help()
         assert "REPRO_KERNEL" in spill_help
-        assert "kernel" in spill_help
+        assert "{batched,dict}" in spill_help
         assert "REPRO_KERNEL" in repro.cli.__doc__

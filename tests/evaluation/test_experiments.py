@@ -135,6 +135,40 @@ class TestE9Balance:
         assert all(not r["possibly_network_bound"] for r in cg_rows)
 
 
+class TestSpillStrategies:
+    """The spill cells' driver: one complete game per cell.  Its row is
+    the upper-bound side of the sandwich, so nothing in it but the
+    ``backend`` label may depend on which path played the game."""
+
+    SMALL = dict(ops=16, chains=6, length=10, components=3,
+                 component_size=10)
+
+    @pytest.mark.parametrize("workload", ["star", "chains", "forest"])
+    @pytest.mark.parametrize("policy", ["lru", "belady"])
+    def test_rows_do_not_depend_on_backend(self, workload, policy):
+        fast, ref = (
+            experiments.experiment_spill_strategies(
+                workload=workload, policy=policy, backend=backend, seed=3,
+                **self.SMALL,
+            )
+            for backend in ("batched", "dict")
+        )
+        assert len(fast) == len(ref) == 1
+        assert (fast[0]["backend"], ref[0]["backend"]) == ("batched", "dict")
+
+        def strip(row):
+            return {k: v for k, v in row.items() if k != "backend"}
+
+        assert strip(fast[0]) == strip(ref[0])
+        assert fast[0]["io"] > 0 and fast[0]["moves"] > fast[0]["io"]
+
+    def test_unknown_workload_and_backend_rejected(self):
+        with pytest.raises(ValueError, match="workload"):
+            experiments.experiment_spill_strategies(workload="mesh")
+        with pytest.raises(ValueError, match="'batched', 'dict'"):
+            experiments.experiment_spill_strategies(ops=4, backend="kernel")
+
+
 class TestReportFormatting:
     def test_format_table_alignment(self):
         rows = [{"a": 1, "b": "xy"}, {"a": 23456789, "b": "z"}]

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.evaluation.harness import (
+    default_grid,
     make_spec,
     run_grid,
     scan_results_root,
@@ -202,6 +203,27 @@ class TestGridValidation:
         assert summary["num_rows"] == len(
             (out / "e2" / "metrics.jsonl").read_text().splitlines()
         )
+
+    def test_default_grid_cells(self):
+        """Nine paper experiments plus five spill cells (star/chains x
+        lru/belady and the seeded forest), all on the default backend."""
+        grid = default_grid(seed=2)
+        assert len(grid) == 14
+        assert [c.label for c in grid[:9]] == [f"e{k}" for k in range(1, 10)]
+        assert [c.label for c in grid[9:]] == [
+            "spill_star_lru_batched_s2",
+            "spill_star_belady_batched_s2",
+            "spill_chains_lru_batched_s2",
+            "spill_chains_belady_batched_s2",
+            "spill_forest_lru_batched_s2",
+        ]
+        assert len({c.label for c in grid}) == len(grid)
+        assert all(c.seed == 2 for c in grid)
+
+    def test_spill_cells_have_no_workers_axis(self):
+        assert "workers" not in make_spec("spill").params
+        with pytest.raises(ValueError, match="unknown param 'workers'"):
+            make_spec("spill", {"workers": 2})
 
     def test_kill_env_validation(self):
         from repro.evaluation.harness import _KillHook

@@ -13,7 +13,12 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.evaluation.harness import make_spec, reproduce, run_grid
+from repro.evaluation.harness import (
+    make_spec,
+    reproduce,
+    run_grid,
+    smoke_grid,
+)
 from repro.evaluation.manifest import dumps_canonical
 
 
@@ -117,6 +122,29 @@ class TestReproduceCatchesCorruption:
         failures = reproduce(store, log=lambda _: None)
         assert [f.label for f in failures] == ["e5"]
         assert any("config_hash" in p for p in failures[0].problems)
+
+    def test_cell_whose_rerun_raises_fails_and_the_rest_are_checked(
+        self, tmp_path, capsys
+    ):
+        """A root swept by an older version can hold spill cells with the
+        removed ``backend: "kernel"``: re-running such a cell raises.  It
+        is reported by label and every other cell is still checked."""
+        root = tmp_path / "results"
+        specs = smoke_grid()
+        run_grid(specs, root, log=lambda _: None)
+        edited = min(s.label for s in specs if s.experiment == "spill")
+        path = root / edited / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"]["backend"] = "kernel"
+        path.write_text(dumps_canonical(manifest))
+        assert main(["reproduce", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert f"reproduce FAILED for cell(s): {edited}" in out
+        assert "re-running the cell raised ValueError" in out
+        others = [s.label for s in specs if s.label != edited]
+        assert max(others) > edited  # a later cell is checked too
+        for label in others:
+            assert f"[ok]      {label}" in out
 
     def test_partial_cells_are_reported_not_reproduced(self, store, capsys):
         (store / "e5" / "summary.json").unlink()

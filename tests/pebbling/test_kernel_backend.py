@@ -1,17 +1,23 @@
-"""Kernel backend plumbing: mode resolution, numba tiers, replay paths.
+"""Kernel plumbing: tier resolution, numba tiers, replay paths.
 
-Move-for-move equivalence of the kernel's *decisions* is pinned in
+Move-for-move equivalence of the kernel planner (the sequential
+``backend="batched"`` fast path) with the dict reference is pinned in
 ``test_spill_strategies.py``; this module covers the execution-tier
-plumbing around them: the ``REPRO_KERNEL`` environment variable and the
-``kernel_mode=`` argument, the numba fast path (and its numpy fallback
-when numba is absent), and the bulk replay fast path inside the engines
-— including its fall-back-to-per-move behaviour on invalid logs, which
-must preserve the reference diagnostics exactly.
+plumbing around it: the ``REPRO_KERNEL`` environment variable, the numba
+fast path (and its numpy fallback when numba is absent), and the bulk
+replay fast path inside the engines — including its fall-back-to-per-move
+behaviour on invalid logs, which must preserve the reference diagnostics
+exactly.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
+import repro.pebbling.parallel as parallel_mod
+import repro.pebbling.rbw as rbw_mod
+import repro.pebbling.redblue as redblue_mod
 from repro.core.builders import grid_stencil_cdag, independent_chains_cdag
 from repro.pebbling import (
     GameError,
@@ -22,6 +28,7 @@ from repro.pebbling import (
     RedBluePebbleGame,
     parallel_spill_game,
     spill_game_rbw,
+    spill_game_redblue,
 )
 from repro.pebbling import kernel
 
@@ -38,65 +45,52 @@ class TestKernelModeResolution:
         assert kernel.kernel_mode() == "numpy"
 
     def test_env_variable_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "off")
-        assert kernel.kernel_mode() == "off"
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
+        assert kernel.kernel_mode() == "numba"
         monkeypatch.setenv("REPRO_KERNEL", "  NumPy ")
         assert kernel.kernel_mode() == "numpy"
 
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "off")
-        assert kernel.kernel_mode("numpy") == "numpy"
-
-    def test_unknown_mode_raises(self, monkeypatch):
-        with pytest.raises(ValueError, match="kernel mode"):
-            kernel.kernel_mode("cuda")
-        monkeypatch.setenv("REPRO_KERNEL", "gpu")
+    @pytest.mark.parametrize("bad", ["gpu", "off"])
+    def test_unknown_mode_raises(self, monkeypatch, bad):
+        """Unknown tiers, including the removed ``off`` tier, are
+        rejected by the resolver and by every batched sequential game."""
+        monkeypatch.setenv("REPRO_KERNEL", bad)
         with pytest.raises(ValueError, match="kernel mode"):
             kernel.kernel_mode()
-
-    def test_strategy_rejects_unknown_kernel_mode(self):
-        cdag = grid_stencil_cdag((5,), 3)
         with pytest.raises(ValueError, match="kernel mode"):
-            spill_game_rbw(cdag, 3, backend="kernel", kernel_mode="cuda")
+            spill_game_rbw(grid_stencil_cdag((5,), 3), 3)
 
-    def test_mode_off_falls_back_to_batched(self, monkeypatch):
-        """backend="kernel" with the kernel disabled still plays the
-        game — through the batched loop — with identical moves."""
-        cdag = grid_stencil_cdag((6,), 4)
-        ref = spill_game_rbw(cdag, 4, backend="batched")
+    def test_dict_backend_and_replay_ignore_the_tier(self, monkeypatch):
+        cdag = grid_stencil_cdag((5,), 3)
+        record = spill_game_rbw(cdag, 4)
         monkeypatch.setenv("REPRO_KERNEL", "off")
-        via_env = spill_game_rbw(cdag, 4, backend="kernel")
-        monkeypatch.delenv("REPRO_KERNEL")
-        via_arg = spill_game_rbw(
-            cdag, 4, backend="kernel", kernel_mode="off"
+        same_columns(record, spill_game_rbw(cdag, 4, backend="dict"))
+        assert RBWPebbleGame(cdag, 4).replay(record).summary() == (
+            record.summary()
         )
-        same_columns(ref, via_env)
-        same_columns(ref, via_arg)
 
 
 class TestNumbaTiers:
     def test_numba_mode_degrades_to_numpy_when_absent(self, monkeypatch):
-        """mode="numba" without numba installed must silently run the
-        numpy tier — same moves, no import error."""
+        """REPRO_KERNEL=numba without numba installed must silently run
+        the numpy tier — same moves, no import error."""
         monkeypatch.setattr(kernel, "_numba_probe", False)
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
         cdag = independent_chains_cdag(10, 5)
-        ref = spill_game_rbw(cdag, 4, backend="batched")
-        got = spill_game_rbw(
-            cdag, 4, backend="kernel", kernel_mode="numba"
+        same_columns(
+            spill_game_rbw(cdag, 4, backend="dict"), spill_game_rbw(cdag, 4)
         )
-        same_columns(ref, got)
 
     def test_numba_jitted_planner_matches(self, monkeypatch):
         """With numba installed, the jitted arity-1 LRU planner must be
         move-for-move equal to the reference (skipped when absent)."""
         pytest.importorskip("numba")
         monkeypatch.setattr(kernel, "_numba_probe", None)
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
         cdag = independent_chains_cdag(10, 5)
-        ref = spill_game_rbw(cdag, 4, backend="batched")
-        got = spill_game_rbw(
-            cdag, 4, backend="kernel", kernel_mode="numba"
+        same_columns(
+            spill_game_rbw(cdag, 4, backend="dict"), spill_game_rbw(cdag, 4)
         )
-        same_columns(ref, got)
 
     def test_numba_availability_probe_is_cached(self, monkeypatch):
         monkeypatch.setattr(kernel, "_numba_probe", None)
@@ -106,10 +100,10 @@ class TestNumbaTiers:
 
     def test_flat_lru_python_tier_matches_reference(self):
         """The njit-able flat loop runs under plain Python too (the tier
-        numba compiles); pin it against the batched loop directly."""
+        numba compiles); pin it against the dict-order planner directly."""
         cdag = independent_chains_cdag(8, 6)
         c = cdag.compiled()
-        plan, _ = kernel._seq_plan_for(cdag, c, None)
+        plan = kernel._seq_plan_for(cdag, c, None)
         assert plan.arity1
         chunks = list(
             kernel._plan_lru_arity1_numba(plan, c, 4, use_jit=False)
@@ -120,13 +114,19 @@ class TestNumbaTiers:
             assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
+def _no_bulk(*_args, **_kwargs):
+    """Stand-in for a bulk replay validator that rejects every log, so
+    the engine takes its per-move fallback."""
+    return False
+
+
 class TestSequentialReplayFastPath:
     def test_replay_uses_kernel_and_matches_per_move(self, monkeypatch):
         cdag = independent_chains_cdag(10, 5)
         record = spill_game_rbw(cdag, 4)
         fast = RBWPebbleGame(cdag, 4)
         fast.replay(record)
-        monkeypatch.setenv("REPRO_KERNEL", "off")
+        monkeypatch.setattr(rbw_mod, "replay_sequential_kernel", _no_bulk)
         slow = RBWPebbleGame(cdag, 4)
         slow.replay(record)
         assert fast.red_ids == slow.red_ids
@@ -153,17 +153,20 @@ class TestSequentialReplayFastPath:
         vids[0] = bad_v
         bad = MoveLog(compiled=c)
         bad.extend_block(kinds, vids)
+        assert not kernel.replay_sequential_kernel(
+            RBWPebbleGame(cdag, 4), bad, rbw=True
+        )
         with pytest.raises(GameError, match="R1 violated"):
             RBWPebbleGame(cdag, 4).replay(bad)
 
     def test_redblue_replay_fast_path(self, monkeypatch):
         cdag = grid_stencil_cdag((6,), 4)
-        from repro.pebbling import spill_game_redblue
-
         record = spill_game_redblue(cdag, 4)
         fast = RedBluePebbleGame(cdag, 4, strict=False)
         fast.replay(record)
-        monkeypatch.setenv("REPRO_KERNEL", "off")
+        monkeypatch.setattr(
+            redblue_mod, "replay_sequential_kernel", _no_bulk
+        )
         slow = RedBluePebbleGame(cdag, 4, strict=False)
         slow.replay(record)
         assert fast.red_ids == slow.red_ids
@@ -184,7 +187,7 @@ class TestParallelReplayFastPath:
         record = parallel_spill_game(cdag, hierarchy)
         fast = ParallelRBWPebbleGame(cdag, hierarchy)
         fast.replay(record)
-        monkeypatch.setenv("REPRO_KERNEL", "off")
+        monkeypatch.setattr(parallel_mod, "replay_parallel_kernel", _no_bulk)
         slow = ParallelRBWPebbleGame(cdag, hierarchy)
         slow.replay(record)
         assert fast.pebbles_ids == slow.pebbles_ids
@@ -213,3 +216,137 @@ class TestParallelReplayFastPath:
         assert not kernel.replay_parallel_kernel(game, bad)
         with pytest.raises(GameError):
             game.replay(bad)
+
+
+def _bulk_spy(monkeypatch, module, name):
+    """Wrap an engine module's bulk replay hook; the returned list
+    collects what each bulk attempt returned."""
+    results = []
+    orig = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        ok = orig(*args, **kwargs)
+        results.append(ok)
+        return ok
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
+class TestChunkBoundaries:
+    """The kernel plans, splices and validates a game ``_CHUNK_OPS``
+    macro-steps at a time, carrying pebble state, LRU clocks, Belady
+    next uses and the peak across chunk edges; replay re-slices a log
+    into ``_REPLAY_SLICE_ROWS``-row slices.  Shrinking both puts many
+    edges inside small games, so every carried field crosses one."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("policy", ["lru", "belady"])
+    @pytest.mark.parametrize("spill", [spill_game_rbw, spill_game_redblue])
+    def test_small_chunks_match_dict(
+        self, monkeypatch, random_dag, chunk, policy, spill
+    ):
+        cdag = random_dag(6, 50)
+        s = max(cdag.in_degree(v) for v in cdag.vertices) + 1
+        ref = spill(cdag, s, policy=policy, backend="dict")
+        monkeypatch.setattr(kernel, "_CHUNK_OPS", chunk)
+        got = spill(cdag, s, policy=policy)
+        same_columns(ref, got)
+        assert got.peak_red == ref.peak_red
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_arity1_lru_chunks_match_dict(self, monkeypatch, chunk):
+        """The arity-1 LRU planner and its flat (numba-able) loop both
+        cut the same outcome stream at every chunk edge."""
+        cdag = independent_chains_cdag(10, 6)
+        ref = spill_game_rbw(cdag, 4, backend="dict")
+        monkeypatch.setattr(kernel, "_CHUNK_OPS", chunk)
+        same_columns(ref, spill_game_rbw(cdag, 4))
+        c = cdag.compiled()
+        plan = kernel._seq_plan_for(cdag, c, None)
+        flat = list(kernel._plan_lru_arity1_numba(plan, c, 4, use_jit=False))
+        planned = list(kernel._plan_lru_arity1(plan, c, 4))
+        assert len(flat) == len(planned) == -(-plan.nops // chunk)
+        for a, b in zip(flat, planned):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("rbw", [True, False])
+    def test_small_replay_slices_match_per_move(self, monkeypatch, rows, rbw):
+        cdag = grid_stencil_cdag((6,), 4)
+        if rbw:
+            record, module = spill_game_rbw(cdag, 4), rbw_mod
+            make = functools.partial(RBWPebbleGame, cdag, 4)
+        else:
+            record, module = spill_game_redblue(cdag, 4), redblue_mod
+            make = functools.partial(RedBluePebbleGame, cdag, 4, strict=False)
+        monkeypatch.setattr(kernel, "_REPLAY_SLICE_ROWS", rows)
+        bulk = _bulk_spy(monkeypatch, module, "replay_sequential_kernel")
+        fast = make()
+        fast.replay(record)
+        assert bulk == [True]  # every slice validated in bulk
+        monkeypatch.setattr(module, "replay_sequential_kernel", _no_bulk)
+        slow = make()
+        slow.replay(record)
+        assert fast.red_ids == slow.red_ids
+        assert fast.blue_ids == slow.blue_ids
+        if rbw:
+            assert fast.white_ids == slow.white_ids
+        assert fast.record.summary() == slow.record.summary()
+        assert fast.record.peak_red == slow.record.peak_red
+
+    def test_late_invalid_slice_resets_and_falls_back(self, monkeypatch):
+        """A bad move far past the first slice: the bulk validator has
+        already appended the earlier slices, so it must reset the game
+        before the per-move fallback raises the reference diagnostic."""
+        from repro.pebbling.state import OP_COMPUTE
+
+        cdag = independent_chains_cdag(6, 4)
+        record = spill_game_rbw(cdag, 4)
+        kinds, vids = (
+            np.concatenate(list(cols))
+            for cols in zip(*record.log.select_columns("kinds", "vertex_ids"))
+        )
+        c = cdag.compiled()
+        kinds, vids = kinds.copy(), vids.copy()
+        row = len(kinds) - 2
+        kinds[row] = OP_COMPUTE  # fire an input vertex: never legal
+        vids[row] = int(c.input_ids[0])
+        bad = MoveLog(compiled=c)
+        bad.extend_block(kinds, vids)
+        monkeypatch.setattr(kernel, "_REPLAY_SLICE_ROWS", 4)
+        game = RBWPebbleGame(cdag, 4)
+        assert not kernel.replay_sequential_kernel(game, bad, rbw=True)
+        assert len(game.record.log) == 0
+        assert not game.red_ids and not game.white_ids
+        messages = []
+        for hook in (kernel.replay_sequential_kernel, _no_bulk):
+            monkeypatch.setattr(rbw_mod, "replay_sequential_kernel", hook)
+            with pytest.raises(GameError) as exc:
+                RBWPebbleGame(cdag, 4).replay(bad)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_parallel_small_replay_slices_match_per_move(
+        self, monkeypatch, rows
+    ):
+        cdag = grid_stencil_cdag((5, 5), 2)
+        hierarchy = MemoryHierarchy.cluster(
+            nodes=2, cores_per_node=2, registers_per_core=8, cache_size=16
+        )
+        record = parallel_spill_game(cdag, hierarchy)
+        monkeypatch.setattr(kernel, "_REPLAY_SLICE_ROWS", rows)
+        bulk = _bulk_spy(monkeypatch, parallel_mod, "replay_parallel_kernel")
+        fast = ParallelRBWPebbleGame(cdag, hierarchy)
+        fast.replay(record)
+        assert bulk == [True]
+        monkeypatch.setattr(parallel_mod, "replay_parallel_kernel", _no_bulk)
+        slow = ParallelRBWPebbleGame(cdag, hierarchy)
+        slow.replay(record)
+        assert fast.pebbles_ids == slow.pebbles_ids
+        assert dict(fast.occupancy_ids) == dict(slow.occupancy_ids)
+        assert fast.blue_ids == slow.blue_ids
+        assert fast.white_ids == slow.white_ids
+        assert fast.record.vertical_io == slow.record.vertical_io
+        assert fast.record.horizontal_io == slow.record.horizontal_io

@@ -6,6 +6,8 @@ partitions, and executor reports — while keeping every full block on
 disk (``_blocks`` stays empty) and releasing its files on ``close``.
 """
 
+import gc
+import multiprocessing
 import os
 
 import numpy as np
@@ -178,6 +180,15 @@ class TestBulkAppendAndSynthesis:
             synthesize_redblue_pump_log(4)
 
 
+def _leak_spilled_log(spill_base: str) -> int:
+    """Pool worker: create a spilled log, append, and *never* close it.
+    The ``weakref.finalize`` teardown must reclaim the files at exit."""
+    log = MoveLog(spill=spill_base, block_size=8)
+    for k in range(100):
+        log.append_ids(OP_LOAD, k)
+    return len(os.listdir(spill_base))
+
+
 class TestSpillLifecycle:
     def test_close_removes_spill_directory(self, tmp_path):
         log = MoveLog(spill=tmp_path, block_size=16)
@@ -209,3 +220,35 @@ class TestSpillLifecycle:
         assert game.record.log.is_spilled
         assert game.record.io_count == 2
         game.record.log.close()
+
+    def test_close_is_idempotent(self, tmp_path):
+        log = MoveLog(spill=str(tmp_path), block_size=4)
+        for k in range(10):
+            log.append_ids(OP_STORE, k)
+        spill_dir = log._spill.directory
+        log.close()
+        assert not os.path.isdir(spill_dir)
+        log.close()  # second (and third) close: harmless no-ops
+        log.close()
+        assert not log.is_spilled
+
+    def test_gc_closes_unclosed_log(self, tmp_path):
+        log = MoveLog(spill=str(tmp_path), block_size=4)
+        for k in range(10):
+            log.append_ids(OP_LOAD, k)
+        spill_dir = log._spill.directory
+        assert os.path.isdir(spill_dir)
+        del log
+        gc.collect()
+        assert not os.path.isdir(spill_dir)
+
+    def test_worker_teardown_leaves_spill_dir_empty(self, tmp_path):
+        """Process shutdown never leaks spill files, even when a worker
+        process forgets to close its log."""
+        base = str(tmp_path)
+        with multiprocessing.get_context("fork").Pool(2) as pool:
+            populated = pool.map(_leak_spilled_log, [base] * 4)
+        # While alive, each worker saw its own spill dir in place...
+        assert all(n >= 1 for n in populated)
+        # ...and after pool shutdown the finalizers removed everything.
+        assert os.listdir(base) == []

@@ -1,17 +1,19 @@
-"""Batched spill-strategy backend: equivalence, edge cases, validation.
+"""Spill-strategy backends: equivalence, edge cases, validation.
 
-The batched (lazy-heap, flat-array) strategy loops must reproduce the
-dict reference *move for move* — these tests pin the full move columns,
-not just aggregate costs, on irregular randomized CDAGs as well as the
-structured shapes, and cover the edge cases the heap path could get
-wrong: eviction ties, a single red pebble, spill-then-reload, and
-never-used-again values under Belady.
+The batched fast paths (the kernel planner for sequential games, the
+flat-array lazy-heap loop for P-RBW games) must reproduce the dict
+reference *move for move* — these tests pin the full move columns, not
+just aggregate costs, on irregular randomized CDAGs as well as the
+structured shapes, and cover the edge cases the fast paths could get
+wrong: eviction ties, a single red pebble, spill-then-reload,
+never-used-again values under Belady, and spilled logs.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import CDAG
+from repro.core.ordering import dfs_schedule
 from repro.core.builders import (
     chain_cdag,
     grid_stencil_cdag,
@@ -75,6 +77,19 @@ class TestSequentialBatchedEquivalence:
                 spill_game_rbw(cdag, s, policy=policy, backend="batched"),
             )
 
+    @pytest.mark.parametrize("policy", ["lru", "belady"])
+    @pytest.mark.parametrize("spill", [spill_game_rbw, spill_game_redblue])
+    def test_explicit_dfs_schedule(self, policy, spill, random_dag):
+        """An explicit (non-topological-default) schedule is planned from
+        the schedule given, exactly like the reference."""
+        cdag = random_dag(4, 40)
+        s = max(cdag.in_degree(v) for v in cdag.vertices) + 2
+        schedule = dfs_schedule(cdag)
+        assert_same_game(
+            spill(cdag, s, schedule, policy=policy, backend="dict"),
+            spill(cdag, s, schedule, policy=policy, backend="batched"),
+        )
+
     def test_default_backend_is_batched(self):
         """The default game equals both explicit backends."""
         cdag = grid_stencil_cdag((6,), 4)
@@ -102,6 +117,33 @@ class TestParallelBatchedEquivalence:
         assert a.horizontal_io == b.horizontal_io
         assert a.compute_per_processor == b.compute_per_processor
 
+    @pytest.mark.parametrize("seed", [10, 12])
+    @pytest.mark.parametrize("nodes, cores, regs_extra", [
+        (1, 1, 1),  # one processor, smallest legal register file
+        (1, 4, 2),  # one node: four cores share its cache
+        (4, 1, 2),  # four nodes: shared values move remotely
+        (4, 2, 1),  # eight processors, smallest legal register files
+    ])
+    def test_hierarchy_shapes(self, seed, nodes, cores, regs_extra,
+                              random_dag):
+        """The lazy-heap loop walks every level of every shape exactly
+        like the reference, whatever the processor and node counts."""
+        cdag = random_dag(seed, 30)
+        maxd = max(cdag.in_degree(v) for v in cdag.vertices)
+        hierarchy = MemoryHierarchy.cluster(
+            nodes=nodes,
+            cores_per_node=cores,
+            registers_per_core=maxd + regs_extra,
+            cache_size=2 * maxd + 4,
+        )
+        a = parallel_spill_game(cdag, hierarchy, backend="dict")
+        b = parallel_spill_game(cdag, hierarchy, backend="batched")
+        assert_same_game(a, b)
+        assert a.vertical_io == b.vertical_io
+        assert a.horizontal_io == b.horizontal_io
+        assert a.compute_per_processor == b.compute_per_processor
+        assert len(b.compute_per_processor) <= nodes * cores
+
     def test_tiny_caches_force_cache_evictions(self):
         """Cache-level make_room (persist via move-down) agrees too."""
         cdag = grid_stencil_cdag((5, 5), 2)
@@ -121,129 +163,6 @@ class TestParallelBatchedEquivalence:
         record = parallel_spill_game(cdag, hierarchy)
         replayed = ParallelRBWPebbleGame(cdag, hierarchy).replay(record)
         assert replayed.summary() == record.summary()
-
-
-class TestKernelBackendEquivalence:
-    """Tentpole: the fused vectorized kernel backend must reproduce the
-    batched and dict loops *move for move* — same columns, same
-    counters, same macro-step marks — on sequential and parallel games.
-    """
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("policy", ["lru", "belady"])
-    @pytest.mark.parametrize("spill", [spill_game_rbw, spill_game_redblue])
-    def test_random_irregular_cdags(self, seed, policy, spill, random_dag):
-        cdag = random_dag(seed, 40)
-        s = max(cdag.in_degree(v) for v in cdag.vertices) + 2
-        kern = spill(cdag, s, policy=policy, backend="kernel")
-        assert_same_game(
-            spill(cdag, s, policy=policy, backend="dict"), kern
-        )
-        assert_same_game(
-            spill(cdag, s, policy=policy, backend="batched"), kern
-        )
-
-    @pytest.mark.parametrize("policy", ["lru", "belady"])
-    def test_eviction_ties_match_batched(self, policy):
-        """Tied LRU/Belady victims resolve to the lowest vertex id in
-        the kernel planner exactly as in the reference loops."""
-        verts = [("a", 0), ("a", 1), ("x",), ("b", 0), ("b", 1), ("y",)]
-        edges = [
-            (("a", 0), ("x",)), (("a", 1), ("x",)),
-            (("b", 0), ("y",)), (("b", 1), ("y",)),
-        ]
-        cdag = CDAG.from_edge_list(
-            verts, edges,
-            inputs=[("a", 0), ("a", 1), ("b", 0), ("b", 1)],
-            outputs=[("x",), ("y",)],
-            name="ties",
-        )
-        assert_same_game(
-            spill_game_rbw(cdag, 3, policy=policy, backend="batched"),
-            spill_game_rbw(cdag, 3, policy=policy, backend="kernel"),
-        )
-
-    def test_single_red_pebble_zero_operand_ops(self):
-        cdag = CDAG.from_edge_list(
-            [("v", 0)], [], inputs=[], outputs=[("v", 0)], name="one"
-        )
-        assert_same_game(
-            spill_game_rbw(cdag, 1, backend="batched"),
-            spill_game_rbw(cdag, 1, backend="kernel"),
-        )
-
-    def test_single_red_pebble_rejected_when_ops_have_operands(self):
-        with pytest.raises(GameError, match="cannot fire"):
-            spill_game_rbw(chain_cdag(3), 1, backend="kernel")
-
-    def test_spill_then_reload_round_trip(self):
-        """Evicted live values come back via R1 in the kernel path too,
-        and the produced log passes a full per-move engine replay."""
-        cdag = independent_chains_cdag(12, 6)
-        record = spill_game_rbw(cdag, 4, backend="kernel")
-        assert_same_game(
-            spill_game_rbw(cdag, 4, backend="batched"), record
-        )
-        assert record.counts[MoveKind.LOAD] > 12
-        replayed = RBWPebbleGame(cdag, 4).replay(record)
-        assert replayed.summary() == record.summary()
-
-    def test_step_marks_match_batched(self):
-        cdag = independent_chains_cdag(8, 5)
-        marks_ref, marks_ker = [], []
-        spill_game_rbw(cdag, 4, backend="batched", step_marks=marks_ref)
-        spill_game_rbw(cdag, 4, backend="kernel", step_marks=marks_ker)
-        assert marks_ref == marks_ker
-
-    def test_decision_cache_second_run_identical(self):
-        """The second kernel run over the same (CDAG, policy, S) serves
-        memoized planner decisions — and must stay move-for-move equal."""
-        cdag = grid_stencil_cdag((7,), 5)
-        first = spill_game_rbw(cdag, 4, backend="kernel")
-        second = spill_game_rbw(cdag, 4, backend="kernel")
-        assert_same_game(first, second)
-        assert_same_game(spill_game_rbw(cdag, 4, backend="batched"), second)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_parallel_random_clusters(self, seed, random_dag):
-        cdag = random_dag(seed, 35)
-        maxd = max(cdag.in_degree(v) for v in cdag.vertices)
-        hierarchy = MemoryHierarchy.cluster(
-            nodes=2,
-            cores_per_node=2,
-            registers_per_core=maxd + 2,
-            cache_size=2 * maxd + 4,
-        )
-        a = parallel_spill_game(cdag, hierarchy, backend="batched")
-        b = parallel_spill_game(cdag, hierarchy, backend="kernel")
-        assert_same_game(a, b)
-        assert a.vertical_io == b.vertical_io
-        assert a.horizontal_io == b.horizontal_io
-        assert a.compute_per_processor == b.compute_per_processor
-
-    def test_parallel_tiny_caches_warm_run(self):
-        """Cache-level evictions agree, and the warm (memoized) second
-        run replays the same validated columns."""
-        cdag = grid_stencil_cdag((5, 5), 2)
-        hierarchy = MemoryHierarchy.cluster(
-            nodes=4, cores_per_node=1, registers_per_core=8, cache_size=9
-        )
-        ref = parallel_spill_game(cdag, hierarchy, backend="batched")
-        cold = parallel_spill_game(cdag, hierarchy, backend="kernel")
-        warm = parallel_spill_game(cdag, hierarchy, backend="kernel")
-        for got in (cold, warm):
-            assert_same_game(ref, got)
-            assert ref.vertical_io == got.vertical_io
-        replayed = ParallelRBWPebbleGame(cdag, hierarchy).replay(warm)
-        assert replayed.summary() == ref.summary()
-
-    def test_spilled_kernel_game_matches_in_ram(self):
-        cdag = grid_stencil_cdag((6,), 4)
-        in_ram = spill_game_rbw(cdag, 4, backend="kernel")
-        spilled = spill_game_rbw(cdag, 4, backend="kernel", spill=True)
-        assert spilled.log.is_spilled
-        assert_same_game(in_ram, spilled)
-        spilled.log.close()
 
 
 class TestStrategyEdgeCases:
@@ -299,6 +218,7 @@ class TestStrategyEdgeCases:
         proves the batched path persists every evicted live value."""
         cdag = independent_chains_cdag(12, 6)
         record = spill_game_rbw(cdag, 4, backend="batched")
+        assert_same_game(spill_game_rbw(cdag, 4, backend="dict"), record)
         counts = record.counts
         # Interleaved chains with S=4 must reload chain heads: strictly
         # more loads than there are input vertices.
@@ -341,14 +261,18 @@ class TestUniformEntryValidation:
             with pytest.raises(ValueError, match="policy"):
                 spill(cdag, 2, schedule=bogus_schedule, policy="random")
 
-    def test_invalid_backend_raises_value_error(self):
+    @pytest.mark.parametrize("bad", ["numpy", "kernel"])
+    def test_invalid_backend_raises_value_error(self, bad):
+        """Unknown backends (including the removed ``"kernel"``) are
+        rejected with a message naming both accepted values."""
         cdag = chain_cdag(3)
+        accepted = "'batched', 'dict'"
         for spill in (spill_game_rbw, spill_game_redblue):
-            with pytest.raises(ValueError, match="backend"):
-                spill(cdag, 2, backend="numpy")
-        with pytest.raises(ValueError, match="backend"):
+            with pytest.raises(ValueError, match=accepted):
+                spill(cdag, 2, backend=bad)
+        with pytest.raises(ValueError, match=accepted):
             parallel_spill_game(
-                cdag, MemoryHierarchy.two_level(4), backend="numpy"
+                cdag, MemoryHierarchy.two_level(4), backend=bad
             )
 
     def test_invalid_num_red_raises_before_schedule_work(self):
@@ -369,13 +293,16 @@ class TestUniformEntryValidation:
 
 
 class TestStrategySpillLogs:
-    def test_spilled_strategy_game_matches_in_ram(self):
+    @pytest.mark.parametrize("spill", [spill_game_rbw, spill_game_redblue])
+    def test_spilled_strategy_game_matches_in_ram(self, spill):
         cdag = grid_stencil_cdag((6,), 4)
-        in_ram = spill_game_rbw(cdag, 4)
-        spilled = spill_game_rbw(cdag, 4, spill=True)
-        assert spilled.log.is_spilled
-        assert_same_game(in_ram, spilled)
+        spilled = spill(cdag, 4, spill=True)
+        ref = spill(cdag, 4, backend="dict", spill=True)
+        assert spilled.log.is_spilled and ref.log.is_spilled
+        assert_same_game(spill(cdag, 4), spilled)
+        assert_same_game(ref, spilled)
         spilled.log.close()
+        ref.log.close()
 
     def test_parallel_spilled_game_matches_in_ram(self):
         cdag = grid_stencil_cdag((5, 5), 2)

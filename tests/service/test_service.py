@@ -100,6 +100,17 @@ class TestEndpoints:
         assert client.pebble(params=params)["cached"] is True
 
 
+    def test_pebble_backends_agree(self, client):
+        """Both spill backends answer, as distinct cached specs, with
+        the same game apart from the backend label."""
+        base = {"workload": "chains", "chains": 4, "length": 6}
+        fast = client.pebble(params={**base, "backend": "batched"})
+        ref = client.pebble(params={**base, "backend": "dict"})
+        assert fast["cached"] is False and ref["cached"] is False
+        for key in ("moves", "io", "vertical_io", "horizontal_io"):
+            assert fast[key] == ref[key]
+        assert (fast["backend"], ref["backend"]) == ("batched", "dict")
+
 class TestErrors:
     def test_unknown_builder_is_400(self, client):
         with pytest.raises(ServiceError) as exc:
@@ -112,11 +123,48 @@ class TestErrors:
             client.compiled(builder="chain", params={"bogus": 1})
         assert exc.value.status == 400
 
+    def test_pebble_workers_param_is_400(self, client):
+        """Spill games run in one process: ``workers`` is not a spill
+        param, so the request is refused instead of forking a pool."""
+        with pytest.raises(ServiceError) as exc:
+            client.pebble(params={"workload": "star", "ops": 8,
+                                  "workers": 2})
+        assert exc.value.status == 400
+        assert "unknown param 'workers'" in exc.value.message
+
+    def test_pebble_kernel_backend_is_400(self, server):
+        """``backend="kernel"`` is gone: the request is a client error
+        naming the accepted backends, and nothing is stored."""
+        service = server.service
+        status, payload = service.handle(
+            "POST", "/v1/pebble",
+            {"params": {"workload": "star", "ops": 8, "backend": "kernel"}},
+        )
+        assert status == 400
+        assert "'batched', 'dict'" in payload["error"]
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["http.errors{POST /v1/pebble}"] == 1
+        assert service.store.stats()["entries"] == 0
+
     def test_missing_u_upper_is_400(self, client):
         with pytest.raises(ServiceError) as exc:
             client.bound(builder="chain", method="hong_kung")
         assert exc.value.status == 400
         assert "u_upper" in exc.value.message
+
+    @pytest.mark.parametrize("path, body, field", [
+        ("/v1/pebble", {"seed": None}, "seed"),
+        ("/v1/bound", {"builder": "chain", "s": None}, "s"),
+        ("/v1/compiled", {"builder": "chain", "seed": [1]}, "seed"),
+    ])
+    def test_non_number_in_number_field_is_400(self, server, path, body,
+                                               field):
+        service = server.service
+        status, payload = service.handle("POST", path, body)
+        assert status == 400
+        assert repr(field) in payload["error"]
+        counters = service.metrics.snapshot()["counters"]
+        assert counters[f"http.errors{{POST {path}}}"] == 1
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as exc:

@@ -1,6 +1,7 @@
 """Tests for the content-addressed artifact store engine
 (:mod:`repro.store.db`) and the codec/key layers under it."""
 
+import os
 import sqlite3
 import threading
 
@@ -189,6 +190,32 @@ class TestSingleFlight:
         # hit; either way nothing recomputed
         assert store.counters["hits"] == 5
         assert store.counters["flights"] <= 5
+
+
+class TestConnectionLifetime:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_short_lived_threads_do_not_leak_connections(self, store):
+        """One thread per request (the bound server's model): each
+        thread's connection closes when the thread ends, so open file
+        descriptors stay flat while the store lives on."""
+        store.put(KEY, b"abc", kind="bound")
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            thread = threading.Thread(target=store.get, args=(KEY,))
+            thread.start()
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert len(os.listdir("/proc/self/fd")) - before <= 4
+        assert store.counters["hits"] == 200
+
+    def test_close_closes_the_callers_connection(self, store):
+        conn = store._conn()
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+        assert store.get(KEY) is None  # reopens on next use
 
 
 class TestKeys:
