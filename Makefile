@@ -33,7 +33,11 @@ test-harness:
 # Artifact store + memoized bound server: the randomized differential
 # suite (cached bytes == fresh bytes), the store engine/corruption
 # tests, the key-stability property suite, the HTTP endpoint +
-# concurrent-clients suite, and the sweep --store/--jobs integration.
+# concurrent-clients suite, the shared HTTP layer's route-aware fuzz
+# of both servers (no 5xx, monotonic /metrics, bounded registry, lease
+# invariants) and its socket-level framing tests (bad/oversized
+# Content-Length, stalled senders), and the sweep --store/--jobs
+# integration.
 test-service:
 	$(PY) -m pytest tests/store tests/service \
 	  tests/evaluation/test_harness_store.py \

@@ -61,7 +61,7 @@ def server(tmp_path):
     finally:
         srv.shutdown()
         thread.join(5.0)
-        srv.service.close()
+        srv.app.close()
         srv.server_close()
 
 

@@ -136,6 +136,8 @@ def broadcast_tree_cdag(
     """A fan-out tree: one input value broadcast to ``num_leaves`` outputs."""
     if num_leaves < 1:
         raise ValueError("num_leaves must be >= 1")
+    if arity < 2:  # a narrower tree never reaches num_leaves
+        raise ValueError("arity must be >= 2")
     root: Vertex = ("bcast", 0, 0)
     vertices: List[Vertex] = [root]
     edges: List[Tuple[Vertex, Vertex]] = []

@@ -488,7 +488,9 @@ def experiment_spill_strategies(
     grid sweeps the whole strategy engine.  Workloads:
 
     * ``"star"`` — owner-computes P-RBW hierarchy walk
-      (:func:`~repro.pebbling.workloads.star_spill_setup`);
+      (:func:`~repro.pebbling.workloads.star_spill_setup`); this
+      strategy always evicts LRU, so ``policy`` is validated but its
+      ``"lru"`` and ``"belady"`` rows differ only in the label;
     * ``"chains"`` — LRU-thrashing interleaved chains under ``num_red``
       red pebbles (:func:`~repro.pebbling.workloads.chains_spill_setup`);
     * ``"forest"`` — seeded random component forest

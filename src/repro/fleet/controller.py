@@ -3,9 +3,9 @@
 One :class:`FleetController` owns the authoritative schedule of a grid
 sweep: which cells are pending, delayed (backing off after a failure),
 leased to a worker, committed, or permanently failed.  The HTTP layer
-(:func:`make_fleet_server`) is the same dependency-free
-``ThreadingHTTPServer`` plumbing as the bound server — every endpoint
-is a JSON-in/JSON-out call into the controller under one lock.
+(:func:`make_fleet_server`) is :mod:`repro.service.http`, shared with
+the bound server — every endpoint is a route-table entry calling into
+the controller (JSON in, JSON out) under one lock.
 
 Design rules, in order:
 
@@ -58,12 +58,10 @@ Two cross-cutting rules added with the observability layer:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,18 +71,9 @@ from ..evaluation.harness import (
     plan_resume,
     scan_results_root,
 )
-from ..evaluation.manifest import (
-    canonical_config,
-    dumps_canonical,
-    read_summary,
-)
-from ..obs import (
-    OBS_SCHEMA,
-    EventRing,
-    MetricsRegistry,
-    labeled,
-    signal_from_error,
-)
+from ..evaluation.manifest import canonical_config, read_summary
+from ..obs import signal_from_error
+from ..service.http import JsonApp, JsonServer, number, run_forever
 
 __all__ = [
     "DEFAULT_FLEET_PORT",
@@ -120,6 +109,13 @@ def spec_from_wire(cell: Mapping) -> RunSpec:
     )
 
 
+def _expect_list(value, message: str) -> list:
+    """``value`` if it is a JSON list, else a client error."""
+    if not isinstance(value, list):
+        raise ValueError(message)
+    return value
+
+
 @dataclass
 class _Lease:
     label: str
@@ -138,7 +134,7 @@ class _Worker:
     leased: set = field(default_factory=set)
 
 
-class FleetController:
+class FleetController(JsonApp):
     """Queue + lease logic, independent of HTTP plumbing (unit-testable).
 
     Parameters
@@ -164,6 +160,8 @@ class FleetController:
         it deterministically.  Must never jump backwards; wall clock
         (:func:`time.time`) is used only for reported timestamps.
     """
+
+    schema = FLEET_SCHEMA
 
     def __init__(
         self,
@@ -191,11 +189,7 @@ class FleetController:
         self.poll_s = float(poll_s)
         self.registry = registry
         self.log = log
-        self.clock = clock
-        self.started_s = time.time()  # reported only, never subtracted
-        self._started_clock = self.clock()
-        self.metrics = MetricsRegistry()
-        self.events = EventRing(capacity=events_capacity)
+        super().__init__(clock=clock, events_capacity=events_capacity)
         self._mu = threading.Lock()
         self._specs: Dict[str, RunSpec] = {}
         self._order: List[str] = []
@@ -210,7 +204,32 @@ class FleetController:
         self._failed: Dict[str, str] = {}
         self._last_error: Dict[str, str] = {}
         self._workers: Dict[str, _Worker] = {}
-        self.requests: Dict[str, int] = {}
+        self.routes = {
+            ("GET", "/health"): lambda body: self.health(),
+            ("GET", "/status"): lambda body: self.status(),
+            ("GET", "/metrics"): lambda body: self.metrics_view(),
+            ("POST", "/v1/grid"): lambda body: self.submit_grid(
+                _expect_list(body.get("cells"),
+                             "'cells' must be a list of cell objects")
+            ),
+            ("POST", "/v1/register"): lambda body: self.register(
+                str(body.get("worker", "")), number(body, "slots", 1)
+            ),
+            ("POST", "/v1/lease"): lambda body: self.lease(
+                str(body.get("worker", ""))
+            ),
+            ("POST", "/v1/heartbeat"): lambda body: self.heartbeat(
+                str(body.get("worker", "")),
+                _expect_list(body.get("labels") or [],
+                             "'labels' must be a list"),
+            ),
+            ("POST", "/v1/report"): lambda body: self.report(
+                str(body.get("worker", "")),
+                str(body.get("label", "")),
+                bool(body.get("ok", False)),
+                str(body.get("error", "")),
+            ),
+        }
 
     # ------------------------------------------------------------------
     # Grid lifecycle
@@ -421,7 +440,7 @@ class FleetController:
             return {
                 "status": "ok",
                 "schema": FLEET_SCHEMA,
-                "uptime_s": self.clock() - self._started_clock,
+                "uptime_s": self.uptime_s(),
                 "root": str(self.root),
                 "complete": self._complete_locked(),
                 "cells": self._counts_locked(),
@@ -434,7 +453,7 @@ class FleetController:
             self._promote_delayed_locked(now)
             return {
                 "schema": FLEET_SCHEMA,
-                "uptime_s": now - self._started_clock,
+                "uptime_s": self.uptime_s(),
                 "root": str(self.root),
                 "complete": self._complete_locked(),
                 "cells": self._counts_locked(),
@@ -522,14 +541,7 @@ class FleetController:
         # failures() first: it sweeps expired leases, and the expiry
         # counters/events must land in this scrape, not the next one.
         failures = self.failures()
-        return {
-            "schema": FLEET_SCHEMA,
-            "obs_schema": OBS_SCHEMA,
-            "uptime_s": self.clock() - self._started_clock,
-            "metrics": self.metrics.snapshot(),
-            "events": self.events.snapshot(limit=256),
-            "failures": failures,
-        }
+        return super().metrics_view(failures=failures)
 
     # ------------------------------------------------------------------
     # Internals (call with the lock held)
@@ -616,115 +628,6 @@ class FleetController:
             "failed": len(self._failed),
         }
 
-    # ------------------------------------------------------------------
-    # HTTP dispatch
-    # ------------------------------------------------------------------
-    def _count_request(self, endpoint: str) -> None:
-        with self._mu:
-            self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-
-    def handle(self, method: str, path: str, body: Optional[Dict]):
-        """``(status, response-mapping)`` for one request."""
-        endpoint = f"{method} {path}"
-        start = time.perf_counter()
-        status, payload = self._dispatch(method, path, body)
-        elapsed = time.perf_counter() - start
-        self.metrics.counter(labeled("http.requests", endpoint)).inc()
-        if status >= 400:
-            self.metrics.counter(labeled("http.errors", endpoint)).inc()
-        self.metrics.histogram(labeled("http.latency_s", endpoint)).observe(
-            elapsed
-        )
-        return status, payload
-
-    def _dispatch(self, method: str, path: str, body: Optional[Dict]):
-        body = body or {}
-        self._count_request(f"{method} {path}")
-        try:
-            if (method, path) == ("GET", "/health"):
-                return 200, self.health()
-            if (method, path) == ("GET", "/status"):
-                return 200, self.status()
-            if (method, path) == ("GET", "/metrics"):
-                return 200, self.metrics_view()
-            if (method, path) == ("POST", "/v1/grid"):
-                cells = body.get("cells")
-                if not isinstance(cells, list):
-                    raise ValueError("'cells' must be a list of cell objects")
-                return 200, self.submit_grid(cells)
-            if (method, path) == ("POST", "/v1/register"):
-                return 200, self.register(
-                    str(body.get("worker", "")), int(body.get("slots", 1))
-                )
-            if (method, path) == ("POST", "/v1/lease"):
-                return 200, self.lease(str(body.get("worker", "")))
-            if (method, path) == ("POST", "/v1/heartbeat"):
-                labels = body.get("labels") or []
-                if not isinstance(labels, list):
-                    raise ValueError("'labels' must be a list")
-                return 200, self.heartbeat(
-                    str(body.get("worker", "")), labels
-                )
-            if (method, path) == ("POST", "/v1/report"):
-                return 200, self.report(
-                    str(body.get("worker", "")),
-                    str(body.get("label", "")),
-                    bool(body.get("ok", False)),
-                    str(body.get("error", "")),
-                )
-            self.metrics.counter("http.unmatched").inc()
-            return 404, {"error": f"unknown endpoint {method} {path}"}
-        except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": str(exc)}
-        except Exception as exc:  # pragma: no cover - defensive
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
-
-
-class _FleetHandler(BaseHTTPRequestHandler):
-    server_version = "repro-fleet/1"
-
-    def _respond(self, status: int, payload: Dict) -> None:
-        raw = dumps_canonical(payload, indent=None).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _dispatch(self, method: str) -> None:
-        body = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            try:
-                body = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError):
-                self._respond(400, {"error": "request body is not valid JSON"})
-                return
-            if not isinstance(body, dict):
-                self._respond(
-                    400, {"error": "request body must be a JSON object"}
-                )
-                return
-        status, payload = self.server.controller.handle(
-            method, self.path, body
-        )
-        self._respond(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def log_message(self, fmt, *args) -> None:  # quiet by default
-        pass
-
-
-class _FleetServer(ThreadingHTTPServer):
-    daemon_threads = True
-    controller: FleetController
-
 
 def make_fleet_server(
     root,
@@ -732,15 +635,13 @@ def make_fleet_server(
     port: int = DEFAULT_FLEET_PORT,
     controller: Optional[FleetController] = None,
     **controller_opts,
-) -> _FleetServer:
+) -> JsonServer:
     """A ready-to-serve controller bound to ``host:port`` (``port=0``
     picks a free port — see ``server_port``).  The caller owns the
     loop: ``serve_forever()`` / ``shutdown()``."""
     if controller is None:
         controller = FleetController(root, **controller_opts)
-    server = _FleetServer((host, port), _FleetHandler)
-    server.controller = controller
-    return server
+    return JsonServer(controller, host, port)
 
 
 def serve_fleet(
@@ -757,16 +658,11 @@ def serve_fleet(
     server = make_fleet_server(root, host=host, port=port, log=log,
                                **controller_opts)
     if grid is not None:
-        server.controller.submit_grid([spec_to_wire(s) for s in grid])
+        server.app.submit_grid([spec_to_wire(s) for s in grid])
     log(
         f"repro fleet controller on http://{host}:{server.server_port} "
         f"(results root: {root})"
     )
     log("endpoints: GET /health /status /metrics; "
         "POST /v1/{grid,register,lease,heartbeat,report}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        log("shutting down")
-    finally:
-        server.shutdown()
+    run_forever(server, log)

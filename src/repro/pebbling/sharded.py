@@ -19,6 +19,7 @@ from typing import Dict, Optional, Sequence
 from ..core.cdag import CDAG, Vertex
 from .hierarchy import MemoryHierarchy
 from .state import GameRecord
+from .strategies import _validate_policy
 from .strategies import parallel_spill_game, spill_game_rbw, spill_game_redblue
 
 __all__ = ["run_spill_game"]
@@ -42,8 +43,11 @@ def run_spill_game(
     owner-computes strategy.  A thin dispatcher over
     :func:`~repro.pebbling.strategies.spill_game_rbw`,
     :func:`~repro.pebbling.strategies.spill_game_redblue` and
-    :func:`~repro.pebbling.strategies.parallel_spill_game`.
+    :func:`~repro.pebbling.strategies.parallel_spill_game`.  ``policy``
+    is validated for every model, but the P-RBW strategy always evicts
+    LRU, so a hierarchy game plays the same under either policy.
     """
+    _validate_policy(policy)
     if isinstance(memory, MemoryHierarchy):
         return parallel_spill_game(
             cdag,

@@ -78,6 +78,7 @@ __all__ = [
     "MoveLog",
     "GameRecord",
     "GameError",
+    "CapacityError",
     "VertexSetView",
     "CompiledEngineMixin",
     "OP_LOAD",
@@ -186,6 +187,12 @@ class CompiledEngineMixin:
 
 class GameError(RuntimeError):
     """Raised when a move violates the rules of the pebble game."""
+
+
+class CapacityError(GameError, ValueError):
+    """A strategy refused to start: its memory is too small for some
+    vertex to fire at all.  Also a ``ValueError``, because the caller's
+    memory size is the bad argument (the HTTP layer answers 400)."""
 
 
 class MoveKind(enum.Enum):

@@ -75,7 +75,7 @@ from .kernel import sequential_spill_kernel
 from .parallel import ParallelRBWPebbleGame
 from .rbw import RBWPebbleGame
 from .redblue import RedBluePebbleGame
-from .state import GameError, GameRecord
+from .state import CapacityError, GameError, GameRecord
 
 __all__ = [
     "spill_game_rbw",
@@ -134,7 +134,7 @@ def _check_capacity(num_red: int, op_degrees: List[int], what: str) -> int:
     """The shared "can any vertex fire at all" capacity check."""
     max_need = max(op_degrees, default=1)
     if num_red < max_need:
-        raise GameError(
+        raise CapacityError(
             f"{what}={num_red} {'red pebbles' if what == 'S' else 'registers'}"
             f" cannot fire a vertex with {max_need - 1} operands; "
             f"need at least {max_need}"
@@ -843,7 +843,8 @@ def parallel_spill_game(
     LRU eviction (R5 move-down / R2 store to persist values that are still
     live).  The top (level-L) storage instances must be unbounded — the
     standard P-RBW assumption that node memory is large enough to hold the
-    working set; blue pebbles model the initial/final value home.
+    working set; blue pebbles model the initial/final value home.  There
+    is no ``policy`` argument: this strategy always evicts LRU.
 
     ``backend="batched"`` (default) runs the flat-array + lazy-heap hot
     loop; ``backend="dict"`` runs the reference loop (identical games,

@@ -71,6 +71,9 @@ class TestTrees:
     def test_invalid_arity(self):
         with pytest.raises(ValueError):
             reduction_tree_cdag(4, arity=1)
+        for arity in (0, 1):  # would never reach 4 leaves
+            with pytest.raises(ValueError, match="arity"):
+                broadcast_tree_cdag(4, arity=arity)
 
 
 class TestGrids:

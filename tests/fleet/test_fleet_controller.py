@@ -176,3 +176,14 @@ class TestIntrospection:
         status, body = ctl.handle("POST", "/v1/lease", {})
         assert status == 400
         assert ctl.handle("GET", "/health", None)[0] == 200
+
+    @pytest.mark.parametrize("slots", [float("inf"), "x", 2**63])
+    def test_register_slots_is_a_checked_number_field(self, tmp_path,
+                                                       slots):
+        ctl = make_controller(tmp_path)
+        status, body = ctl.handle(
+            "POST", "/v1/register", {"worker": "w", "slots": slots}
+        )
+        assert status == 400
+        assert "'slots'" in body["error"]
+        assert ctl.status()["workers"] == []

@@ -266,6 +266,14 @@ class TestDispatch:
         with pytest.raises(ValueError, match="'batched', 'dict'"):
             run_spill_game(cdag, 4, backend="kernel")
 
+    def test_hierarchy_games_validate_policy(self):
+        """P-RBW games always evict LRU, but an unknown ``policy`` is
+        still refused instead of played under a misleading label."""
+        cdag, hierarchy = star_spill_setup(8)
+        for policy in ("mru", 3):
+            with pytest.raises(ValueError, match="policy"):
+                run_spill_game(cdag, hierarchy, policy=policy)
+
     @pytest.mark.parametrize("removed", [
         {"workers": 2}, {"mp_context": "fork"},
     ])

@@ -3,6 +3,7 @@ contracts, error mapping, concurrent single-flight behavior, and two
 clients sharing one store."""
 
 import threading
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ def server(tmp_path):
     finally:
         srv.shutdown()
         thread.join(5.0)
-        srv.service.close()
+        srv.app.close()
         srv.server_close()
 
 
@@ -35,6 +36,15 @@ class TestIntrospection:
         assert health["status"] == "ok"
         assert health["uptime_s"] >= 0
         assert health["store"].endswith("svc.db")
+
+    def test_uptime_ignores_wall_clock_steps(self, server, monkeypatch):
+        """Every endpoint's ``uptime_s`` runs on the monotonic clock, so
+        a wall clock stepped back an hour cannot make it negative."""
+        real = time.time
+        monkeypatch.setattr(time, "time", lambda: real() - 3600.0)
+        for path in ("/health", "/stats", "/metrics"):
+            status, payload = server.app.handle("GET", path, None)
+            assert status == 200 and payload["uptime_s"] >= 0, path
 
     def test_stats_reports_traffic_and_store(self, client):
         client.bound(builder="chain", params={"length": 8}, s=2)
@@ -135,7 +145,7 @@ class TestErrors:
     def test_pebble_kernel_backend_is_400(self, server):
         """``backend="kernel"`` is gone: the request is a client error
         naming the accepted backends, and nothing is stored."""
-        service = server.service
+        service = server.app
         status, payload = service.handle(
             "POST", "/v1/pebble",
             {"params": {"workload": "star", "ops": 8, "backend": "kernel"}},
@@ -159,12 +169,46 @@ class TestErrors:
     ])
     def test_non_number_in_number_field_is_400(self, server, path, body,
                                                field):
-        service = server.service
+        service = server.app
         status, payload = service.handle("POST", path, body)
         assert status == 400
         assert repr(field) in payload["error"]
         counters = service.metrics.snapshot()["counters"]
         assert counters[f"http.errors{{POST {path}}}"] == 1
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/compiled", {"builder": "chain", "params": {"length": [1]}}),
+        ("/v1/pebble", {"params": {"ops": None}}),
+        ("/v1/compiled", {"builder": "chain", "seed": 1e30}),
+    ])
+    def test_type_and_overflow_errors_are_400(self, server, path, body):
+        """Bad input surfacing as ``TypeError`` or ``OverflowError``
+        deep in an endpoint is a client error, not a server failure."""
+        status, payload = server.app.handle("POST", path, body)
+        assert status == 400, payload
+
+    def test_out_of_range_int_is_400_before_any_compute(self, server):
+        """An int field outside the store's signed 64-bit range is
+        refused by the field parser: no build, no store lookup."""
+        service = server.app
+        status, payload = service.handle(
+            "POST", "/v1/compiled", {"builder": "chain", "seed": 10**30}
+        )
+        assert status == 400
+        assert "'seed'" in payload["error"]
+        assert service.store.counters["misses"] == 0
+
+    def test_pebble_unknown_policy_is_400(self, server):
+        """P-RBW games (the star workload) ignore ``policy`` but still
+        validate it: nothing is played or stored."""
+        service = server.app
+        status, payload = service.handle(
+            "POST", "/v1/pebble",
+            {"params": {"workload": "star", "policy": 3}},
+        )
+        assert status == 400
+        assert "policy" in payload["error"]
+        assert service.store.stats()["entries"] == 0
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as exc:
@@ -211,7 +255,7 @@ class TestConcurrency:
         assert not errors
         assert len({r["value"] for r in results}) == 1
         assert len({r["key"] for r in results}) == 1
-        counters = server.service.store.counters
+        counters = server.app.store.counters
         # one compiled + one bound artifact computed, everyone else hit
         assert counters["puts"] == 2
         assert sum(1 for r in results if not r["cached"]) <= 2
