@@ -33,9 +33,7 @@ This module makes the technique executable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import List, Optional
 
 from ..core.cdag import CDAG, Vertex
 
@@ -76,71 +74,15 @@ def find_lines(cdag: CDAG, max_lines: Optional[int] = None) -> List[List[Vertex]
     Uses the standard vertex-splitting max-flow construction (every vertex
     has capacity 1) between a super-source attached to the inputs and a
     super-sink attached to the outputs, then decomposes the integral flow
-    into paths.  The returned paths are pairwise vertex-disjoint and each
-    runs from an input vertex to an output vertex.
+    into paths (:meth:`~repro.core.properties.WavefrontSolver.disjoint_paths_ids`).
+    The returned paths are pairwise vertex-disjoint and each runs from an
+    input vertex to an output vertex; at most ``max_lines`` are returned.
     """
-    if not cdag.inputs or not cdag.outputs:
-        return []
-    g = nx.DiGraph()
-    source, sink = ("__lines_src__",), ("__lines_snk__",)
-
-    def v_in(v: Vertex) -> Tuple[str, Vertex]:
-        return ("in", v)
-
-    def v_out(v: Vertex) -> Tuple[str, Vertex]:
-        return ("out", v)
-
-    for v in cdag.vertices:
-        g.add_edge(v_in(v), v_out(v), capacity=1)
-    for u, v in cdag.edges():
-        g.add_edge(v_out(u), v_in(v), capacity=1)
-    for v in cdag.inputs:
-        g.add_edge(source, v_in(v), capacity=1)
-    for v in cdag.outputs:
-        g.add_edge(v_out(v), sink, capacity=1)
-
-    flow_value, flow = nx.maximum_flow(g, source, sink)
+    c = cdag.compiled()
+    paths = c.wavefront_solver().disjoint_paths_ids(c.input_ids, c.output_ids)
     if max_lines is not None:
-        flow_value = min(flow_value, max_lines)
-
-    # Decompose the unit flow into vertex-disjoint paths.
-    paths: List[List[Vertex]] = []
-    used: set = set()
-    for start in cdag.inputs:
-        if len(paths) >= flow_value:
-            break
-        if flow[source].get(v_in(start), 0) < 1 or start in used:
-            continue
-        path = [start]
-        used.add(start)
-        node = start
-        while not cdag.is_output(node) or _has_flow_successor(flow, node, used):
-            nxt = _flow_successor(flow, node, used)
-            if nxt is None:
-                break
-            path.append(nxt)
-            used.add(nxt)
-            node = nxt
-            if cdag.is_output(node):
-                break
-        if cdag.is_output(path[-1]):
-            paths.append(path)
-    return paths
-
-
-def _flow_successor(flow, node: Vertex, used: set) -> Optional[Vertex]:
-    """The next vertex along the unit flow leaving ``node`` (if any)."""
-    out_edges = flow.get(("out", node), {})
-    for target, amount in out_edges.items():
-        if amount >= 1 and isinstance(target, tuple) and target[0] == "in":
-            candidate = target[1]
-            if candidate not in used:
-                return candidate
-    return None
-
-
-def _has_flow_successor(flow, node: Vertex, used: set) -> bool:
-    return _flow_successor(flow, node, used) is not None
+        paths = paths[: max(max_lines, 0)]
+    return [c.vertices_of(path) for path in paths]
 
 
 def stencil_f_inverse(two_s: float, dimensions: int) -> float:

@@ -50,7 +50,6 @@ from .properties import (
     max_min_wavefront,
     max_schedule_wavefront,
     min_wavefront,
-    min_wavefront_rebuild,
     minimal_dominator_size,
     minimum_set,
     out_set,
@@ -95,7 +94,6 @@ __all__ = [
     "partition_from_schedule",
     # properties
     "WavefrontSolver",
-    "min_wavefront_rebuild",
     "convex_cut_for_vertex",
     "has_circuit_between",
     "in_set",

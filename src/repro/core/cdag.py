@@ -25,12 +25,10 @@ separate from graph structure because the Red-Blue-White game (Section 3)
 allows relabelling vertices as inputs/outputs without changing the graph
 (Theorem 3, "Input/Output (Un)Tagging").
 
-The class intentionally stores the graph as plain adjacency dictionaries
-(successors / predecessors) rather than wrapping :mod:`networkx`
-everywhere: pebble-game simulation is hot-path code and benefits from the
-flat representation, while conversion to :class:`networkx.DiGraph` is
-provided for the analyses (dominators, min-cuts) that want library
-algorithms.
+The class stores the graph as plain adjacency dictionaries (successors /
+predecessors).  Analyses that need array algorithms (dominators,
+min-cuts, max-flow) run on its integer-indexed snapshot,
+:meth:`CDAG.compiled` (:mod:`repro.core.compiled`).
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from typing import (
     Set,
     Tuple,
 )
-
-import networkx as nx
 
 Vertex = Hashable
 
@@ -653,38 +649,6 @@ class CDAG:
             return False
         self._compiled = snapshot
         return True
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Convert to a :class:`networkx.DiGraph` (tags stored as attrs)."""
-        g = nx.DiGraph(name=self.name)
-        for v in self._succ:
-            g.add_node(v, is_input=v in self._inputs,
-                       is_output=v in self._outputs)
-        g.add_edges_from(self.edges())
-        return g
-
-    @classmethod
-    def from_networkx(cls, g: nx.DiGraph, name: Optional[str] = None) -> "CDAG":
-        """Build a CDAG from a DiGraph; ``is_input``/``is_output`` node
-        attributes become tags.  Untagged graphs get the Hong-Kung default
-        (sources are inputs, sinks are outputs)."""
-        inputs = [v for v, d in g.nodes(data=True) if d.get("is_input")]
-        outputs = [v for v, d in g.nodes(data=True) if d.get("is_output")]
-        cdag = cls(
-            vertices=g.nodes(),
-            edges=g.edges(),
-            inputs=inputs,
-            outputs=outputs,
-            name=name or (g.name or "cdag"),
-            validate=False,
-        )
-        if not inputs and not outputs:
-            for v in cdag.sources():
-                cdag.tag_input(v)
-            for v in cdag.sinks():
-                cdag.tag_output(v)
-        cdag.validate()
-        return cdag
 
 
 class CDAGBuilder:

@@ -24,15 +24,17 @@ partitioning and min-cut lower bounds rely on:
   for the upper-bound schedulers).
 
 The vertex min-cut is computed by the classic vertex-splitting reduction
-to edge min-cut / max-flow, using scipy's sparse maximum-flow
-(:mod:`networkx` in the :func:`min_wavefront_rebuild` reference).
+to edge min-cut / max-flow, using scipy's sparse maximum-flow on one
+network per compiled CDAG (:class:`WavefrontSolver`).  The same network
+answers dominator sizes and, by decomposing its flow, the vertex-disjoint
+input-to-output paths of the Hong-Kung lines bound
+(:func:`repro.bounds.lines.find_lines`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from scipy.sparse import csr_matrix as _csr_matrix
@@ -53,7 +55,6 @@ __all__ = [
     "wavefront_of_cut",
     "WavefrontSolver",
     "min_wavefront",
-    "min_wavefront_rebuild",
     "max_min_wavefront",
     "schedule_wavefronts",
     "max_schedule_wavefront",
@@ -312,11 +313,11 @@ class WavefrontSolver:
 
     The vertex-splitting flow network (``in(v) -> out(v)`` capacity 1,
     CDAG edges INF) is structurally identical for every candidate vertex
-    — only which vertices are forced onto the S/T sides changes.  The
-    seed implementation rebuilt a :class:`networkx.DiGraph` from scratch
-    per candidate, which dominated ``max_min_wavefront``; this solver
-    builds the split graph **once** (a scipy CSR network) and per query
-    only toggles the capacities of the pre-allocated source/sink arcs.
+    — only which vertices are forced onto the S/T sides changes.  This
+    solver builds the split graph **once** (a scipy CSR network) and per
+    query only toggles the capacities of the pre-allocated source/sink
+    arcs.  It holds the package's only max-flow call: wavefront cuts,
+    dominator sizes and Hong-Kung lines all go through it.
 
     Obtain instances via ``cdag.compiled().wavefront_solver()`` — they
     are cached alongside the compiled snapshot, so repeated
@@ -341,20 +342,19 @@ class WavefrontSolver:
             (self._data, indices, indptr), shape=(2 * n + 2, 2 * n + 2)
         )
 
-    def vertex_cut_ids(
+    def _max_flow(
         self,
         forced_s: np.ndarray,
         forced_t: np.ndarray,
         uncuttable: Optional[np.ndarray] = None,
-    ) -> int:
-        """Minimum vertex cut separating ``forced_s`` from ``forced_t``.
+    ):
+        """scipy's maximum flow from the source, feeding ``forced_s``, to
+        the sink, drained by ``forced_t``.
 
         ``uncuttable`` vertices get INF internal capacity (they may lie on
         a path but can never be cut).  All per-query capacity changes are
         rolled back before returning, so the shared network stays clean.
         """
-        if len(forced_s) == 0 or len(forced_t) == 0:
-            return 0  # no source/sink side: nothing to separate
         data = self._data
         inf = self._inf
         int_pos = (
@@ -369,9 +369,7 @@ class WavefrontSolver:
                 data[int_pos] = inf
             data[snk_pos] = inf
             data[src_pos] = inf
-            return int(
-                _maximum_flow(self._graph, self._source, self._sink).flow_value
-            )
+            return _maximum_flow(self._graph, self._source, self._sink)
         finally:
             # The network is cached and shared across queries: restore
             # capacities even if max-flow (or an interrupt) blew up.
@@ -379,6 +377,48 @@ class WavefrontSolver:
                 data[int_pos] = 1
             data[snk_pos] = 0
             data[src_pos] = 0
+
+    def vertex_cut_ids(
+        self,
+        forced_s: np.ndarray,
+        forced_t: np.ndarray,
+        uncuttable: Optional[np.ndarray] = None,
+    ) -> int:
+        """Minimum vertex cut separating ``forced_s`` from ``forced_t``
+        (``uncuttable`` vertices never join the cut)."""
+        if len(forced_s) == 0 or len(forced_t) == 0:
+            return 0  # no source/sink side: nothing to separate
+        return int(self._max_flow(forced_s, forced_t, uncuttable).flow_value)
+
+    def disjoint_paths_ids(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> List[List[int]]:
+        """A maximum family of vertex-disjoint paths from ``starts`` to
+        ``ends``, as id lists in order of their first vertex.
+
+        By Menger's theorem the unit-capacity flow of
+        :meth:`vertex_cut_ids` decomposes into that many such paths.  A
+        vertex passes at most one unit, so the out(v) row ``2v+1`` of the
+        flow carries at most one positive arc: to in(w) (column ``2w``)
+        or to the sink.  Each unit leaving the source row is followed
+        along those arcs to the sink.
+        """
+        flow = self._max_flow(starts, ends).flow
+        positive = flow.data > 0
+        rows = np.repeat(np.arange(flow.shape[0]), np.diff(flow.indptr))
+        succ = np.full(flow.shape[0], -1, dtype=np.int64)
+        succ[rows[positive]] = flow.indices[positive]
+        lo, hi = flow.indptr[self._source], flow.indptr[self._source + 1]
+        fed = np.sort(flow.indices[lo:hi][flow.data[lo:hi] > 0]) // 2
+        paths: List[List[int]] = []
+        for v in fed.tolist():
+            path = [v]
+            nxt = succ[2 * v + 1]
+            while nxt != self._sink:
+                path.append(int(nxt) // 2)
+                nxt = succ[nxt + 1]
+            paths.append(path)
+        return paths
 
     def min_wavefront_id(
         self,
@@ -424,45 +464,6 @@ def min_wavefront(cdag: CDAG, x: Vertex) -> int:
     if x not in cdag:
         raise CDAGError(f"unknown vertex {x!r}")
     return cdag.compiled().wavefront_solver().min_wavefront(x)
-
-
-def min_wavefront_rebuild(cdag: CDAG, x: Vertex) -> int:
-    """Reference implementation of :func:`min_wavefront`.
-
-    Rebuilds the networkx split graph from scratch for the single vertex
-    ``x`` — exactly the seed code path.  Kept for the equivalence tests
-    and as the baseline the compiled-backend benchmarks compare against.
-    """
-    if x not in cdag:
-        raise CDAGError(f"unknown vertex {x!r}")
-    desc = cdag.descendants(x)
-    if not desc:
-        return 1
-    anc = cdag.ancestors(x)
-    forced_s = anc | {x}
-    forced_t = desc
-
-    INF = float("inf")
-    g = nx.DiGraph()
-    source, sink = ("__wf_src__",), ("__wf_snk__",)
-
-    def v_in(v: Vertex) -> Tuple[str, Vertex]:
-        return ("in", v)
-
-    def v_out(v: Vertex) -> Tuple[str, Vertex]:
-        return ("out", v)
-
-    for v in cdag.vertices:
-        cap = INF if v in forced_t else 1
-        g.add_edge(v_in(v), v_out(v), capacity=cap)
-    for u, v in cdag.edges():
-        g.add_edge(v_out(u), v_in(v), capacity=INF)
-    for v in forced_s:
-        g.add_edge(source, v_in(v), capacity=INF)
-    for v in forced_t:
-        g.add_edge(v_out(v), sink, capacity=INF)
-    cut_value, _ = nx.minimum_cut(g, source, sink)
-    return int(cut_value)
 
 
 def max_min_wavefront(

@@ -543,14 +543,34 @@ class GridRunResult:
     failed: List[Tuple[str, str]] = field(default_factory=list)
 
 
-def _validate_grid(specs: Sequence[RunSpec]) -> None:
-    seen: Dict[str, str] = {}
+def _validate_grid(
+    specs: Sequence[RunSpec], registry: Mapping[str, ExperimentDef]
+) -> None:
+    """The grid check of ``run_grid`` and the fleet's ``/v1/grid``:
+    known experiments and unique labels.  A label names the cell's run
+    directory ``root / label``, which is wiped before the cell runs, so
+    it must be one plain path component inside the results root."""
+    seen = set()
     for spec in specs:
-        if not spec.label:
+        if spec.experiment not in registry:
+            raise ValueError(
+                f"unknown experiment {spec.experiment!r}; "
+                f"known: {sorted(registry)}"
+            )
+        label = spec.label
+        if not label:
             raise ValueError(f"cell for {spec.experiment!r} has an empty label")
-        if spec.label in seen:
-            raise ValueError(f"duplicate cell label {spec.label!r} in grid")
-        seen[spec.label] = spec.experiment
+        if (
+            not isinstance(label, str)
+            or label in (".", "..")
+            or any(ch in label for ch in "/\\\0")
+        ):
+            raise ValueError(
+                f"cell label {label!r} is not a plain directory name"
+            )
+        if label in seen:
+            raise ValueError(f"duplicate cell label {label!r} in grid")
+        seen.add(label)
 
 
 def _execute_cell(
@@ -758,7 +778,7 @@ def run_grid(
     duck-typed so this module keeps zero obs imports); the grid emits
     ``cell.started`` / ``cell.committed`` / ``cell.failed`` per cell.
     """
-    _validate_grid(specs)
+    _validate_grid(specs, registry)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cell_timeout is not None and cell_timeout <= 0:

@@ -173,17 +173,14 @@ def collect_provenance() -> Dict[str, str]:
     config hash, so it never forces a re-run)."""
     import time
 
-    versions = {"python": sys.version.split()[0], "numpy": np.__version__}
-    try:  # scipy is a hard dep of the bounds stack, but stay defensive
-        import scipy
+    import scipy
 
-        versions["scipy"] = scipy.__version__
-    except ImportError:  # pragma: no cover
-        pass
     return {
         "git_sha": _git_sha(),
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        **versions,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
 
 

@@ -68,6 +68,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..evaluation.harness import (
     REGISTRY,
     RunSpec,
+    _validate_grid,
     plan_resume,
     scan_results_root,
 )
@@ -245,18 +246,7 @@ class FleetController(JsonApp):
         specs = [spec_from_wire(cell) for cell in cells]
         if not specs:
             raise ValueError("grid must contain at least one cell")
-        seen: set = set()
-        for spec in specs:
-            if spec.experiment not in self.registry:
-                raise ValueError(
-                    f"unknown experiment {spec.experiment!r}; "
-                    f"known: {sorted(self.registry)}"
-                )
-            if not spec.label:
-                raise ValueError("every cell needs a non-empty label")
-            if spec.label in seen:
-                raise ValueError(f"duplicate cell label {spec.label!r}")
-            seen.add(spec.label)
+        _validate_grid(specs, self.registry)
         with self._mu:
             self._expire_leases_locked()
             if self._queue or self._delayed or self._leases:

@@ -169,25 +169,6 @@ class TestDerivedCDAGs:
         assert core.outputs == frozenset()
 
 
-class TestNetworkxInterop:
-    def test_roundtrip(self):
-        c = chain_cdag(3)
-        g = c.to_networkx()
-        back = CDAG.from_networkx(g)
-        assert set(back.vertices) == set(c.vertices)
-        assert back.inputs == c.inputs
-        assert back.outputs == c.outputs
-
-    def test_from_untagged_networkx_uses_hong_kung_default(self):
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_edge(1, 2)
-        c = CDAG.from_networkx(g)
-        assert c.inputs == frozenset({1})
-        assert c.outputs == frozenset({2})
-
-
 class TestBuilderHelper:
     def test_builder_basic_flow(self):
         b = CDAGBuilder("t")

@@ -132,6 +132,40 @@ class TestExecution:
         results = json.loads(view.read_text())["results"]
         assert any(k.startswith("harness/") for k in results)
 
+    @pytest.mark.parametrize("escape", ["relative", "absolute"])
+    def test_sweep_refuses_labels_outside_the_results_root(self, tmp_path,
+                                                           escape):
+        """A cell runs in ``--out / label``, which is wiped first.  A
+        label that climbs out of the root, or the absolute path of an
+        existing directory, is refused before anything is written or
+        deleted."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "keep.txt").write_text("keep")
+        label = "../escaped_cell" if escape == "relative" else str(outside)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(
+            json.dumps([{"experiment": "e1", "label": label}])
+        )
+        before = sorted(tmp_path.rglob("*"))
+        src = Path(repro.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--grid-file",
+             str(grid_file), "--out", str(tmp_path / "results")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert repr(label) in proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (outside / "keep.txt").read_text() == "keep"
+
     def test_sweep_experiment_filter(self, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["sweep", "--out", str(out), "--grid", "smoke",

@@ -168,6 +168,22 @@ class TestIntrospection:
         assert status["workers"][0]["slots"] == 2
         assert status["pending"] == ["cell0", "cell1"]
 
+    @pytest.mark.parametrize(
+        "label", ["../c0", "/tmp/c0", "a/b", "..", ".", "a\\b", "a\0b"]
+    )
+    def test_grid_rejects_labels_that_are_not_plain_names(self, tmp_path,
+                                                          label):
+        """A worker wipes and writes ``root / label``: a label with a
+        path separator, or an absolute one, would escape the root."""
+        ctl = make_controller(tmp_path)
+        cells = [{"experiment": "quick", "label": "ok"},
+                 {"experiment": "quick", "label": label}]
+        status, body = ctl.handle("POST", "/v1/grid", {"cells": cells})
+        assert status == 400
+        assert repr(label) in body["error"]
+        assert ctl.status()["pending"] == []
+        assert ctl.lease("w1")["cell"] is None
+
     def test_http_dispatch_maps_errors(self, tmp_path):
         ctl = make_controller(tmp_path)
         assert ctl.handle("GET", "/nope", None)[0] == 404

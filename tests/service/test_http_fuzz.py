@@ -13,7 +13,9 @@ contract of the shared HTTP layer (:mod:`repro.service.http`):
 * the controller never leases a label twice, each worker's ``leased``
   set equals the leases it holds, and no lease is granted past the
   worker's slots (re-registering with fewer slots keeps the leases
-  already held, by design, so the cap is checked at grant time).
+  already held, by design, so the cap is checked at grant time);
+* every leased label is a plain directory name, whatever labels the
+  grids carry (``../c0``, ``/tmp/c0``, ``a/b``, ``..``).
 
 Builder and spill sizes stay at most ~10, so a valid query is cheap;
 huge ints appear only in the fields the number parser range-checks
@@ -208,7 +210,11 @@ def _run_quick(params, seed):
 
 REGISTRY = {"quick": ExperimentDef("quick", _run_quick, {"x": 2})}
 WORKER = or_junk(st.sampled_from(["w1", "w2", "w3"]))
-LABEL = or_junk(st.sampled_from(["c0", "c1", "c2", "c3"]))
+# Labels name run directories (``root / label``): the last four are not
+# plain directory names and must never be queued or leased.
+LABEL = or_junk(st.sampled_from(
+    ["c0", "c1", "c2", "c3", "../c0", "/tmp/c0", "a/b", ".."]
+))
 CELL = st.fixed_dictionaries(
     {"experiment": or_junk(st.just("quick")), "label": LABEL},
     optional={
@@ -270,6 +276,8 @@ def check_leases(controller, granted_to=None):
     status = controller.status()
     labels = [lease["label"] for lease in status["leases"]]
     assert len(labels) == len(set(labels)), labels
+    for label in labels:
+        assert label not in ("", ".", "..") and not set("/\\\0") & set(label)
     held = {}
     for lease in status["leases"]:
         held.setdefault(lease["worker"], set()).add(lease["label"])
