@@ -6,15 +6,19 @@ touching the committed ``BENCH_core.json``), then compares the freshly
 measured ``ns_per_op`` of every guarded entry against the committed
 value and fails on more-than-``THRESHOLD``-fold regressions.
 
-Guarded prefixes: ``movelog/``, ``sched/``, ``strategy/`` (which
-includes the ``strategy/kernel_*`` kernel-validated replay entries),
-``service/`` (the artifact-store warm/cold paths and bound-server
-latencies from ``bench_service.py``), ``fleet/`` (controller HTTP
-latencies and the two-worker sweep overhead from ``bench_fleet.py``)
-and ``optimal/`` (the exact RBW search on E7's six CDAGs, from
+Guarded prefixes: ``build/`` (CDAG construction), ``topo/``
+(topological ordering), ``pebble/`` (a red-blue spill game plus its
+rule-checked engine replay), ``wavefront/`` (the automated wavefront
+bound), ``movelog/``, ``sched/``, ``strategy/`` (which includes the
+``strategy/kernel_*`` kernel-validated replay entries), ``service/``
+(the artifact-store warm/cold paths and bound-server latencies from
+``bench_service.py``), ``fleet/`` (controller HTTP latencies and the
+two-worker sweep overhead from ``bench_fleet.py``) and ``optimal/``
+(the exact RBW search on E7's six CDAGs, from
 ``bench_bound_validation.py``) — the hot-path numbers the compiled
-backend, columnar log, batched strategy fast paths, kernel replay,
-memoized service and bitmask optimum search exist for.  Only keys
+backend, pebble engines, columnar log, batched strategy fast paths,
+kernel replay, memoized service and bitmask optimum search exist
+for.  Only keys
 present in both files are compared
 (smoke mode measures the smallest sizes; committed entries at other
 sizes are informational), but every *required group* must overlap in at
@@ -52,10 +56,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 COMMITTED = REPO / "BENCH_core.json"
 GUARDED_PREFIXES = (
-    "movelog/", "sched/", "strategy/", "service/", "fleet/", "optimal/"
+    "build/", "topo/", "pebble/", "wavefront/",
+    "movelog/", "sched/", "strategy/", "service/", "fleet/", "optimal/",
 )
 #: each of these prefixes must overlap the baseline in >= 1 entry
 REQUIRED_GROUPS = (
+    "build/",
+    "topo/",
+    "pebble/",
+    "wavefront/",
     "movelog/",
     "movelog/spill_roundtrip_",
     "sched/",

@@ -63,6 +63,11 @@ class MinCutBound:
     vertex: Optional[Vertex] = None
 
 
+def _check_s(s: int) -> None:
+    if s < 0:
+        raise ValueError("S cannot be negative")
+
+
 def wavefront_lower_bound(cdag: CDAG, x: Vertex, s: int) -> MinCutBound:
     """Lemma 2 for a specific vertex: ``IO >= 2 (|W^min_G(x)| - S)``.
 
@@ -71,8 +76,7 @@ def wavefront_lower_bound(cdag: CDAG, x: Vertex, s: int) -> MinCutBound:
     and can be transferred back via Theorem 3, which the caller is
     responsible for (see :mod:`repro.bounds.composition`).
     """
-    if s < 0:
-        raise ValueError("S cannot be negative")
+    _check_s(s)
     w = min_wavefront(cdag, x)
     return MinCutBound(value=max(0.0, 2.0 * (w - s)), wavefront=w, s=s, vertex=x)
 
@@ -81,6 +85,7 @@ def best_wavefront_lower_bound(
     cdag: CDAG, s: int, candidates: Optional[Iterable[Vertex]] = None
 ) -> MinCutBound:
     """Lemma 2 with ``w^max``: maximise the wavefront over candidate vertices."""
+    _check_s(s)
     w, x = max_min_wavefront(cdag, candidates)
     return MinCutBound(value=max(0.0, 2.0 * (w - s)), wavefront=w, s=s, vertex=x)
 
@@ -123,6 +128,10 @@ def _candidate_scores(cdag: CDAG):
 
 def _candidate_ids(cdag: CDAG, max_candidates: int) -> List[int]:
     """Candidate vertex ids, ranked by heuristic score (descending)."""
+    if max_candidates < 1:
+        raise ValueError(
+            f"max_candidates must be >= 1, got {max_candidates}"
+        )
     if cdag.num_vertices() == 0:
         return []
     c, score, layer = _candidate_scores(cdag)
@@ -181,10 +190,11 @@ def automated_wavefront_bound(
     convex cut ``S = {x} ∪ Anc(x)`` witnesses ``|W^min(x)| <= |Anc(x)|+1``),
     so its max-flow is skipped entirely.
     """
+    _check_s(s)
     ids = _candidate_ids(cdag, max_candidates)
     if not ids:
         return MinCutBound(
-            value=max(0.0, -2.0 * s), wavefront=0, s=s, vertex=None
+            value=0.0, wavefront=0, s=s, vertex=None
         )
     c = cdag.compiled()
     solver = c.wavefront_solver()

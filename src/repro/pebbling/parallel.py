@@ -88,8 +88,6 @@ from .state import (
     CompiledEngineMixin,
     GameError,
     GameRecord,
-    MoveKind,
-    MoveLog,
     VertexSetView,
 )
 
@@ -168,6 +166,9 @@ class _OccupancyMapView:
 class ParallelRBWPebbleGame(CompiledEngineMixin):
     """Stateful engine for the parallel RBW pebble game."""
 
+    _GAME = "P-RBW"
+    _REPLAY_COLUMNS = ("kinds", "vertex_ids", "locations", "sources")
+
     def __init__(
         self,
         cdag: CDAG,
@@ -176,13 +177,8 @@ class ParallelRBWPebbleGame(CompiledEngineMixin):
         log_block_size: int = 65536,
     ) -> None:
         cdag.validate()
-        self.cdag = cdag
         self.hierarchy = hierarchy
-        #: spill the move log to disk (see :class:`MoveLog`'s ``spill``)
-        self.log_spill = spill
-        self.log_block_size = log_block_size
-        self._bind()
-        self.reset()
+        super().__init__(cdag, spill, log_block_size)
 
     def _bind_extra(self) -> None:
         # Immutable hierarchy shape tables: the rule methods fire once per
@@ -233,11 +229,8 @@ class ParallelRBWPebbleGame(CompiledEngineMixin):
         return _OccupancyMapView(self.occupancy_ids, self._c)
 
     @property
-    def blue(self) -> VertexSetView:
-        return VertexSetView(self.blue_ids, self._c)
-
-    @property
     def white(self) -> VertexSetView:
+        """Vertices currently holding a white pebble (live view)."""
         return VertexSetView(self.white_ids, self._c)
 
     # ------------------------------------------------------------------
@@ -506,90 +499,28 @@ class ParallelRBWPebbleGame(CompiledEngineMixin):
 
     def assert_complete(self) -> None:
         if not self.is_complete():
-            unfired = [
-                self._c.vertex(i)
-                for i in range(self._c.n)
-                if i not in self.white_ids and not self._is_input[i]
-            ]
-            missing_out = [
-                self._c.vertex(i)
-                for i in self._output_ids
-                if i not in self.blue_ids
-            ]
-            raise GameError(
-                "parallel game incomplete: "
-                f"{len(unfired)} unfired operations (e.g. {unfired[:3]}), "
-                f"{len(missing_out)} outputs without blue pebbles "
-                f"(e.g. {missing_out[:3]})"
-            )
+            raise self._incomplete()
 
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
     def replay(self, moves) -> GameRecord:
-        """Validate and replay a recorded P-RBW game from the initial state.
+        """Validate and replay ``moves`` (a record, a log or an iterable
+        of ``Move`` objects) from the initial state; return the record."""
+        return self._replay(moves)
 
-        Accepts a :class:`~repro.pebbling.state.GameRecord`, a
-        :class:`~repro.pebbling.state.MoveLog`, or an iterable of
-        :class:`Move` objects.  A columnar log bound to this engine's
-        compiled CDAG replays directly off the four integer columns
-        (opcode, vertex id, packed location, packed source) — the decoded
-        ``(level, index)`` arithmetic is two shifts per move, with no
-        ``Move`` materialization.
-        """
-        self.reset()
-        log = moves.log if isinstance(moves, GameRecord) else moves
-        if isinstance(log, MoveLog) and log.is_bound_to(self._c):
-            # Bulk path: vectorized rule checks + block appends; falls
-            # back to the per-move loop (exact diagnostics) on failure.
-            if replay_parallel_kernel(self, log):
-                self.assert_complete()
-                return self.record
-            # One block at a time: spilled logs page in via memmap chunks.
-            for kinds, vids, locs, srcs in log.iter_chunks():
-                for code, vid, loc, src in zip(
-                    kinds.tolist(), vids.tolist(),
-                    locs.tolist(), srcs.tolist(),
-                ):
-                    level, index = loc >> _INST_SHIFT, loc & _INST_MASK
-                    if code == OP_COMPUTE:
-                        self.compute_id(vid, index)
-                    elif code == OP_MOVE_UP:
-                        self.move_up_id(vid, level, index)
-                    elif code == OP_MOVE_DOWN:
-                        self.move_down_id(vid, level, index)
-                    elif code == OP_DELETE:
-                        self.delete_id(vid, level, index)
-                    elif code == OP_LOAD:
-                        self.load_id(vid, index)
-                    elif code == OP_STORE:
-                        self.store_id(vid, index)
-                    elif code == OP_REMOTE_GET:
-                        self.remote_get_id(vid, index, src & _INST_MASK)
-                    else:  # pragma: no cover - unreachable with engine logs
-                        raise GameError(f"unknown move opcode {code}")
-        else:
-            for move in log:
-                kind = move.kind
-                loc = move.location
-                if kind is MoveKind.COMPUTE:
-                    self.compute(move.vertex, loc[1])
-                elif kind is MoveKind.MOVE_UP:
-                    self.move_up(move.vertex, loc[0], loc[1])
-                elif kind is MoveKind.MOVE_DOWN:
-                    self.move_down(move.vertex, loc[0], loc[1])
-                elif kind is MoveKind.DELETE:
-                    self.delete(move.vertex, loc[0], loc[1])
-                elif kind is MoveKind.LOAD:
-                    self.load(move.vertex, loc[1])
-                elif kind is MoveKind.STORE:
-                    self.store(move.vertex, loc[1])
-                elif kind is MoveKind.REMOTE_GET:
-                    self.remote_get(move.vertex, loc[1], move.source[1])
-                else:  # pragma: no cover - exhaustive over MoveKind
-                    raise GameError(
-                        f"move kind {kind} is not part of the P-RBW game"
-                    )
-        self.assert_complete()
-        return self.record
+    def _bulk_replay(self, log) -> bool:
+        return replay_parallel_kernel(self, log)
 
+    def _replay_steps(self) -> tuple:
+        """Per-opcode steps over a row's packed location and source."""
+        s, m = _INST_SHIFT, _INST_MASK
+        return (
+            lambda i, loc, src: self.load_id(i, loc & m),
+            lambda i, loc, src: self.store_id(i, loc & m),
+            lambda i, loc, src: self.compute_id(i, loc & m),
+            lambda i, loc, src: self.delete_id(i, loc >> s, loc & m),
+            lambda i, loc, src: self.remote_get_id(i, loc & m, src & m),
+            lambda i, loc, src: self.move_up_id(i, loc >> s, loc & m),
+            lambda i, loc, src: self.move_down_id(i, loc >> s, loc & m),
+        )

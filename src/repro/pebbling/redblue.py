@@ -14,10 +14,10 @@ output vertex, using the rules
   red pebbles, a red pebble may be placed on that vertex;
 * R4 (Delete): a red pebble may be removed from any vertex.
 
-Unlike the RBW variant (:mod:`repro.pebbling.rbw`), recomputation is
-allowed: R3 may fire the same vertex multiple times.  The engine below is
-a *rule checker and cost accountant*: strategies (how to choose moves)
-live in :mod:`repro.pebbling.strategies`.
+Unlike the RBW variant (:mod:`repro.pebbling.rbw`, a subclass of this
+engine), recomputation is allowed: R3 may fire the same vertex multiple
+times.  The engine below is a *rule checker and cost accountant*:
+strategies (how to choose moves) live in :mod:`repro.pebbling.strategies`.
 
 Internally the engine runs on the compiled integer-indexed CDAG backend
 (:meth:`CDAG.compiled`): pebbles are sets of vertex *ids*, predecessor
@@ -26,8 +26,8 @@ boundary (the ``*_id`` methods skip even that conversion — the spill
 strategies use them directly).  ``red``/``blue`` remain available as
 set-like views in vertex space.  Moves are recorded into the columnar
 :class:`~repro.pebbling.state.MoveLog` — a handful of integer appends per
-transition — and :meth:`replay` reads the log's opcode/vertex-id columns
-directly when it is bound to the same compiled CDAG.
+transition — and :meth:`replay` validates a log in bulk, off its
+opcode/vertex-id columns.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .state import (
     CompiledEngineMixin,
     GameError,
     GameRecord,
-    MoveKind,
-    MoveLog,
     VertexSetView,
 )
 
@@ -67,6 +65,8 @@ class RedBluePebbleGame(CompiledEngineMixin):
         Enforce the Hong-Kung convention on the CDAG tags.
     """
 
+    _GAME = "red-blue"
+
     def __init__(
         self,
         cdag: CDAG,
@@ -79,13 +79,8 @@ class RedBluePebbleGame(CompiledEngineMixin):
             raise ValueError("the game needs at least one red pebble")
         if strict:
             cdag.validate(hong_kung=True)
-        self.cdag = cdag
         self.num_red = num_red
-        #: spill the move log to disk (see :class:`MoveLog`'s ``spill``)
-        self.log_spill = spill
-        self.log_block_size = log_block_size
-        self._bind()
-        self.reset()
+        super().__init__(cdag, spill, log_block_size)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -105,11 +100,6 @@ class RedBluePebbleGame(CompiledEngineMixin):
     def red(self) -> VertexSetView:
         """Vertices currently holding a red pebble (live view)."""
         return VertexSetView(self.red_ids, self._c)
-
-    @property
-    def blue(self) -> VertexSetView:
-        """Vertices currently holding a blue pebble (live view)."""
-        return VertexSetView(self.blue_ids, self._c)
 
     # ------------------------------------------------------------------
     # Moves (each validates its rule and updates the cost record)
@@ -183,6 +173,7 @@ class RedBluePebbleGame(CompiledEngineMixin):
         self._log_append(OP_DELETE, i)
 
     def _acquire_red(self, i: int) -> None:
+        """Place a red pebble by R1 or R3, within the budget ``S``."""
         if len(self.red_ids) >= self.num_red:
             raise GameError(
                 f"out of red pebbles (S={self.num_red}); delete one first"
@@ -190,6 +181,11 @@ class RedBluePebbleGame(CompiledEngineMixin):
         self.red_ids.add(i)
         if len(self.red_ids) > self.record.peak_red:
             self.record.peak_red = len(self.red_ids)
+        self._on_red(i)
+
+    def _on_red(self, i: int) -> None:
+        """Hook: R1 or R3 just placed a red pebble on ``i`` (the RBW game
+        places its white pebble here)."""
 
     # ------------------------------------------------------------------
     # Completion
@@ -214,51 +210,12 @@ class RedBluePebbleGame(CompiledEngineMixin):
     # Replay
     # ------------------------------------------------------------------
     def replay(self, moves) -> GameRecord:
-        """Replay a move sequence from the initial state, validating every
-        move, and return the resulting record.
+        """Validate and replay ``moves`` (a record, a log or an iterable
+        of ``Move`` objects) from the initial state; return the record."""
+        return self._replay(moves)
 
-        Accepts a :class:`~repro.pebbling.state.GameRecord`, a
-        :class:`~repro.pebbling.state.MoveLog`, or any iterable of
-        :class:`Move` objects.  A columnar log bound to this engine's
-        compiled CDAG replays straight off the opcode/vertex-id columns —
-        no ``Move`` materialization, no name hashing, and (via
-        ``select_columns``) no paging of the location/source columns a
-        sequential game never sets: a spilled log reads 5 bytes/move
-        instead of 13.
-        """
-        self.reset()
-        log = moves.log if isinstance(moves, GameRecord) else moves
-        if isinstance(log, MoveLog) and log.is_bound_to(self._c):
-            # Bulk path: vectorized rule checks + block appends; falls
-            # back to the per-move loop (exact diagnostics) on failure.
-            if not replay_sequential_kernel(self, log, rbw=False):
-                handlers = (
-                    self.load_id, self.store_id,
-                    self.compute_id, self.delete_id,
-                )
-                # One block at a time: spilled logs page in via memmap
-                # chunks of just the opcode + vertex-id column files.
-                for kinds, vids in log.select_columns("kinds", "vertex_ids"):
-                    for code, vid in zip(kinds.tolist(), vids.tolist()):
-                        if code >= len(handlers):
-                            raise GameError(
-                                f"move opcode {code} is not part of the "
-                                "red-blue game"
-                            )
-                        handlers[code](vid)
-        else:
-            dispatch = {
-                MoveKind.LOAD: self.load,
-                MoveKind.STORE: self.store,
-                MoveKind.COMPUTE: self.compute,
-                MoveKind.DELETE: self.delete,
-            }
-            for move in log:
-                handler = dispatch.get(move.kind)
-                if handler is None:
-                    raise GameError(
-                        f"move kind {move.kind} is not part of the red-blue game"
-                    )
-                handler(move.vertex)
-        self.assert_complete()
-        return self.record
+    def _bulk_replay(self, log) -> bool:
+        return replay_sequential_kernel(self, log, rbw=False)
+
+    def _replay_steps(self) -> tuple:
+        return (self.load_id, self.store_id, self.compute_id, self.delete_id)

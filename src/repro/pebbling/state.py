@@ -136,14 +136,38 @@ class VertexSetView:
 
 
 class CompiledEngineMixin:
-    """Shared id-space plumbing for the pebble-game engines.
+    """Shared id-space plumbing and the one replay loop of the
+    pebble-game engines.
 
-    Engines set ``self.cdag`` and call :meth:`_bind` once during
-    construction; :meth:`_rebind_if_stale` (called from ``reset``)
-    refreshes every derived cache when the CDAG was mutated or re-tagged
-    since the last bind.  Subclasses hook :meth:`_bind_extra` for
-    engine-specific caches so the rebind invariant lives in one place.
+    The constructor binds the engine to ``cdag.compiled()`` and resets
+    it; :meth:`_rebind_if_stale` (called from ``reset``) refreshes every
+    derived cache when the CDAG was mutated or re-tagged since the last
+    bind.  Subclasses hook :meth:`_bind_extra` for engine-specific caches
+    so the rebind invariant lives in one place.
+
+    Replay is one template, :meth:`_replay`.  An engine supplies
+    ``_bulk_replay(log)``, its bulk validator (False, with the engine
+    reset, falls back to the per-move loop); ``_REPLAY_COLUMNS``, the
+    log columns its rules read, opcode first; and ``_replay_steps()``,
+    the per-move step table indexed by opcode, whose steps take the
+    row's remaining columns.
     """
+
+    #: the game's name in diagnostics (set by each engine)
+    _GAME: str
+    #: log columns the per-move replay loop reads; every column after
+    #: the opcode is passed to the step functions
+    _REPLAY_COLUMNS: Tuple[str, ...] = ("kinds", "vertex_ids")
+
+    def __init__(
+        self, cdag, spill=False, log_block_size: int = 65536
+    ) -> None:
+        self.cdag = cdag
+        #: spill the move log to disk (see :class:`MoveLog`'s ``spill``)
+        self.log_spill = spill
+        self.log_block_size = log_block_size
+        self._bind()
+        self.reset()
 
     def _bind(self) -> None:
         """(Re)derive the id-space caches from the current compiled CDAG."""
@@ -165,14 +189,14 @@ class CompiledEngineMixin:
         """A fresh :class:`GameRecord` whose log is bound to the compiled
         CDAG; also caches the hot bound-method ``self._log_append``.
 
-        Engines that set ``self.log_spill`` (any value accepted by
-        :class:`MoveLog`'s ``spill`` parameter) record into a disk-backed
-        log, keeping resident memory flat at 10^8-move scale."""
+        With ``log_spill`` set (any value accepted by :class:`MoveLog`'s
+        ``spill`` parameter) the engine records into a disk-backed log,
+        keeping resident memory flat at 10^8-move scale."""
         record = GameRecord(
             log=MoveLog(
                 compiled=self._c,
-                block_size=getattr(self, "log_block_size", 65536),
-                spill=getattr(self, "log_spill", False),
+                block_size=self.log_block_size,
+                spill=self.log_spill,
             )
         )
         self._log_append = record.log.append_ids
@@ -183,6 +207,77 @@ class CompiledEngineMixin:
             return self._c._index[v]
         except KeyError:
             raise GameError(f"unknown vertex {v!r}") from None
+
+    @property
+    def blue(self) -> VertexSetView:
+        """Vertices currently holding a blue pebble (live view)."""
+        return VertexSetView(self.blue_ids, self._c)
+
+    def _incomplete(self) -> "GameError":
+        """The RBW/P-RBW completion report: unfired operations and
+        outputs without blue pebbles."""
+        c, white, blue = self._c, self.white_ids, self.blue_ids
+        unfired = [
+            c.vertex(i) for i in range(c.n)
+            if i not in white and not self._is_input[i]
+        ]
+        missing_out = [c.vertex(i) for i in self._output_ids if i not in blue]
+        return GameError(
+            f"{self._GAME} game incomplete: "
+            f"{len(unfired)} unfired operations (e.g. {unfired[:3]}), "
+            f"{len(missing_out)} outputs without blue pebbles "
+            f"(e.g. {missing_out[:3]})"
+        )
+
+    # ------------------------------------------------------------------
+    # Replay
+    # ------------------------------------------------------------------
+    def _bound_log(self, moves) -> "MoveLog":
+        """``moves`` as a log bound to this engine's compiled CDAG.  A
+        bound log passes through; anything else (``Move`` iterables,
+        unbound logs) is transcoded once into id columns, and an unknown
+        vertex raises :class:`GameError`."""
+        log = moves.log if isinstance(moves, GameRecord) else moves
+        if isinstance(log, MoveLog) and log.is_bound_to(self._c):
+            return log
+        bound = MoveLog(compiled=self._c)
+        append = bound.append_ids
+        for move in log:
+            append(
+                _CODE_OF_KIND[move.kind],
+                self._id(move.vertex),
+                encode_instance(move.location),
+                encode_instance(move.source),
+            )
+        return bound
+
+    def _replay(self, moves) -> "GameRecord":
+        """The one replay loop behind every engine's ``replay``.
+
+        ``moves`` (a :class:`GameRecord`, :class:`MoveLog` or ``Move``
+        iterable) is transcoded to a bound log, then validated in bulk;
+        when the bulk validator declines, the step table replays it row
+        by row off ``_REPLAY_COLUMNS`` for the exact diagnostic, and the
+        replayed locations/sources must equal the logged ones.
+        """
+        self.reset()
+        log = self._bound_log(moves)
+        if not self._bulk_replay(log):
+            steps = self._replay_steps()
+            nsteps = len(steps)
+            for kinds, *operands in log.select_columns(*self._REPLAY_COLUMNS):
+                rows = zip(*[col.tolist() for col in operands])
+                for code, args in zip(kinds.tolist(), rows):
+                    if not 0 <= code < nsteps:
+                        raise GameError(
+                            f"move opcode {code} is not part of the "
+                            f"{self._GAME} game"
+                        )
+                    steps[code](*args)
+            if "locations" in self._REPLAY_COLUMNS:
+                _check_replayed_instances(log, self.record.log)
+        self.assert_complete()
+        return self.record
 
 
 class GameError(RuntimeError):
@@ -260,6 +355,35 @@ def decode_instance(code: int) -> Optional[Tuple[int, int]]:
     if code < 0:
         return None
     return (code >> _INST_SHIFT, code & _INST_MASK)
+
+
+def _check_replayed_instances(given: "MoveLog", replayed: "MoveLog") -> None:
+    """Raise :class:`GameError` at the first row whose replayed location
+    or source differs from the one ``given`` logs (a logged source of
+    ``-1`` is unspecified and matches any).  The logs have equal length
+    and are walked chunk by chunk, so spilled logs stay memory-flat."""
+    ahead = replayed.select_columns("locations", "sources")
+    got = np.empty((2, 0), dtype=np.int32)
+    row = 0
+    for locs, srcs in given.select_columns("locations", "sources"):
+        n = len(locs)
+        parts = [got]
+        while sum(p.shape[1] for p in parts) < n:
+            parts.append(np.vstack(next(ahead)))
+        got = np.hstack(parts)
+        bad = (locs != got[0, :n]) | ((srcs != _NO_INST) & (srcs != got[1, :n]))
+        if bad.any():
+            r = int(np.argmax(bad))
+            logged, ruled = (
+                [decode_instance(int(c[r])) for c in cols]
+                for cols in ((locs, srcs), got)
+            )
+            raise GameError(
+                f"move {row + r} is logged at {logged[0]} from {logged[1]}, "
+                f"but the rules place it at {ruled[0]} from {ruled[1]}"
+            )
+        got = got[:, n:]
+        row += n
 
 
 @dataclass(frozen=True)

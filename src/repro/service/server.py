@@ -55,11 +55,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..store.analysis import (
+    bound_spec,
     cached_bound,
     cached_compiled_payload,
     cached_schedule,
     cached_spill,
     compiled_spec,
+    schedule_spec,
 )
 from ..store.codec import unpack_arrays
 from ..store.db import ArtifactStore
@@ -156,10 +158,10 @@ class BoundService(JsonApp):
         builder, params, seed = self._query_triple(body)
         kind = body.get("kind", "dfs")
         ids, hit = cached_schedule(self.store, builder, params, seed, kind)
-        spec = compiled_spec(builder, params, seed)
-        spec["schedule"] = kind
         out = {
-            "key": artifact_key("schedule", spec),
+            "key": artifact_key(
+                "schedule", schedule_spec(builder, params, seed, kind)
+            ),
             "cached": hit,
             "kind": kind,
             "length": int(ids.size),
@@ -176,24 +178,10 @@ class BoundService(JsonApp):
         u_upper = body.get("u_upper")
         if u_upper is not None:
             u_upper = number(body, "u_upper", None, float)
-        result, hit = cached_bound(
-            self.store,
-            builder,
-            params,
-            seed,
-            s=s,
-            method=method,
-            max_candidates=max_candidates,
-            u_upper=u_upper,
-        )
-        spec = compiled_spec(builder, params, seed)
-        spec["s"] = s
-        spec["method"] = method
-        if method == "wavefront":
-            spec["max_candidates"] = max_candidates
-        if method == "hong_kung":
-            spec["u_upper"] = u_upper
-        return {"key": artifact_key("bound", spec), "cached": hit, **result}
+        args = (builder, params, seed, s, method, max_candidates, u_upper)
+        result, hit = cached_bound(self.store, *args)
+        key = artifact_key("bound", bound_spec(*args))
+        return {"key": key, "cached": hit, **result}
 
     def pebble(self, body: Dict) -> Dict:
         params = body.get("params")

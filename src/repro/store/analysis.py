@@ -73,6 +73,8 @@ __all__ = [
     "BuilderDef",
     "build_cdag",
     "compiled_spec",
+    "schedule_spec",
+    "bound_spec",
     "fresh_compiled",
     "fresh_compiled_payload",
     "cached_compiled",
@@ -221,6 +223,61 @@ def compiled_spec(
     return {"builder": builder, "params": merged, "seed": int(seed)}
 
 
+def _check_schedule_kind(kind: str) -> None:
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(
+            f"unknown schedule kind {kind!r}; known: {SCHEDULE_KINDS}"
+        )
+
+
+def schedule_spec(
+    builder: str,
+    params: Optional[Mapping] = None,
+    seed: int = 0,
+    kind: str = "dfs",
+) -> Dict:
+    """The canonical spec mapping content-addressing a schedule."""
+    _check_schedule_kind(kind)
+    spec = compiled_spec(builder, params, seed)
+    spec["schedule"] = kind
+    return spec
+
+
+def bound_spec(
+    builder: str,
+    params: Optional[Mapping] = None,
+    seed: int = 0,
+    s: int = 16,
+    method: str = "wavefront",
+    max_candidates: int = 32,
+    u_upper: Optional[float] = None,
+) -> Dict:
+    """The canonical spec mapping content-addressing a bound; rejects
+    arguments no bound is computed for (unknown method, ``s < 1``,
+    ``max_candidates < 1``, ``hong_kung`` without ``u_upper``)."""
+    if method not in BOUND_METHODS:
+        raise ValueError(
+            f"unknown bound method {method!r}; known: {BOUND_METHODS}"
+        )
+    if int(s) < 1:
+        raise ValueError(f"s (fast-memory size) must be >= 1, got {s}")
+    spec = compiled_spec(builder, params, seed)
+    spec["s"] = int(s)
+    spec["method"] = method
+    if method == "wavefront":
+        if int(max_candidates) < 1:
+            raise ValueError(
+                f"max_candidates must be >= 1, got {max_candidates}"
+            )
+        spec["max_candidates"] = int(max_candidates)
+    if method == "hong_kung":
+        if u_upper is None:
+            raise ValueError("method 'hong_kung' requires u_upper (a valid "
+                             "upper bound on U(2S))")
+        spec["u_upper"] = float(u_upper)
+    return spec
+
+
 def _store_meta(kind: str, spec: Mapping) -> Dict:
     return {
         "kind": kind,
@@ -294,10 +351,7 @@ def fresh_schedule(
 ) -> np.ndarray:
     """A schedule id array computed fresh (``kind`` in
     :data:`SCHEDULE_KINDS`)."""
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(
-            f"unknown schedule kind {kind!r}; known: {SCHEDULE_KINDS}"
-        )
+    _check_schedule_kind(kind)
     c = compiled if compiled is not None \
         else fresh_compiled(builder, params, seed)
     ids = dfs_schedule_ids(c) if kind == "dfs" \
@@ -315,12 +369,7 @@ def cached_schedule(
     """``(schedule ids, was_hit)``; the underlying compiled snapshot is
     itself fetched through the store, so a schedule miss on a warm store
     still skips the CDAG rebuild."""
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(
-            f"unknown schedule kind {kind!r}; known: {SCHEDULE_KINDS}"
-        )
-    spec = compiled_spec(builder, params, seed)
-    spec["schedule"] = kind
+    spec = schedule_spec(builder, params, seed, kind)
 
     def compute() -> bytes:
         c, _ = cached_compiled(store, builder, params, seed)
@@ -363,13 +412,11 @@ def fresh_bound(
     soundness is the caller's obligation, exactly as in
     :mod:`repro.bounds.hong_kung`); ``"analytical"`` uses the
     closed-form family bound and is available for the ``butterfly`` and
-    ``outer`` builders only.
+    ``outer`` builders only.  ``s`` must be >= 1 for every method.
     """
-    if method not in BOUND_METHODS:
-        raise ValueError(
-            f"unknown bound method {method!r}; known: {BOUND_METHODS}"
-        )
-    _, merged = _resolve(builder, params)
+    merged = bound_spec(
+        builder, params, seed, s, method, max_candidates, u_upper
+    )["params"]
     base = {
         "builder": builder,
         "method": method,
@@ -391,9 +438,6 @@ def fresh_bound(
             "max_candidates": int(max_candidates),
         }
     if method == "hong_kung":
-        if u_upper is None:
-            raise ValueError("method 'hong_kung' requires u_upper (a valid "
-                             "upper bound on U(2S))")
         c = compiled if compiled is not None \
             else fresh_compiled(builder, params, seed)
         num_ops = c.n - int(c.is_input_mask.sum())
@@ -431,20 +475,9 @@ def cached_bound(
     u_upper: Optional[float] = None,
 ) -> Tuple[Dict, bool]:
     """``(bound mapping, was_hit)`` — the service's core query."""
-    if method not in BOUND_METHODS:
-        raise ValueError(
-            f"unknown bound method {method!r}; known: {BOUND_METHODS}"
-        )
-    spec = compiled_spec(builder, params, seed)
-    spec["s"] = int(s)
-    spec["method"] = method
-    if method == "wavefront":
-        spec["max_candidates"] = int(max_candidates)
-    if method == "hong_kung":
-        if u_upper is None:
-            raise ValueError("method 'hong_kung' requires u_upper (a valid "
-                             "upper bound on U(2S))")
-        spec["u_upper"] = float(u_upper)
+    spec = bound_spec(
+        builder, params, seed, s, method, max_candidates, u_upper
+    )
 
     def compute() -> bytes:
         c, _ = cached_compiled(store, builder, params, seed)

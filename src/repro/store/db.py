@@ -219,7 +219,19 @@ class ArtifactStore:
         conn = sqlite3.connect(
             str(self.path), timeout=self.busy_timeout_s
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Switching a fresh file to WAL can fail with "database is
+        # locked" without waiting on the busy handler while another
+        # process does the same switch, so retry until the busy timeout.
+        deadline = time.monotonic() + self.busy_timeout_s
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    conn.close()
+                    raise
+                time.sleep(0.01)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA mmap_size={self.mmap_bytes}")
         conn.execute("PRAGMA cache_size=-8192")  # 8 MB page cache

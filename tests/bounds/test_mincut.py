@@ -44,6 +44,23 @@ class TestBestWavefront:
         assert b.wavefront <= 7
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("s", [-1, -5])
+    def test_negative_s_rejected_by_every_bound(self, s):
+        c = chain_cdag(12)
+        for bound in (best_wavefront_lower_bound, automated_wavefront_bound):
+            with pytest.raises(ValueError, match="negative"):
+                bound(c, s=s)
+
+    @pytest.mark.parametrize("max_candidates", [0, -3])
+    def test_max_candidates_below_one_rejected(self, max_candidates):
+        c = chain_cdag(12)
+        with pytest.raises(ValueError, match="max_candidates"):
+            automated_wavefront_bound(c, s=2, max_candidates=max_candidates)
+        with pytest.raises(ValueError, match="max_candidates"):
+            heuristic_wavefront_candidates(c, max_candidates=max_candidates)
+
+
 class TestHeuristicCandidates:
     def test_candidates_are_vertices(self):
         c = dot_then_axpy_cdag(4)

@@ -1,9 +1,27 @@
 """Unit tests for the parallel RBW pebble game engine (rules R1-R7)."""
 
+import numpy as np
 import pytest
 
-from repro.core import CDAG, chain_cdag
-from repro.pebbling import GameError, MemoryHierarchy, ParallelRBWPebbleGame
+from repro.core import CDAG, chain_cdag, diamond_cdag
+from repro.pebbling import (
+    GameError,
+    MemoryHierarchy,
+    Move,
+    MoveKind,
+    MoveLog,
+    ParallelRBWPebbleGame,
+    parallel_spill_game,
+)
+from repro.pebbling.state import (
+    OP_COMPUTE,
+    OP_LOAD,
+    OP_MOVE_DOWN,
+    OP_MOVE_UP,
+    OP_REMOTE_GET,
+    decode_instance,
+    encode_instance,
+)
 
 
 @pytest.fixture
@@ -180,3 +198,67 @@ class TestR7DeleteAndCompletion:
         assert not game.is_complete()
         with pytest.raises(GameError):
             game.assert_complete()
+
+
+class TestReplayKeepsLoggedInstances:
+    """Replay must reproduce a log, not repair it: a row whose logged
+    location or source differs from the one the rules derive is refused,
+    even though the move the rules would make instead is legal."""
+
+    #: opcode, tampered column, and the rewrite of that row's instance
+    #: (the first row of the opcode; for MOVE_DOWN, the first one into a
+    #: level-2 cache, which has two children)
+    TAMPERS = {
+        "remote_get_source_at_level_2": (
+            OP_REMOTE_GET, "sources", lambda lvl, idx: (2, idx)
+        ),
+        "move_up_source_not_the_parent": (
+            OP_MOVE_UP, "sources", lambda lvl, idx: (lvl, idx ^ 1)
+        ),
+        "move_down_source_another_child": (
+            OP_MOVE_DOWN, "sources", lambda lvl, idx: (lvl, idx ^ 1)
+        ),
+        "load_location_at_level_2": (
+            OP_LOAD, "locations", lambda lvl, idx: (2, idx)
+        ),
+        "compute_location_at_level_2": (
+            OP_COMPUTE, "locations", lambda lvl, idx: (2, idx)
+        ),
+    }
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_instance_is_rejected(self, cluster, tamper):
+        op, column, rewrite = self.TAMPERS[tamper]
+        cdag = diamond_cdag(6, 6)
+        record = parallel_spill_game(cdag, cluster)
+        cols = dict(zip(
+            ("kinds", "vertex_ids", "locations", "sources"),
+            (c.copy() for c in record.log.columns()),
+        ))
+        row = next(
+            int(r) for r in np.flatnonzero(cols["kinds"] == op)
+            if op != OP_MOVE_DOWN or decode_instance(cols["locations"][r])[0] == 2
+        )
+        old = decode_instance(int(cols[column][row]))
+        cols[column][row] = encode_instance(rewrite(*old))
+        bad = MoveLog(compiled=cdag.compiled())
+        bad.extend_block(*cols.values())
+        with pytest.raises(GameError, match=f"move {row} is logged at"):
+            ParallelRBWPebbleGame(cdag, cluster).replay(bad)
+
+    def test_unspecified_source_matches_any(self, cluster):
+        """A hand-built list may leave MOVE_UP/MOVE_DOWN sources out;
+        replay fills in the ones the rules derive."""
+        a, b = ("chain", 0), ("chain", 1)
+        moves = [
+            Move(MoveKind.LOAD, a, (3, 0)),
+            Move(MoveKind.MOVE_UP, a, (2, 0)),
+            Move(MoveKind.MOVE_UP, a, (1, 0)),
+            Move(MoveKind.COMPUTE, b, (1, 0)),
+            Move(MoveKind.MOVE_DOWN, b, (2, 0)),
+            Move(MoveKind.MOVE_DOWN, b, (3, 0)),
+            Move(MoveKind.STORE, b, (3, 0)),
+        ]
+        record = ParallelRBWPebbleGame(chain_cdag(1), cluster).replay(moves)
+        assert record.moves[1].source == (3, 0)
+        assert record.moves[4].source == (1, 0)

@@ -110,6 +110,24 @@ class TestEndpoints:
         assert client.pebble(params=params)["cached"] is True
 
 
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/compiled", {"builder": "chain", "params": {"length": 5}}),
+        ("/v1/schedule", {"builder": "tree", "kind": "minlive"}),
+        ("/v1/bound", {"builder": "chain", "s": 2, "max_candidates": 4}),
+        ("/v1/bound", {"builder": "chain", "s": 2, "method": "hong_kung",
+                       "u_upper": 40}),
+        ("/v1/bound", {"builder": "butterfly", "params": {"log_n": 3},
+                       "s": 2, "method": "analytical"}),
+    ])
+    def test_response_key_names_the_stored_row(self, server, path, body):
+        """Cold and warm, the ``key`` a query answers with is the row
+        the store holds for it."""
+        store = server.app.store
+        for cached in (False, True):
+            status, payload = server.app.handle("POST", path, body)
+            assert status == 200 and payload["cached"] is cached
+            assert store.get(payload["key"]) is not None
+
     def test_pebble_backends_agree(self, client):
         """Both spill backends answer, as distinct cached specs, with
         the same game apart from the backend label."""
@@ -186,6 +204,21 @@ class TestErrors:
         deep in an endpoint is a client error, not a server failure."""
         status, payload = server.app.handle("POST", path, body)
         assert status == 400, payload
+
+    @pytest.mark.parametrize("field, value", [
+        ("s", 0), ("s", -5), ("max_candidates", 0), ("max_candidates", -3),
+    ])
+    def test_bound_argument_below_one_is_400_and_not_stored(
+        self, server, field, value
+    ):
+        service = server.app
+        status, payload = service.handle(
+            "POST", "/v1/bound", {"builder": "chain", "s": 2, field: value}
+        )
+        assert status == 400
+        assert field in payload["error"]
+        assert service.store.counters["misses"] == 0
+        assert service.store.stats()["entries"] == 0
 
     def test_out_of_range_int_is_400_before_any_compute(self, server):
         """An int field outside the store's signed 64-bit range is

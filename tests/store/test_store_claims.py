@@ -27,6 +27,42 @@ def _racing_proc(db_path, log_path, queue):
         queue.put(bytes(payload))
 
 
+def _opening_proc(root, rounds, barrier, queue):
+    """Open a fresh store file each round, in step with the other
+    processes; report the opens that raised."""
+    failed = []
+    for r in range(rounds):
+        barrier.wait(30)
+        try:
+            ArtifactStore(os.path.join(root, f"fresh{r}.db")).close()
+        except Exception as exc:  # any failure is reported to the parent
+            failed.append(f"round {r}: {exc!r}")
+    queue.put(failed)
+
+
+class TestConcurrentFirstOpen:
+    def test_processes_opening_one_fresh_file_all_succeed(self, tmp_path):
+        """Sweep cells and fleet workers started with ``--store`` race to
+        open (and so create) the same store file; every open succeeds."""
+        nprocs, rounds = 4, 30
+        ctx = multiprocessing.get_context("fork")
+        barrier, queue = ctx.Barrier(nprocs), ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_opening_proc,
+                args=(str(tmp_path), rounds, barrier, queue),
+            )
+            for _ in range(nprocs)
+        ]
+        for p in procs:
+            p.start()
+        failed = [f for _ in procs for f in queue.get(timeout=120)]
+        for p in procs:
+            p.join(10.0)
+        assert not any(p.is_alive() for p in procs)
+        assert failed == []
+
+
 class TestCrossProcessSingleFlight:
     def test_racing_processes_compute_once(self, tmp_path):
         db = str(tmp_path / "store.db")

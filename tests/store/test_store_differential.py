@@ -137,6 +137,20 @@ class TestDerivedArtifacts:
             "chain", {"length": 12}, s=2, method="hong_kung", u_upper=40.0
         )
 
+    @pytest.mark.parametrize("method, extra", [
+        ("wavefront", {}),
+        ("hong_kung", {"u_upper": 40.0}),
+        ("analytical", {}),
+    ])
+    @pytest.mark.parametrize("s", [0, -5])
+    def test_bound_needs_s_of_at_least_one(self, store, method, extra, s):
+        args = ("butterfly", {"log_n": 3})
+        with pytest.raises(ValueError, match="must be >= 1"):
+            fresh_bound(*args, s=s, method=method, **extra)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            cached_bound(store, *args, s=s, method=method, **extra)
+        assert store.counters["misses"] == 0
+
     def test_spill_row_matches_fresh(self, store):
         params = {"workload": "forest", "components": 3,
                   "component_size": 8}
