@@ -36,11 +36,10 @@ test-harness:
 # concurrent-clients suite, the shared HTTP layer's route-aware fuzz
 # of both servers (no 5xx, monotonic /metrics, bounded registry, lease
 # invariants) and its socket-level framing tests (bad/oversized
-# Content-Length, stalled senders), and the sweep --store/--jobs
+# Content-Length, stalled senders), and the sweep --jobs
 # integration.
 test-service:
 	$(PY) -m pytest tests/store tests/service \
-	  tests/evaluation/test_harness_store.py \
 	  tests/evaluation/test_harness_jobs.py -q
 
 # Fleet suites: controller queue/lease/retry unit tests, the localhost

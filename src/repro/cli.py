@@ -13,7 +13,7 @@ Usage::
     python -m repro.cli balance
     python -m repro.cli spill --workload star --ops 2000
     python -m repro.cli sweep --out results --grid smoke --resume
-    python -m repro.cli sweep --out results --jobs 4 --store repro-store.db
+    python -m repro.cli sweep --out results --jobs 4 --cell-timeout 600
     python -m repro.cli sweep --grid smoke --fleet http://127.0.0.1:8199
     python -m repro.cli fleet serve --root results --port 8199
     python -m repro.cli fleet serve --root results --grid-file grid.json
@@ -44,14 +44,13 @@ manifest-driven harness (:mod:`repro.evaluation.harness`): one result
 directory per cell with ``manifest.json`` / ``metrics.jsonl`` /
 ``summary.json``, where ``--resume`` skips committed cells whose config
 hash matches and sweeps + re-runs stale or partial ones; ``--jobs N``
-runs cells in parallel worker processes (``--cell-timeout`` bounds each
-cell's wall clock; failures leave resumable partials) and ``--store``
-activates the content-addressed artifact store so repeated cells adopt
-cached compiled snapshots.  ``reproduce``
-replays every manifest in a results store and verifies the regenerated
-rows against the stored artifacts within per-metric tolerances (nonzero
-exit naming each failing cell).  ``bench-view`` derives a
-``BENCH_core.json``-style view over a results store.
+runs cells in separate worker processes, which buys crash isolation and
+a per-cell timeout (``--cell-timeout``; failures leave resumable
+partials), not speed.  ``reproduce`` replays every manifest in a
+results store and verifies the regenerated rows against the stored
+artifacts within per-metric tolerances (nonzero exit naming each failing
+cell).  ``bench-view`` derives a ``BENCH_core.json``-style view over a
+results store.
 
 ``fleet`` runs distributed sweeps (:mod:`repro.fleet`): ``fleet
 serve`` starts the controller that owns the cell queue over a shared
@@ -199,16 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock limit per cell in seconds (jobs > 1); "
                    "a timed-out cell is terminated, leaving a resumable "
                    "partial directory")
-    p.add_argument("--store", default=None, metavar="DB",
-                   help="activate the content-addressed artifact store at "
-                   "this SQLite path (cells adopt cached compiled "
-                   "snapshots; results are byte-identical)")
     p.add_argument("--fleet", default=None, metavar="URL",
                    help="submit the grid to a running fleet controller "
                    "instead of executing locally, and poll until done "
                    "(always resume semantics; cells land in the "
-                   "controller's results root, so --out/--jobs/--store "
-                   "are ignored)")
+                   "controller's results root, so --out/--jobs are "
+                   "ignored)")
 
     p = sub.add_parser(
         "fleet",
@@ -256,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--slots", type=int, default=1,
                     help="local concurrency cap: at most N cell "
                     "processes at once")
-    fp.add_argument("--store", default=None, metavar="DB",
-                    help="artifact-store SQLite path forwarded to every "
-                    "cell process")
     fp.add_argument("--cell-timeout", type=float, default=None,
                     help="wall-clock limit per cell in seconds")
     fp.add_argument("--keep-alive", action="store_true",
@@ -424,7 +416,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         specs,
         args.out,
         resume=args.resume,
-        store_path=args.store,
         jobs=args.jobs,
         cell_timeout=args.cell_timeout,
     )
@@ -486,7 +477,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
             args.root,
             name=args.name,
             slots=args.slots,
-            store_path=args.store,
             cell_timeout=args.cell_timeout,
             exit_when_done=not args.keep_alive,
         ).run()

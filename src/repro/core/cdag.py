@@ -622,34 +622,6 @@ class CDAG:
             self._compiled = CompiledCDAG(self)
         return self._compiled
 
-    def adopt_compiled(self, snapshot) -> bool:
-        """Install an externally built snapshot as this CDAG's compiled
-        view (the artifact store's cache-hit path).
-
-        The snapshot is validated against the current graph — vertex
-        count, edge count, insertion order of the vertex names, and the
-        input/output tag sets must all match — and rejected (``False``
-        returned, nothing installed) otherwise, so a stale or
-        wrong-keyed artifact can never impersonate this CDAG.  Any later
-        mutation clears the adopted snapshot exactly like a locally
-        compiled one.
-        """
-        if snapshot is None:
-            return False
-        verts = list(self._succ)
-        if (
-            snapshot.n != len(verts)
-            or snapshot.m != self.num_edges()
-            or snapshot._verts != verts
-        ):
-            return False
-        if set(snapshot.vertices_of(snapshot.input_ids)) != self._inputs:
-            return False
-        if set(snapshot.vertices_of(snapshot.output_ids)) != self._outputs:
-            return False
-        self._compiled = snapshot
-        return True
-
 
 class CDAGBuilder:
     """Incremental CDAG construction helper.

@@ -137,65 +137,6 @@ class CompiledCDAG:
         self._pred_matrix = None
         self._wavefront_solver = None
 
-    @classmethod
-    def from_arrays(
-        cls,
-        name: str,
-        verts: List[Vertex],
-        succ_indptr: np.ndarray,
-        succ_indices: np.ndarray,
-        pred_indptr: np.ndarray,
-        pred_indices: np.ndarray,
-        in_degree: np.ndarray,
-        out_degree: np.ndarray,
-        is_input_mask: np.ndarray,
-        is_output_mask: np.ndarray,
-    ) -> "CompiledCDAG":
-        """Rehydrate a snapshot from its stored arrays (the artifact
-        store's read path; see :mod:`repro.store.codec`).
-
-        The arrays are adopted as-is — callers hand over ownership and
-        must treat them as read-only afterwards, exactly like a snapshot
-        built from a CDAG.  Derived caches (topological order, adjacency
-        matrices, the wavefront solver) rebuild lazily on first use.
-        """
-        self = object.__new__(cls)
-        n = len(verts)
-        self.name = name
-        self.n = n
-        self.m = int(succ_indices.shape[0])
-        self._verts = list(verts)
-        self._index = {v: i for i, v in enumerate(self._verts)}
-        self.succ_indptr = np.asarray(succ_indptr, dtype=np.int64)
-        self.succ_indices = np.asarray(succ_indices, dtype=np.int32)
-        self.pred_indptr = np.asarray(pred_indptr, dtype=np.int64)
-        self.pred_indices = np.asarray(pred_indices, dtype=np.int32)
-        self.in_degree = np.asarray(in_degree, dtype=np.int64)
-        self.out_degree = np.asarray(out_degree, dtype=np.int64)
-        self.is_input_mask = np.asarray(is_input_mask, dtype=bool)
-        self.is_output_mask = np.asarray(is_output_mask, dtype=bool)
-        self.input_ids = np.flatnonzero(self.is_input_mask).astype(np.int32)
-        self.output_ids = np.flatnonzero(self.is_output_mask).astype(np.int32)
-        self._succ_lists = None
-        self._pred_lists = None
-        self._topo_ids = None
-        self._succ_matrix = None
-        self._pred_matrix = None
-        self._wavefront_solver = None
-        if len(self._index) != n:
-            raise ValueError("duplicate vertex names in stored snapshot")
-        if (
-            self.succ_indptr.shape != (n + 1,)
-            or self.pred_indptr.shape != (n + 1,)
-            or self.pred_indices.shape[0] != self.m
-            or self.in_degree.shape != (n,)
-            or self.out_degree.shape != (n,)
-            or self.is_input_mask.shape != (n,)
-            or self.is_output_mask.shape != (n,)
-        ):
-            raise ValueError("inconsistent array shapes in stored snapshot")
-        return self
-
     # ------------------------------------------------------------------
     # id <-> vertex conversion (the API boundary)
     # ------------------------------------------------------------------

@@ -510,14 +510,10 @@ def experiment_spill_strategies(
     if workload == "star":
         cdag, memory = star_spill_setup(ops, degree)
         schedule = None
-        snapshot_params = {"ops": ops, "degree": degree}
-        snapshot_seed = 0
     elif workload == "chains":
         cdag, memory = chains_spill_setup(chains, length, num_red)
         # Chain-major (DFS) order keeps each chain contiguous.
         schedule = dfs_schedule(cdag)
-        snapshot_params = {"chains": chains, "length": length}
-        snapshot_seed = 0
     elif workload == "forest":
         cdag = component_forest_cdag(components, component_size, seed=seed)
         # Random components can exceed num_red's operand capacity; the
@@ -528,25 +524,10 @@ def experiment_spill_strategies(
         )
         memory = max(num_red, max_indeg + 1)
         schedule = dfs_schedule(cdag)
-        snapshot_params = {
-            "components": components, "component_size": component_size,
-        }
-        snapshot_seed = seed
     else:
         raise ValueError(
             f"workload must be 'star', 'chains' or 'forest', got {workload!r}"
         )
-    # With an artifact store active (run_grid(..., store_path=...)) the
-    # compiled CSR snapshot is adopted from cache instead of rebuilt —
-    # keyed by exactly the params that determine the graph (num_red and
-    # the strategy axes do not).  No-op otherwise.  Deferred import:
-    # repro.store imports this package at module scope.
-    from ..store.runtime import attach_compiled
-
-    attach_compiled(
-        cdag, builder=f"spill:{workload}", params=snapshot_params,
-        seed=snapshot_seed,
-    )
     record = run_spill_game(
         cdag,
         memory,

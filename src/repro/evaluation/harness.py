@@ -30,8 +30,8 @@ tolerance").
 trajectories become an auditable derived view instead of a hand-merged
 flat dict.
 
-Parallel cells and the artifact store
--------------------------------------
+Parallel cells
+--------------
 ``run_grid(..., jobs=N)`` executes up to ``N`` cells at a time, each in
 its own worker **process** (fork where available), so a crashing or
 runaway cell cannot take the sweep down with it: a worker that dies
@@ -41,16 +41,8 @@ crash under ``jobs=1``) and is reported in ``GridRunResult.failed``.
 its deadline is terminated and reported the same way.  The commit
 protocol makes this safe without any cross-process locking: cells never
 share a run directory, and a cell only counts as complete once its
-``summary.json`` is committed.
-
-``run_grid(..., store_path=...)`` activates a content-addressed
-artifact store (:mod:`repro.store`) for the duration of the sweep —
-construction-heavy cells (the spill experiments) then adopt cached
-compiled CSR snapshots via
-:func:`repro.store.runtime.attach_compiled` instead of recompiling per
-cell, across resumes and across worker processes (SQLite/WAL handles
-the concurrent writers).  Results are byte-identical with and without
-the store; ``tests/evaluation/test_harness_store.py`` pins that.
+``summary.json`` is committed.  ``jobs > 1`` buys crash isolation and
+the per-cell timeout, not speed.
 
 Crash-injection hook
 --------------------
@@ -612,22 +604,13 @@ def _cell_process_main(
     spec: RunSpec,
     run_dir: str,
     registry: Mapping[str, ExperimentDef],
-    store_path: Optional[str],
 ) -> None:
     """Worker-process entry point for one cell under ``jobs > 1``.  The
     parent prepared (swept + recreated) ``run_dir``; exit code 0 means
     the cell committed, anything else leaves a resumable partial."""
-    kill = _KillHook(os.environ.get(KILL_ENV))
-    if store_path is None:
-        _execute_cell(spec, Path(run_dir), registry, kill)
-        return
-    # Deferred: repro.store imports this module's package; see the
-    # cycle note in repro.store.analysis.
-    from ..store.db import ArtifactStore
-    from ..store.runtime import activated
-
-    with ArtifactStore(store_path) as store, activated(store):
-        _execute_cell(spec, Path(run_dir), registry, kill)
+    _execute_cell(
+        spec, Path(run_dir), registry, _KillHook(os.environ.get(KILL_ENV))
+    )
 
 
 def _mp_context():
@@ -661,7 +644,6 @@ def _run_cells_parallel(
     decisions: Mapping[str, str],
     jobs: int,
     cell_timeout: Optional[float],
-    store_path: Optional[str],
     log: Callable[[str], None],
     events=None,
 ) -> Tuple[List[str], List[Tuple[str, str]]]:
@@ -686,7 +668,7 @@ def _run_cells_parallel(
                 log(f"[{decisions[spec.label]}]".ljust(10) + spec.label)
                 proc = ctx.Process(
                     target=_cell_process_main,
-                    args=(spec, str(run_dir), registry, store_path),
+                    args=(spec, str(run_dir), registry),
                 )
                 proc.start()
                 if events is not None:
@@ -750,7 +732,6 @@ def run_grid(
     resume: bool = False,
     registry: Mapping[str, ExperimentDef] = REGISTRY,
     log: Callable[[str], None] = print,
-    store_path: Optional[os.PathLike] = None,
     jobs: int = 1,
     cell_timeout: Optional[float] = None,
     events=None,
@@ -763,8 +744,6 @@ def run_grid(
     are swept before re-running.  Each cell follows the manifest ->
     metrics -> summary commit protocol.
 
-    ``store_path`` activates the content-addressed artifact store for
-    every cell (cached compiled snapshots; results stay byte-identical).
     ``jobs > 1`` runs cells in parallel worker processes — execution
     order becomes nondeterministic but directories never conflict, and
     worker crashes / ``cell_timeout`` expiries are collected in
@@ -807,28 +786,9 @@ def run_grid(
     failed: List[Tuple[str, str]] = []
     if jobs > 1:
         executed, failed = _run_cells_parallel(
-            to_run, root, registry, decisions, jobs, cell_timeout,
-            None if store_path is None else str(store_path), log,
+            to_run, root, registry, decisions, jobs, cell_timeout, log,
             events=events,
         )
-    elif store_path is not None:
-        from ..store.db import ArtifactStore
-        from ..store.runtime import activated
-
-        executed = []
-        with ArtifactStore(store_path) as store, activated(store):
-            for spec in to_run:
-                run_dir = root / spec.label
-                if run_dir.exists():
-                    shutil.rmtree(run_dir)
-                run_dir.mkdir()
-                log(f"[{decisions[spec.label]}]".ljust(10) + spec.label)
-                if events is not None:
-                    events.emit("cell.started", label=spec.label)
-                _execute_cell(spec, run_dir, registry, kill)
-                executed.append(spec.label)
-                if events is not None:
-                    events.emit("cell.committed", label=spec.label)
     else:
         executed = []
         for spec in to_run:

@@ -3,10 +3,10 @@
 A worker is a thin scheduling shell around the *same* per-cell
 machinery ``sweep --jobs N`` uses: each leased cell runs in its own
 process via :func:`~repro.evaluation.harness._cell_process_main`
-(crash isolation, ``REPRO_HARNESS_KILL_AT`` fault injection, optional
-artifact store), writing into the shared results root under the exact
-run-directory commit protocol — which is what makes a fleet sweep
-byte-identical to a local one.
+(crash isolation, ``REPRO_HARNESS_KILL_AT`` fault injection), writing
+into the shared results root under the exact run-directory commit
+protocol — which is what makes a fleet sweep byte-identical to a local
+one.
 
 The loop, once per tick:
 
@@ -66,8 +66,6 @@ class FleetWorker:
     slots:
         Local concurrency cap — at most this many cell processes at
         once (mirrors ``sweep --jobs``).
-    store_path:
-        Optional artifact-store path forwarded to every cell process.
     exit_when_done:
         Leave the poll loop once the controller reports the grid
         complete (the default); long-lived workers that should idle
@@ -86,7 +84,6 @@ class FleetWorker:
         slots: int = 1,
         poll_s: Optional[float] = None,
         registry: Mapping = REGISTRY,
-        store_path: Optional[str] = None,
         exit_when_done: bool = True,
         cell_timeout: Optional[float] = None,
         client: Optional[FleetClient] = None,
@@ -99,7 +96,6 @@ class FleetWorker:
         self.slots = int(slots)
         self.poll_s = poll_s
         self.registry = registry
-        self.store_path = store_path
         self.exit_when_done = exit_when_done
         self.cell_timeout = cell_timeout
         self.client = client if client is not None else FleetClient(url)
@@ -183,7 +179,7 @@ class FleetWorker:
         self.log(f"[run]     {spec.label}")
         proc = self._ctx.Process(
             target=_cell_process_main,
-            args=(spec, str(run_dir), self.registry, self.store_path),
+            args=(spec, str(run_dir), self.registry),
         )
         proc.start()
         deadline = (

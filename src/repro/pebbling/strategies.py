@@ -416,8 +416,9 @@ def _parallel_spill_dict(
 
     shades = game.shades_ids
 
-    def persist(i: int, inst: Tuple[int, int]) -> None:
-        """Guarantee a copy of ``i`` survives eviction from ``inst``."""
+    def persist(i: int, inst: Tuple[int, int], pinned: Set[int]) -> None:
+        """Guarantee a copy of ``i`` survives eviction from ``inst``;
+        room made in the parent never evicts a ``pinned`` value."""
         level, index = inst
         if i in blue_ids:
             return
@@ -438,7 +439,7 @@ def _parallel_spill_dict(
             return
         parent = hierarchy.parent_instance(level, index)
         if parent not in shades(i):
-            make_room(parent, pinned=set())
+            make_room(parent, pinned)
             game.move_down_id(i, parent[0], parent[1])
 
     def make_room(inst: Tuple[int, int], pinned: Set[int]) -> None:
@@ -460,7 +461,7 @@ def _parallel_spill_dict(
             if remaining_uses[victim] > 0 or (
                 is_output[victim] and victim not in blue_ids
             ):
-                persist(victim, inst)
+                persist(victim, inst, pinned)
             game.delete_id(victim, level, index)
 
     def bring_to_node(i: int, node: int, pinned: Set[int]) -> None:
@@ -666,7 +667,7 @@ def _parallel_spill_batched(
         if st is not None:
             heappush(st[2], (st[3][i], i))
 
-    def persist(i: int, inst: Tuple[int, int]) -> None:
+    def persist(i: int, inst: Tuple[int, int], pinned) -> None:
         level, index = inst
         if i in blue_ids:
             return
@@ -684,7 +685,7 @@ def _parallel_spill_batched(
             return
         parent = parent_of[inst]
         if parent not in pebbles_get(i, _EMPTY):
-            make_room(parent, _EMPTY)
+            make_room(parent, pinned)
             move_down_id(i, parent[0], parent[1])
             placed(parent, i)
 
@@ -722,7 +723,7 @@ def _parallel_spill_batched(
             if remaining_uses[victim] > 0 or (
                 is_output[victim] and victim not in blue_ids
             ):
-                persist(victim, inst)
+                persist(victim, inst, pinned)
             delete_id(victim, inst[0], inst[1])
 
     def bring_to_node(i: int, node: int, pinned) -> None:

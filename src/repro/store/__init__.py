@@ -5,9 +5,11 @@ Every expensive artifact the repo computes — compiled CSR snapshots,
 schedules, bound results, spill-game manifests — is a pure function of
 ``(builder, params, seed, code version)``.  This package caches them in
 one SQLite file (WAL mode, ``WITHOUT ROWID`` clustered keys, mmap
-reads) under SHA-256 content addresses, so repeated CLI invocations,
-``sweep --resume`` grids, and the long-running bound server
-(:mod:`repro.service`) answer warm queries without rebuilding anything.
+reads) under SHA-256 content addresses, so the long-running bound
+server (:mod:`repro.service`) answers warm queries without rebuilding
+anything.  The store caches answers: a miss computes from a fresh
+build, and a stored compiled snapshot is served as bytes, never read
+back into a CDAG.
 
 Layers (see ``docs/service.md`` for the full contract):
 
@@ -16,9 +18,7 @@ Layers (see ``docs/service.md`` for the full contract):
 * :mod:`repro.store.db` — the SQLite engine (integrity-checked reads,
   single-flight recomputation, gc/stats);
 * :mod:`repro.store.analysis` — the memoized analyses and the builder
-  registry;
-* :mod:`repro.store.runtime` — process-wide activation, the
-  harness/CLI seam.
+  registry.
 """
 
 from .analysis import (
@@ -27,7 +27,6 @@ from .analysis import (
     SCHEDULE_KINDS,
     build_cdag,
     cached_bound,
-    cached_compiled,
     cached_compiled_payload,
     cached_schedule,
     cached_spill,
@@ -39,7 +38,6 @@ from .analysis import (
     fresh_spill,
 )
 from .codec import (
-    compiled_from_payload,
     json_from_payload,
     pack_arrays,
     schedule_from_payload,
@@ -50,7 +48,6 @@ from .codec import (
 )
 from .db import ArtifactStore, STORE_SCHEMA_VERSION
 from .keys import CODE_VERSION_ENV, artifact_key, code_version
-from .runtime import activated, attach_compiled, get_active, set_active
 
 __all__ = [
     "ArtifactStore",
@@ -61,7 +58,6 @@ __all__ = [
     "pack_arrays",
     "unpack_arrays",
     "serialize_compiled",
-    "compiled_from_payload",
     "serialize_schedule",
     "schedule_from_payload",
     "serialize_json",
@@ -73,7 +69,6 @@ __all__ = [
     "compiled_spec",
     "fresh_compiled",
     "fresh_compiled_payload",
-    "cached_compiled",
     "cached_compiled_payload",
     "fresh_schedule",
     "cached_schedule",
@@ -81,8 +76,4 @@ __all__ = [
     "cached_bound",
     "fresh_spill",
     "cached_spill",
-    "activated",
-    "attach_compiled",
-    "get_active",
-    "set_active",
 ]

@@ -3,8 +3,8 @@
 Everything the service serves is a pure function of ``(builder, params,
 seed, code version)``:
 
-* **compiled** — the CSR snapshot of the builder's CDAG
-  (:func:`cached_compiled`);
+* **compiled** — the CSR snapshot of the builder's CDAG, served as
+  payload bytes (:func:`cached_compiled_payload`);
 * **schedule** — a DFS or min-live-set schedule in id space
   (:func:`cached_schedule`);
 * **bound** — a lower bound on the CDAG's I/O: the automated
@@ -20,7 +20,9 @@ Each ``cached_*`` function has a ``fresh_*`` counterpart that computes
 without touching any store — the randomized differential suite pins
 ``stored payload == serialize(fresh value)`` byte for byte, and the
 store path is exactly ``fresh`` + codec + :class:`ArtifactStore`, so a
-cache hit can never drift from a recomputation.
+cache hit can never drift from a recomputation.  A miss computes from
+a fresh build and writes one row: the CDAG must be built either way,
+so a stored snapshot could save only the compile.
 
 The builder registry (:data:`BUILDERS`) spans the repo's CDAG zoo:
 chains, reduction/broadcast trees, diamonds, d-dimensional stencil
@@ -58,7 +60,6 @@ from ..core.ordering import dfs_schedule_ids, min_liveset_schedule_ids
 from ..evaluation.manifest import canonical_config, dumps_canonical
 from ..pebbling.workloads import component_forest_cdag, star_spill_cdag
 from .codec import (
-    compiled_from_payload,
     json_from_payload,
     schedule_from_payload,
     serialize_compiled,
@@ -77,7 +78,6 @@ __all__ = [
     "bound_spec",
     "fresh_compiled",
     "fresh_compiled_payload",
-    "cached_compiled",
     "cached_compiled_payload",
     "fresh_schedule",
     "cached_schedule",
@@ -327,18 +327,6 @@ def cached_compiled_payload(
     )
 
 
-def cached_compiled(
-    store: ArtifactStore,
-    builder: str,
-    params: Optional[Mapping] = None,
-    seed: int = 0,
-) -> Tuple[CompiledCDAG, bool]:
-    """``(snapshot, was_hit)`` — a hit rehydrates the stored CSR arrays
-    without rebuilding or recompiling the CDAG."""
-    payload, hit = cached_compiled_payload(store, builder, params, seed)
-    return compiled_from_payload(payload), hit
-
-
 # ----------------------------------------------------------------------
 # Schedules
 # ----------------------------------------------------------------------
@@ -347,13 +335,11 @@ def fresh_schedule(
     params: Optional[Mapping] = None,
     seed: int = 0,
     kind: str = "dfs",
-    compiled: Optional[CompiledCDAG] = None,
 ) -> np.ndarray:
     """A schedule id array computed fresh (``kind`` in
     :data:`SCHEDULE_KINDS`)."""
     _check_schedule_kind(kind)
-    c = compiled if compiled is not None \
-        else fresh_compiled(builder, params, seed)
+    c = fresh_compiled(builder, params, seed)
     ids = dfs_schedule_ids(c) if kind == "dfs" \
         else min_liveset_schedule_ids(c)
     return np.asarray(ids, dtype=np.int32)
@@ -366,15 +352,12 @@ def cached_schedule(
     seed: int = 0,
     kind: str = "dfs",
 ) -> Tuple[np.ndarray, bool]:
-    """``(schedule ids, was_hit)``; the underlying compiled snapshot is
-    itself fetched through the store, so a schedule miss on a warm store
-    still skips the CDAG rebuild."""
+    """``(schedule ids, was_hit)``."""
     spec = schedule_spec(builder, params, seed, kind)
 
     def compute() -> bytes:
-        c, _ = cached_compiled(store, builder, params, seed)
         return serialize_schedule(
-            fresh_schedule(builder, params, seed, kind, compiled=c), kind
+            fresh_schedule(builder, params, seed, kind), kind
         )
 
     payload, hit = _get_or_compute(store, "schedule", spec, compute)
@@ -401,7 +384,6 @@ def fresh_bound(
     method: str = "wavefront",
     max_candidates: int = 32,
     u_upper: Optional[float] = None,
-    compiled: Optional[CompiledCDAG] = None,
 ) -> Dict:
     """One lower-bound result as a canonical JSON-safe mapping.
 
@@ -425,8 +407,6 @@ def fresh_bound(
     }
     if method == "wavefront":
         cdag = build_cdag(builder, params, seed)
-        if compiled is not None:
-            cdag.adopt_compiled(compiled)
         bound = automated_wavefront_bound(
             cdag, int(s), max_candidates=int(max_candidates)
         )
@@ -438,8 +418,7 @@ def fresh_bound(
             "max_candidates": int(max_candidates),
         }
     if method == "hong_kung":
-        c = compiled if compiled is not None \
-            else fresh_compiled(builder, params, seed)
+        c = fresh_compiled(builder, params, seed)
         num_ops = c.n - int(c.is_input_mask.sum())
         bound = lower_bound_from_largest_subset(
             int(s), num_ops, float(u_upper)
@@ -480,7 +459,6 @@ def cached_bound(
     )
 
     def compute() -> bytes:
-        c, _ = cached_compiled(store, builder, params, seed)
         return serialize_json(
             fresh_bound(
                 builder,
@@ -490,7 +468,6 @@ def cached_bound(
                 method=method,
                 max_candidates=max_candidates,
                 u_upper=u_upper,
-                compiled=c,
             )
         )
 

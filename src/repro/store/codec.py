@@ -15,8 +15,8 @@ Three artifact families build on it:
 
 * **compiled** — the CSR arrays + id table of a
   :class:`~repro.core.compiled.CompiledCDAG` snapshot
-  (:func:`serialize_compiled` / :func:`compiled_from_payload`, the
-  latter via :meth:`CompiledCDAG.from_arrays`);
+  (:func:`serialize_compiled`; read back only as raw arrays, through
+  :func:`unpack_arrays`);
 * **schedule** — an int32 id array plus its kind;
 * **json** — canonical-JSON values (bound results, spill-game rows).
 """
@@ -36,7 +36,6 @@ __all__ = [
     "pack_arrays",
     "unpack_arrays",
     "serialize_compiled",
-    "compiled_from_payload",
     "serialize_schedule",
     "schedule_from_payload",
     "serialize_json",
@@ -117,20 +116,13 @@ def _vertex_to_json(v):
     return v
 
 
-def _vertex_from_json(v):
-    if isinstance(v, list):
-        return tuple(_vertex_from_json(x) for x in v)
-    return v
-
-
 def serialize_compiled(c: CompiledCDAG) -> bytes:
     """A compiled snapshot as one deterministic payload.
 
     The CSR arrays, degree vectors and input/output masks travel as raw
     arrays; the id -> vertex-name table travels in the JSON header
-    (tuples spelled as lists, reversibly).  Derived caches (topological
-    order, adjacency matrices, the wavefront solver) are *not* stored —
-    they rebuild lazily on the consumer side.
+    (tuples spelled as lists).  Derived caches (topological order,
+    adjacency matrices, the wavefront solver) are *not* stored.
     """
     return pack_arrays(
         {
@@ -150,28 +142,6 @@ def serialize_compiled(c: CompiledCDAG) -> bytes:
             "m": c.m,
             "verts": [_vertex_to_json(v) for v in c._verts],
         },
-    )
-
-
-def compiled_from_payload(payload: bytes) -> CompiledCDAG:
-    """Rehydrate a :func:`serialize_compiled` payload into a snapshot."""
-    arrays, meta = unpack_arrays(payload)
-    if meta.get("artifact") != "compiled":
-        raise ValueError(
-            f"payload is not a compiled snapshot: {meta.get('artifact')!r}"
-        )
-    verts = [_vertex_from_json(v) for v in meta["verts"]]
-    return CompiledCDAG.from_arrays(
-        name=meta["name"],
-        verts=verts,
-        succ_indptr=arrays["succ_indptr"],
-        succ_indices=arrays["succ_indices"],
-        pred_indptr=arrays["pred_indptr"],
-        pred_indices=arrays["pred_indices"],
-        in_degree=arrays["in_degree"],
-        out_degree=arrays["out_degree"],
-        is_input_mask=arrays["is_input_mask"],
-        is_output_mask=arrays["is_output_mask"],
     )
 
 

@@ -6,8 +6,8 @@ tuned for the service workload — many concurrent readers, occasional
 writers, sub-millisecond warm hits:
 
 * **WAL journal** — readers never block the writer and vice versa;
-  safe for many processes sharing one store file (the ``sweep --jobs``
-  and multi-client server paths);
+  safe for many processes sharing one store file (several ``repro
+  serve`` or ``repro cache`` processes, and the multi-client server);
 * **``WITHOUT ROWID`` clustered primary key** — rows are stored in the
   key's B-tree directly, so a point lookup is a single tree descent
   with the payload inline;

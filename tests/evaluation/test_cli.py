@@ -111,6 +111,20 @@ class TestExecution:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "smoke", "--store", "s.db"],
+        ["fleet", "worker", "http://127.0.0.1:1", "--store", "s.db"],
+    ])
+    def test_sweep_and_worker_reject_store_option(self, argv, tmp_path,
+                                                  monkeypatch, capsys):
+        """The store caches answers for ``serve``; sweeps and fleet
+        workers take no store, so ``--store`` is a usage error."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--store" in capsys.readouterr().err
+
     def test_sweep_smoke_resume_and_reproduce(self, tmp_path, capsys):
         """The harness subcommands end to end: sweep a smoke grid,
         resume it (zero cells), reproduce it, derive a bench view."""

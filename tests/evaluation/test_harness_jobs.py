@@ -83,16 +83,6 @@ def test_parallel_matches_sequential_byte_for_byte(tmp_path):
     assert _cell_bytes(tmp_path / "par") == _cell_bytes(tmp_path / "seq")
 
 
-def test_parallel_with_store_matches_too(tmp_path):
-    specs = smoke_grid(seed=0)
-    seq = run_grid(specs, tmp_path / "seq", log=lambda m: None)
-    par = run_grid(specs, tmp_path / "par", jobs=2,
-                   store_path=tmp_path / "store.db", log=lambda m: None)
-    assert not par.failed
-    assert sorted(par.executed) == sorted(seq.executed)
-    assert _cell_bytes(tmp_path / "par") == _cell_bytes(tmp_path / "seq")
-
-
 def test_timeout_terminates_cell_and_leaves_resumable_partial(tmp_path):
     specs = [
         RunSpec("sleepy", {"sleep_s": 60.0}, 0, "sleepy"),

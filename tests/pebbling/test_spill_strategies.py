@@ -144,6 +144,26 @@ class TestParallelBatchedEquivalence:
         assert a.compute_per_processor == b.compute_per_processor
         assert len(b.compute_per_processor) <= nodes * cores
 
+    @pytest.mark.parametrize("regs_extra, cache_extra",
+                             [(2, 3), (1, 1), (2, 2)])
+    def test_spilling_a_victim_keeps_pinned_operands(self, regs_extra,
+                                                     cache_extra,
+                                                     random_dag):
+        """Spilling a register victim makes room in the cache without
+        evicting an operand on its way up to the registers, so every
+        game on a tight one-processor hierarchy is legal and complete
+        (a replay re-checks every rule), on both backends alike."""
+        for seed in range(40):
+            cdag = random_dag(seed, 30)
+            maxd = max(cdag.in_degree(v) for v in cdag.vertices)
+            hierarchy = MemoryHierarchy.cluster(
+                1, 1, maxd + regs_extra, maxd + cache_extra
+            )
+            a = parallel_spill_game(cdag, hierarchy, backend="dict")
+            b = parallel_spill_game(cdag, hierarchy, backend="batched")
+            assert_same_game(a, b)
+            ParallelRBWPebbleGame(cdag, hierarchy).replay(a)
+
     def test_tiny_caches_force_cache_evictions(self):
         """Cache-level make_room (persist via move-down) agrees too."""
         cdag = grid_stencil_cdag((5, 5), 2)

@@ -53,8 +53,8 @@ class TestIntrospection:
         assert stats["requests"]["/v1/bound"] == 2
         store = stats["store"]
         assert store["journal_mode"] == "wal"
-        assert store["entries"] >= 2  # compiled + bound
-        assert store["counters"]["puts"] >= 2
+        assert store["entries"] == 1  # the bound row only
+        assert store["counters"]["puts"] == 1
         assert 0 < store["hit_rate"] <= 1
 
 
@@ -127,6 +127,24 @@ class TestEndpoints:
             status, payload = server.app.handle("POST", path, body)
             assert status == 200 and payload["cached"] is cached
             assert store.get(payload["key"]) is not None
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/bound", {"builder": "chain", "params": {"length": 7}, "s": 2}),
+        ("/v1/schedule", {"builder": "chain", "params": {"length": 7}}),
+    ])
+    def test_derived_miss_leaves_compiled_cold(self, server, path, body):
+        """``cached`` describes only the queried artifact: a bound or
+        schedule miss stores its answer, not the CDAG's snapshot, so the
+        first ``/v1/compiled`` request for that CDAG is a miss too."""
+        status, payload = server.app.handle("POST", path, body)
+        assert status == 200 and payload["cached"] is False
+        assert server.app.store.counters["puts"] == 1
+        status, payload = server.app.handle(
+            "POST", "/v1/compiled",
+            {"builder": "chain", "params": {"length": 7}},
+        )
+        assert status == 200 and payload["cached"] is False
+        assert server.app.store.counters["puts"] == 2
 
     def test_pebble_backends_agree(self, client):
         """Both spill backends answer, as distinct cached specs, with
@@ -289,8 +307,8 @@ class TestConcurrency:
         assert len({r["value"] for r in results}) == 1
         assert len({r["key"] for r in results}) == 1
         counters = server.app.store.counters
-        # one compiled + one bound artifact computed, everyone else hit
-        assert counters["puts"] == 2
+        # one bound artifact computed, everyone else hit
+        assert counters["puts"] == 1
         assert sum(1 for r in results if not r["cached"]) <= 2
 
     def test_two_clients_share_one_store(self, server):

@@ -12,7 +12,6 @@ from repro.store import (
     ArtifactStore,
     artifact_key,
     code_version,
-    compiled_from_payload,
     pack_arrays,
     schedule_from_payload,
     serialize_compiled,
@@ -271,16 +270,22 @@ class TestCodec:
         assert p1 == p2
 
     def test_compiled_payload_roundtrip(self):
+        """The served snapshot carries the whole graph: every CSR array
+        and the id -> vertex table (tuples spelled as lists)."""
         from repro.core.builders import grid_stencil_cdag
 
-        cdag = grid_stencil_cdag((4, 4), 2)
-        c = cdag.compiled()
-        back = compiled_from_payload(serialize_compiled(c))
-        assert back.n == c.n and back.m == c.m
-        assert back._verts == c._verts
-        np.testing.assert_array_equal(back.succ_indptr, c.succ_indptr)
-        np.testing.assert_array_equal(back.succ_indices, c.succ_indices)
-        np.testing.assert_array_equal(back.is_input_mask, c.is_input_mask)
+        def as_json(v):
+            return [as_json(x) for x in v] if isinstance(v, tuple) else v
+
+        c = grid_stencil_cdag((4, 4), 2).compiled()
+        arrays, meta = unpack_arrays(serialize_compiled(c))
+        assert (meta["artifact"], meta["n"], meta["m"]) == ("compiled", c.n,
+                                                           c.m)
+        assert meta["verts"] == [as_json(v) for v in c._verts]
+        for name in ("succ_indptr", "succ_indices", "pred_indptr",
+                     "pred_indices", "in_degree", "out_degree",
+                     "is_input_mask", "is_output_mask"):
+            np.testing.assert_array_equal(arrays[name], getattr(c, name))
 
     def test_schedule_roundtrip(self):
         ids = np.arange(7, dtype=np.int32)[::-1].copy()

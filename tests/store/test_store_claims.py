@@ -42,8 +42,9 @@ def _opening_proc(root, rounds, barrier, queue):
 
 class TestConcurrentFirstOpen:
     def test_processes_opening_one_fresh_file_all_succeed(self, tmp_path):
-        """Sweep cells and fleet workers started with ``--store`` race to
-        open (and so create) the same store file; every open succeeds."""
+        """Several ``repro serve`` or ``repro cache`` processes started
+        on one new path race to open (and so create) the same store
+        file; every open succeeds."""
         nprocs, rounds = 4, 30
         ctx = multiprocessing.get_context("fork")
         barrier, queue = ctx.Barrier(nprocs), ctx.Queue()

@@ -4,9 +4,7 @@ to its freshly computed counterpart.
 The store path is ``fresh_* -> codec -> SQLite``, so this pins the whole
 invariant chain: a warm hit can never drift from a recomputation — not
 across calls, not across store reopenings, not across seeds.  Also pins
-the adoption-safety edge: a CDAG mutated after ``compiled()`` invalidates
-its snapshot, and a stored snapshot that no longer matches the graph is
-rejected and republished rather than silently adopted.
+that a CDAG mutated after ``compiled()`` invalidates its snapshot.
 """
 
 import numpy as np
@@ -14,8 +12,6 @@ import pytest
 
 from repro.store import (
     ArtifactStore,
-    activated,
-    attach_compiled,
     cached_bound,
     cached_compiled_payload,
     cached_schedule,
@@ -159,6 +155,22 @@ class TestDerivedArtifacts:
         assert (hit0, hit1) == (False, True)
         assert cold == warm == fresh_spill(params, seed=2)
 
+    def test_misses_store_answers_only(self, store):
+        """A schedule or bound miss writes its own row and nothing else:
+        no compiled snapshot is stored beside the answer."""
+        grid = ("grid", {"shape": [4, 4], "timesteps": 2})
+        cached_schedule(store, *grid, kind="minlive")
+        cached_bound(store, *grid, s=2)
+        cached_bound(store, *grid, s=2, method="hong_kung", u_upper=40.0)
+        kinds = store.stats()["kinds"]
+        assert {kind: row["entries"] for kind, row in kinds.items()} == {
+            "bound": 2,
+            "schedule": 1,
+        }
+        assert store.counters["puts"] == 3
+        _, hit = cached_compiled_payload(store, *grid)
+        assert hit is False
+
 
 class TestAdoptionSafety:
     def test_mutation_after_compiled_drops_snapshot(self):
@@ -170,53 +182,3 @@ class TestAdoptionSafety:
         cdag.add_edge(("chain", 6), "extra")
         assert cdag.compiled() is not c
         assert cdag.compiled().n == c.n + 1
-
-    def test_mutated_cdag_does_not_reuse_stored_snapshot(self, store):
-        """A CDAG that drifted from the stored artifact must reject the
-        snapshot, recompile, and republish — never adopt stale arrays."""
-        from repro.core.builders import chain_cdag
-
-        with activated(store):
-            base = chain_cdag(6)
-            assert attach_compiled(base, "mut-chain", {"n": 6}) is False
-            # same key, different graph: the stored snapshot must NOT be
-            # adopted...
-            grown = chain_cdag(6)
-            grown.add_vertex("extra")
-            grown.add_edge(("chain", 6), "extra")
-            assert attach_compiled(grown, "mut-chain", {"n": 6}) is False
-            assert grown.compiled().n == 8
-            # ...and the store now holds the republished (grown) version,
-            # so the original graph rejects it too and republishes back.
-            base2 = chain_cdag(6)
-            assert attach_compiled(base2, "mut-chain", {"n": 6}) is False
-            assert base2.compiled().n == 7
-
-    def test_attach_adopts_on_clean_hit(self, store):
-        from repro.core.builders import diamond_cdag
-
-        with activated(store):
-            first = diamond_cdag(3, 3)
-            assert attach_compiled(first, "dia", {"w": 3, "d": 3}) is False
-            second = diamond_cdag(3, 3)
-            assert attach_compiled(second, "dia", {"w": 3, "d": 3}) is True
-            assert second.compiled().n == first.compiled().n
-        # no active store -> no-op
-        third = diamond_cdag(3, 3)
-        assert attach_compiled(third, "dia", {"w": 3, "d": 3}) is False
-
-    def test_adopted_snapshot_produces_identical_payload(self, store):
-        """Serialization of an adopted snapshot is byte-identical to a
-        recompiled one (the invariant run_grid(..., store_path=...)
-        rides on)."""
-        from repro.core.builders import grid_stencil_cdag
-        from repro.store.codec import serialize_compiled
-
-        with activated(store):
-            a = grid_stencil_cdag((4, 4), 2)
-            attach_compiled(a, "g", {"s": [4, 4], "t": 2})
-            b = grid_stencil_cdag((4, 4), 2)
-            assert attach_compiled(b, "g", {"s": [4, 4], "t": 2}) is True
-            assert serialize_compiled(b.compiled()) == serialize_compiled(
-                a.compiled()
-            )

@@ -1,9 +1,11 @@
 """The library runs on its declared dependencies, numpy and scipy.
 
 Every max-flow goes through scipy (``WavefrontSolver``), so loading any
-module of the package must leave networkx out of ``sys.modules``.  The
-probe runs in a fresh interpreter because the test process may already
-hold networkx (hypothesis and pytest plugins are free to load it).
+module of the package must leave networkx out of ``sys.modules``.  A
+sweep runs without the artifact store, so it must not load ``sqlite3``
+or ``repro.store`` either.  The probes run in a fresh interpreter
+because the test process may already hold those modules (hypothesis
+and pytest plugins are free to load networkx).
 """
 
 import json
@@ -22,12 +24,32 @@ for info in pkgutil.iter_modules(repro.__path__, "repro."):
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "networkx")))
 """
 
+SWEEP_PROBE = """
+import json, sys
+from repro.evaluation.harness import run_grid, smoke_grid
+run_grid(smoke_grid(), sys.argv[1], log=lambda m: None)
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("sqlite3", "_sqlite3")
+    or m == "repro.store" or m.startswith("repro.store.")
+)))
+"""
 
-def test_package_imports_without_networkx():
+
+def _loaded_by(probe, *args):
+    """The JSON list a probe prints last, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True,
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True,
         text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_imports_without_networkx():
+    assert _loaded_by(PROBE) == []
+
+
+def test_sweep_loads_no_store_modules(tmp_path):
+    assert _loaded_by(SWEEP_PROBE, str(tmp_path / "results")) == []
