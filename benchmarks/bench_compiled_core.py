@@ -4,7 +4,7 @@ Measures, at three sizes each, the ns/op of the operations that dominate
 every analysis pipeline in the repo — CDAG construction, topological
 ordering, pebble-game replay, the automated wavefront (Lemma 2) bound,
 the columnar move log (ns/move through the full rule-checking engines),
-and the id-space schedulers (ns/scheduled-vertex vs the dict reference) —
+and the id-space schedulers (ns/scheduled-vertex) —
 and records everything into ``BENCH_core.json`` via the shared conftest
 helper.
 
@@ -58,10 +58,8 @@ MAX_CANDIDATES = 8
 #: move counts for the columnar-log pump benches (the 10^6-move P-RBW
 #: game is the acceptance bar and runs in smoke mode too)
 MOVELOG_SIZES = (1_000_000,) if SMOKE else (100_000, 1_000_000)
-#: grid extents for the scheduler benches (the dict reference for
-#: min-live-set is O(V * ready * deg): cap its sizes)
+#: grid extents for the scheduler benches
 SCHED_SIZES = (16,) if SMOKE else (16, 32, 64)
-MINLIVE_DICT_BASELINE_MAX = 32
 #: operation counts for the P-RBW star strategy bench (50 moves/op at
 #: degree 8 — the largest full-mode size is the 10^7-move game; the
 #: smoke size is also measured in full mode so the committed numbers
@@ -132,7 +130,6 @@ def test_bench_topological_order():
         cdag = grid_stencil_cdag((n, n), 2)
 
         def topo_fresh():
-            cdag._topo_cache = None
             cdag._compiled = None
             return cdag.compiled().topological_order_ids()
 
@@ -466,55 +463,31 @@ def test_bench_movelog_spill():
 
 
 def test_bench_schedulers():
-    """ns/scheduled-vertex of the id-space schedulers vs the dict
-    reference (identical schedules, pinned by the equivalence tests)."""
+    """ns/scheduled-vertex of the id-space schedulers (their schedules
+    are pinned to the test references by the equivalence tests)."""
     rows = []
     for n in SCHED_SIZES:
         cdag = grid_stencil_cdag((n, n), 2)
         cdag.compiled()  # schedule cost, not compile cost
         nv = cdag.num_vertices()
         dfs_ns = time_ns_per_op(lambda: dfs_schedule(cdag), repeat=3) / nv
-        dfs_dict_ns = time_ns_per_op(
-            lambda: dfs_schedule(cdag, backend="dict"), repeat=3
-        ) / nv
         record_bench(
             f"sched/dfs_grid2d_{n}",
             ns_per_op=dfs_ns,
-            dict_ns_per_op=dfs_dict_ns,
-            speedup=round(dfs_dict_ns / dfs_ns, 2),
             num_vertices=nv,
         )
         ml_ns = time_ns_per_op(
             lambda: min_liveset_schedule(cdag), repeat=3
         ) / nv
-        extra = {}
-        if n <= MINLIVE_DICT_BASELINE_MAX:
-            ml_dict_ns = time_ns_per_op(
-                lambda: min_liveset_schedule(cdag, backend="dict"), repeat=1
-            ) / nv
-            extra = {
-                "dict_ns_per_op": ml_dict_ns,
-                "speedup": round(ml_dict_ns / ml_ns, 2),
-            }
         record_bench(
             f"sched/minlive_grid2d_{n}",
             ns_per_op=ml_ns,
             num_vertices=nv,
-            **extra,
-        )
-        dict_part = (
-            f"dict={extra['dict_ns_per_op']:8.0f} ({extra['speedup']:.0f}x)"
-            if extra
-            else "dict=  (skipped)"
         )
         rows.append(
-            f"  n={n:3d}  dfs={dfs_ns:6.0f} ns/v (dict {dfs_dict_ns:6.0f})  "
-            f"minlive={ml_ns:7.0f} ns/v {dict_part}"
+            f"  n={n:3d}  dfs={dfs_ns:6.0f} ns/v  minlive={ml_ns:7.0f} ns/v"
         )
-    emit(
-        "Schedulers: id-space vs dict reference (2D grid stencil, T=2)\n"
-        + "\n".join(rows)
-    )
+    emit("Schedulers, id space (2D grid stencil, T=2)\n" + "\n".join(rows))
 
 
 @pytest.mark.bench

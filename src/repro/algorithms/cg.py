@@ -43,7 +43,7 @@ from ..core.trace import TraceContext, TracedArray
 from ..machine.balance import BalanceVerdict, horizontal_condition, vertical_condition
 from ..machine.spec import MachineSpec
 from ..solvers.cg_solver import cg_total_flops
-from ..solvers.grid import Grid
+from ..solvers.grid import Grid, stencil_neighbors
 
 __all__ = [
     "cg_iteration_cdag",
@@ -56,19 +56,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # CDAG constructions
 # ----------------------------------------------------------------------
-def _stencil_neighbors(
-    shape: Tuple[int, ...], idx: Tuple[int, ...]
-) -> List[Tuple[int, ...]]:
-    out = []
-    for axis in range(len(shape)):
-        for sign in (-1, 1):
-            j = list(idx)
-            j[axis] += sign
-            if 0 <= j[axis] < shape[axis]:
-                out.append(tuple(j))
-    return out
-
-
 def cg_iteration_cdag(
     shape: Tuple[int, ...], iterations: int = 1, name: str = "cg"
 ) -> CDAG:
@@ -127,7 +114,7 @@ def cg_iteration_cdag(
             node = ("v", t, g)
             cdag.add_vertex(node)
             cdag.add_edge(prev_p[g], node)
-            for nb in _stencil_neighbors(shape, g):
+            for nb in stencil_neighbors(shape, g):
                 cdag.add_edge(prev_p[nb], node)
             v_vec[g] = node
         # <p, v> reduction
@@ -228,7 +215,7 @@ def traced_cg_cdag(grid: Grid, iterations: int = 1) -> Tuple[np.ndarray, CDAG]:
         out = vec.copy()
         for g in points:
             acc = vec[g] * diag
-            for nb in _stencil_neighbors(shape, g):
+            for nb in stencil_neighbors(shape, g):
                 acc = acc + vec[nb] * off
             out[g] = acc
         return out

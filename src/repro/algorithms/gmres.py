@@ -34,7 +34,7 @@ from ..core.trace import TraceContext, TracedArray
 from ..machine.balance import BalanceVerdict, horizontal_condition, vertical_condition
 from ..machine.spec import MachineSpec
 from ..solvers.gmres_solver import gmres_flops
-from ..solvers.grid import Grid
+from ..solvers.grid import Grid, stencil_neighbors
 
 __all__ = [
     "gmres_iteration_cdag",
@@ -42,19 +42,6 @@ __all__ = [
     "GMRESAnalysis",
     "analyze_gmres",
 ]
-
-
-def _stencil_neighbors(
-    shape: Tuple[int, ...], idx: Tuple[int, ...]
-) -> List[Tuple[int, ...]]:
-    out = []
-    for axis in range(len(shape)):
-        for sign in (-1, 1):
-            j = list(idx)
-            j[axis] += sign
-            if 0 <= j[axis] < shape[axis]:
-                out.append(tuple(j))
-    return out
 
 
 def gmres_iteration_cdag(
@@ -109,7 +96,7 @@ def gmres_iteration_cdag(
             node = ("w", i, g)
             cdag.add_vertex(node)
             cdag.add_edge(v_i[g], node)
-            for nb in _stencil_neighbors(shape, g):
+            for nb in stencil_neighbors(shape, g):
                 cdag.add_edge(v_i[nb], node)
             w[g] = node
         # h_{j,i} = <w, v_j> for j = 0..i
@@ -192,7 +179,7 @@ def traced_gmres_cdag(
         out = vec.copy()
         for g in points:
             acc = vec[g] * diag
-            for nb in _stencil_neighbors(shape, g):
+            for nb in stencil_neighbors(shape, g):
                 acc = acc + vec[nb] * off
             out[g] = acc
         return out

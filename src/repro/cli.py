@@ -601,9 +601,24 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
+
+    A ``ValueError`` or ``OSError`` raised by a command is bad input (a
+    malformed grid file, an out-of-range argument, a missing path): it
+    prints as one ``repro: error: ...`` line on stderr and exits 2, like
+    an argparse usage error.  Any other exception is a bug and keeps its
+    traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except (ValueError, OSError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Dispatch one parsed command line."""
     if args.command == "sweep":
         return _run_sweep(args)
     if args.command == "reproduce":

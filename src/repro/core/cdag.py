@@ -25,15 +25,17 @@ separate from graph structure because the Red-Blue-White game (Section 3)
 allows relabelling vertices as inputs/outputs without changing the graph
 (Theorem 3, "Input/Output (Un)Tagging").
 
-The class stores the graph as plain adjacency dictionaries (successors /
-predecessors).  Analyses that need array algorithms (dominators,
-min-cuts, max-flow) run on its integer-indexed snapshot,
-:meth:`CDAG.compiled` (:mod:`repro.core.compiled`).
+The class is the authoring surface: it stores the graph as plain
+adjacency dictionaries (successors / predecessors) and handles
+construction, tagging, derived sub-CDAGs and adjacency lookups.  Every
+order and traversal query (topological order, acyclicity, ancestors,
+descendants, depth, statistics) is answered by its integer-indexed
+snapshot, :meth:`CDAG.compiled` (:mod:`repro.core.compiled`), as are the
+array algorithms (dominators, min-cuts, max-flow).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -117,8 +119,6 @@ class CDAG:
         "_succ_sets",
         "_inputs",
         "_outputs",
-        "_order",
-        "_topo_cache",
         "_compiled",
         "name",
     )
@@ -139,8 +139,6 @@ class CDAG:
         # means "not built yet" (bulk-constructed CDAGs defer it until the
         # first incremental add_edge).
         self._succ_sets: Optional[Dict[Vertex, Set[Vertex]]] = {}
-        self._order: Dict[Vertex, int] = {}
-        self._topo_cache: Optional[List[Vertex]] = None
         self._compiled = None
         self.name = name
 
@@ -168,8 +166,6 @@ class CDAG:
             self._pred[v] = []
             if self._succ_sets is not None:
                 self._succ_sets[v] = set()
-            self._order[v] = len(self._order)
-            self._topo_cache = None
             self._compiled = None
 
     def add_vertex(self, v: Vertex) -> Vertex:
@@ -196,7 +192,6 @@ class CDAG:
             uset.add(v)
             self._succ[u].append(v)
             self._pred[v].append(u)
-            self._topo_cache = None
             self._compiled = None
 
     def tag_input(self, v: Vertex) -> None:
@@ -291,8 +286,6 @@ class CDAG:
         self._succ = succ
         self._pred = pred
         self._succ_sets = None
-        self._order = {v: i for i, v in enumerate(succ)}
-        self._topo_cache = None
         self._compiled = None
         self.name = name
         self._inputs = set()
@@ -400,77 +393,31 @@ class CDAG:
     # Orders and traversal
     # ------------------------------------------------------------------
     def topological_order(self) -> List[Vertex]:
-        """Return one topological order (Kahn's algorithm, deterministic).
-
-        The order is cached; mutating the CDAG invalidates the cache.
-        """
-        if self._topo_cache is not None:
-            return list(self._topo_cache)
-        indeg = {v: len(self._pred[v]) for v in self._succ}
-        ready = deque(sorted((v for v, d in indeg.items() if d == 0),
-                             key=self._order.__getitem__))
-        order: List[Vertex] = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for w in self._succ[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        if len(order) != len(self._succ):
-            raise CycleError("graph contains a directed cycle")
-        self._topo_cache = order
-        return list(order)
+        """One topological order (Kahn's algorithm, insertion-order
+        tie-break), from the compiled snapshot's cached order."""
+        return self.compiled().topological_order()
 
     def is_acyclic(self) -> bool:
         """True if the edge set is acyclic."""
         try:
-            self.topological_order()
+            self.compiled().topological_order_ids()
             return True
         except CycleError:
             return False
 
     def ancestors(self, v: Vertex) -> Set[Vertex]:
         """All strict ancestors of ``v`` (vertices with a path to ``v``)."""
-        seen: Set[Vertex] = set()
-        stack = list(self._pred[v])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._pred[u])
-        return seen
+        c = self.compiled()
+        return set(c.vertices_of(c.ancestors_ids(c.id(v)).tolist()))
 
     def descendants(self, v: Vertex) -> Set[Vertex]:
         """All strict descendants of ``v``."""
-        seen: Set[Vertex] = set()
-        stack = list(self._succ[v])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._succ[u])
-        return seen
-
-    def reachable_from(self, sources: Iterable[Vertex]) -> Set[Vertex]:
-        """All vertices reachable from ``sources`` (inclusive)."""
-        seen: Set[Vertex] = set()
-        stack = list(sources)
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._succ[u])
-        return seen
+        c = self.compiled()
+        return set(c.vertices_of(c.descendants_ids(c.id(v)).tolist()))
 
     def depth(self) -> int:
         """Length (number of vertices) of the longest path in the CDAG."""
-        longest = {v: 1 for v in self._succ}
-        for v in self.topological_order():
-            for w in self._succ[v]:
-                if longest[v] + 1 > longest[w]:
-                    longest[w] = longest[v] + 1
-        return max(longest.values()) if longest else 0
+        return self.compiled().depth()
 
     # ------------------------------------------------------------------
     # Validation
@@ -485,13 +432,13 @@ class CDAG:
             Definition 2: every source vertex must be an input and every
             sink vertex must be an output.
         """
-        self.topological_order()  # raises CycleError on cycles
         for v in self._inputs:
             if v not in self._succ:
                 raise CDAGError(f"input {v!r} is not a vertex")
         for v in self._outputs:
             if v not in self._succ:
                 raise CDAGError(f"output {v!r} is not a vertex")
+        self.compiled().topological_order_ids()  # CycleError on cycles
         if hong_kung:
             for v in self.sources():
                 if v not in self._inputs:
@@ -508,18 +455,7 @@ class CDAG:
 
     def stats(self) -> _Stats:
         """Return summary statistics for reports and sanity checks."""
-        return _Stats(
-            num_vertices=self.num_vertices(),
-            num_edges=self.num_edges(),
-            num_inputs=len(self._inputs),
-            num_outputs=len(self._outputs),
-            num_operations=self.num_vertices() - len(self._inputs),
-            max_in_degree=max((len(p) for p in self._pred.values()), default=0),
-            max_out_degree=max((len(s) for s in self._succ.values()), default=0),
-            num_sources=len(self.sources()),
-            num_sinks=len(self.sinks()),
-            depth=self.depth(),
-        )
+        return self.compiled().stats()
 
     # ------------------------------------------------------------------
     # Derived CDAGs

@@ -19,6 +19,11 @@ construction and the wavefront min-cuts.
 * the topological order is computed once and cached;
 * an ``id <-> vertex`` table converts at the API boundary only.
 
+It is the one runtime implementation of the CDAG's order and traversal
+queries: :class:`~repro.core.cdag.CDAG`'s ``topological_order``,
+``is_acyclic``, ``validate`` cycle check, ``ancestors``,
+``descendants``, ``depth`` and ``stats`` delegate here.
+
 Instances are obtained via the cached :meth:`repro.core.cdag.CDAG.compiled`
 accessor; any mutation of the source CDAG (new vertex/edge, re-tagging)
 invalidates the cache, so holding on to a compiled view across mutations
@@ -200,32 +205,30 @@ class CompiledCDAG:
             ]
         return self._pred_lists
 
-    def sources_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.in_degree == 0)
-
-    def sinks_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.out_degree == 0)
-
     # ------------------------------------------------------------------
     # Topological order (cached)
     # ------------------------------------------------------------------
     def topological_order_ids(self) -> np.ndarray:
         """One topological order of vertex ids (Kahn, id tie-break).
 
-        Matches the dict backend's order exactly: ids are insertion order
-        and the ready queue is FIFO-seeded in ascending id.
+        Ids are insertion order and the ready queue is FIFO-seeded in
+        ascending id, so the order matches the insertion-order Kahn sort
+        kept as the test reference (``tests/core/reference_graph.py``).
+        Walks the flat CSR lists rather than :attr:`succ_lists`, so
+        engine validation does not build the per-vertex list mirror.
         """
         if self._topo_ids is not None:
             return self._topo_ids
         indeg = self.in_degree.tolist()
-        succ_lists = self.succ_lists
+        flat = self.succ_indices.tolist()
+        ptr = self.succ_indptr.tolist()
         ready = deque(i for i in range(self.n) if indeg[i] == 0)
         order: List[int] = []
         append = order.append
         while ready:
             i = ready.popleft()
             append(i)
-            for w in succ_lists[i]:
+            for w in flat[ptr[i] : ptr[i + 1]]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     ready.append(w)
@@ -288,16 +291,7 @@ class CompiledCDAG:
     # ------------------------------------------------------------------
     def depth(self) -> int:
         """Number of vertices on the longest path."""
-        if self.n == 0:
-            return 0
-        longest = [1] * self.n
-        succ_lists = self.succ_lists
-        for i in self.topological_order_ids().tolist():
-            li = longest[i] + 1
-            for w in succ_lists[i]:
-                if li > longest[w]:
-                    longest[w] = li
-        return max(longest)
+        return int(self.layers().max()) + 1 if self.n else 0
 
     def layers(self) -> np.ndarray:
         """Longest-path layer (distance from the sources) of every vertex."""
@@ -311,7 +305,7 @@ class CompiledCDAG:
         return np.asarray(layer, dtype=np.int64)
 
     def stats(self):
-        """Summary statistics matching :meth:`CDAG.stats` field-for-field."""
+        """Summary statistics (returned by :meth:`CDAG.stats`)."""
         from .cdag import _Stats  # deferred: avoid import cycle
 
         return _Stats(

@@ -24,14 +24,13 @@ memory-pressure characteristics:
   blocked schedules of the algorithm modules).
 
 The DFS and min-live-set generators run on the compiled integer-indexed
-backend (:meth:`CDAG.compiled`) by default: :func:`dfs_schedule_ids` and
+snapshot (:meth:`CDAG.compiled`): :func:`dfs_schedule_ids` and
 :func:`min_liveset_schedule_ids` walk plain-``int`` adjacency lists and
-the vertex-space wrappers convert ids back to names once at the end.  The
-seed's dict-backend implementations are kept, bit-for-bit equivalent, as
-the reference semantics — select them with ``backend="dict"`` (the
-equivalence tests pin both paths to identical schedules on randomized
-CDAGs).  :func:`validate_schedule` checks the edge partial order
-vectorized over the compiled CSR arrays.
+the vertex-space wrappers convert ids back to names once at the end.
+Their dict-of-names reference implementations live in the test suite
+(``tests/core/reference_graph.py``), and the equivalence tests pin both
+to identical schedules on randomized CDAGs.  :func:`validate_schedule`
+checks the edge partial order vectorized over the compiled CSR arrays.
 
 Usage example (doctest)::
 
@@ -43,10 +42,6 @@ Usage example (doctest)::
     >>> validate_schedule(cdag, sched)  # raises CDAGError if not a valid order
     >>> sched[:3]
     [('dmd', 0, 0), ('dmd', 0, 1), ('dmd', 1, 0)]
-    >>> sched == min_liveset_schedule(cdag, backend="dict")
-    True
-    >>> dfs_schedule(cdag) == dfs_schedule(cdag, backend="dict")
-    True
     >>> c = cdag.compiled()             # the id-space variants
     >>> from repro.core.ordering import dfs_schedule_ids
     >>> c.vertices_of(dfs_schedule_ids(c)) == dfs_schedule(cdag)
@@ -56,7 +51,7 @@ Usage example (doctest)::
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -171,62 +166,17 @@ def dfs_schedule_ids(
     return schedule
 
 
-def dfs_schedule(
-    cdag: CDAG, reverse_roots: bool = False, backend: str = "compiled"
-) -> List[Vertex]:
+def dfs_schedule(cdag: CDAG, reverse_roots: bool = False) -> List[Vertex]:
     """Depth-first schedule.
 
     Performs an iterative DFS from the source vertices, emitting a vertex
     as soon as all its predecessors have been emitted.  For tree- and
     chain-like CDAGs this tends to keep the live set small because whole
-    subtrees are finished before moving on.
-
-    ``backend="compiled"`` (default) runs :func:`dfs_schedule_ids` on the
-    integer-indexed backend; ``backend="dict"`` runs the seed's
-    dict-backend reference implementation.  Both produce the identical
-    schedule — ids are insertion order, so every tie-break matches.
+    subtrees are finished before moving on.  Runs
+    :func:`dfs_schedule_ids` on the compiled snapshot.
     """
-    if backend == "dict":
-        return _dfs_schedule_dict(cdag, reverse_roots)
-    if backend != "compiled":
-        raise ValueError(f"unknown backend {backend!r}")
     c = cdag.compiled()
     return c.vertices_of(dfs_schedule_ids(c, reverse_roots))
-
-
-def _dfs_schedule_dict(
-    cdag: CDAG, reverse_roots: bool = False
-) -> List[Vertex]:
-    """Reference dict-backend DFS schedule (seed implementation)."""
-    emitted: Set[Vertex] = set()
-    remaining_preds: Dict[Vertex, int] = {
-        v: cdag.in_degree(v) for v in cdag.vertices
-    }
-    roots = [v for v in cdag.vertices if remaining_preds[v] == 0]
-    if reverse_roots:
-        roots = list(reversed(roots))
-    schedule: List[Vertex] = []
-    stack: List[Vertex] = list(reversed(roots))
-    queued: Set[Vertex] = set(roots)
-    while stack:
-        v = stack.pop()
-        if v in emitted:
-            continue
-        if remaining_preds[v] > 0:
-            # Not ready yet; it will be re-pushed when its last
-            # predecessor fires.
-            queued.discard(v)
-            continue
-        emitted.add(v)
-        schedule.append(v)
-        for w in reversed(cdag.successors(v)):
-            remaining_preds[w] -= 1
-            if remaining_preds[w] == 0 and w not in emitted:
-                stack.append(w)
-                queued.add(w)
-    if len(schedule) != cdag.num_vertices():
-        raise CDAGError("graph contains a directed cycle")
-    return schedule
 
 
 # ======================================================================
@@ -236,7 +186,7 @@ def min_liveset_schedule_ids(c: CompiledCDAG) -> List[int]:
     """Greedy minimum-live-set schedule in id space (see
     :func:`min_liveset_schedule`).
 
-    Same greedy rule as the dict reference: among ready vertices fire the
+    Same greedy rule as the test reference: among ready vertices fire the
     one minimizing the live-set delta, ties broken by insertion order —
     which in id space is simply the id itself.
 
@@ -299,9 +249,7 @@ def min_liveset_schedule_ids(c: CompiledCDAG) -> List[int]:
     return schedule
 
 
-def min_liveset_schedule(
-    cdag: CDAG, backend: str = "compiled"
-) -> List[Vertex]:
+def min_liveset_schedule(cdag: CDAG) -> List[Vertex]:
     """Greedy minimum-live-set schedule.
 
     At each step, among ready vertices, fire the one whose firing leads to
@@ -312,55 +260,11 @@ def min_liveset_schedule(
     This is a heuristic (the problem of minimizing the peak live set is
     NP-hard in general — it is equivalent to one-shot pebbling), but it
     gives good upper bounds on ``w_max`` for the structured CDAGs used in
-    the evaluation and drives the spill-based upper-bound games.
-
-    ``backend="compiled"`` (default) runs
-    :func:`min_liveset_schedule_ids`; ``backend="dict"`` runs the seed's
-    reference implementation.  Both produce the identical schedule.
+    the evaluation and drives the spill-based upper-bound games.  Runs
+    :func:`min_liveset_schedule_ids` on the compiled snapshot.
     """
-    if backend == "dict":
-        return _min_liveset_schedule_dict(cdag)
-    if backend != "compiled":
-        raise ValueError(f"unknown backend {backend!r}")
     c = cdag.compiled()
     return c.vertices_of(min_liveset_schedule_ids(c))
-
-
-def _min_liveset_schedule_dict(cdag: CDAG) -> List[Vertex]:
-    """Reference dict-backend min-live-set schedule (seed implementation)."""
-    remaining_succ: Dict[Vertex, int] = {
-        v: cdag.out_degree(v) for v in cdag.vertices
-    }
-    remaining_pred: Dict[Vertex, int] = {
-        v: cdag.in_degree(v) for v in cdag.vertices
-    }
-    order_index = {v: i for i, v in enumerate(cdag.vertices)}
-    ready: List[Vertex] = [v for v in cdag.vertices if remaining_pred[v] == 0]
-    fired: Set[Vertex] = set()
-    schedule: List[Vertex] = []
-
-    def delta(v: Vertex) -> int:
-        """Net change in live-set size caused by firing v."""
-        d = 1 if remaining_succ[v] > 0 else 0
-        for p in cdag.predecessors(v):
-            if remaining_succ[p] == 1:  # v is p's last unfired successor
-                d -= 1
-        return d
-
-    while ready:
-        ready.sort(key=lambda v: (delta(v), order_index[v]))
-        v = ready.pop(0)
-        fired.add(v)
-        schedule.append(v)
-        for p in cdag.predecessors(v):
-            remaining_succ[p] -= 1
-        for w in cdag.successors(v):
-            remaining_pred[w] -= 1
-            if remaining_pred[w] == 0:
-                ready.append(w)
-    if len(schedule) != cdag.num_vertices():
-        raise CDAGError("graph contains a directed cycle")
-    return schedule
 
 
 # ======================================================================
@@ -375,8 +279,8 @@ def priority_schedule(
     blocked/tiled schedules of the algorithm modules (e.g. tile-by-tile
     Jacobi) are expressed: the key encodes the tile index so that a whole
     tile is finished before the next one starts.  (The key runs on vertex
-    *names* by design — tiling keys are name-structured — so this stays on
-    the dict backend.)
+    *names* by design — tiling keys are name-structured — so this walks
+    the CDAG's own name adjacency.)
     """
     counter = 0
     remaining_pred: Dict[Vertex, int] = {

@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .cdag import CDAG, CDAGError, Vertex
 from .properties import in_set, minimal_dominator_size, minimum_set, out_set
 
@@ -231,66 +233,39 @@ def partition_from_game(cdag: CDAG, moves, s: int) -> SPartition:
         The move sequence of a complete game: a
         :class:`~repro.pebbling.state.GameRecord`, its columnar
         :class:`~repro.pebbling.state.MoveLog` (``record.moves``), or any
-        iterable of :class:`~repro.pebbling.state.Move` objects.  A log
-        bound to ``cdag``'s compiled backend is sliced into phases
-        *vectorized* over the opcode column; the per-``Move`` loop is kept
-        as the reference path for arbitrary iterables.
+        iterable of :class:`~repro.pebbling.state.Move` objects.  Anything
+        but a log bound to ``cdag``'s compiled snapshot is transcoded into
+        one first (:func:`~repro.pebbling.state.bound_log`; an unknown
+        vertex raises :class:`~repro.pebbling.state.GameError`), and the
+        phases are sliced vectorized over the opcode column.
     s:
         The number of red pebbles the game used.
     """
-    # local imports to avoid a core <-> pebbling cycle
-    from ..pebbling.state import (
-        OP_COMPUTE,
-        OP_LOAD,
-        OP_STORE,
-        GameRecord,
-        MoveKind,
-        MoveLog,
+    # local import to avoid a core <-> pebbling cycle
+    from ..pebbling.state import OP_COMPUTE, OP_LOAD, OP_STORE, bound_log
+
+    c = cdag.compiled()
+    log = bound_log(moves, c)
+    verts = c._verts
+    by_phase: Dict[int, Set[Vertex]] = {}
+    # Number of I/O moves strictly before each move; the phase of a
+    # compute is how many times the "(S+1)-th I/O closes the phase" rule
+    # has fired before it.  Chunk at a time (spilled logs stay
+    # memory-flat, and only the opcode + vertex-id column files are paged
+    # in): ``io_seen`` carries the count across chunks.
+    io_seen = 0
+    for kinds, vids in log.select_columns("kinds", "vertex_ids"):
+        io_mask = (kinds == OP_LOAD) | (kinds == OP_STORE)
+        io_before = io_seen + np.cumsum(io_mask) - io_mask
+        compute_mask = kinds == OP_COMPUTE
+        phases = np.maximum(0, (io_before[compute_mask] - 1) // s)
+        fired = vids[compute_mask]
+        for ph, vid in zip(phases.tolist(), fired.tolist()):
+            by_phase.setdefault(ph, set()).add(verts[vid])
+        io_seen += int(io_mask.sum())
+    return SPartition(
+        subsets=[by_phase[ph] for ph in sorted(by_phase)], s=2 * s
     )
-
-    log = moves.log if isinstance(moves, GameRecord) else moves
-    if isinstance(log, MoveLog) and log.is_bound_to(cdag.compiled()):
-        import numpy as np
-
-        c = cdag.compiled()
-        verts = c._verts
-        by_phase: Dict[int, Set[Vertex]] = {}
-        # Number of I/O moves strictly before each move; the phase of a
-        # compute is how many times the "(S+1)-th I/O closes the phase"
-        # rule has fired before it.  Chunk at a time (spilled logs stay
-        # memory-flat, and only the opcode + vertex-id column files are
-        # paged in): ``io_seen`` carries the count across chunks.
-        io_seen = 0
-        for kinds, vids in log.select_columns("kinds", "vertex_ids"):
-            io_mask = (kinds == OP_LOAD) | (kinds == OP_STORE)
-            io_before = io_seen + np.cumsum(io_mask) - io_mask
-            compute_mask = kinds == OP_COMPUTE
-            phases = np.maximum(0, (io_before[compute_mask] - 1) // s)
-            fired = vids[compute_mask]
-            for ph, vid in zip(phases.tolist(), fired.tolist()):
-                by_phase.setdefault(ph, set()).add(verts[vid])
-            io_seen += int(io_mask.sum())
-        return SPartition(
-            subsets=[by_phase[ph] for ph in sorted(by_phase)], s=2 * s
-        )
-
-    subsets: List[Set[Vertex]] = []
-    current: Set[Vertex] = set()
-    io_in_phase = 0
-    for move in log:
-        if move.kind in (MoveKind.LOAD, MoveKind.STORE):
-            if io_in_phase >= s:
-                # close the phase before admitting the (S+1)-th I/O
-                if current:
-                    subsets.append(current)
-                    current = set()
-                io_in_phase = 0
-            io_in_phase += 1
-        elif move.kind == MoveKind.COMPUTE:
-            current.add(move.vertex)
-    if current:
-        subsets.append(current)
-    return SPartition(subsets=subsets, s=2 * s)
 
 
 def partition_from_schedule(

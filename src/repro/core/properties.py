@@ -42,6 +42,7 @@ from scipy.sparse.csgraph import maximum_flow as _maximum_flow
 
 from .cdag import CDAG, CDAGError, Vertex
 from .compiled import CompiledCDAG
+from .ordering import validate_schedule
 
 __all__ = [
     "in_set",
@@ -274,8 +275,9 @@ def convex_cut_for_vertex(
     if x not in cdag:
         raise CDAGError(f"unknown vertex {x!r}")
     s_side: Set[Vertex] = {x} | cdag.ancestors(x)
+    below_x = cdag.descendants(x)
     for v in extra_in_s:
-        if v in cdag.descendants(x):
+        if v in below_x:
             raise CDAGError(
                 f"cannot place descendant {v!r} of {x!r} on the S side"
             )
@@ -506,30 +508,26 @@ def schedule_wavefronts(
     that still have an unfired successor.  This is the live-value count —
     the minimum fast-memory footprint of that schedule at that instant.
 
-    Runs in ``O(|V| + |E|)`` using remaining-successor counters.
+    Runs in ``O(|V| + |E|)`` using remaining-successor counters, after
+    :func:`~repro.core.ordering.validate_schedule` checks the order.
     """
-    position = {v: i for i, v in enumerate(schedule)}
-    if len(position) != cdag.num_vertices():
-        raise CDAGError("schedule must contain every vertex exactly once")
-    for u, v in cdag.edges():
-        if position[u] > position[v]:
-            raise CDAGError(
-                f"schedule violates dependence {u!r} -> {v!r}"
-            )
-    remaining = {v: cdag.out_degree(v) for v in cdag.vertices}
-    live: Set[Vertex] = set()
+    validate_schedule(cdag, schedule)
+    c = cdag.compiled()
+    remaining = c.out_degree.tolist()
+    pred_lists = c.pred_lists
+    live = 0
     sizes: List[int] = []
-    for v in schedule:
+    for v in c.ids_of(schedule):
         # v has just fired; it is live if it has any unfired successor.
-        if remaining[v] > 0:
-            live.add(v)
+        v_live = remaining[v] > 0
+        live += v_live
         # firing v may retire some predecessors
-        for p in cdag.predecessors(v):
+        for p in pred_lists[v]:
             remaining[p] -= 1
             if remaining[p] == 0:
-                live.discard(p)
+                live -= 1
         # the wavefront at the instant v fires includes v itself
-        sizes.append(len(live | {v}))
+        sizes.append(live if v_live else live + 1)
     return sizes
 
 

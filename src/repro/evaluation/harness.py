@@ -405,16 +405,31 @@ GRIDS: Dict[str, Callable[[int], List[RunSpec]]] = {
 def load_grid_file(path: Path, seed: int = 0) -> List[RunSpec]:
     """A grid from a JSON file: a list of ``{"experiment": ...,
     "params": {...}, "seed": ..., "label": ...}`` cell objects (params,
-    seed and label optional)."""
-    cells = json.loads(Path(path).read_text())
+    seed and label optional).  A malformed file or cell raises
+    ``ValueError`` naming the file and the cell index."""
+    try:
+        cells = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"grid file {path} is not JSON: {exc}") from None
     if not isinstance(cells, list):
         raise ValueError(f"grid file {path} must contain a JSON list")
     specs = []
     for i, cell in enumerate(cells):
+        where = f"grid file {path}, cell {i}"
+        if not isinstance(cell, dict):
+            raise ValueError(f"{where} is not a JSON object")
+        if not isinstance(cell.get("experiment"), str):
+            raise ValueError(f"{where} has no string 'experiment'")
+        if not isinstance(cell.get("params", {}), dict):
+            raise ValueError(f"{where} has non-object 'params'")
+        try:
+            cell_seed = int(cell.get("seed", seed))
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} has a non-integer 'seed'") from None
         spec = make_spec(
             cell["experiment"],
             cell.get("params"),
-            seed=int(cell.get("seed", seed)),
+            seed=cell_seed,
             label=cell.get("label"),
         )
         if "label" not in cell and spec.experiment == "spill":

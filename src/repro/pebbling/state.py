@@ -81,6 +81,7 @@ __all__ = [
     "CapacityError",
     "VertexSetView",
     "CompiledEngineMixin",
+    "bound_log",
     "OP_LOAD",
     "OP_STORE",
     "OP_COMPUTE",
@@ -232,25 +233,6 @@ class CompiledEngineMixin:
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
-    def _bound_log(self, moves) -> "MoveLog":
-        """``moves`` as a log bound to this engine's compiled CDAG.  A
-        bound log passes through; anything else (``Move`` iterables,
-        unbound logs) is transcoded once into id columns, and an unknown
-        vertex raises :class:`GameError`."""
-        log = moves.log if isinstance(moves, GameRecord) else moves
-        if isinstance(log, MoveLog) and log.is_bound_to(self._c):
-            return log
-        bound = MoveLog(compiled=self._c)
-        append = bound.append_ids
-        for move in log:
-            append(
-                _CODE_OF_KIND[move.kind],
-                self._id(move.vertex),
-                encode_instance(move.location),
-                encode_instance(move.source),
-            )
-        return bound
-
     def _replay(self, moves) -> "GameRecord":
         """The one replay loop behind every engine's ``replay``.
 
@@ -261,7 +243,7 @@ class CompiledEngineMixin:
         replayed locations/sources must equal the logged ones.
         """
         self.reset()
-        log = self._bound_log(moves)
+        log = bound_log(moves, self._c)
         if not self._bulk_replay(log):
             steps = self._replay_steps()
             nsteps = len(steps)
@@ -384,6 +366,36 @@ def _check_replayed_instances(given: "MoveLog", replayed: "MoveLog") -> None:
             )
         got = got[:, n:]
         row += n
+
+
+def bound_log(moves, compiled) -> "MoveLog":
+    """``moves`` as a log bound to ``compiled``, the one transcoder behind
+    every engine's replay and
+    :func:`~repro.core.partition.partition_from_game`.
+
+    ``moves`` is a :class:`GameRecord`, a :class:`MoveLog` or an iterable
+    of :class:`Move`.  A log bound to ``compiled`` passes through; anything
+    else (``Move`` iterables, unbound or foreign logs) is transcoded once
+    into id columns, and an unknown vertex raises :class:`GameError`.
+    """
+    log = moves.log if isinstance(moves, GameRecord) else moves
+    if isinstance(log, MoveLog) and log.is_bound_to(compiled):
+        return log
+    bound = MoveLog(compiled=compiled)
+    append = bound.append_ids
+    index = compiled._index
+    for move in log:
+        try:
+            vid = index[move.vertex]
+        except KeyError:
+            raise GameError(f"unknown vertex {move.vertex!r}") from None
+        append(
+            _CODE_OF_KIND[move.kind],
+            vid,
+            encode_instance(move.location),
+            encode_instance(move.source),
+        )
+    return bound
 
 
 @dataclass(frozen=True)

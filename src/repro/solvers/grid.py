@@ -34,7 +34,22 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Grid"]
+__all__ = ["Grid", "stencil_neighbors"]
+
+
+def stencil_neighbors(
+    shape: Sequence[int], idx: Sequence[int]
+) -> List[Tuple[int, ...]]:
+    """Interior axis neighbours (±1 along each dimension) of the point
+    ``idx`` of a grid of extents ``shape``, axis by axis, minus first."""
+    out: List[Tuple[int, ...]] = []
+    for axis in range(len(shape)):
+        for sign in (-1, 1):
+            j = list(idx)
+            j[axis] += sign
+            if 0 <= j[axis] < shape[axis]:
+                out.append(tuple(j))
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,15 +124,7 @@ class Grid:
 
     def neighbors(self, idx: Sequence[int]) -> List[Tuple[int, ...]]:
         """Interior axis neighbours (±1 along each dimension) of a point."""
-        idx = tuple(idx)
-        out: List[Tuple[int, ...]] = []
-        for axis in range(self.ndim):
-            for sign in (-1, 1):
-                j = list(idx)
-                j[axis] += sign
-                if 0 <= j[axis] < self.shape[axis]:
-                    out.append(tuple(j))
-        return out
+        return stencil_neighbors(self.shape, idx)
 
     def coordinates(self, idx: Sequence[int]) -> Tuple[float, ...]:
         """Physical coordinates of an interior point (boundary at 0 and 1)."""

@@ -17,6 +17,8 @@ from repro.core import (
     validate_schedule,
 )
 
+import reference_graph as reference
+
 
 ALL_SCHEDULERS = [topological_schedule, dfs_schedule, min_liveset_schedule]
 
@@ -86,21 +88,22 @@ class TestDFSSchedule:
 
 class TestIdSpaceSchedulersMatchDictReference:
     """The compiled id-space schedulers are pinned, schedule-for-schedule,
-    to the seed dict-backend implementations (same traces)."""
+    to the dict-of-names reference schedulers in ``reference_graph.py``
+    (same traces)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_dfs_equivalence_on_random_cdags(self, seed, random_dag):
         cdag = random_dag(seed, 60, extra_edge_prob=0.2)
-        assert dfs_schedule(cdag) == dfs_schedule(cdag, backend="dict")
-        assert dfs_schedule(cdag, reverse_roots=True) == dfs_schedule(
-            cdag, reverse_roots=True, backend="dict"
+        assert dfs_schedule(cdag) == reference.dfs_schedule(cdag)
+        assert dfs_schedule(cdag, reverse_roots=True) == (
+            reference.dfs_schedule(cdag, reverse_roots=True)
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_min_liveset_equivalence_on_random_cdags(self, seed, random_dag):
         cdag = random_dag(seed, 60, extra_edge_prob=0.2)
-        assert min_liveset_schedule(cdag) == min_liveset_schedule(
-            cdag, backend="dict"
+        assert min_liveset_schedule(cdag) == (
+            reference.min_liveset_schedule(cdag)
         )
 
     @pytest.mark.parametrize(
@@ -114,9 +117,9 @@ class TestIdSpaceSchedulersMatchDictReference:
     )
     def test_equivalence_on_structured_builders(self, cdag_factory):
         cdag = cdag_factory()
-        assert dfs_schedule(cdag) == dfs_schedule(cdag, backend="dict")
-        assert min_liveset_schedule(cdag) == min_liveset_schedule(
-            cdag, backend="dict"
+        assert dfs_schedule(cdag) == reference.dfs_schedule(cdag)
+        assert min_liveset_schedule(cdag) == (
+            reference.min_liveset_schedule(cdag)
         )
 
     def test_id_variants_return_ids(self):
@@ -126,13 +129,6 @@ class TestIdSpaceSchedulersMatchDictReference:
         assert c.vertices_of(min_liveset_schedule_ids(c)) == (
             min_liveset_schedule(cdag)
         )
-
-    def test_unknown_backend_rejected(self):
-        cdag = chain_cdag(3)
-        with pytest.raises(ValueError):
-            dfs_schedule(cdag, backend="networkx")
-        with pytest.raises(ValueError):
-            min_liveset_schedule(cdag, backend="networkx")
 
     def test_validate_schedule_rejects_unknown_vertex(self):
         cdag = chain_cdag(2)

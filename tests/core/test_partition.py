@@ -1,5 +1,6 @@
 """Unit tests for S-partition construction and validation."""
 
+import pytest
 
 from repro.core import (
     SPartition,
@@ -11,10 +12,12 @@ from repro.core import (
     largest_admissible_subset,
     min_liveset_schedule,
     outer_product_cdag,
+    partition_from_game,
     partition_from_schedule,
     reduction_tree_cdag,
     topological_schedule,
 )
+from repro.pebbling import GameError, Move, MoveKind
 
 
 class TestSPartitionContainer:
@@ -116,6 +119,16 @@ class TestPartitionFromSchedule:
                       min_liveset_schedule(small_diamond)):
             part = partition_from_schedule(small_diamond, sched, 3)
             assert check_rbw_partition(small_diamond, part) == []
+
+
+class TestPartitionFromGame:
+    def test_unknown_vertex_in_moves_raises(self, small_chain):
+        """``Move`` lists go through the engines' transcoder, so a
+        vertex outside the CDAG is a ``GameError``, not a subset."""
+        with pytest.raises(GameError, match="unknown vertex"):
+            partition_from_game(
+                small_chain, [Move(MoveKind.COMPUTE, ("nope", 9))], 2
+            )
 
 
 class TestLargestAdmissibleSubset:

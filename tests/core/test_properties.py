@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     CDAG,
+    CDAGError,
     chain_cdag,
     convex_cut_for_vertex,
     dense_layer_cdag,
@@ -199,3 +200,10 @@ class TestScheduleWavefronts:
         c = chain_cdag(3)
         with pytest.raises(Exception):
             schedule_wavefronts(c, [("chain", 0)])
+
+    def test_unknown_vertex_rejected(self):
+        """A full-length schedule naming a foreign vertex is a
+        ``CDAGError``, not a bare ``KeyError``."""
+        c = chain_cdag(2)
+        with pytest.raises(CDAGError, match="unknown vertex"):
+            schedule_wavefronts(c, [("chain", 0), ("chain", 1), ("nope", 9)])

@@ -180,6 +180,38 @@ class TestExecution:
         assert sorted(tmp_path.rglob("*")) == before
         assert (outside / "keep.txt").read_text() == "keep"
 
+    @pytest.mark.parametrize("argv, grid", [
+        (["sweep", "--grid-file", "missing.json"], None),
+        (["sweep", "--grid-file", "grid.json"], "not json"),
+        (["sweep", "--grid-file", "grid.json"], "[1]"),
+        (["sweep", "--grid-file", "grid.json"], '[{"params": {}}]'),
+        (["sweep", "--grid-file", "grid.json"],
+         '[{"experiment": "e1", "params": "x"}]'),
+        (["sweep", "--jobs", "0", "--grid", "smoke"], None),
+        (["spill", "--workload", "chains", "--red", "0"], None),
+    ], ids=["missing-file", "not-json", "cell-not-object", "no-experiment",
+            "params-not-object", "jobs-0", "red-0"])
+    def test_malformed_input_is_one_error_line(self, argv, grid, tmp_path):
+        """Bad input at the command line ends in one ``repro: error:``
+        line and exit 2, never a Python traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        if grid is not None:
+            (tmp_path / "grid.json").write_text(grid)
+        src = Path(repro.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("repro: error: ")
+        assert not (tmp_path / "results").exists()
+
     def test_sweep_experiment_filter(self, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["sweep", "--out", str(out), "--grid", "smoke",
