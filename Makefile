@@ -3,7 +3,7 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-kernel test-harness test-service \
-  test-fleet test-obs doctest bench bench-smoke bench-kernel \
+  test-fleet test-obs test-startup doctest bench bench-smoke bench-kernel \
   bench-service bench-guard lint check
 
 # Tier-1 suite (includes the doctest run over the documented public
@@ -58,6 +58,13 @@ test-obs:
 	$(PY) -m pytest tests/obs tests/service/test_metrics_endpoint.py \
 	  tests/fleet/test_fleet_obs.py tests/fleet/test_fleet_clock.py \
 	  tests/store/test_store_claims.py -q
+
+# Start-up import guards, each in a fresh interpreter: importing the
+# library and sweeping the smoke grid (whose spill cells play pebble
+# games) load no scipy; `repro --help`, `cache --help` and `fleet status --help` load
+# no numpy; the bound server loads scipy before it serves.
+test-startup:
+	$(PY) -m pytest tests/test_runtime_deps.py -q
 
 # Standalone doctest pass over the documented modules.
 doctest:

@@ -124,6 +124,8 @@ def analyze_jacobi(
         floating-point operations (``~2 * 3^d`` per update), which lowers
         the apparent intensity accordingly.
     """
+    if dimensions < 1:
+        raise ValueError(f"dimensions must be >= 1, got {dimensions}")
     s_cache = machine.cache_words
     nd = n ** dimensions
     if count_flops:

@@ -79,10 +79,16 @@ def matmul_io_lower_bound(n: int, s: int) -> float:
 
 
 def outer_product_io(n: int) -> int:
-    """Exact I/O of an ``N x N`` outer product: ``2N`` loads + ``N^2`` stores.
+    """Compulsory I/O of an ``N x N`` outer product: ``2N`` loads +
+    ``N^2`` stores.
 
-    Independent of the fast-memory capacity ``S`` (every input must be
-    read once and every result written once; no reuse is possible).
+    Every input must be read once and every result written once, so this
+    is a lower bound on the optimal I/O at every fast-memory capacity
+    ``S``.  It is reached once ``S`` is large enough: with ``S = N + 2``
+    one input vector stays resident while the other streams through.
+    With less, some inputs must be loaded again and the optimum exceeds
+    it (``tests/bounds/test_analytical.py`` pins both against the exact
+    search).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

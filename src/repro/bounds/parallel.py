@@ -9,11 +9,17 @@ Two kinds of data movement are distinguished in the P-RBW model:
 The paper gives three lower bounds, all reproduced here as checked
 functions operating on problem-level quantities:
 
-* **Theorem 5** — the most-loaded level-``l`` storage instance receives at
-  least ``IO_1(C, S_{l-1} * N_{l-1}) / N_l`` words from below, where
-  ``IO_1(C, S)`` is the *sequential* I/O lower bound of the CDAG with a
-  fast memory of ``S`` words.  (Divide the sequential bound over the
-  ``N_l`` instances.)
+* **Theorem 5** — the most-loaded level-``l`` storage instance moves at
+  least ``IO_1(C, sum_{k<l} N_k * S_k) / N_l`` words across its link to
+  the levels below, where ``IO_1(C, S)`` is the *sequential* I/O lower
+  bound of the CDAG with a fast memory of ``S`` words.  (Divide the
+  sequential bound over the ``N_l`` instances.)  The paper writes the
+  fast memory as ``N_{l-1} * S_{l-1}``, which holds when every value
+  below level ``l-1`` also sits at level ``l-1``.  Definition 6 does not
+  ask for that: R7 may delete a cache copy while the register copy
+  stays.  So every level below ``l`` acts as fast memory for the
+  level-``l`` link, and the sum is the capacity that keeps the bound
+  below every legal game.
 * **Theorem 6** — alternatively, using the largest-2S-partition quantity
   ``U(C, 2S_{l-1})``:
   ``IO_vert >= (|V| / (U(C,2S_{l-1}) * N_l) - N_{l-1}/N_l) * S_{l-1}``,
@@ -72,7 +78,7 @@ class ParallelBound:
 # Raw formulas (problem-level quantities)
 # ----------------------------------------------------------------------
 def vertical_bound_from_sequential(io_sequential: float, num_instances: int) -> float:
-    """Theorem 5 formula: ``IO_1(C, S_{l-1} N_{l-1}) / N_l``."""
+    """Theorem 5 formula: ``IO_1(C, sum_{k<l} N_k S_k) / N_l``."""
     if num_instances < 1:
         raise ValueError("the hierarchy needs at least one instance")
     if io_sequential < 0:
@@ -121,19 +127,21 @@ def vertical_bound_theorem5(
     hierarchy:
         The machine model; ``level`` must satisfy ``2 <= level <= L``.
     sequential_io_bound:
-        Either a number — the value of ``IO_1(C, S_{l-1} * N_{l-1})`` — or
-        a callable taking the aggregate child capacity and returning that
-        value (so algorithm modules can pass their closed forms directly).
+        Either a number — the value of ``IO_1(C, sum_{k<l} N_k * S_k)`` —
+        or a callable taking that capacity, the total words at every
+        level below ``level``, and returning the value (so algorithm
+        modules can pass their closed forms directly).  For ``level ==
+        2`` the capacity is the register total ``N_1 * S_1``.
     """
     if not 2 <= level <= hierarchy.num_levels:
         raise ValueError("vertical bounds apply to levels 2..L")
-    child_capacity = hierarchy.aggregate_capacity(level - 1)
+    below = [hierarchy.aggregate_capacity(k) for k in range(1, level)]
     if callable(sequential_io_bound):
-        if child_capacity is None:
+        if None in below:
             raise ValueError(
-                "child level has unbounded capacity; pass a numeric bound"
+                "a level below has unbounded capacity; pass a numeric bound"
             )
-        io1 = float(sequential_io_bound(child_capacity))
+        io1 = float(sequential_io_bound(sum(below)))
     else:
         io1 = float(sequential_io_bound)
     value = vertical_bound_from_sequential(io1, hierarchy.instances(level))

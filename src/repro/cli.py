@@ -89,19 +89,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .evaluation import (
-    experiment_balance_conditions,
-    experiment_bound_validation,
-    experiment_cg_bounds,
-    experiment_composite_example,
-    experiment_distsim_parallel,
-    experiment_gmres_bounds,
-    experiment_jacobi_bounds,
-    experiment_matmul_bounds,
-    experiment_table1_machines,
-    render_report,
-)
-
 __all__ = ["build_parser", "main"]
 
 
@@ -547,6 +534,21 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 def _run_one(name: str, args: argparse.Namespace) -> str:
     """Run a single experiment and return its rendered report."""
+    if name == "spill":
+        return _run_spill(args)
+    from .evaluation import (
+        experiment_balance_conditions,
+        experiment_bound_validation,
+        experiment_cg_bounds,
+        experiment_composite_example,
+        experiment_distsim_parallel,
+        experiment_gmres_bounds,
+        experiment_jacobi_bounds,
+        experiment_matmul_bounds,
+        experiment_table1_machines,
+        render_report,
+    )
+
     if name == "table1":
         return render_report(
             "Table 1 — machine specifications", experiment_table1_machines()
@@ -595,8 +597,6 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
         return render_report(
             "Balance-condition summary", experiment_balance_conditions()
         )
-    if name == "spill":
-        return _run_spill(args)
     raise ValueError(f"unknown experiment {name!r}")
 
 

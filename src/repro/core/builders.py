@@ -76,6 +76,8 @@ def independent_chains_cdag(
     2 red pebbles, which is why naive input/output deletion gives weak
     bounds and motivates Theorem 3 (retagging).
     """
+    if num_chains < 1 or length < 1:
+        raise ValueError("num_chains and length must be >= 1")
     vertices: List[Vertex] = []
     edges: List[Tuple[Vertex, Vertex]] = []
     inputs: List[Vertex] = []

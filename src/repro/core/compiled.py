@@ -40,8 +40,6 @@ from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional
 
 import numpy as np
-from scipy import sparse as _sparse
-from scipy.sparse import csgraph as _csgraph
 
 Vertex = Hashable
 
@@ -247,10 +245,16 @@ class CompiledCDAG:
     # Reachability
     # ------------------------------------------------------------------
     def _adjacency_matrix(self, direction: str):
-        """scipy CSR adjacency (cached)."""
+        """scipy CSR adjacency (cached).
+
+        scipy is imported here and in :meth:`_reach`, not at module top:
+        pebble games never ask for reachability, so they never load it.
+        """
+        from scipy.sparse import csr_matrix
+
         if direction == "succ":
             if self._succ_matrix is None:
-                self._succ_matrix = _sparse.csr_matrix(
+                self._succ_matrix = csr_matrix(
                     (
                         np.ones(self.m, dtype=np.int8),
                         self.succ_indices,
@@ -260,7 +264,7 @@ class CompiledCDAG:
                 )
             return self._succ_matrix
         if self._pred_matrix is None:
-            self._pred_matrix = _sparse.csr_matrix(
+            self._pred_matrix = csr_matrix(
                 (
                     np.ones(self.m, dtype=np.int8),
                     self.pred_indices,
@@ -272,7 +276,9 @@ class CompiledCDAG:
 
     def _reach(self, start: int, direction: str) -> np.ndarray:
         """Ids reachable from ``start`` (exclusive) along ``direction``."""
-        nodes = _csgraph.breadth_first_order(
+        from scipy.sparse.csgraph import breadth_first_order
+
+        nodes = breadth_first_order(
             self._adjacency_matrix(direction), start, directed=True,
             return_predecessors=False,
         )

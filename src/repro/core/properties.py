@@ -37,9 +37,6 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from scipy.sparse import csr_matrix as _csr_matrix
-from scipy.sparse.csgraph import maximum_flow as _maximum_flow
-
 from .cdag import CDAG, CDAGError, Vertex
 from .compiled import CompiledCDAG
 from .ordering import validate_schedule
@@ -324,9 +321,14 @@ class WavefrontSolver:
     Obtain instances via ``cdag.compiled().wavefront_solver()`` — they
     are cached alongside the compiled snapshot, so repeated
     :func:`min_wavefront` calls on an unmutated CDAG share one network.
+
+    scipy is imported in ``__init__`` and :meth:`_max_flow`, not at
+    module top, so only a process that computes a min-cut loads it.
     """
 
     def __init__(self, compiled: CompiledCDAG) -> None:
+        from scipy.sparse import csr_matrix
+
         self._c = compiled
         n = compiled.n
         self._inf = n + 1
@@ -340,7 +342,7 @@ class WavefrontSolver:
             self._sink_pos,
             self._internal_pos,
         ) = _split_graph_csr(compiled, np.ones(n, dtype=np.int64))
-        self._graph = _csr_matrix(
+        self._graph = csr_matrix(
             (self._data, indices, indptr), shape=(2 * n + 2, 2 * n + 2)
         )
 
@@ -357,6 +359,8 @@ class WavefrontSolver:
         a path but can never be cut).  All per-query capacity changes are
         rolled back before returning, so the shared network stays clean.
         """
+        from scipy.sparse.csgraph import maximum_flow
+
         data = self._data
         inf = self._inf
         int_pos = (
@@ -371,7 +375,7 @@ class WavefrontSolver:
                 data[int_pos] = inf
             data[snk_pos] = inf
             data[src_pos] = inf
-            return _maximum_flow(self._graph, self._source, self._sink)
+            return maximum_flow(self._graph, self._source, self._sink)
         finally:
             # The network is cached and shared across queries: restore
             # capacities even if max-flow (or an interrupt) blew up.

@@ -247,8 +247,8 @@ def experiment_jacobi_bounds(
     threshold = bandwidth_bound_dimension_threshold(balance, s_cache)
     rows: List[Dict[str, object]] = []
     for d in dimensions:
-        per_op = 1.0 / (4.0 * (2.0 * s_cache) ** (1.0 / d))
         a = analyze_jacobi(machine, n=n, dimensions=d, timesteps=timesteps)
+        per_op = a.per_op_vertical_requirement
         rows.append(
             {
                 "machine": machine.name,

@@ -106,6 +106,8 @@ def star_spill_cdag(num_ops: int, degree: int = 8) -> CDAG:
     into ``degree`` loads, ``2 * degree`` move-ups (three-level
     hierarchy), a compute, and ``3 * degree + 1`` retiring deletes —
     ``6 * degree + 2`` rule-checked moves per operation."""
+    if num_ops < 1 or degree < 1:
+        raise ValueError("num_ops and degree must be >= 1")
     vertices = []
     edges = []
     inputs = []

@@ -202,6 +202,11 @@ def make_server(
     (``port=0`` picks a free port — see ``server_port``).  The caller
     owns the loop: ``serve_forever()`` / ``shutdown()``; close the
     store via ``server.app.close()``."""
+    # The library imports scipy only where a min-cut runs.  A server
+    # lives long and answers bound queries, so it pays that import here,
+    # before it is reachable, and no request's latency carries it.
+    import scipy.sparse.csgraph  # noqa: F401
+
     service = BoundService(store if store is not None
                            else ArtifactStore(db_path))
     return JsonServer(service, host, port)

@@ -20,6 +20,8 @@ from repro.bounds import (
     outer_product_io,
     stencil_horizontal_upper_bound,
 )
+from repro.core import outer_product_cdag
+from repro.pebbling import optimal_rbw_io
 
 
 class TestSection3Formulas:
@@ -35,6 +37,17 @@ class TestSection3Formulas:
 
     def test_outer_product_exact(self):
         assert outer_product_io(5) == 10 + 25
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_outer_product_is_a_lower_bound_reached_at_n_plus_2(self, n, s):
+        # Compulsory traffic only: below S = n + 2 the optimum reloads
+        # inputs; from S = n + 2 on, it meets the formula.
+        opt = optimal_rbw_io(outer_product_cdag(n), s).io
+        if s < n + 2:
+            assert outer_product_io(n) < opt
+        else:
+            assert outer_product_io(n) == opt
 
     def test_composite_upper_bound(self):
         assert composite_example_io_upper_bound(100) == 401

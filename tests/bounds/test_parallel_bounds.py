@@ -10,7 +10,12 @@ from repro.bounds import (
     vertical_bound_theorem5,
     vertical_bound_theorem6,
 )
-from repro.pebbling import MemoryHierarchy
+from repro.pebbling import (
+    MemoryHierarchy,
+    ParallelRBWPebbleGame,
+    optimal_rbw_io,
+    parallel_spill_game,
+)
 
 
 @pytest.fixture
@@ -73,6 +78,28 @@ class TestHierarchyWrappers:
         b = vertical_bound_theorem5(cluster, level=2, sequential_io_bound=io1)
         assert seen["cap"] == 16 * 32
         assert b.value == 2000.0
+
+    def test_theorem5_above_level2_counts_every_level_below(self, random_dag):
+        # Regression: the level-3 link's fast memory is registers plus
+        # caches, because R7 lets a register copy outlive its cache
+        # copy.  Evaluating IO_1 at the caches alone (S_2 = 3) gave 6.0,
+        # above the 4 words this legal owner-computes game moves.
+        cdag = random_dag(4, 12)
+        h = MemoryHierarchy.cluster(1, 1, 3, 3)
+        seen = []
+
+        def io1(capacity):
+            seen.append(capacity)
+            return optimal_rbw_io(cdag, capacity).io
+
+        bound = vertical_bound_theorem5(h, 3, io1)
+        assert seen == [3 + 3]
+        assert bound.value == 4.0
+        for backend in ("batched", "dict"):
+            game = parallel_spill_game(cdag, h, backend=backend)
+            ParallelRBWPebbleGame(cdag, h).replay(game)
+            assert game.max_vertical_io_at_level(3) == 4
+            assert bound.value <= game.max_vertical_io_at_level(3)
 
     def test_theorem5_level_validation(self, cluster):
         with pytest.raises(ValueError):

@@ -189,8 +189,12 @@ class TestExecution:
          '[{"experiment": "e1", "params": "x"}]'),
         (["sweep", "--jobs", "0", "--grid", "smoke"], None),
         (["spill", "--workload", "chains", "--red", "0"], None),
+        (["jacobi", "--dimensions", "0"], None),
+        (["spill", "--workload", "star", "--ops", "-3"], None),
+        (["spill", "--workload", "chains", "--chains", "0"], None),
     ], ids=["missing-file", "not-json", "cell-not-object", "no-experiment",
-            "params-not-object", "jobs-0", "red-0"])
+            "params-not-object", "jobs-0", "red-0", "jacobi-dimensions-0",
+            "star-ops-negative", "chains-0"])
     def test_malformed_input_is_one_error_line(self, argv, grid, tmp_path):
         """Bad input at the command line ends in one ``repro: error:``
         line and exit 2, never a Python traceback."""

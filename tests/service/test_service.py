@@ -261,6 +261,17 @@ class TestErrors:
         assert "policy" in payload["error"]
         assert service.store.stats()["entries"] == 0
 
+    def test_pebble_size_below_one_is_400_and_not_stored(self, server):
+        """A workload size below one is refused by the workload builder:
+        a client error, and no store row is written."""
+        service = server.app
+        status, payload = service.handle(
+            "POST", "/v1/pebble", {"params": {"workload": "star", "ops": -3}},
+        )
+        assert status == 400
+        assert "num_ops" in payload["error"]
+        assert service.store.stats()["entries"] == 0
+
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as exc:
             client.get("/v1/nothing")

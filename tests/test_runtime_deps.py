@@ -1,11 +1,16 @@
-"""The library runs on its declared dependencies, numpy and scipy.
+"""The library runs on its declared dependencies, numpy and scipy, and
+each command loads only what it computes.
 
 Every max-flow goes through scipy (``WavefrontSolver``), so loading any
 module of the package must leave networkx out of ``sys.modules``.  A
 sweep runs without the artifact store, so it must not load ``sqlite3``
-or ``repro.store`` either.  The probes run in a fresh interpreter
-because the test process may already hold those modules (hypothesis
-and pytest plugins are free to load networkx).
+or ``repro.store`` either.  scipy is imported only where a min-cut or a
+reachability query runs, so importing the library, playing pebble
+games, or sweeping cells that compute no min-cut loads none of it, and
+``--help`` loads no numpy.  The bound server is the one consumer that
+loads scipy up front.  The probes run in a fresh interpreter because
+the test process may already hold those modules (hypothesis and pytest
+plugins are free to load networkx).
 """
 
 import json
@@ -14,42 +19,92 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-PROBE = """
-import json, pkgutil, sys
+PACKAGE_PROBE = """
+import pkgutil
 import repro, repro.cli
 for info in pkgutil.iter_modules(repro.__path__, "repro."):
     __import__(info.name)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "networkx")))
+"""
+
+LIBRARY_PROBE = """
+import repro.core, repro.pebbling, repro.pebbling.workloads
 """
 
 SWEEP_PROBE = """
-import json, sys
 from repro.evaluation.harness import run_grid, smoke_grid
-run_grid(smoke_grid(), sys.argv[1], log=lambda m: None)
+run_grid(smoke_grid(), sys.argv[2], log=lambda m: None)
+"""
+
+HELP_PROBE = """
+from repro.cli import main
+try:
+    main(sys.argv[2:])
+except SystemExit:
+    pass
+"""
+
+SERVER_PROBE = """
+from repro.service import make_server
+server = make_server(sys.argv[2], port=0)
+server.server_close()
+server.app.close()
+"""
+
+#: appended to every probe: print the loaded modules under the roots
+#: given as JSON in argv[1] (a root matches itself and its submodules)
+LOADED = """
+roots = json.loads(sys.argv[1])
 print(json.dumps(sorted(
     m for m in sys.modules
-    if m.split(".")[0] in ("sqlite3", "_sqlite3")
-    or m == "repro.store" or m.startswith("repro.store.")
+    if any(m == r or m.startswith(r + ".") for r in roots)
 )))
 """
 
 
-def _loaded_by(probe, *args):
-    """The JSON list a probe prints last, run in a fresh interpreter."""
+def _loaded_by(probe, roots, *args):
+    """The modules under ``roots`` that ``probe`` leaves loaded, run in
+    a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, *args], env=env, capture_output=True,
-        text=True, timeout=120,
+        [sys.executable, "-c", "import json, sys\n" + probe + LOADED,
+         json.dumps(roots), *args],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_package_imports_without_networkx():
-    assert _loaded_by(PROBE) == []
+    assert _loaded_by(PACKAGE_PROBE, ["networkx"]) == []
 
 
 def test_sweep_loads_no_store_modules(tmp_path):
-    assert _loaded_by(SWEEP_PROBE, str(tmp_path / "results")) == []
+    roots = ["sqlite3", "_sqlite3", "repro.store"]
+    assert _loaded_by(SWEEP_PROBE, roots, str(tmp_path / "results")) == []
+
+
+def test_library_and_pebble_games_load_no_scipy():
+    assert _loaded_by(LIBRARY_PROBE, ["scipy"]) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["cache", "--help"], ["fleet", "status", "--help"]],
+    ids=" ".join,
+)
+def test_help_loads_no_numpy(argv):
+    assert _loaded_by(HELP_PROBE, ["numpy"], *argv) == []
+
+
+def test_sweep_without_min_cut_loads_no_scipy(tmp_path):
+    # No smoke cell computes a min-cut or a reachability query.
+    assert _loaded_by(SWEEP_PROBE, ["scipy"], str(tmp_path / "results")) == []
+
+
+def test_bound_server_loads_scipy_before_serving(tmp_path):
+    loaded = _loaded_by(SERVER_PROBE, ["scipy.sparse.csgraph"],
+                        str(tmp_path / "store.db"))
+    assert "scipy.sparse.csgraph" in loaded
