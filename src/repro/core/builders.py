@@ -240,15 +240,20 @@ def grid_stencil_cdag(
     vertices: List[Vertex] = []
     edges: List[Tuple[Vertex, Vertex]] = []
     points = list(itertools.product(*[range(n) for n in shape]))
+    # Each point's in-bounds neighbours, in ``offsets`` order, are the
+    # same at every step: find them once.
+    neighbours = []
+    for p in points:
+        shifted = (tuple(p[k] + off[k] for k in range(d)) for off in offsets)
+        neighbours.append([q for q in shifted if in_bounds(q)])
     for t in range(timesteps + 1):
-        for p in points:
+        prev = ("st", t - 1)
+        for p, near in zip(points, neighbours):
             v: Vertex = ("st", t) + p
             vertices.append(v)
             if t > 0:
-                for off in offsets:
-                    q = tuple(p[k] + off[k] for k in range(d))
-                    if in_bounds(q):
-                        edges.append((("st", t - 1) + q, v))
+                for q in near:
+                    edges.append((prev + q, v))
     inputs = [("st", 0) + p for p in points]
     outputs = [("st", timesteps) + p for p in points]
     return CDAG.from_edge_list(vertices, edges, inputs, outputs, name=name)

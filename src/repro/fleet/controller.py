@@ -628,7 +628,7 @@ def make_fleet_server(
 ) -> JsonServer:
     """A ready-to-serve controller bound to ``host:port`` (``port=0``
     picks a free port — see ``server_port``).  The caller owns the
-    loop: ``serve_forever()`` / ``shutdown()``."""
+    loop: ``serve_forever()`` / ``shutdown()``, then ``server_close()``."""
     if controller is None:
         controller = FleetController(root, **controller_opts)
     return JsonServer(controller, host, port)

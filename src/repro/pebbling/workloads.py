@@ -185,10 +185,11 @@ def component_forest_cdag(
         comp_edges = set()
         for j in range(1, n):
             comp_edges.add((int(rng.integers(0, j)), j))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < extra_edge_prob:
-                    comp_edges.add((i, j))
+        # One draw per pair i < j, row-major: the order a nested
+        # i / j loop of scalar draws would take.
+        rows, cols = np.triu_indices(n, 1)
+        extra = rng.random(rows.size) < extra_edge_prob
+        comp_edges.update(zip(rows[extra].tolist(), cols[extra].tolist()))
         has_pred = {j for _, j in comp_edges}
         has_succ = {i for i, _ in comp_edges}
         for i in range(n):

@@ -9,13 +9,19 @@ a 413 and never read, a connection idle mid-request for
 (:data:`CLIENT_ERRORS` answer 400, other exceptions 500, unknown routes
 404), the ``http.*`` accounting (three instruments per route, one
 ``http.unmatched`` counter for every unknown path), the uptime clock,
-the ``GET /metrics`` envelope and the serve loop.  The contract is
+the ``GET /metrics`` envelope and the serve loop.  Request threads
+outlive their connection: once it is answered a thread waits for the
+next one (at most :data:`MAX_IDLE_WORKERS` wait), so a warm query runs
+on a thread that already holds its store connection, and every thread
+started is counted as ``server.threads_started``.  The contract is
 documented in ``docs/service.md`` ("HTTP contract").
 """
 
 from __future__ import annotations
 
 import json
+import queue
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
@@ -23,14 +29,18 @@ from typing import Callable, Dict, Optional, Tuple
 from ..evaluation.manifest import dumps_canonical
 from ..obs import OBS_SCHEMA, EventRing, MetricsRegistry, labeled
 
-__all__ = ["CLIENT_ERRORS", "MAX_BODY_BYTES", "SOCKET_TIMEOUT_S",
-           "JsonApp", "JsonServer", "number", "run_forever"]
+__all__ = ["CLIENT_ERRORS", "MAX_BODY_BYTES", "MAX_IDLE_WORKERS",
+           "SOCKET_TIMEOUT_S", "JsonApp", "JsonServer", "number",
+           "run_forever"]
 
 #: Largest accepted request body.  The default grid's ``/v1/grid`` body
 #: is ~2 KB, so this leaves room for grid files of ~25k cells.
 MAX_BODY_BYTES = 4 << 20
 #: Seconds a connection may sit idle mid-request before it is dropped.
 SOCKET_TIMEOUT_S = 30.0
+#: Most request threads that wait for the next connection; a thread
+#: that finishes while this many wait exits instead.
+MAX_IDLE_WORKERS = 8
 #: Exceptions an endpoint raises on a malformed request (a field nested
 #: too deep for the handlers is a ``RecursionError``): answered 400.
 CLIENT_ERRORS = (KeyError, TypeError, ValueError, OverflowError,
@@ -190,19 +200,76 @@ class _Handler(BaseHTTPRequestHandler):
 class JsonServer(ThreadingHTTPServer):
     """A threading HTTP server answering every request from ``app``
     (``port=0`` picks a free port — see ``server_port``).  The caller
-    owns the loop: ``serve_forever()`` / ``shutdown()``."""
+    owns the loop: ``serve_forever()`` / ``shutdown()``, then
+    ``server_close()``.
+
+    A request thread outlives its connection and waits for the next
+    one, so what it set up (the store's per-thread SQLite connection,
+    its statement and page caches) serves the next request too.  A new
+    connection goes to a waiting thread if there is one and to a new
+    thread otherwise, so it never queues behind a busy or stalled
+    connection.  At most :data:`MAX_IDLE_WORKERS` threads wait;
+    :meth:`server_close` releases them.
+    """
+
+    # socketserver's listen backlog of 5 overflows when more clients
+    # connect at once than the accept loop has taken: the kernel then
+    # drops SYNs (a 1 s client retry) or answers with SYN cookies, which
+    # can end in a connection reset.
+    request_queue_size = 128
 
     def __init__(self, app: JsonApp, host: str, port: int) -> None:
         super().__init__((host, port), _Handler)
         self.app = app
+        self._handoff = queue.SimpleQueue()  # connections, or None
+        self._idle_mu = threading.Lock()
+        self._idle = 0  # threads waiting on _handoff, none handed to yet
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle_mu:
+            handed = self._idle > 0
+            if handed:
+                self._idle -= 1
+        if handed:
+            self._handoff.put((request, client_address))
+            return
+        self.app.metrics.counter("server.threads_started").inc()
+        threading.Thread(target=self._serve_connections,
+                         args=(request, client_address),
+                         daemon=self.daemon_threads).start()
+
+    def _serve_connections(self, request, client_address) -> None:
+        while True:
+            self.process_request_thread(request, client_address)
+            with self._idle_mu:
+                if self._closed or self._idle >= MAX_IDLE_WORKERS:
+                    return
+                self._idle += 1
+            job = self._handoff.get()
+            if job is None:  # released by server_close()
+                return
+            request, client_address = job
+
+    def server_close(self) -> None:
+        """Close the listening socket and release the waiting threads
+        (a thread still answering a request exits once it is done)."""
+        super().server_close()
+        with self._idle_mu:
+            self._closed = True
+            waiting, self._idle = self._idle, 0
+        for _ in range(waiting):
+            self._handoff.put(None)
 
 
 def run_forever(server: JsonServer, log: Callable[[str], None]) -> None:
-    """Serve until interrupted, then close the app (request threads are
-    daemons: in-flight ones are not waited for)."""
+    """Serve until interrupted, then close the server (its socket and
+    waiting request threads) and the app.  Request threads are daemons:
+    in-flight ones are not waited for."""
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         log("shutting down")
     finally:
+        server.server_close()
         server.app.close()

@@ -47,7 +47,7 @@ Doctest::
     (False, True)
     >>> client.bound(builder="chain", params={"length": 8}, s=2)["cached"]
     True
-    >>> srv.shutdown(); srv.app.close()
+    >>> srv.shutdown(); srv.app.close(); srv.server_close()
 """
 
 from __future__ import annotations
@@ -200,8 +200,9 @@ def make_server(
 ) -> JsonServer:
     """A ready-to-serve threading HTTP server bound to ``host:port``
     (``port=0`` picks a free port — see ``server_port``).  The caller
-    owns the loop: ``serve_forever()`` / ``shutdown()``; close the
-    store via ``server.app.close()``."""
+    owns the loop: ``serve_forever()`` / ``shutdown()``, then
+    ``server.app.close()`` (the store) and ``server_close()`` (the
+    socket and the waiting request threads)."""
     # The library imports scipy only where a min-cut runs.  A server
     # lives long and answers bound queries, so it pays that import here,
     # before it is reachable, and no request's latency carries it.

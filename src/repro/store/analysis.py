@@ -72,6 +72,7 @@ from .keys import artifact_key, code_version
 __all__ = [
     "BUILDERS",
     "BuilderDef",
+    "MAX_CDAG_SIZE",
     "build_cdag",
     "compiled_spec",
     "schedule_spec",
@@ -90,24 +91,59 @@ __all__ = [
 ]
 
 
+#: Largest CDAG, in vertices + edges, a builder spec may ask for.  The
+#: biggest default spec (``grid``) is ~13k by the same count; a chain at
+#: the cap took 3 s and 380 MB to build and compile on a 2-core box.
+MAX_CDAG_SIZE = 1_000_000
+
+
 class BuilderDef:
     """One registered CDAG family: a construction function over
-    canonical params (+ seed for the randomized families) and the
-    defaults merged under caller overrides."""
+    canonical params (+ seed for the randomized families), the defaults
+    merged under caller overrides, and ``size(params)``, an upper bound
+    on the CDAG's vertices + edges computed without building it."""
 
-    __slots__ = ("name", "build", "defaults", "seeded")
+    __slots__ = ("name", "build", "defaults", "size", "seeded")
 
     def __init__(
         self,
         name: str,
         build: Callable[[Mapping, int], CDAG],
         defaults: Mapping,
+        size: Callable[[Mapping], int],
         seeded: bool = False,
     ):
         self.name = name
         self.build = build
         self.defaults = dict(defaults)
+        self.size = size
         self.seeded = seeded
+
+
+def _n(p: Mapping, key: str) -> int:
+    """``int(p[key])``, the builders' own conversion, clamped at 0 so
+    that a negative count cannot cancel a huge one in a size bound."""
+    return max(int(p[key]), 0)
+
+
+def _grid_size(p: Mapping) -> int:
+    """``T + 1`` layers of points with at most ``2d + 1`` in-edges each,
+    counted ``d`` times: every vertex name and neighbour offset has
+    ``d`` coordinates, so a long shape of ones costs that much."""
+    shape = [max(int(x), 0) for x in p["shape"]]
+    timesteps = _n(p, "timesteps")
+    points = 1
+    for n in shape:  # clamped, so a long shape never makes a huge int
+        points = min(points * n, MAX_CDAG_SIZE + 1)
+    d = len(shape)
+    return (timesteps + 1 + timesteps * (2 * d + 1)) * points * max(d, 1)
+
+
+def _butterfly_size(p: Mapping) -> int:
+    """``(L + 1) * 2**L`` vertices and ``2L * 2**L`` edges; ``2**L`` is
+    clamped at ``2**64``, already far over any cap."""
+    log_n = _n(p, "log_n")
+    return (3 * log_n + 1) << min(log_n, 64)
 
 
 BUILDERS: Dict[str, BuilderDef] = {
@@ -115,6 +151,7 @@ BUILDERS: Dict[str, BuilderDef] = {
         "chain",
         lambda p, seed: _b.chain_cdag(int(p["length"])),
         {"length": 64},
+        lambda p: 2 * _n(p, "length") + 1,
     ),
     "chains": BuilderDef(
         "chains",
@@ -122,6 +159,7 @@ BUILDERS: Dict[str, BuilderDef] = {
             int(p["num_chains"]), int(p["length"])
         ),
         {"num_chains": 8, "length": 32},
+        lambda p: _n(p, "num_chains") * (2 * _n(p, "length") + 1),
     ),
     "tree": BuilderDef(
         "tree",
@@ -129,6 +167,9 @@ BUILDERS: Dict[str, BuilderDef] = {
             int(p["num_leaves"]), int(p["arity"])
         ),
         {"num_leaves": 64, "arity": 2},
+        # at most 3N vertices (N leaves, then ceil-halved levels), and
+        # one edge fewer
+        lambda p: 6 * _n(p, "num_leaves"),
     ),
     "bcast": BuilderDef(
         "bcast",
@@ -136,11 +177,14 @@ BUILDERS: Dict[str, BuilderDef] = {
             int(p["num_leaves"]), int(p["arity"])
         ),
         {"num_leaves": 64, "arity": 2},
+        # levels grow geometrically up to N: under 3N + 1 vertices
+        lambda p: 6 * _n(p, "num_leaves") + 2,
     ),
     "diamond": BuilderDef(
         "diamond",
         lambda p, seed: _b.diamond_cdag(int(p["width"]), int(p["depth"])),
         {"width": 16, "depth": 16},
+        lambda p: 4 * _n(p, "width") * _n(p, "depth"),
     ),
     "grid": BuilderDef(
         "grid",
@@ -148,21 +192,26 @@ BUILDERS: Dict[str, BuilderDef] = {
             tuple(int(x) for x in p["shape"]), int(p["timesteps"])
         ),
         {"shape": [16, 16], "timesteps": 4},
+        _grid_size,
     ),
     "butterfly": BuilderDef(
         "butterfly",
         lambda p, seed: _b.butterfly_cdag(int(p["log_n"])),
         {"log_n": 5},
+        _butterfly_size,
     ),
     "pyramid": BuilderDef(
         "pyramid",
         lambda p, seed: _b.pyramid_cdag(int(p["base"])),
         {"base": 16},
+        # B(B + 1)/2 vertices, B(B - 1) edges
+        lambda p: 2 * _n(p, "base") ** 2,
     ),
     "outer": BuilderDef(
         "outer",
         lambda p, seed: _b.outer_product_cdag(int(p["n"])),
         {"n": 8},
+        lambda p: 3 * _n(p, "n") ** 2 + 2 * _n(p, "n"),
     ),
     "dense": BuilderDef(
         "dense",
@@ -170,11 +219,13 @@ BUILDERS: Dict[str, BuilderDef] = {
             int(p["num_inputs"]), int(p["num_outputs"])
         ),
         {"num_inputs": 8, "num_outputs": 8},
+        lambda p: (_n(p, "num_inputs") + 1) * (_n(p, "num_outputs") + 1),
     ),
     "star_spill": BuilderDef(
         "star_spill",
         lambda p, seed: star_spill_cdag(int(p["ops"]), int(p["degree"])),
         {"ops": 64, "degree": 8},
+        lambda p: _n(p, "ops") * (2 * _n(p, "degree") + 1),
     ),
     "forest": BuilderDef(
         "forest",
@@ -182,6 +233,12 @@ BUILDERS: Dict[str, BuilderDef] = {
             int(p["components"]), int(p["component_size"]), seed=seed
         ),
         {"components": 4, "component_size": 12},
+        # every pair i < j of a component may be an edge; each
+        # component's own random generator costs about as much to set up
+        # as 16 vertices, so a forest of tiny components counts that too
+        lambda p: _n(p, "components")
+        * (_n(p, "component_size") * (_n(p, "component_size") + 1) // 2
+           + 16),
         seeded=True,
     ),
 }
@@ -204,7 +261,16 @@ def _resolve(builder: str, params: Optional[Mapping]) -> Tuple[BuilderDef, Dict]
                 f"known: {sorted(merged)}"
             )
         merged[key] = value
-    return bdef, canonical_config(merged)
+    merged = canonical_config(merged)
+    size = bdef.size(merged)
+    if size > MAX_CDAG_SIZE:
+        shown = f"up to {size:,}" if size < 10**15 else "over 10**15"
+        raise ValueError(
+            f"builder {builder!r} with these params builds {shown} "
+            f"vertices + edges, above the {MAX_CDAG_SIZE:,} cap "
+            "(MAX_CDAG_SIZE)"
+        )
+    return bdef, merged
 
 
 def build_cdag(

@@ -156,9 +156,12 @@ class ArtifactStore:
         erroring — the concurrent-writers knob (WAL makes real
         contention rare and short).
 
-    Connections are per-thread (SQLite objects must not cross threads);
-    the instance itself is thread-safe and is shared by all server
-    worker threads.  ``counters`` tracks process-lifetime traffic:
+    Connections are per-thread (SQLite objects must not cross threads)
+    and live as long as their thread; a server's request threads answer
+    many requests each, so every write commits or rolls back before it
+    returns and no transaction outlives the call that opened it.  The
+    instance itself is thread-safe and is shared by all server request
+    threads.  ``counters`` tracks process-lifetime traffic:
     ``hits`` / ``misses`` / ``puts`` / ``corrupt`` / ``flights`` (calls
     that waited behind an identical in-flight computation).
 
@@ -237,19 +240,24 @@ class ArtifactStore:
         conn.execute("PRAGMA cache_size=-8192")  # 8 MB page cache
         conn.execute("PRAGMA temp_store=MEMORY")
         conn.executescript(_SCHEMA)
-        conn.execute(
-            "INSERT OR IGNORE INTO store_meta (k, v) VALUES (?, ?)",
-            ("schema", STORE_SCHEMA_VERSION),
-        )
-        conn.commit()
-        # Per thread only: the bound server runs one thread per request,
-        # and each request's connection must close when its thread ends.
+        with conn:
+            conn.execute(
+                "INSERT OR IGNORE INTO store_meta (k, v) VALUES (?, ?)",
+                ("schema", STORE_SCHEMA_VERSION),
+            )
+        # Per thread only: SQLite objects must not cross threads.  A
+        # server's request threads outlive their requests
+        # (service/http.py), so this connection serves every request its
+        # thread answers and closes when the thread ends.  Hence every
+        # write here commits or rolls back as one unit (``with conn:``):
+        # a transaction left open would carry into the next request.
         self._local.held = _ThreadConnection(conn)
         return conn
 
     def close(self) -> None:
         """Close the calling thread's connection (other threads'
-        connections close when those threads end).  The store stays
+        connections close when those threads end; a server's waiting
+        request threads end at its ``server_close()``).  The store stays
         usable: the next call from this thread opens a new connection."""
         held = getattr(self._local, "held", None)
         if held is not None:
@@ -315,17 +323,17 @@ class ArtifactStore:
         ):
             self._count("corrupt")
             self._count("misses")
-            conn.execute("DELETE FROM artifacts WHERE key = ?", (key,))
-            conn.commit()
+            with conn:
+                conn.execute("DELETE FROM artifacts WHERE key = ?", (key,))
             self._emit("store.corrupt_recovered", key=key,
                        nbytes=int(nbytes))
             return None
-        conn.execute(
-            "UPDATE artifacts SET last_used_s = ?, hits = hits + 1 "
-            "WHERE key = ?",
-            (time.time(), key),
-        )
-        conn.commit()
+        with conn:
+            conn.execute(
+                "UPDATE artifacts SET last_used_s = ?, hits = hits + 1 "
+                "WHERE key = ?",
+                (time.time(), key),
+            )
         self._count("hits")
         return payload
 
@@ -342,32 +350,32 @@ class ArtifactStore:
         """Publish ``payload`` under ``key`` (last identical write wins)."""
         now = time.time()
         conn = self._conn()
-        conn.execute(
-            "INSERT OR REPLACE INTO artifacts "
-            "(key, kind, builder, seed, spec_json, code_version, sha256, "
-            " nbytes, payload, created_s, last_used_s, hits) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
-            (
-                key,
-                kind,
-                builder,
-                int(seed),
-                spec_json,
-                code_ver,
-                hashlib.sha256(payload).hexdigest(),
-                len(payload),
-                sqlite3.Binary(payload),
-                now,
-                now,
-            ),
-        )
-        conn.commit()
+        with conn:
+            conn.execute(
+                "INSERT OR REPLACE INTO artifacts "
+                "(key, kind, builder, seed, spec_json, code_version, sha256, "
+                " nbytes, payload, created_s, last_used_s, hits) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
+                (
+                    key,
+                    kind,
+                    builder,
+                    int(seed),
+                    spec_json,
+                    code_ver,
+                    hashlib.sha256(payload).hexdigest(),
+                    len(payload),
+                    sqlite3.Binary(payload),
+                    now,
+                    now,
+                ),
+            )
         self._count("puts")
 
     def delete(self, key: str) -> bool:
         conn = self._conn()
-        cur = conn.execute("DELETE FROM artifacts WHERE key = ?", (key,))
-        conn.commit()
+        with conn:
+            cur = conn.execute("DELETE FROM artifacts WHERE key = ?", (key,))
         return cur.rowcount > 0
 
     # ------------------------------------------------------------------
@@ -402,53 +410,51 @@ class ArtifactStore:
         compare-and-swap takes over claims older than ``claim_ttl_s``
         (their owner died mid-compute — SIGKILL, OOM — and can never
         publish or release) or future-dated beyond the TTL (a wall-clock
-        step; see :meth:`_claim_state`).
+        step; see :meth:`_claim_state`).  One transaction: a failure
+        anywhere in it rolls the insert back.
         """
         conn = self._conn()
         now = time.time()
-        cur = conn.execute(
-            "INSERT OR IGNORE INTO claims (key, owner, acquired_s) "
-            "VALUES (?, ?, ?)",
-            (key, self._owner, now),
-        )
-        if cur.rowcount == 1:
-            conn.commit()
-            return True
-        row = conn.execute(
-            "SELECT owner, acquired_s FROM claims WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            # Released between the insert and the read; the next loop
-            # iteration re-reads the store (the leader just published).
-            conn.commit()
-            return False
-        owner, acquired = row
-        state = self._claim_state(acquired, now)
-        if state != "live":
+        with conn:
+            cur = conn.execute(
+                "INSERT OR IGNORE INTO claims (key, owner, acquired_s) "
+                "VALUES (?, ?, ?)",
+                (key, self._owner, now),
+            )
+            if cur.rowcount == 1:
+                return True
+            row = conn.execute(
+                "SELECT owner, acquired_s FROM claims WHERE key = ?", (key,)
+            ).fetchone()
+            if row is None:
+                # Released between the insert and the read; the next loop
+                # iteration re-reads the store (the leader just published).
+                return False
+            owner, acquired = row
+            state = self._claim_state(acquired, now)
+            if state == "live":
+                return False
             cur = conn.execute(
                 "UPDATE claims SET owner = ?, acquired_s = ? "
                 "WHERE key = ? AND owner = ? AND acquired_s = ?",
                 (self._owner, now, key, owner, acquired),
             )
-            conn.commit()
-            if cur.rowcount == 1:
-                self._count("claim_takeovers")
-                if state == "skewed":
-                    self._count("claim_skew_takeovers")
-                self._emit("store.claim_takeover", key=key,
-                           previous_owner=str(owner), state=state)
-                return True
+        if cur.rowcount != 1:
             return False
-        conn.commit()
-        return False
+        self._count("claim_takeovers")
+        if state == "skewed":
+            self._count("claim_skew_takeovers")
+        self._emit("store.claim_takeover", key=key,
+                   previous_owner=str(owner), state=state)
+        return True
 
     def _release_claim(self, key: str) -> None:
         conn = self._conn()
-        conn.execute(
-            "DELETE FROM claims WHERE key = ? AND owner = ?",
-            (key, self._owner),
-        )
-        conn.commit()
+        with conn:
+            conn.execute(
+                "DELETE FROM claims WHERE key = ? AND owner = ?",
+                (key, self._owner),
+            )
 
     def _claim_blocks(self, key: str) -> bool:
         """True while a live (non-stale, non-skewed) foreign claim
@@ -612,57 +618,57 @@ class ArtifactStore:
             nonlocal removed, removed_bytes
             removed += cur.rowcount if cur.rowcount > 0 else 0
 
-        if max_age_s is not None:
-            cutoff = now - float(max_age_s)
-            removed_bytes += int(
-                conn.execute(
-                    "SELECT COALESCE(SUM(nbytes), 0) FROM artifacts "
-                    "WHERE last_used_s < ?",
-                    (cutoff,),
-                ).fetchone()[0]
-            )
-            _apply(conn.execute(
-                "DELETE FROM artifacts WHERE last_used_s < ?", (cutoff,)
-            ))
-        if drop_stale_code:
-            if current_code_version is None:
-                from .keys import code_version
-
-                current_code_version = code_version()
-            removed_bytes += int(
-                conn.execute(
-                    "SELECT COALESCE(SUM(nbytes), 0) FROM artifacts "
-                    "WHERE code_version != ''"
-                    " AND code_version != ?",
-                    (current_code_version,),
-                ).fetchone()[0]
-            )
-            _apply(conn.execute(
-                "DELETE FROM artifacts WHERE code_version != ''"
-                " AND code_version != ?",
-                (current_code_version,),
-            ))
-        if max_bytes is not None:
-            while True:
-                total = int(
+        with conn:  # one transaction for all three policies
+            if max_age_s is not None:
+                cutoff = now - float(max_age_s)
+                removed_bytes += int(
                     conn.execute(
-                        "SELECT COALESCE(SUM(nbytes), 0) FROM artifacts"
+                        "SELECT COALESCE(SUM(nbytes), 0) FROM artifacts "
+                        "WHERE last_used_s < ?",
+                        (cutoff,),
                     ).fetchone()[0]
                 )
-                if total <= max_bytes:
-                    break
-                victim = conn.execute(
-                    "SELECT key, nbytes FROM artifacts "
-                    "ORDER BY last_used_s ASC, key ASC LIMIT 1"
-                ).fetchone()
-                if victim is None:  # pragma: no cover - empty table
-                    break
-                conn.execute(
-                    "DELETE FROM artifacts WHERE key = ?", (victim[0],)
+                _apply(conn.execute(
+                    "DELETE FROM artifacts WHERE last_used_s < ?", (cutoff,)
+                ))
+            if drop_stale_code:
+                if current_code_version is None:
+                    from .keys import code_version
+
+                    current_code_version = code_version()
+                removed_bytes += int(
+                    conn.execute(
+                        "SELECT COALESCE(SUM(nbytes), 0) FROM artifacts "
+                        "WHERE code_version != ''"
+                        " AND code_version != ?",
+                        (current_code_version,),
+                    ).fetchone()[0]
                 )
-                removed += 1
-                removed_bytes += int(victim[1])
-        conn.commit()
+                _apply(conn.execute(
+                    "DELETE FROM artifacts WHERE code_version != ''"
+                    " AND code_version != ?",
+                    (current_code_version,),
+                ))
+            if max_bytes is not None:
+                while True:
+                    total = int(
+                        conn.execute(
+                            "SELECT COALESCE(SUM(nbytes), 0) FROM artifacts"
+                        ).fetchone()[0]
+                    )
+                    if total <= max_bytes:
+                        break
+                    victim = conn.execute(
+                        "SELECT key, nbytes FROM artifacts "
+                        "ORDER BY last_used_s ASC, key ASC LIMIT 1"
+                    ).fetchone()
+                    if victim is None:  # pragma: no cover - empty table
+                        break
+                    conn.execute(
+                        "DELETE FROM artifacts WHERE key = ?", (victim[0],)
+                    )
+                    removed += 1
+                    removed_bytes += int(victim[1])
         if vacuum:
             conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
             conn.execute("VACUUM")
@@ -680,9 +686,11 @@ class ArtifactStore:
     def clear(self) -> int:
         """Drop every artifact; returns how many were removed."""
         conn = self._conn()
-        (count,) = conn.execute("SELECT COUNT(*) FROM artifacts").fetchone()
-        conn.execute("DELETE FROM artifacts")
-        conn.commit()
+        with conn:
+            (count,) = conn.execute(
+                "SELECT COUNT(*) FROM artifacts"
+            ).fetchone()
+            conn.execute("DELETE FROM artifacts")
         conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         conn.execute("VACUUM")
         conn.commit()

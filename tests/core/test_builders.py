@@ -14,6 +14,9 @@ from repro.core import (
     pyramid_cdag,
     reduction_tree_cdag,
 )
+from repro.pebbling.workloads import component_forest_cdag
+
+import reference_builders as reference
 
 
 class TestChains:
@@ -168,3 +171,32 @@ def test_all_builders_produce_valid_hong_kung_cdags(cdag):
     """Every builder satisfies the Hong-Kung tagging convention."""
     cdag.validate(hong_kung=True)
     assert cdag.is_acyclic()
+
+
+@pytest.mark.parametrize("neighborhood", ["star", "box"])
+@pytest.mark.parametrize("shape", [(5,), (7,), (3, 4), (4, 4), (2, 3, 3)],
+                         ids=str)
+@pytest.mark.parametrize("timesteps", [1, 3])
+def test_grid_stencil_matches_the_per_step_loop(shape, timesteps,
+                                                neighborhood):
+    """Neighbours found once per point give the CDAG that checking every
+    (point, step, offset) gave: same vertex order, same predecessor and
+    successor order, same tags."""
+    reference.assert_same_cdag(
+        grid_stencil_cdag(shape, timesteps, neighborhood),
+        reference.grid_stencil_cdag(shape, timesteps, neighborhood),
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 24, 40])
+def test_component_forest_matches_scalar_draws(size):
+    """One vector draw per component consumes the generator's stream as
+    the scalar i / j loop did, so every seed gives the same forest."""
+    for seed in range(200):
+        reference.assert_same_cdag(
+            component_forest_cdag(1, size, seed=seed),
+            reference.component_forest_cdag(1, size, seed=seed),
+        )
+    reference.assert_same_cdag(component_forest_cdag(3, size, seed=7),
+                               reference.component_forest_cdag(3, size,
+                                                                seed=7))

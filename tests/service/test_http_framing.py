@@ -133,6 +133,22 @@ def test_deeply_nested_body_is_400(server):
     assert "not valid JSON" in payload["error"]
 
 
+def test_stalled_sender_does_not_hold_up_other_connections(server):
+    """A connection stalled mid-body keeps its thread, so the next
+    connection gets another thread and is answered at once.  The first
+    request leaves a waiting thread behind, which the stalled
+    connection takes; a fixed-size pool of one would queue /health."""
+    port, path = server
+    raw = b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    assert exchange(port, raw)[0] == 200
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as s:
+        s.sendall(head(path, 10) + b'{"w')  # 3 of 10 body bytes
+        time.sleep(0.1)  # let the server hand it to a thread
+        start = time.monotonic()
+        assert exchange(port, raw, timeout=1.0)[0] == 200
+        assert time.monotonic() - start < 1.0
+
+
 def test_stalled_sender_is_dropped_after_the_socket_timeout(server,
                                                             monkeypatch):
     monkeypatch.setattr(http_layer, "SOCKET_TIMEOUT_S", 0.3)

@@ -17,10 +17,12 @@ contract of the shared HTTP layer (:mod:`repro.service.http`):
 * every leased label is a plain directory name, whatever labels the
   grids carry (``../c0``, ``/tmp/c0``, ``a/b``, ``..``).
 
-Builder and spill sizes stay at most ~10, so a valid query is cheap;
-huge ints appear only in the fields the number parser range-checks
-(``seed``, ``s``, ``slots``).  Deterministic: derandomized, no example
-database, fixed example counts.
+Builder sizes are at most ~10, or now and then far over the size cap
+(``MAX_CDAG_SIZE``), which refuses the spec before anything is built,
+so a query the server accepts is cheap.  Spill sizes stay at most ~10,
+and other huge ints appear only in the fields the number parser
+range-checks (``seed``, ``s``, ``slots``).  Deterministic: derandomized,
+no example database, fixed example counts.
 """
 
 import math
@@ -97,10 +99,17 @@ def unknown_route(known_paths):
 # ----------------------------------------------------------------------
 # The bound server
 # ----------------------------------------------------------------------
+#: builder sizes that alone put a spec over the size cap
+OVERSIZE = st.sampled_from([10**7, 10**8, 2**62, 10**30])
+
+
 def builder_params(name):
     fields = {
-        key: or_junk(st.lists(st.integers(0, 4), min_size=1, max_size=2))
-        if key == "shape" else size(4 if key == "log_n" else 10)
+        key: or_junk(st.lists(rarely(OVERSIZE, st.integers(0, 4)),
+                              min_size=1, max_size=2))
+        if key == "shape"
+        else or_junk(rarely(OVERSIZE, st.integers(1, 4 if key == "log_n"
+                                                   else 10)))
         for key in BUILDERS[name].defaults
     }
     return with_unknown_key(st.fixed_dictionaries(fields))

@@ -8,7 +8,9 @@ import time
 import pytest
 
 from repro.service import ServiceClient, ServiceError, make_server
-from repro.store.analysis import fresh_bound, fresh_schedule, fresh_spill
+from repro.store.analysis import (
+    MAX_CDAG_SIZE, fresh_bound, fresh_schedule, fresh_spill,
+)
 
 
 @pytest.fixture
@@ -248,6 +250,28 @@ class TestErrors:
         assert status == 400
         assert "'seed'" in payload["error"]
         assert service.store.counters["misses"] == 0
+
+    @pytest.mark.parametrize("path", ["/v1/compiled", "/v1/schedule",
+                                      "/v1/bound"])
+    @pytest.mark.parametrize("builder, params", [
+        ("chain", {"length": 10**8}),
+        ("dense", {"num_inputs": 10**5, "num_outputs": 10**5}),
+    ], ids=["chain", "dense"])
+    def test_spec_over_the_size_cap_is_400_before_any_build(
+        self, server, path, builder, params
+    ):
+        """The size bound is computed from the params (``dense`` has few
+        vertices but 10^10 edges): no build, no lookup, nothing stored."""
+        service = server.app
+        start = time.monotonic()
+        status, payload = service.handle(
+            "POST", path, {"builder": builder, "params": params}
+        )
+        assert time.monotonic() - start < 1.0
+        assert status == 400
+        assert f"{MAX_CDAG_SIZE:,} cap" in payload["error"]
+        assert service.store.counters["misses"] == 0
+        assert service.store.stats()["entries"] == 0
 
     def test_pebble_unknown_policy_is_400(self, server):
         """P-RBW games (the star workload) ignore ``policy`` but still

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.store import (
+    BUILDERS,
     ArtifactStore,
+    build_cdag,
     cached_bound,
     cached_compiled_payload,
     cached_schedule,
@@ -21,6 +23,7 @@ from repro.store import (
     fresh_schedule,
     fresh_spill,
 )
+from repro.store.analysis import MAX_CDAG_SIZE, compiled_spec
 
 # (builder, params) points spanning every family; seeds only matter for
 # the forest builder but are exercised everywhere.
@@ -182,3 +185,48 @@ class TestAdoptionSafety:
         cdag.add_edge(("chain", 6), "extra")
         assert cdag.compiled() is not c
         assert cdag.compiled().n == c.n + 1
+
+
+# Small params for every family, edge cases included (a grid of ones,
+# an empty shape, arities past the leaf count).
+SIZE_SWEEP = {
+    "chain": [{"length": n} for n in range(1, 12)],
+    "chains": [{"num_chains": c, "length": n}
+               for c in range(1, 4) for n in range(1, 5)],
+    "tree": [{"num_leaves": n, "arity": a}
+             for n in range(1, 40) for a in (2, 3, 5, 50)],
+    "bcast": [{"num_leaves": n, "arity": a}
+              for n in range(1, 40) for a in (2, 3, 5, 50)],
+    "diamond": [{"width": w, "depth": d}
+                for w in range(1, 5) for d in range(1, 5)],
+    "grid": [{"shape": shape, "timesteps": t}
+             for shape in ([], [1], [5], [3, 4], [1, 1, 1], [2, 3, 2])
+             for t in (1, 3)],
+    "butterfly": [{"log_n": n} for n in range(1, 7)],
+    "pyramid": [{"base": b} for b in range(1, 12)],
+    "outer": [{"n": n} for n in range(1, 8)],
+    "dense": [{"num_inputs": i, "num_outputs": o}
+              for i in range(0, 4) for o in range(0, 4)],
+    "star_spill": [{"ops": o, "degree": d}
+                   for o in range(1, 4) for d in range(1, 4)],
+    "forest": [{"components": c, "component_size": n}
+               for c in (1, 3) for n in range(1, 14)],
+}
+
+
+class TestSizeBound:
+    """``BuilderDef.size`` bounds vertices + edges from above without
+    building, so the size cap never admits a CDAG over it."""
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_closed_form_bounds_the_built_cdag(self, builder):
+        for params in SIZE_SWEEP[builder]:
+            merged = compiled_spec(builder, params)["params"]
+            cdag = build_cdag(builder, params, seed=3)
+            assert BUILDERS[builder].size(merged) >= \
+                cdag.num_vertices() + cdag.num_edges(), params
+
+    def test_every_default_is_far_below_the_cap(self):
+        assert set(SIZE_SWEEP) == set(BUILDERS)
+        for name, bdef in BUILDERS.items():
+            assert 50 * bdef.size(bdef.defaults) <= MAX_CDAG_SIZE, name
