@@ -52,12 +52,11 @@ test-fleet:
 # Observability suites: metrics registry / event ring / dashboard unit
 # tests, GET /metrics on both HTTP servers (schema + pinned counters +
 # monotonic-scrape properties), the monotonic-clock regression tests,
-# claim clock-skew tolerance, and the SIGKILL fault-injection run that
-# must surface in `repro fleet status --failures`.
+# and the SIGKILL fault-injection run that must surface in
+# `repro fleet status --failures`.
 test-obs:
 	$(PY) -m pytest tests/obs tests/service/test_metrics_endpoint.py \
-	  tests/fleet/test_fleet_obs.py tests/fleet/test_fleet_clock.py \
-	  tests/store/test_store_claims.py -q
+	  tests/fleet/test_fleet_obs.py tests/fleet/test_fleet_clock.py -q
 
 # Start-up import guards, each in a fresh interpreter: importing the
 # library and sweeping the smoke grid (whose spill cells play pebble

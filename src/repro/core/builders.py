@@ -350,6 +350,8 @@ def dense_layer_cdag(
     minimum dominator of the output layer is ``min(num_inputs,
     num_outputs)``).
     """
+    if num_inputs < 1 or num_outputs < 1:
+        raise ValueError("num_inputs and num_outputs must be >= 1")
     vertices: List[Vertex] = []
     edges: List[Tuple[Vertex, Vertex]] = []
     inputs = [("x", i) for i in range(num_inputs)]

@@ -554,17 +554,36 @@ def fresh_spill(params: Optional[Mapping] = None, seed: int = 0) -> Dict:
     return rows[0]
 
 
+#: The builder whose CDAG each spill workload's game plays on.
+_SPILL_BUILDERS = {"star": "star_spill", "chains": "chains",
+                   "forest": "forest"}
+
+
 def cached_spill(
     store: ArtifactStore,
     params: Optional[Mapping] = None,
     seed: int = 0,
 ) -> Tuple[Dict, bool]:
-    """``(spill-game row, was_hit)`` — the pebbling-query endpoint."""
+    """``(spill-game row, was_hit)`` — the pebbling-query endpoint.
+
+    The workload's CDAG must pass the builder size cap
+    (:data:`MAX_CDAG_SIZE`), checked on the params before any lookup.
+    """
     from ..evaluation.harness import make_spec
 
     cell = make_spec("spill", params, seed=seed)
+    workload = cell.params["workload"]
+    if workload not in _SPILL_BUILDERS:
+        raise ValueError(f"unknown spill workload {workload!r}; known: "
+                         f"{sorted(_SPILL_BUILDERS)}")
+    builder = _SPILL_BUILDERS[workload]
+    # The chains workload calls the builder's ``num_chains`` ``chains``.
+    _resolve(builder, {
+        key: cell.params["chains" if key == "num_chains" else key]
+        for key in BUILDERS[builder].defaults
+    })
     spec = {
-        "builder": str(cell.params["workload"]),
+        "builder": workload,
         "params": dict(cell.params),
         "seed": int(seed),
     }

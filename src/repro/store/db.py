@@ -11,8 +11,8 @@ writers, sub-millisecond warm hits:
 * **``WITHOUT ROWID`` clustered primary key** — rows are stored in the
   key's B-tree directly, so a point lookup is a single tree descent
   with the payload inline;
-* **mmap reads + tuned pragmas** — ``mmap_size`` (default 256 MB) lets
-  warm lookups come out of the page cache without read syscalls;
+* **mmap reads + tuned pragmas** — ``mmap_size`` 256 MB lets warm
+  lookups come out of the page cache without read syscalls;
   ``synchronous=NORMAL`` is the standard WAL durability/latency trade.
 
 Every row carries the SHA-256 of its payload; reads re-hash and treat
@@ -23,9 +23,11 @@ artifact can therefore be wrong only if SHA-256 collides.
 :meth:`ArtifactStore.get_or_compute` is the one call sites use: point
 lookup, then **single-flight** recomputation on miss (per-key in-process
 lock, so N concurrent identical requests compute once and N-1 wait),
-then an ``INSERT OR REPLACE`` publish.  Cross-process races are benign:
-both processes compute the same bytes (content addressing) and the last
-write wins with an identical row.
+then an ``INSERT OR REPLACE`` publish, the miss's one write
+transaction.  Single flight is per process: two processes that miss
+the same key both compute the same bytes (content addressing) and the
+last write wins with an identical row — wasted work, not a wrong
+answer.
 
 Doctest::
 
@@ -47,18 +49,15 @@ Doctest::
 from __future__ import annotations
 
 import hashlib
-import os
 import sqlite3
 import threading
 import time
-import uuid
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
-__all__ = ["ArtifactStore", "STORE_SCHEMA_VERSION", "DEFAULT_MMAP_BYTES"]
+__all__ = ["ArtifactStore", "STORE_SCHEMA_VERSION"]
 
 STORE_SCHEMA_VERSION = "repro-store/1"
-DEFAULT_MMAP_BYTES = 256 * 1024 * 1024
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -80,11 +79,6 @@ CREATE INDEX IF NOT EXISTS idx_artifacts_lru ON artifacts(last_used_s);
 CREATE TABLE IF NOT EXISTS store_meta (
     k TEXT NOT NULL PRIMARY KEY,
     v TEXT NOT NULL
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS claims (
-    key        TEXT NOT NULL PRIMARY KEY,
-    owner      TEXT NOT NULL,
-    acquired_s REAL NOT NULL
 ) WITHOUT ROWID;
 """
 
@@ -149,8 +143,6 @@ class ArtifactStore:
     path:
         The database file (created, along with parent directories, if
         absent).
-    mmap_bytes:
-        ``PRAGMA mmap_size`` for every connection (0 disables mmap).
     busy_timeout_s:
         How long a connection waits on a locked database before
         erroring — the concurrent-writers knob (WAL makes real
@@ -165,50 +157,29 @@ class ArtifactStore:
     ``hits`` / ``misses`` / ``puts`` / ``corrupt`` / ``flights`` (calls
     that waited behind an identical in-flight computation).
 
-    ``metrics`` / ``events`` optionally bind the store to an
-    observability registry and event ring (:mod:`repro.obs`): every
-    ``counters`` tick is mirrored as a ``store.<name>`` counter, gc
-    passes are counted (``store.gc_passes`` /
-    ``store.gc_removed_bytes``) and emitted as ``gc.pass`` events, and
-    corruption recoveries / claim takeovers become events too.  A host
-    server can also attach after construction via :meth:`bind_obs`.
+    :meth:`bind_obs` attaches an observability registry and event ring
+    (:mod:`repro.obs`): every ``counters`` tick is then mirrored as a
+    ``store.<name>`` counter, gc passes are counted
+    (``store.gc_passes`` / ``store.gc_removed_bytes``) and emitted as
+    ``gc.pass`` events, and corruption recoveries become
+    ``store.corrupt_recovered`` events.
     """
 
-    def __init__(
-        self,
-        path,
-        mmap_bytes: int = DEFAULT_MMAP_BYTES,
-        busy_timeout_s: float = 30.0,
-        claim_ttl_s: float = 60.0,
-        claim_poll_s: float = 0.05,
-        metrics=None,
-        events=None,
-    ) -> None:
+    def __init__(self, path, busy_timeout_s: float = 30.0) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.mmap_bytes = int(mmap_bytes)
         self.busy_timeout_s = float(busy_timeout_s)
-        if claim_ttl_s <= 0 or claim_poll_s <= 0:
-            raise ValueError("claim_ttl_s and claim_poll_s must be positive")
-        self.claim_ttl_s = float(claim_ttl_s)
-        self.claim_poll_s = float(claim_poll_s)
-        #: unique per store instance; in-process single-flight already
-        #: serializes same-key callers behind one handle
-        self._owner = f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
         self._local = threading.local()
         self._counter_mu = threading.Lock()
         self._flight = _SingleFlight()
-        self.metrics = metrics
-        self.events = events
+        self.metrics = None
+        self.events = None
         self.counters: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
             "puts": 0,
             "corrupt": 0,
             "flights": 0,
-            "cross_flights": 0,
-            "claim_takeovers": 0,
-            "claim_skew_takeovers": 0,
         }
         self._conn()  # create the schema eagerly so failures surface here
 
@@ -236,7 +207,7 @@ class ArtifactStore:
                     raise
                 time.sleep(0.01)
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA mmap_size={self.mmap_bytes}")
+        conn.execute("PRAGMA mmap_size=268435456")  # 256 MB
         conn.execute("PRAGMA cache_size=-8192")  # 8 MB page cache
         conn.execute("PRAGMA temp_store=MEMORY")
         conn.executescript(_SCHEMA)
@@ -282,10 +253,10 @@ class ArtifactStore:
 
     def bind_obs(self, metrics, events=None) -> None:
         """Attach an observability registry (and optionally an event
-        ring) after construction — the bound server does this so one
-        ``GET /metrics`` scrape covers HTTP and store traffic.  The
-        counters accumulated so far are carried into the registry, so
-        the mirrored ``store.*`` counters stay monotonic and complete.
+        ring) — the bound server does this so one ``GET /metrics``
+        scrape covers HTTP and store traffic.  The counters accumulated
+        so far are carried into the registry, so the mirrored
+        ``store.*`` counters stay monotonic and complete.
         """
         with self._counter_mu:
             current = dict(self.counters)
@@ -378,101 +349,6 @@ class ArtifactStore:
             cur = conn.execute("DELETE FROM artifacts WHERE key = ?", (key,))
         return cur.rowcount > 0
 
-    # ------------------------------------------------------------------
-    # Cross-process claim leases
-    # ------------------------------------------------------------------
-    def _claim_state(self, acquired: float, now: float) -> str:
-        """Classify a claim row's age: ``"live"`` within the TTL,
-        ``"stale"`` past it, ``"skewed"`` when ``acquired_s`` lies in
-        the *future* by more than the TTL.
-
-        Claim timestamps are wall clock (they must compare across
-        processes and hosts), so a backwards wall-clock step — NTP
-        correction, VM resume — makes live claims look future-dated.
-        Small skew (within the TTL) is tolerated as live; a claim
-        further in the future than the TTL can only be a clock step
-        larger than the lease itself and is treated as abandoned, so it
-        cannot immortalize the key.  Without the skew branch such a row
-        would block every follower forever (``now - acquired`` stays
-        negative, "fresher than fresh").
-        """
-        age = now - float(acquired)
-        if age >= self.claim_ttl_s:
-            return "stale"
-        if -age > self.claim_ttl_s:
-            return "skewed"
-        return "live"
-
-    def _try_claim(self, key: str) -> bool:
-        """Attempt to become the cross-process leader for ``key``.
-
-        One atomic ``INSERT OR IGNORE`` elects the leader; on conflict a
-        compare-and-swap takes over claims older than ``claim_ttl_s``
-        (their owner died mid-compute — SIGKILL, OOM — and can never
-        publish or release) or future-dated beyond the TTL (a wall-clock
-        step; see :meth:`_claim_state`).  One transaction: a failure
-        anywhere in it rolls the insert back.
-        """
-        conn = self._conn()
-        now = time.time()
-        with conn:
-            cur = conn.execute(
-                "INSERT OR IGNORE INTO claims (key, owner, acquired_s) "
-                "VALUES (?, ?, ?)",
-                (key, self._owner, now),
-            )
-            if cur.rowcount == 1:
-                return True
-            row = conn.execute(
-                "SELECT owner, acquired_s FROM claims WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                # Released between the insert and the read; the next loop
-                # iteration re-reads the store (the leader just published).
-                return False
-            owner, acquired = row
-            state = self._claim_state(acquired, now)
-            if state == "live":
-                return False
-            cur = conn.execute(
-                "UPDATE claims SET owner = ?, acquired_s = ? "
-                "WHERE key = ? AND owner = ? AND acquired_s = ?",
-                (self._owner, now, key, owner, acquired),
-            )
-        if cur.rowcount != 1:
-            return False
-        self._count("claim_takeovers")
-        if state == "skewed":
-            self._count("claim_skew_takeovers")
-        self._emit("store.claim_takeover", key=key,
-                   previous_owner=str(owner), state=state)
-        return True
-
-    def _release_claim(self, key: str) -> None:
-        conn = self._conn()
-        with conn:
-            conn.execute(
-                "DELETE FROM claims WHERE key = ? AND owner = ?",
-                (key, self._owner),
-            )
-
-    def _claim_blocks(self, key: str) -> bool:
-        """True while a live (non-stale, non-skewed) foreign claim
-        covers ``key``."""
-        row = self._conn().execute(
-            "SELECT acquired_s FROM claims WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            return False
-        return self._claim_state(row[0], time.time()) == "live"
-
-    def _artifact_exists(self, key: str) -> bool:
-        """Counter-free existence probe (the follower poll loop must not
-        inflate the hit/miss traffic counters)."""
-        return self._conn().execute(
-            "SELECT 1 FROM artifacts WHERE key = ?", (key,)
-        ).fetchone() is not None
-
     def get_or_compute(
         self,
         key: str,
@@ -486,19 +362,13 @@ class ArtifactStore:
         """``(payload, was_hit)`` — the memoization entry point.
 
         Fast path: a point read.  On miss, the per-key single-flight
-        lock elects one in-process leader to proceed; late in-process
-        arrivals block on the lock, then re-read the store and (almost
-        always) hit — counted under ``counters["flights"]``.
-
-        The surviving caller then races for the **cross-process** claim
-        row: one process per key wins and computes, every other process
-        waits-and-polls for the leader's publish instead of recomputing
-        (``counters["cross_flights"]``).  A claim older than
-        ``claim_ttl_s`` is treated as abandoned — its owner died
-        mid-compute — and is taken over via compare-and-swap
-        (``counters["claim_takeovers"]``); a compute outliving the TTL
-        can therefore be duplicated across processes, which is benign
-        (content addressing: identical bytes, last write wins).
+        lock elects one in-process leader, which reads again, computes
+        and publishes with :meth:`put`: one write transaction.  Late
+        in-process arrivals block on the lock, then re-read the store
+        and hit — counted under ``counters["flights"]``.  Another
+        process missing the same key at the same time computes too and
+        writes an identical row (content addressing): wasted work, not
+        a wrong answer.
         """
         payload = self.get(key)
         if payload is not None:
@@ -509,47 +379,15 @@ class ArtifactStore:
             if payload is not None:
                 self._count("flights")
                 return payload, True
-            waited = False
-            while not self._try_claim(key):
-                # A live foreign leader holds the claim: poll until it
-                # publishes (usual case) or the claim vanishes/goes
-                # stale (crash) and the loop re-races for leadership.
-                waited = True
-                if self._artifact_exists(key):
-                    break
-                time.sleep(self.claim_poll_s)
-            else:
-                waited_payload = self.get(key) if waited else None
-                if waited_payload is not None:
-                    # Claimed after the leader published and released.
-                    self._release_claim(key)
-                    self._count("cross_flights")
-                    return waited_payload, True
-                try:
-                    payload = compute()
-                    self.put(
-                        key,
-                        payload,
-                        kind=kind,
-                        builder=builder,
-                        seed=seed,
-                        spec_json=spec_json,
-                        code_ver=code_ver,
-                    )
-                finally:
-                    self._release_claim(key)
-                return payload, False
-            # Broke out of the poll loop: the foreign leader published.
-            payload = self.get(key)
-            if payload is not None:
-                self._count("cross_flights")
-                return payload, True
-            # Published row vanished again (gc/corruption race) —
-            # recompute without coordination; correctness is unaffected.
             payload = compute()
             self.put(
-                key, payload, kind=kind, builder=builder, seed=seed,
-                spec_json=spec_json, code_ver=code_ver,
+                key,
+                payload,
+                kind=kind,
+                builder=builder,
+                seed=seed,
+                spec_json=spec_json,
+                code_ver=code_ver,
             )
             return payload, False
         finally:

@@ -150,6 +150,11 @@ class TestOuterAndDense:
         assert len(c.inputs) == 3
         assert len(c.outputs) == 5
 
+    @pytest.mark.parametrize("sizes", [(0, 3), (3, 0), (0, 0), (-3, 2)])
+    def test_dense_layer_invalid(self, sizes):
+        with pytest.raises(ValueError, match="num_inputs and num_outputs"):
+            dense_layer_cdag(*sizes)
+
 
 @pytest.mark.parametrize(
     "cdag",

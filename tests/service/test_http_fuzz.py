@@ -17,10 +17,11 @@ contract of the shared HTTP layer (:mod:`repro.service.http`):
 * every leased label is a plain directory name, whatever labels the
   grids carry (``../c0``, ``/tmp/c0``, ``a/b``, ``..``).
 
-Builder sizes are at most ~10, or now and then far over the size cap
-(``MAX_CDAG_SIZE``), which refuses the spec before anything is built,
-so a query the server accepts is cheap.  Spill sizes stay at most ~10,
-and other huge ints appear only in the fields the number parser
+Builder and spill sizes are at most ~10, or now and then far over the
+size cap (``MAX_CDAG_SIZE``), which refuses the spec before anything is
+built or played, so a query the server accepts is cheap (a huge size
+the workload does not play on, or a huge ``num_red``, costs nothing).
+Other huge ints appear only in the fields the number parser
 range-checks (``seed``, ``s``, ``slots``).  Deterministic: derandomized,
 no example database, fixed example counts.
 """
@@ -146,9 +147,9 @@ SCHEDULE_FIELDS = {
 SPILL_PARAMS = st.fixed_dictionaries(
     {"workload": or_junk(st.sampled_from(["star", "chains", "forest"]))},
     optional={
-        **{key: size() for key in ("ops", "degree", "chains", "length",
-                                   "num_red", "components",
-                                   "component_size")},
+        **{key: or_junk(rarely(OVERSIZE, st.integers(1, 10)))
+           for key in ("ops", "degree", "chains", "length", "num_red",
+                       "components", "component_size")},
         "policy": or_junk(st.sampled_from(["lru", "belady"])),
         "backend": or_junk(st.sampled_from(["batched", "dict"])),
     },

@@ -7,7 +7,7 @@ open on its thread's connection.
 * many concurrent clients under a short switch interval get correct,
   single-flight answers, and ``server_close()`` releases every thread
   the server started;
-* a claim that fails between its insert and its commit rolls back, so
+* a ``gc`` pass that fails after its first delete rolls back, so
   neither the same thread's next write nor another thread's waits out
   the busy timeout.
 """
@@ -140,30 +140,27 @@ def test_concurrent_clients_get_single_flight_answers_and_threads_end(
     assert set(threading.enumerate()) - before == set()
 
 
-def test_failed_claim_leaves_no_open_transaction(tmp_path, monkeypatch):
-    """``_try_claim`` raising after its insert (here: while a foreign
-    claim row exists) rolls back, so the thread's connection carries no
-    write lock into its next request: another thread's write and this
-    thread's next write both finish well inside the busy timeout."""
-    path = tmp_path / "claims.db"
-    store = ArtifactStore(path, busy_timeout_s=2.0)
-    other = ArtifactStore(path, busy_timeout_s=2.0)
+def test_failed_gc_leaves_no_open_transaction(tmp_path, monkeypatch):
+    """``gc`` runs its three policies in one transaction.  One raising
+    after the ``max_age_s`` delete (here: the code-version stamp of
+    ``drop_stale_code``) rolls the delete back, so the thread's
+    connection carries no write lock into its next request: another
+    thread's write and this thread's next write both finish well inside
+    the busy timeout."""
+    import repro.store.keys as keys
+
+    store = ArtifactStore(tmp_path / "gc.db", busy_timeout_s=2.0)
     key = "ab" * 32
-    assert other._try_claim(key)  # a live claim by another owner
+    store.put(key, b"payload", kind="bound")
 
-    real_state = store._claim_state
-    calls = []
+    def failing_code_version():
+        raise RuntimeError("injected")
 
-    def state_failing_once(acquired, now):
-        calls.append(now)
-        if len(calls) == 1:
-            raise RuntimeError("injected")
-        return real_state(acquired, now)
-
-    monkeypatch.setattr(store, "_claim_state", state_failing_once)
+    monkeypatch.setattr(keys, "code_version", failing_code_version)
     with pytest.raises(RuntimeError, match="injected"):
-        store._try_claim(key)
+        store.gc(max_age_s=0.0, drop_stale_code=True, now=time.time() + 60)
     assert not store._conn().in_transaction
+    assert store.get(key) == b"payload"  # the delete was rolled back
 
     elapsed = []
 
@@ -179,6 +176,4 @@ def test_failed_claim_leaves_no_open_transaction(tmp_path, monkeypatch):
     timed_put("ef")
     assert len(elapsed) == 2
     assert max(elapsed) < 1.0, elapsed
-    assert store._try_claim(key) is False  # the claim is still live
     store.close()
-    other.close()

@@ -273,6 +273,41 @@ class TestErrors:
         assert service.store.counters["misses"] == 0
         assert service.store.stats()["entries"] == 0
 
+    @pytest.mark.parametrize("params", [
+        {"workload": "star", "ops": 10**7},
+        {"workload": "chains", "chains": 10**4, "length": 10**4},
+        {"workload": "forest", "component_size": 10**4},
+    ], ids=["star", "chains", "forest"])
+    def test_pebble_over_the_size_cap_is_400_before_any_game(
+        self, server, params
+    ):
+        """A spill workload's CDAG is sized from the params by the
+        builder it plays on: no game, no lookup, nothing stored."""
+        service = server.app
+        start = time.monotonic()
+        status, payload = service.handle("POST", "/v1/pebble",
+                                         {"params": params})
+        assert time.monotonic() - start < 1.0
+        assert status == 400
+        assert f"{MAX_CDAG_SIZE:,} cap" in payload["error"]
+        assert service.store.counters["misses"] == 0
+        assert service.store.stats()["entries"] == 0
+
+    @pytest.mark.parametrize("path, params", [
+        ("/v1/compiled", {"num_inputs": -3, "num_outputs": 2}),
+        ("/v1/bound", {"num_inputs": 0, "num_outputs": 0}),
+    ])
+    def test_dense_size_below_one_is_400_and_not_stored(
+        self, server, path, params
+    ):
+        service = server.app
+        status, payload = service.handle(
+            "POST", path, {"builder": "dense", "params": params}
+        )
+        assert status == 400
+        assert "num_inputs and num_outputs" in payload["error"]
+        assert service.store.stats()["entries"] == 0
+
     def test_pebble_unknown_policy_is_400(self, server):
         """P-RBW games (the star workload) ignore ``policy`` but still
         validate it: nothing is played or stored."""

@@ -1,6 +1,7 @@
 """Tests for the content-addressed artifact store engine
 (:mod:`repro.store.db`) and the codec/key layers under it."""
 
+import multiprocessing
 import os
 import sqlite3
 import threading
@@ -73,6 +74,25 @@ class TestRoundtrip:
         payload, hit = store.get_or_compute(KEY, compute, kind="bound")
         assert (payload, hit) == (b"computed", True)
         assert len(calls) == 1
+
+    def test_cold_miss_is_one_write_transaction(self, store):
+        """A cold ``get_or_compute`` reads, computes, and then writes
+        once: one transaction holding the ``INSERT OR REPLACE``
+        publish."""
+        traced = []
+        conn = store._conn()
+        conn.set_trace_callback(traced.append)
+        try:
+            payload, hit = store.get_or_compute(
+                KEY, lambda: b"computed", kind="bound"
+            )
+        finally:
+            conn.set_trace_callback(None)
+        assert (payload, hit) == (b"computed", False)
+        writes = [statement.split(" (")[0].strip() for statement in traced
+                  if not statement.startswith("SELECT")]
+        assert writes == ["BEGIN", "INSERT OR REPLACE INTO artifacts",
+                          "COMMIT"]
 
 
 class TestIntegrity:
@@ -215,6 +235,43 @@ class TestConnectionLifetime:
         with pytest.raises(sqlite3.ProgrammingError):
             conn.execute("SELECT 1")
         assert store.get(KEY) is None  # reopens on next use
+
+
+def _opening_proc(root, rounds, barrier, queue):
+    """Open a fresh store file each round, in step with the other
+    processes; report the opens that raised."""
+    failed = []
+    for r in range(rounds):
+        barrier.wait(30)
+        try:
+            ArtifactStore(os.path.join(root, f"fresh{r}.db")).close()
+        except Exception as exc:  # any failure is reported to the parent
+            failed.append(f"round {r}: {exc!r}")
+    queue.put(failed)
+
+
+class TestConcurrentFirstOpen:
+    def test_processes_opening_one_fresh_file_all_succeed(self, tmp_path):
+        """Several ``repro serve`` or ``repro cache`` processes started
+        on one new path race to open (and so create) the same store
+        file; every open succeeds."""
+        nprocs, rounds = 4, 30
+        ctx = multiprocessing.get_context("fork")
+        barrier, queue = ctx.Barrier(nprocs), ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_opening_proc,
+                args=(str(tmp_path), rounds, barrier, queue),
+            )
+            for _ in range(nprocs)
+        ]
+        for p in procs:
+            p.start()
+        failed = [f for _ in procs for f in queue.get(timeout=120)]
+        for p in procs:
+            p.join(10.0)
+        assert not any(p.is_alive() for p in procs)
+        assert failed == []
 
 
 class TestKeys:

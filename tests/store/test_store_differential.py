@@ -206,7 +206,7 @@ SIZE_SWEEP = {
     "pyramid": [{"base": b} for b in range(1, 12)],
     "outer": [{"n": n} for n in range(1, 8)],
     "dense": [{"num_inputs": i, "num_outputs": o}
-              for i in range(0, 4) for o in range(0, 4)],
+              for i in range(1, 4) for o in range(1, 4)],
     "star_spill": [{"ops": o, "degree": d}
                    for o in range(1, 4) for d in range(1, 4)],
     "forest": [{"components": c, "component_size": n}
