@@ -71,6 +71,7 @@ doctest:
 	  src/repro/core/ordering.py \
 	  src/repro/pebbling/state.py \
 	  src/repro/pebbling/parallel.py \
+	  src/repro/distsim/cluster.py \
 	  src/repro/store/keys.py \
 	  src/repro/store/db.py \
 	  src/repro/store/analysis.py \

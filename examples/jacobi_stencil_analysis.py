@@ -58,7 +58,7 @@ def main() -> None:
     # 2. Simulated cluster measurement for a 2-D stencil.
     # ------------------------------------------------------------------
     shape, t, nodes, cache = (32, 32), 8, 4, 128
-    cluster = SimulatedCluster(nodes, cache, dimensions=2, policy="lru")
+    cluster = SimulatedCluster(nodes, cache, policy="lru")
     report = cluster.run_stencil(shape, t)
     lb = jacobi_io_lower_bound(shape[0], t, cache, 2, processors=nodes)
     ub_horiz = stencil_horizontal_upper_bound(shape[0], nodes, 2, t)

@@ -62,36 +62,11 @@ __all__ = [
     "topological_schedule",
     "dfs_schedule",
     "dfs_schedule_ids",
-    "find_dependence_violation",
     "min_liveset_schedule",
     "min_liveset_schedule_ids",
     "priority_schedule",
     "validate_schedule",
 ]
-
-
-def find_dependence_violation(c: CompiledCDAG, pos: np.ndarray):
-    """First CSR edge ``(u, v)`` (as ids) with ``pos[u] > pos[v]``, or
-    ``None`` if the positions respect every dependence.
-
-    ``pos`` maps vertex id -> position; entries of ``-1`` mean "no
-    position" and are ignored (used by partial orders such as the
-    distsim executor's operation-only replay, where inputs are always
-    available).  One vectorized pass over the compiled CSR arrays.
-    """
-    if c.m == 0:
-        return None
-    head_pos = np.repeat(pos, np.diff(c.succ_indptr))
-    tail_pos = pos[c.succ_indices]
-    bad = np.flatnonzero(
-        (head_pos >= 0) & (tail_pos >= 0) & (head_pos > tail_pos)
-    )
-    if not bad.size:
-        return None
-    k = int(bad[0])
-    u = int(np.searchsorted(c.succ_indptr, k, side="right") - 1)
-    v = int(c.succ_indices[k])
-    return u, v
 
 
 def validate_schedule(cdag: CDAG, schedule: Sequence[Vertex]) -> None:
@@ -112,13 +87,16 @@ def validate_schedule(cdag: CDAG, schedule: Sequence[Vertex]) -> None:
         raise CDAGError("schedule contains duplicate vertices")
     if len(ids) != c.n:
         raise CDAGError("schedule must contain every vertex exactly once")
-    if c.n == 0:
+    if c.m == 0:
         return
     pos = np.empty(c.n, dtype=np.int64)
     pos[ids] = np.arange(c.n, dtype=np.int64)
-    violation = find_dependence_violation(c, pos)
-    if violation is not None:
-        u, v = violation
+    head_pos = np.repeat(pos, np.diff(c.succ_indptr))
+    bad = np.flatnonzero(head_pos > pos[c.succ_indices])
+    if bad.size:
+        k = int(bad[0])
+        u = int(np.searchsorted(c.succ_indptr, k, side="right") - 1)
+        v = int(c.succ_indices[k])
         raise CDAGError(
             f"schedule violates dependence {c.vertex(u)!r} -> {c.vertex(v)!r}"
         )

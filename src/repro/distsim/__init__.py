@@ -5,14 +5,12 @@
 * :mod:`repro.distsim.partitioning` — block partitioning and ghost-shell
   geometry for horizontal (inter-node) traffic;
 * :mod:`repro.distsim.cluster` — workload-level simulation (stencil
-  sweeps, CG iterations) over a cluster of cached nodes;
-* :mod:`repro.distsim.executor` — CDAG-level owner-computes execution
-  with per-node traffic accounting.
+  sweeps, CG iterations) over a cluster of cached nodes, which
+  experiment E8 compares against the parallel lower bounds.
 """
 
 from .cache import CacheSimulator, CacheStats, simulate_trace
 from .cluster import ClusterTrafficReport, SimulatedCluster
-from .executor import DistributedExecutionReport, DistributedExecutor
 from .partitioning import BlockPartition, node_grid
 
 __all__ = [
@@ -21,8 +19,6 @@ __all__ = [
     "simulate_trace",
     "ClusterTrafficReport",
     "SimulatedCluster",
-    "DistributedExecutionReport",
-    "DistributedExecutor",
     "BlockPartition",
     "node_grid",
 ]

@@ -15,9 +15,8 @@ Two replacement policies are provided:
   fairest comparison against *lower* bounds because no replacement policy
   can beat it.
 
-The simulator is word-granular (line size 1 word) by default, matching
-the pebble-game model where each value is a word; a ``line_words``
-parameter allows coarser lines for sensitivity studies.
+The simulator is word-granular (each line holds one word), matching the
+pebble-game model where each value is a word.
 """
 
 from __future__ import annotations
@@ -60,26 +59,14 @@ class CacheSimulator:
         Cache capacity in words.
     policy:
         ``"lru"`` or ``"belady"``.
-    line_words:
-        Words per cache line (addresses are grouped into lines by integer
-        division when the address is an ``int``; non-integer addresses are
-        treated as their own line).
     """
 
-    def __init__(
-        self,
-        capacity_words: int,
-        policy: str = "lru",
-        line_words: int = 1,
-    ) -> None:
+    def __init__(self, capacity_words: int, policy: str = "lru") -> None:
         if capacity_words < 1:
             raise ValueError("capacity must be at least one word")
-        if line_words < 1:
-            raise ValueError("line size must be at least one word")
         if policy not in ("lru", "belady"):
             raise ValueError("policy must be 'lru' or 'belady'")
-        self.capacity_lines = max(1, capacity_words // line_words)
-        self.line_words = line_words
+        self.capacity_words = capacity_words
         self.policy = policy
         self.stats = CacheStats()
         # line -> dirty flag; OrderedDict gives LRU order (oldest first).
@@ -89,17 +76,11 @@ class CacheSimulator:
         self._clock = 0
 
     # ------------------------------------------------------------------
-    def _line_of(self, address: Address) -> Address:
-        if isinstance(address, int) and self.line_words > 1:
-            return address // self.line_words
-        return address
-
     def prepare_trace(self, addresses: Sequence[Address]) -> None:
         """Precompute next-use positions for the Belady policy."""
         self._future = {}
         for pos, addr in enumerate(addresses):
-            line = self._line_of(addr)
-            self._future.setdefault(line, []).append(pos)
+            self._future.setdefault(addr, []).append(pos)
         for uses in self._future.values():
             uses.reverse()  # pop() yields the earliest remaining use
 
@@ -119,37 +100,33 @@ class CacheSimulator:
             dirty = self._lines.pop(victim)
         self.stats.evictions += 1
         if dirty:
-            self.stats.writebacks += self.line_words
+            self.stats.writebacks += 1
 
     # ------------------------------------------------------------------
     def access(self, address: Address, write: bool = False) -> bool:
         """Reference one word; returns True on a hit.
 
-        A miss fills the line (counted as ``line_words`` of traffic via
-        ``stats.misses``, incremented by 1 per access for word-granular
-        accounting when ``line_words == 1``); a write marks the line dirty
-        so its eventual eviction is a write-back.
+        A miss fills the word's line (one word of traffic, counted in
+        ``stats.misses``); a write marks the line dirty so its eventual
+        eviction is a write-back.
         """
-        line = self._line_of(address)
         self.stats.accesses += 1
-        hit = line in self._lines
+        hit = address in self._lines
         if hit:
             self.stats.hits += 1
-            dirty = self._lines.pop(line)
-            self._lines[line] = dirty or write
+            dirty = self._lines.pop(address)
+            self._lines[address] = dirty or write
         else:
             self.stats.misses += 1
-            while len(self._lines) >= self.capacity_lines:
+            while len(self._lines) >= self.capacity_words:
                 self._evict_one()
-            self._lines[line] = write
+            self._lines[address] = write
         self._clock += 1
         return hit
 
     def flush(self) -> None:
         """Write back all dirty lines and empty the cache (end of phase)."""
-        for line, dirty in self._lines.items():
-            if dirty:
-                self.stats.writebacks += self.line_words
+        self.stats.writebacks += sum(self._lines.values())
         self._lines.clear()
 
     @property
@@ -161,7 +138,6 @@ def simulate_trace(
     trace: Sequence,
     capacity_words: int,
     policy: str = "lru",
-    line_words: int = 1,
 ) -> CacheStats:
     """Run a (address, is_write) reference trace through a fresh cache.
 
@@ -171,7 +147,7 @@ def simulate_trace(
     pairs = [
         item if isinstance(item, tuple) else (item, False) for item in trace
     ]
-    sim = CacheSimulator(capacity_words, policy=policy, line_words=line_words)
+    sim = CacheSimulator(capacity_words, policy=policy)
     if policy == "belady":
         sim.prepare_trace([a for a, _ in pairs])
     for addr, is_write in pairs:

@@ -19,6 +19,14 @@ that is the behaviour the paper's balance analysis assumes when it argues
 CG is memory-bandwidth bound; the tiled stencil schedule of Theorem 10's
 tightness argument is available separately via
 :func:`repro.solvers.jacobi_solver.tiled_sweep_io_estimate`.
+
+Usage example (doctest), E8's grid cell: four nodes with 32-word caches
+sweep a 12x12 grid three times::
+
+    >>> from repro.distsim import SimulatedCluster
+    >>> rep = SimulatedCluster(4, 32).run_stencil((12, 12), 3)
+    >>> rep.max_vertical, rep.max_horizontal
+    (360, 39)
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .cache import CacheSimulator
+from .cache import simulate_trace
 from .partitioning import BlockPartition, node_grid
 
 __all__ = ["ClusterTrafficReport", "SimulatedCluster"]
@@ -79,24 +87,17 @@ class SimulatedCluster:
         Number of nodes (each one cache + one unbounded memory).
     cache_words:
         Last-level cache capacity per node, in words.
-    dimensions:
-        Grid dimensionality of the workloads to be run.
     policy:
         Cache replacement policy (``"lru"`` or ``"belady"``).
     """
 
     def __init__(
-        self,
-        num_nodes: int,
-        cache_words: int,
-        dimensions: int,
-        policy: str = "lru",
+        self, num_nodes: int, cache_words: int, policy: str = "lru"
     ) -> None:
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         self.num_nodes = num_nodes
         self.cache_words = cache_words
-        self.dimensions = dimensions
         self.policy = policy
 
     # ------------------------------------------------------------------
@@ -105,16 +106,15 @@ class SimulatedCluster:
 
     # ------------------------------------------------------------------
     def run_stencil(
-        self, shape: Sequence[int], timesteps: int, arrays: int = 2
+        self, shape: Sequence[int], timesteps: int
     ) -> ClusterTrafficReport:
         """Simulate ``timesteps`` Jacobi sweeps over a grid of ``shape``.
 
         Per sweep, each node receives its ghost shell (horizontal), then
         streams its block: for every owned point it reads the point's
         neighbourhood from the ``u`` array and writes the point in the
-        ``u_next`` array (``arrays = 2`` double buffering).  The reference
-        stream is replayed through the node's cache to obtain vertical
-        traffic.
+        ``u_next`` array (double buffering).  The reference stream is
+        replayed through the node's cache to obtain vertical traffic.
         """
         part = self._partition(shape)
         report = ClusterTrafficReport()
@@ -123,7 +123,6 @@ class SimulatedCluster:
             rank = part.node_index(node)
             ghost = part.ghost_volume(node)
             block = list(part.block_points(node))
-            cache = CacheSimulator(self.cache_words, policy=self.policy)
             trace: List[Tuple[Tuple, bool]] = []
             for t in range(timesteps):
                 for p in block:
@@ -136,13 +135,10 @@ class SimulatedCluster:
                             if 0 <= q[axis] < shape[axis]:
                                 trace.append((("u", t % 2) + tuple(q), False))
                     trace.append((("u", (t + 1) % 2) + p, True))
-            if self.policy == "belady":
-                cache.prepare_trace([a for a, _ in trace])
-            for addr, w in trace:
-                cache.access(addr, write=w)
-            cache.flush()
             report.horizontal_per_node[rank] = ghost * timesteps
-            report.vertical_per_node[rank] = cache.stats.vertical_traffic
+            report.vertical_per_node[rank] = simulate_trace(
+                trace, self.cache_words, policy=self.policy
+            ).vertical_traffic
             report.flops_per_node[rank] = flops_per_point * len(block) * timesteps
         return report
 
@@ -174,7 +170,6 @@ class SimulatedCluster:
             rank = part.node_index(node)
             ghost = part.ghost_volume(node)
             block = list(part.block_points(node))
-            cache = CacheSimulator(self.cache_words, policy=self.policy)
             trace: List[Tuple[Tuple, bool]] = []
             for t in range(iterations):
                 # SpMV: v = A p (read p neighbourhood, write v)
@@ -207,13 +202,10 @@ class SimulatedCluster:
                     trace.append((("r",) + p, False))
                     trace.append((("p",) + p, False))
                     trace.append((("p",) + p, True))
-            if self.policy == "belady":
-                cache.prepare_trace([a for a, _ in trace])
-            for addr, w in trace:
-                cache.access(addr, write=w)
-            cache.flush()
             allreduce_words = 3 * max(0, self.num_nodes - 1)
             report.horizontal_per_node[rank] = (ghost + allreduce_words) * iterations
-            report.vertical_per_node[rank] = cache.stats.vertical_traffic
+            report.vertical_per_node[rank] = simulate_trace(
+                trace, self.cache_words, policy=self.policy
+            ).vertical_traffic
             report.flops_per_node[rank] = flops_per_point * len(block) * iterations
         return report

@@ -388,7 +388,7 @@ def experiment_distsim_parallel(
     n = shape[0]
     rows: List[Dict[str, object]] = []
     for policy in policies:
-        cluster = SimulatedCluster(num_nodes, cache_words, d, policy=policy)
+        cluster = SimulatedCluster(num_nodes, cache_words, policy=policy)
         st = cluster.run_stencil(shape, timesteps)
         stencil_lb = jacobi_io_lower_bound(
             n, timesteps, cache_words, d, processors=num_nodes

@@ -206,8 +206,18 @@ def _run_e7(p: Mapping, seed: int) -> List[Dict]:
 
 
 def _run_e8(p: Mapping, seed: int) -> List[Dict]:
+    shape = p["shape"]
+    if not (
+        isinstance(shape, list)
+        and shape
+        and all(type(n) is int and n >= 1 for n in shape)
+    ):
+        raise ValueError(
+            "e8 param 'shape' must be a non-empty list of integers >= 1, "
+            f"got {shape!r}"
+        )
     return _exp.experiment_distsim_parallel(
-        shape=tuple(p["shape"]),
+        shape=tuple(shape),
         timesteps=int(p["timesteps"]),
         num_nodes=int(p["num_nodes"]),
         cache_words=int(p["cache_words"]),

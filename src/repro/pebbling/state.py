@@ -34,8 +34,8 @@ indexing a :class:`MoveLog` (or ``GameRecord.moves``, which simply returns
 the log) materializes ``Move`` instances on demand, so all seed-era call
 sites (``for m in record.moves``, ``len(record.moves)``,
 ``game.replay(record.moves)``) keep working unchanged, while column-aware
-consumers (engine ``replay``, ``partition_from_game``, the distsim
-executor) read the integer arrays directly.
+consumers (engine ``replay``, ``partition_from_game``) read the integer
+arrays directly.
 
 Usage example (doctest)::
 
@@ -569,8 +569,7 @@ class MoveLog:
     resident memory stays bounded by one ``block_size`` staging block no
     matter how long the game runs (a 10^8-move P-RBW log is ~1.3 GB of
     column files but a few hundred KB of RAM).  Chunk-aware consumers —
-    the engines' ``replay``, ``partition_from_game``,
-    ``DistributedExecutor.run_record``, :meth:`counts`,
+    the engines' ``replay``, ``partition_from_game``, :meth:`counts`,
     :meth:`ids_of_kind`, iteration — page the blocks back through
     :meth:`iter_chunks` (``numpy.memmap`` views) and never materialize
     the full columns; :meth:`columns` still works but concatenates

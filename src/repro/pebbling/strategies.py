@@ -55,8 +55,7 @@ is hashed inside the spill loops.  Every move lands as a row of plain
 integers in the engine's columnar
 :class:`~repro.pebbling.state.MoveLog`, so the records returned here stay
 cheap at 10^6+ moves and replay column-to-column (engine ``replay``,
-``partition_from_game``, ``DistributedExecutor.run_record``) without ever
-materializing ``Move`` objects.  Pass ``spill=True`` (or a directory) to
+``partition_from_game``) without ever materializing ``Move`` objects.  Pass ``spill=True`` (or a directory) to
 record into a disk-backed log and keep resident memory flat at 10^8-move
 scale.
 """

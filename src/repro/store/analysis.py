@@ -121,19 +121,25 @@ class BuilderDef:
 
 
 def _n(p: Mapping, key: str) -> int:
-    """``int(p[key])``, the builders' own conversion, clamped at 0 so
-    that a negative count cannot cancel a huge one in a size bound."""
-    return max(int(p[key]), 0)
+    """``int(p[key])``, the builders' own conversion.  Every builder
+    refuses a size below one, so such a value is a client error here,
+    before any lookup (it also cannot cancel a huge one in a bound)."""
+    n = int(p[key])
+    if n < 1:
+        raise ValueError(f"param {key!r} must be >= 1, got {n}")
+    return n
 
 
 def _grid_size(p: Mapping) -> int:
     """``T + 1`` layers of points with at most ``2d + 1`` in-edges each,
     counted ``d`` times: every vertex name and neighbour offset has
     ``d`` coordinates, so a long shape of ones costs that much."""
-    shape = [max(int(x), 0) for x in p["shape"]]
+    shape = [int(x) for x in p["shape"]]
+    if any(n < 1 for n in shape):
+        raise ValueError(f"param 'shape' entries must be >= 1, got {shape}")
     timesteps = _n(p, "timesteps")
     points = 1
-    for n in shape:  # clamped, so a long shape never makes a huge int
+    for n in shape:  # capped, so a long shape never makes a huge int
         points = min(points * n, MAX_CDAG_SIZE + 1)
     d = len(shape)
     return (timesteps + 1 + timesteps * (2 * d + 1)) * points * max(d, 1)

@@ -278,13 +278,19 @@ class ArtifactStore:
         reported as a miss so the caller recomputes instead of consuming
         bad bytes.
         """
+        payload = self._read(key)
+        self._count("misses" if payload is None else "hits")
+        return payload
+
+    def _read(self, key: str) -> Optional[bytes]:
+        """:meth:`get` without the hit/miss count (a corrupt row still
+        counts under ``corrupt``); each caller counts its own lookup."""
         conn = self._conn()
         row = conn.execute(
             "SELECT payload, sha256, nbytes FROM artifacts WHERE key = ?",
             (key,),
         ).fetchone()
         if row is None:
-            self._count("misses")
             return None
         payload, sha, nbytes = row
         payload = bytes(payload)
@@ -293,7 +299,6 @@ class ArtifactStore:
             or hashlib.sha256(payload).hexdigest() != sha
         ):
             self._count("corrupt")
-            self._count("misses")
             with conn:
                 conn.execute("DELETE FROM artifacts WHERE key = ?", (key,))
             self._emit("store.corrupt_recovered", key=key,
@@ -305,7 +310,6 @@ class ArtifactStore:
                 "WHERE key = ?",
                 (time.time(), key),
             )
-        self._count("hits")
         return payload
 
     def put(
@@ -369,16 +373,22 @@ class ArtifactStore:
         process missing the same key at the same time computes too and
         writes an identical row (content addressing): wasted work, not
         a wrong answer.
+
+        Each call counts once: a hit if it returns stored bytes (from
+        either read), a miss if it computes.
         """
-        payload = self.get(key)
+        payload = self._read(key)
         if payload is not None:
+            self._count("hits")
             return payload, True
         lock = self._flight.acquire(key)
         try:
-            payload = self.get(key)
+            payload = self._read(key)
             if payload is not None:
+                self._count("hits")
                 self._count("flights")
                 return payload, True
+            self._count("misses")
             payload = compute()
             self.put(
                 key,

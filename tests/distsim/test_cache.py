@@ -74,8 +74,6 @@ class TestBasicBehaviour:
             CacheSimulator(0)
         with pytest.raises(ValueError):
             CacheSimulator(4, policy="fifo")
-        with pytest.raises(ValueError):
-            CacheSimulator(4, line_words=0)
 
 
 class TestBelady:
@@ -97,20 +95,6 @@ class TestBelady:
         lru = simulate_trace(trace, capacity_words=8, policy="lru")
         opt = simulate_trace(trace, capacity_words=8, policy="belady")
         assert opt.misses <= lru.misses
-
-
-class TestLineGranularity:
-    def test_line_words_groups_integer_addresses(self):
-        sim = CacheSimulator(capacity_words=8, line_words=4)
-        sim.access(0)
-        assert sim.access(3) is True  # same 4-word line
-        assert sim.access(4) is False  # next line
-
-    def test_writeback_counts_line_words(self):
-        sim = CacheSimulator(capacity_words=4, line_words=4)
-        sim.access(0, write=True)
-        sim.access(8)  # evicts the dirty line
-        assert sim.stats.writebacks == 4
 
 
 class TestSimulateTrace:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distsim import ClusterTrafficReport, DistributedExecutionReport
+from repro.distsim import ClusterTrafficReport
 
 
 class TestClusterTrafficReport:
@@ -32,22 +32,3 @@ class TestClusterTrafficReport:
         assert rep.max_vertical == 0
         assert rep.vertical_intensity() == 0.0
         assert rep.horizontal_intensity() == 0.0
-
-
-class TestDistributedExecutionReport:
-    def test_aggregates(self):
-        rep = DistributedExecutionReport(
-            horizontal_per_node={0: 3, 1: 5},
-            vertical_per_node={0: 7, 1: 2},
-            computes_per_node={0: 10, 1: 12},
-        )
-        assert rep.max_horizontal == 5
-        assert rep.max_vertical == 7
-        assert rep.total_computes == 22
-        assert rep.total_horizontal == 8
-        assert rep.total_vertical == 9
-
-    def test_empty(self):
-        rep = DistributedExecutionReport()
-        assert rep.max_horizontal == 0 and rep.max_vertical == 0
-        assert rep.total_computes == 0

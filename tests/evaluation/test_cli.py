@@ -216,6 +216,37 @@ class TestExecution:
         assert proc.stderr.startswith("repro: error: ")
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("params", [
+        {"shape": []},
+        {"shape": 5},
+        {"shape": [12, "a"]},
+        {"timesteps": 0},
+    ], ids=["shape-empty", "shape-not-list", "shape-not-int", "timesteps-0"])
+    def test_malformed_e8_cell_is_one_error_line(self, params, tmp_path):
+        """A malformed E8 cell in a grid file fails as one ``repro:
+        error:`` line and exit 2, never a Python traceback (the partial
+        cell directory may remain, as for any failed cell)."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        (tmp_path / "grid.json").write_text(
+            json.dumps([{"experiment": "e8", "params": params}])
+        )
+        src = Path(repro.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--grid-file",
+             "grid.json", "--out", "results", "--jobs", "1"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("repro: error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_sweep_experiment_filter(self, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["sweep", "--out", str(out), "--grid", "smoke",

@@ -23,7 +23,6 @@ from repro.bounds import (
 )
 from repro.core import grid_stencil_cdag, partition_from_game
 from repro.core.partition import check_rbw_partition
-from repro.distsim import DistributedExecutor, SimulatedCluster
 from repro.machine import CRAY_XT5, IBM_BGQ
 from repro.pebbling import (
     MemoryHierarchy,
@@ -76,19 +75,6 @@ class TestStencilPipelines:
         lb = jacobi_io_lower_bound(shape[0], t, 24, 2,
                                    processors=hierarchy.num_nodes)
         assert record.max_vertical_io_at_level(3) + record.io_count >= lb
-
-    def test_cluster_measurement_consistent_with_executor(self):
-        shape, t, nodes, cache = (12, 12), 2, 4, 48
-        cluster_rep = SimulatedCluster(nodes, cache, 2).run_stencil(shape, t)
-        cdag = grid_stencil_cdag(shape, t)
-        exec_rep = DistributedExecutor(nodes, cache).run(
-            cdag, partitioner=lambda v: 0 if v[0] != "st" else (
-                (v[2] * 2) // shape[0] * 2 + (v[3] * 2) // shape[1]
-            )
-        )
-        # both measure non-trivial vertical and horizontal traffic
-        assert cluster_rep.max_vertical > 0 and exec_rep.max_vertical > 0
-        assert cluster_rep.max_horizontal > 0 and exec_rep.total_horizontal > 0
 
     def test_decomposition_of_stencil_over_timesteps(self):
         # Theorem 2: summing per-timestep bounds is a valid bound for the

@@ -12,10 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.builders import chain_cdag, diamond_cdag
-from repro.core.ordering import topological_schedule
+from repro.core.builders import diamond_cdag
 from repro.core.partition import partition_from_game
-from repro.distsim.executor import DistributedExecutor
 from repro.pebbling import (
     GameRecord,
     MemoryHierarchy,
@@ -196,56 +194,3 @@ class TestEngineLogEquivalence:
         assert record.compute_count == bins[OP_COMPUTE]
         assert record.io_count == bins[OP_LOAD] + bins[OP_STORE]
         assert len(record.moves) == int(bins.sum())
-
-
-class TestExecutorRunRecord:
-    def test_run_record_matches_schedule_run(self, random_dag):
-        cdag = random_dag(7, 40)
-        s = max(cdag.in_degree(v) for v in cdag.vertices) + 2
-        schedule = topological_schedule(cdag)
-        record = spill_game_rbw(cdag, s, schedule)
-        ex = DistributedExecutor(num_nodes=3, cache_words=8)
-        from_schedule = ex.run(cdag, schedule=schedule)
-        from_record = ex.run_record(cdag, record)
-        assert from_record.horizontal_per_node == from_schedule.horizontal_per_node
-        assert from_record.vertical_per_node == from_schedule.vertical_per_node
-        assert from_record.computes_per_node == from_schedule.computes_per_node
-
-    def test_run_record_rejects_recomputation(self):
-        cdag = chain_cdag(1)
-        game = RedBluePebbleGame(cdag, 2)
-        game.load(("chain", 0))
-        game.compute(("chain", 1))
-        game.delete(("chain", 1))
-        game.compute(("chain", 1))  # legal in red-blue, but not replayable
-        ex = DistributedExecutor(num_nodes=2, cache_words=4)
-        with pytest.raises(ValueError):
-            ex.run_record(cdag, game.record)
-
-    def test_run_record_rejects_compute_on_input(self):
-        cdag = chain_cdag(2)
-        c = cdag.compiled()
-        log = MoveLog(compiled=c)  # "computes" the input, skips an op
-        log.append_ids(OP_COMPUTE, c.id(("chain", 0)))
-        log.append_ids(OP_COMPUTE, c.id(("chain", 2)))
-        ex = DistributedExecutor(num_nodes=2, cache_words=4)
-        with pytest.raises(ValueError):
-            ex.run_record(cdag, log)
-
-    def test_run_record_rejects_dependence_violation(self):
-        cdag = chain_cdag(2)
-        c = cdag.compiled()
-        log = MoveLog(compiled=c)  # hand-built: fires ops anti-topologically
-        log.append_ids(OP_COMPUTE, c.id(("chain", 2)))
-        log.append_ids(OP_COMPUTE, c.id(("chain", 1)))
-        ex = DistributedExecutor(num_nodes=2, cache_words=4)
-        with pytest.raises(ValueError):
-            ex.run_record(cdag, log)
-
-    def test_run_record_rejects_foreign_logs(self):
-        cdag = chain_cdag(3)
-        other = chain_cdag(3)
-        record = spill_game_rbw(other, 3)
-        ex = DistributedExecutor(num_nodes=2, cache_words=4)
-        with pytest.raises(ValueError):
-            ex.run_record(cdag, record)

@@ -305,7 +305,8 @@ class TestErrors:
             "POST", path, {"builder": "dense", "params": params}
         )
         assert status == 400
-        assert "num_inputs and num_outputs" in payload["error"]
+        assert "'num_inputs' must be >= 1" in payload["error"]
+        assert service.store.counters["misses"] == 0
         assert service.store.stats()["entries"] == 0
 
     def test_pebble_unknown_policy_is_400(self, server):
@@ -321,14 +322,15 @@ class TestErrors:
         assert service.store.stats()["entries"] == 0
 
     def test_pebble_size_below_one_is_400_and_not_stored(self, server):
-        """A workload size below one is refused by the workload builder:
-        a client error, and no store row is written."""
+        """A workload size below one is refused by the size check before
+        any lookup: a client error, and no store row is written."""
         service = server.app
         status, payload = service.handle(
             "POST", "/v1/pebble", {"params": {"workload": "star", "ops": -3}},
         )
         assert status == 400
-        assert "num_ops" in payload["error"]
+        assert "'ops' must be >= 1" in payload["error"]
+        assert service.store.counters["misses"] == 0
         assert service.store.stats()["entries"] == 0
 
     def test_unknown_route_is_404(self, client):

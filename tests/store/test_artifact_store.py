@@ -12,6 +12,7 @@ import pytest
 from repro.store import (
     ArtifactStore,
     artifact_key,
+    cached_bound,
     code_version,
     pack_arrays,
     schedule_from_payload,
@@ -74,6 +75,16 @@ class TestRoundtrip:
         payload, hit = store.get_or_compute(KEY, compute, kind="bound")
         assert (payload, hit) == (b"computed", True)
         assert len(calls) == 1
+
+    def test_each_cached_call_counts_once(self, store):
+        """A cold call counts one miss (it computes; its re-read under
+        the single-flight lock is not a second miss), a warm call one
+        hit."""
+        assert cached_bound(store, "chain", {"length": 16}, s=2)[1] is False
+        assert cached_bound(store, "chain", {"length": 16}, s=2)[1] is True
+        assert store.counters["misses"] == 1
+        assert store.counters["hits"] == 1
+        assert store.stats()["hit_rate"] == 0.5
 
     def test_cold_miss_is_one_write_transaction(self, store):
         """A cold ``get_or_compute`` reads, computes, and then writes

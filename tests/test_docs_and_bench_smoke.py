@@ -4,7 +4,8 @@ Two things ride in the plain ``pytest -x -q`` invocation:
 
 * the **doctest run** over the documented public surface
   (``core/ordering.py``, ``pebbling/state.py``, ``pebbling/parallel.py``,
-  plus the artifact-store/service layer: ``store/keys.py``,
+  ``distsim/cluster.py`` with E8's traffic counts, plus the
+  artifact-store/service layer: ``store/keys.py``,
   ``store/db.py``, ``store/analysis.py``, ``service/server.py``)
   — the module-level usage examples those docstrings show must execute as
   written (the same modules can be checked standalone with
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.core.ordering
+import repro.distsim.cluster
 import repro.obs.dashboard
 import repro.obs.events
 import repro.obs.metrics
@@ -39,6 +41,7 @@ DOCTEST_MODULES = [
     repro.core.ordering,
     repro.pebbling.state,
     repro.pebbling.parallel,
+    repro.distsim.cluster,
     repro.store.keys,
     repro.store.db,
     repro.store.analysis,
