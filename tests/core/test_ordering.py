@@ -1,8 +1,12 @@
 """Unit tests for schedule generation."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.core import (
+    CDAG,
     chain_cdag,
     dfs_schedule,
     dfs_schedule_ids,
@@ -16,6 +20,7 @@ from repro.core import (
     topological_schedule,
     validate_schedule,
 )
+from repro.core.cdag import CDAGError
 
 import reference_graph as reference
 
@@ -57,6 +62,50 @@ class TestValidateSchedule:
         c = chain_cdag(2)
         with pytest.raises(Exception):
             validate_schedule(c, [("chain", 1), ("chain", 0), ("chain", 2)])
+
+    def test_violation_names_the_violated_edge(self):
+        c = chain_cdag(2)
+        with pytest.raises(CDAGError, match=re.escape(
+            "violates dependence ('chain', 1) -> ('chain', 2)"
+        )):
+            validate_schedule(c, [("chain", 0), ("chain", 2), ("chain", 1)])
+
+    def test_edgeless_cdag_accepts_any_order_of_all_vertices(self):
+        c = CDAG.from_edge_list(
+            vertices=[("v", i) for i in range(3)], edges=[]
+        )
+        validate_schedule(c, [("v", 2), ("v", 0), ("v", 1)])
+        with pytest.raises(CDAGError):
+            validate_schedule(c, [("v", 2), ("v", 2), ("v", 1)])
+        with pytest.raises(CDAGError):
+            validate_schedule(c, [("v", 2), ("v", 0)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_an_edge_by_edge_check(self, seed, random_dag):
+        """Random orders, valid and not: the vectorized check rejects
+        exactly the orders that put some edge's head after its tail,
+        and names one such edge."""
+        cdag = random_dag(seed, 30, extra_edge_prob=0.1)
+        rng = np.random.default_rng(seed)
+        edges = list(cdag.edges())
+        topo = topological_schedule(cdag)
+        for trial in range(30):
+            order = list(topo)
+            if trial % 3 == 1:
+                i, j = rng.choice(len(order), size=2, replace=False)
+                order[i], order[j] = order[j], order[i]
+            elif trial % 3 == 2:
+                order = [order[k] for k in rng.permutation(len(order))]
+            pos = {v: k for k, v in enumerate(order)}
+            violated = [(u, v) for u, v in edges if pos[u] > pos[v]]
+            if not violated:
+                validate_schedule(cdag, order)
+                continue
+            with pytest.raises(CDAGError) as err:
+                validate_schedule(cdag, order)
+            assert any(
+                f"{u!r} -> {v!r}" in str(err.value) for u, v in violated
+            )
 
 
 class TestMinLivesetSchedule:

@@ -97,11 +97,42 @@ class TestBelady:
         assert opt.misses <= lru.misses
 
 
+class TestWordGranularity:
+    def test_adjacent_integer_addresses_are_separate_lines(self):
+        sim = CacheSimulator(capacity_words=8)
+        sim.access(0)
+        assert sim.access(1) is False
+        assert sim.access(0) is True
+        assert sim.resident_lines == 2
+
+    def test_writeback_counts_one_word_per_dirty_line(self):
+        sim = CacheSimulator(capacity_words=4)
+        for a in range(4):
+            sim.access(a, write=True)
+        for a in range(4, 8):
+            sim.access(a)  # each evicts one dirty word
+        assert sim.stats.writebacks == 4
+        assert sim.stats.vertical_traffic == 8 + 4
+
+
 class TestSimulateTrace:
     def test_accepts_pairs_and_plain_addresses(self):
         stats = simulate_trace([("a", True), "b", ("a", False)], 4)
         assert stats.accesses == 3
         assert stats.hits == 1
+
+    @pytest.mark.parametrize("policy", ["lru", "belady"])
+    def test_matches_a_hand_driven_simulator(self, policy):
+        """``simulate_trace`` is a fresh cache, primed for Belady, fed
+        the trace, then flushed."""
+        trace = [(a % 7, a % 3 == 0) for a in range(40)]
+        sim = CacheSimulator(3, policy=policy)
+        if policy == "belady":
+            sim.prepare_trace([a for a, _ in trace])
+        for addr, write in trace:
+            sim.access(addr, write=write)
+        sim.flush()
+        assert simulate_trace(trace, 3, policy=policy) == sim.stats
 
     def test_full_reuse_in_large_cache(self):
         trace = list(range(16)) * 4

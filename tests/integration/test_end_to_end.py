@@ -23,6 +23,7 @@ from repro.bounds import (
 )
 from repro.core import grid_stencil_cdag, partition_from_game
 from repro.core.partition import check_rbw_partition
+from repro.distsim import BlockPartition, SimulatedCluster, node_grid
 from repro.machine import CRAY_XT5, IBM_BGQ
 from repro.pebbling import (
     MemoryHierarchy,
@@ -75,6 +76,29 @@ class TestStencilPipelines:
         lb = jacobi_io_lower_bound(shape[0], t, 24, 2,
                                    processors=hierarchy.num_nodes)
         assert record.max_vertical_io_at_level(3) + record.io_count >= lb
+
+    def test_cluster_ghost_charge_covers_the_parallel_game(self):
+        """On one block partition, the rule-checked P-RBW game's remote
+        traffic at each node (its horizontal I/O less the loads of its
+        own inputs) never exceeds the cluster's ghost-shell charge: the
+        cluster's horizontal count is an upper bound a legal game meets."""
+        shape, t, nodes, cache = (8, 8), 2, 4, 48
+        cluster_rep = SimulatedCluster(nodes, cache).run_stencil(shape, t)
+        cdag = grid_stencil_cdag(shape, t)
+        part = BlockPartition(shape, node_grid(nodes, 2))
+        hierarchy = MemoryHierarchy.cluster(
+            nodes=nodes, cores_per_node=1, registers_per_core=8,
+            cache_size=cache,
+        )
+        record = parallel_spill_game(cdag, hierarchy, assignment={
+            v: part.node_index(part.owner(v[2:])) for v in cdag.vertices
+        })
+        for node in part.node_ids():
+            rank = part.node_index(node)
+            remote = record.horizontal_io[rank] - part.block_size(node)
+            assert 0 < remote <= cluster_rep.horizontal_per_node[rank]
+        assert cluster_rep.max_vertical > 0
+        assert record.max_vertical_io_at_level(2) > 0
 
     def test_decomposition_of_stencil_over_timesteps(self):
         # Theorem 2: summing per-timestep bounds is a valid bound for the

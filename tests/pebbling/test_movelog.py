@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.builders import diamond_cdag
+from repro.core.builders import chain_cdag, diamond_cdag
 from repro.core.partition import partition_from_game
 from repro.pebbling import (
+    GameError,
     GameRecord,
     MemoryHierarchy,
     Move,
@@ -194,3 +195,36 @@ class TestEngineLogEquivalence:
         assert record.compute_count == bins[OP_COMPUTE]
         assert record.io_count == bins[OP_LOAD] + bins[OP_STORE]
         assert len(record.moves) == int(bins.sum())
+
+
+class TestRBWLogReplayRejects:
+    """Replaying a log through the RBW engine checks the rules the
+    recorded game should have kept, off the columns as per move."""
+
+    def test_recomputation_from_a_redblue_log(self):
+        cdag = chain_cdag(1)
+        game = RedBluePebbleGame(cdag, 2)
+        game.load(("chain", 0))
+        game.compute(("chain", 1))
+        game.delete(("chain", 1))
+        game.compute(("chain", 1))  # legal in red-blue, not in RBW
+        with pytest.raises(GameError, match="recomputation"):
+            RBWPebbleGame(cdag, 2).replay(game.record.log)
+
+    def test_compute_on_an_input(self):
+        cdag = chain_cdag(2)
+        c = cdag.compiled()
+        log = MoveLog(compiled=c)
+        log.append_ids(OP_COMPUTE, c.id(("chain", 0)))
+        log.append_ids(OP_COMPUTE, c.id(("chain", 2)))
+        with pytest.raises(GameError, match="input vertex"):
+            RBWPebbleGame(cdag, 4).replay(log)
+
+    def test_dependence_violation(self):
+        cdag = chain_cdag(2)
+        c = cdag.compiled()
+        log = MoveLog(compiled=c)  # fires ops anti-topologically
+        log.append_ids(OP_COMPUTE, c.id(("chain", 2)))
+        log.append_ids(OP_COMPUTE, c.id(("chain", 1)))
+        with pytest.raises(GameError, match="predecessors"):
+            RBWPebbleGame(cdag, 4).replay(log)

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.builders import chain_cdag, grid_stencil_cdag
+from repro.core.ordering import topological_schedule
 from repro.core.partition import partition_from_game
 from repro.pebbling import (
+    MoveKind,
     MoveLog,
     RBWPebbleGame,
     RedBluePebbleGame,
@@ -113,6 +115,25 @@ class TestSpilledLogConsumers:
         part_spl = partition_from_game(cdag, spl, 4)
         assert part_ram.subsets == part_spl.subsets
         assert part_ram.s == part_spl.s
+        spl.log.close()
+
+    def test_rbw_spill_game_keeps_schedule_order_and_replays(self):
+        """A spilled RBW spill game fires each operation once, in
+        schedule order, and a fresh engine replays it to the in-RAM
+        game's summary."""
+        cdag = grid_stencil_cdag((6,), 4)
+        schedule = topological_schedule(cdag)
+        ram = spill_game_rbw(cdag, 6, schedule=schedule)
+        spl = spill_game_rbw(cdag, 6, schedule=schedule, spill=True)
+        computes = spl.log.ids_of_kind(MoveKind.COMPUTE)
+        assert cdag.compiled().vertices_of(computes) == [
+            v for v in schedule if not cdag.is_input(v)
+        ]
+        assert np.array_equal(
+            computes, ram.log.ids_of_kind(MoveKind.COMPUTE)
+        )
+        replayed = RBWPebbleGame(cdag, 6).replay(spl)
+        assert replayed.summary() == ram.summary()
         spl.log.close()
 
 

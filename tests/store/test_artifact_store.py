@@ -131,6 +131,23 @@ class TestIntegrity:
         assert (payload, hit) == (b"good-bytes", False)
         assert store.get(KEY) == b"good-bytes"
 
+    def test_corrupt_row_counts_one_miss_in_get_or_compute(self, store):
+        """The corrupt first read and the empty re-read under the lock
+        are one call that computes: one miss, no hit."""
+        store.put(KEY, b"good-bytes", kind="bound")
+        self._tamper(
+            store,
+            "UPDATE artifacts SET payload = ? WHERE key = ?",
+            (sqlite3.Binary(b"evil-bytes"), KEY),
+        )
+        payload, hit = store.get_or_compute(
+            KEY, lambda: b"good-bytes", kind="bound"
+        )
+        assert (payload, hit) == (b"good-bytes", False)
+        assert store.counters["corrupt"] == 1
+        assert store.counters["misses"] == 1
+        assert store.counters["hits"] == 0
+
     def test_truncated_payload_is_a_miss(self, store):
         store.put(KEY, b"0123456789", kind="bound")
         self._tamper(

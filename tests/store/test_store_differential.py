@@ -230,3 +230,17 @@ class TestSizeBound:
         assert set(SIZE_SWEEP) == set(BUILDERS)
         for name, bdef in BUILDERS.items():
             assert 50 * bdef.size(bdef.defaults) <= MAX_CDAG_SIZE, name
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_size_below_one_is_refused_before_any_lookup(
+        self, store, builder
+    ):
+        """Each builder's first param is a size (a shape entry for the
+        grid); below one it is a ``ValueError`` naming the param, raised
+        by the size check, so the store is never read."""
+        key = next(iter(BUILDERS[builder].defaults))
+        value = [4, 0] if key == "shape" else 0
+        with pytest.raises(ValueError, match=f"param '{key}'"):
+            cached_bound(store, builder, {key: value})
+        assert store.counters["misses"] == store.counters["hits"] == 0
+        assert store.stats()["entries"] == 0
