@@ -13,11 +13,14 @@ test:
 
 # Kernel planner differential suites (numpy tier by default; CI's numba
 # matrix arm runs this with numba installed and REPRO_KERNEL=numba so
-# the jitted planner is pinned move-for-move too).
+# the jitted planner is pinned move-for-move too), including the
+# randomized P-RBW play suite: kernel planner = dict reference, or the
+# same error, over random DAGs x cluster shapes.
 test-kernel:
 	$(PY) -m pytest tests/pebbling/test_kernel_backend.py \
 	  tests/pebbling/test_spill_strategies.py \
-	  tests/pebbling/test_run_spill_game.py -q
+	  tests/pebbling/test_run_spill_game.py \
+	  tests/pebbling/test_prbw_play_properties.py -q
 
 # Manifest-driven harness suites: the crash/resume differential test
 # (SIGKILL a 4-cell smoke grid mid-run, resume, byte-compare against an

@@ -159,50 +159,72 @@ def _machines(params: Mapping):
         ) from None
 
 
+def _param(experiment: str, p: Mapping, name: str, kind: type):
+    """Grid param ``name`` as ``kind``: an ``int`` from a JSON integer, or
+    a ``tuple`` from a JSON array.  A value of any other JSON type is a
+    ``ValueError`` naming the experiment, the param and the value (the
+    CLI prints it as one error line), never a ``TypeError`` from deep
+    inside the experiment, and never a float truncated to a run the
+    manifest does not describe."""
+    value = p[name]
+    if kind is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(value)
+        what = "a list"
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    else:
+        what = "an integer"
+    raise ValueError(
+        f"{experiment} param {name!r} must be {what}, got {value!r}"
+    )
+
+
 def _run_e1(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_table1_machines(machines=_machines(p))
 
 
 def _run_e2(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_composite_example(
-        sizes=tuple(p["sizes"]), s=int(p["s"])
+        sizes=_param("e2", p, "sizes", tuple), s=_param("e2", p, "s", int)
     )
 
 
 def _run_e3(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_cg_bounds(
-        n=int(p["n"]),
-        dimensions=int(p["dimensions"]),
-        iterations=int(p["iterations"]),
+        n=_param("e3", p, "n", int),
+        dimensions=_param("e3", p, "dimensions", int),
+        iterations=_param("e3", p, "iterations", int),
         machines=_machines(p),
-        small_shape=tuple(p["small_shape"]),
+        small_shape=_param("e3", p, "small_shape", tuple),
     )
 
 
 def _run_e4(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_gmres_bounds(
-        n=int(p["n"]),
-        dimensions=int(p["dimensions"]),
-        krylov_dimensions=tuple(p["krylov_dimensions"]),
+        n=_param("e4", p, "n", int),
+        dimensions=_param("e4", p, "dimensions", int),
+        krylov_dimensions=_param("e4", p, "krylov_dimensions", tuple),
     )
 
 
 def _run_e5(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_jacobi_bounds(
-        dimensions=tuple(p["dimensions"]),
-        n=int(p["n"]),
-        timesteps=int(p["timesteps"]),
+        dimensions=_param("e5", p, "dimensions", tuple),
+        n=_param("e5", p, "n", int),
+        timesteps=_param("e5", p, "timesteps", int),
     )
 
 
 def _run_e6(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_matmul_bounds(
-        sizes=tuple(p["sizes"]), cache_sizes=tuple(p["cache_sizes"])
+        sizes=_param("e6", p, "sizes", tuple),
+        cache_sizes=_param("e6", p, "cache_sizes", tuple),
     )
 
 
 def _run_e7(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_bound_validation(s=int(p["s"]))
+    return _exp.experiment_bound_validation(s=_param("e7", p, "s", int))
 
 
 def _run_e8(p: Mapping, seed: int) -> List[Dict]:
@@ -218,19 +240,19 @@ def _run_e8(p: Mapping, seed: int) -> List[Dict]:
         )
     return _exp.experiment_distsim_parallel(
         shape=tuple(shape),
-        timesteps=int(p["timesteps"]),
-        num_nodes=int(p["num_nodes"]),
-        cache_words=int(p["cache_words"]),
-        policies=tuple(p["policies"]),
+        timesteps=_param("e8", p, "timesteps", int),
+        num_nodes=_param("e8", p, "num_nodes", int),
+        cache_words=_param("e8", p, "cache_words", int),
+        policies=_param("e8", p, "policies", tuple),
     )
 
 
 def _run_e9(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_balance_conditions(
-        n=int(p["n"]),
-        dimensions=int(p["dimensions"]),
-        gmres_m=int(p["gmres_m"]),
-        jacobi_timesteps=int(p["jacobi_timesteps"]),
+        n=_param("e9", p, "n", int),
+        dimensions=_param("e9", p, "dimensions", int),
+        gmres_m=_param("e9", p, "gmres_m", int),
+        jacobi_timesteps=_param("e9", p, "jacobi_timesteps", int),
         machines=_machines(p),
     )
 
@@ -238,13 +260,13 @@ def _run_e9(p: Mapping, seed: int) -> List[Dict]:
 def _run_spill(p: Mapping, seed: int) -> List[Dict]:
     return _exp.experiment_spill_strategies(
         workload=p["workload"],
-        ops=int(p["ops"]),
-        degree=int(p["degree"]),
-        chains=int(p["chains"]),
-        length=int(p["length"]),
-        num_red=int(p["num_red"]),
-        components=int(p["components"]),
-        component_size=int(p["component_size"]),
+        ops=_param("spill", p, "ops", int),
+        degree=_param("spill", p, "degree", int),
+        chains=_param("spill", p, "chains", int),
+        length=_param("spill", p, "length", int),
+        num_red=_param("spill", p, "num_red", int),
+        components=_param("spill", p, "components", int),
+        component_size=_param("spill", p, "component_size", int),
         policy=p["policy"],
         backend=p["backend"],
         seed=seed,

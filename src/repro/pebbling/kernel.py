@@ -1,23 +1,26 @@
-"""Fused vectorized pebble-rule kernel: the sequential fast path.
+"""Fused vectorized pebble-rule kernel: the spill strategies' fast path.
 
-``spill_game_rbw``/``spill_game_redblue`` with the default
-``backend="batched"`` run here.  A per-move strategy loop spends its
-budget on Python-interpreter rule checks: every load, store, compute,
-and delete is one engine method call that validates its rule and
-appends one log row.  This module breaks that floor by splitting each
-strategy into three bulk phases that run a *chunk of macro-steps* at a
-time:
+``spill_game_rbw``/``spill_game_redblue``/``parallel_spill_game`` with
+the default ``backend="batched"`` run here.  A per-move strategy loop
+spends its budget on Python-interpreter rule checks: every move is one
+engine method call that validates its rule and appends one log row.
+This module breaks that floor by splitting each strategy into bulk
+phases that run a *chunk* at a time:
 
-1. **Plan** — a static, schedule-derived description of every macro-step
-   (operands, retires, output/self-retire flags) is precomputed with
-   numpy array passes.  The only remaining per-move Python work is the
-   *policy decision* (which victim to evict), a tight loop over plain
-   ints that emits one packed outcome word per operand touch / compute
-   slot — no engine calls, no log appends.
-2. **Splice** — the outcome words are expanded into the exact move
-   columns (opcode + vertex id) with vectorized scatter/cumsum passes.
+1. **Plan** — the *policy decisions* (which victim to evict, where a
+   copy comes from) run in a tight loop over plain ints, with no engine
+   calls and no log appends.  The sequential planners read a static,
+   schedule-derived description of every macro-step (operands, retires,
+   output/self-retire flags, precomputed with numpy array passes) and
+   emit one packed outcome word per operand touch / compute slot; the
+   P-RBW planner (:func:`parallel_spill_kernel`) walks the schedule over
+   int shade bitmasks and emits each move's column values directly.
+2. **Splice** (sequential) — the outcome words are expanded into the
+   exact move columns (opcode + vertex id) with vectorized
+   scatter/cumsum passes.
 3. **Validate + append** — every pebble rule (R1-R4 and the red-pebble
-   capacity) is re-checked over the whole chunk with segmented array
+   capacity; R1-R7, instance capacities and canonical sources for
+   P-RBW) is re-checked over the whole chunk with segmented array
    passes (a stable sort by vertex id turns "state before move t" into
    prefix queries), then the columns land in the
    :class:`~repro.pebbling.state.MoveLog` via one ``extend_block``.
@@ -37,13 +40,16 @@ Capability probe
   loop (:func:`_lru_arity1_flat`) when numba is importable, degrading
   silently to ``"numpy"`` when it is not.
 
-The planner emits exactly the moves the ``dict`` reference loop emits —
-the randomized differential suite pins them move-for-move.
+The planners emit exactly the moves the ``dict`` reference loops emit —
+the randomized differential suites pin them move-for-move.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+from contextlib import contextmanager
+from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 import numpy as np
@@ -67,6 +73,7 @@ __all__ = [
     "kernel_mode",
     "numba_available",
     "sequential_spill_kernel",
+    "parallel_spill_kernel",
     "replay_sequential_kernel",
     "replay_parallel_kernel",
 ]
@@ -114,6 +121,26 @@ def numba_available() -> bool:
         except Exception:
             _numba_probe = False
     return _numba_probe
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC around a batched hot loop.
+
+    The planners' loops allocate small sets, lists and heap entries but
+    create no reference cycles, so generational collections only *scan*
+    the growing game state — at 10^7 moves the gen-2 sweeps more than
+    double the per-move cost.  The pause is process-wide; the GC is
+    restored to its previous state on exit (including on error).
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _blue_miss(c, p: int) -> GameError:
@@ -466,8 +493,6 @@ def _plan_lru_generic(plan, c, num_red):
 def _plan_belady(plan, c, num_red):
     """Belady (furthest-next-use) planner — a port of the batched
     backend's lazy-heap victim selection, emitting outcome words."""
-    from heapq import heapify, heappop, heappush
-
     n = c.n
     pos = plan.pos
     succ_lists = c.succ_lists
@@ -971,7 +996,7 @@ def sequential_spill_kernel(
     (``backend="batched"``): plan -> splice -> validate -> bulk append,
     one chunk of macro-steps at a time.  Move-for-move equal to the
     ``dict`` reference loop."""
-    from .strategies import _check_capacity, _gc_paused
+    from .strategies import _check_capacity
 
     mode = kernel_mode()
     c = cdag.compiled()
@@ -1044,6 +1069,9 @@ def replay_sequential_kernel(game, log, rbw: bool) -> bool:
 _EXP_HELD = np.array([0, 1, 0, 1, 0, 0, 0], dtype=np.int8)
 #: per-instance occupancy delta of each opcode (STORE leaves it alone)
 _DELTA_HELD = np.array([1, 0, 1, -1, 1, 1, 1], dtype=np.int8)
+
+#: "no such row" in the validator's first-occurrence scratch
+_UNSET = np.iinfo(np.int64).max
 
 #: refuse the bulk parallel path when the flat (vertex, instance) held
 #: matrix would exceed this many bytes — fall back to the per-move loop
@@ -1125,10 +1153,13 @@ class _ParCarry:
     occupancy, blue/white sets, and the traffic counters."""
 
     __slots__ = ("held", "occ", "blue", "white", "touched", "h_io", "v_io",
-                 "comp")
+                 "comp", "first")
 
     def __init__(self, c, tab: _HierTab) -> None:
         self.held = np.zeros(c.n * tab.NI, dtype=np.int8)
+        #: per-vertex scratch of the validator's first-occurrence
+        #: queries; every entry is ``_UNSET`` between chunks
+        self.first = np.full(c.n, _UNSET, dtype=np.int64)
         self.occ = np.zeros(tab.NI, dtype=np.int64)
         self.blue = np.zeros(c.n, dtype=np.uint8)
         self.blue[c.input_ids] = 1
@@ -1234,26 +1265,33 @@ def _validate_par_chunk(c, tab, carry, kinds, vids, locs, srcs) -> bool:
     # Blue is only ever *added* (STORE) and white only ever added (LOAD /
     # COMPUTE), so "blue before row t" reduces to "carried in, or some
     # STORE of v strictly earlier in the chunk" — a first-occurrence
-    # scatter per vertex instead of a third sort.
+    # scatter per vertex instead of a third sort.  The scatter target is
+    # the carry's per-vertex scratch, reset to unset right after use, so
+    # a chunk costs O(rows) whatever the CDAG size.
+    first = carry.first
     st_rows = np.flatnonzero(k == OP_STORE)
-    first_store = np.full(c.n, m, dtype=np.int64)
-    first_store[v64[st_rows][::-1]] = st_rows[::-1]
     load_rows = np.flatnonzero(is_load)
-    if load_rows.size and not np.all(
-        (carry.blue[v64[load_rows]] != 0)
-        | (first_store[v64[load_rows]] < load_rows)
-    ):
-        return False
+    if load_rows.size:
+        st_v = v64[st_rows]
+        first[st_v[::-1]] = st_rows[::-1]
+        lv = v64[load_rows]
+        ok = np.all((carry.blue[lv] != 0) | (first[lv] < load_rows))
+        first[st_v] = _UNSET
+        if not ok:
+            return False
     comp_rows = np.flatnonzero(is_comp)
     w_rows = np.flatnonzero(is_load | is_comp)
     if comp_rows.size:
         # A COMPUTE must be the *first* white-setting move of its vertex
         # and the vertex must not carry white in (no recomputation).
-        first_w = np.full(c.n, m, dtype=np.int64)
-        first_w[v64[w_rows][::-1]] = w_rows[::-1]
-        if np.any(carry.white[v64[comp_rows]] != 0) or not np.all(
-            first_w[v64[comp_rows]] == comp_rows
-        ):
+        w_v = v64[w_rows]
+        first[w_v[::-1]] = w_rows[::-1]
+        cv = v64[comp_rows]
+        ok = not np.any(carry.white[cv] != 0) and np.all(
+            first[cv] == comp_rows
+        )
+        first[w_v] = _UNSET
+        if not ok:
             return False
 
     # --- source operands: one searchsorted over the held-sorted keys ----
@@ -1381,6 +1419,294 @@ def _finalize_parallel(game, tab: _HierTab, carry: _ParCarry) -> None:
         record.horizontal_io[int(nd)] = int(carry.h_io[nd])
     for p in np.flatnonzero(carry.comp).tolist():
         record.compute_per_processor[int(p)] = int(carry.comp[p])
+
+
+def parallel_spill_kernel(game, hierarchy, assign, schedule, c):
+    """Fast driver behind ``parallel_spill_game`` (``backend="batched"``).
+
+    Plans the owner-computes moves over flat int state: instances are
+    numbered as in :class:`_HierTab` (a level-1 id is its processor),
+    each vertex carries one shade bitmask, each instance one occupancy
+    count, and each bounded instance an id-indexed ``last_use`` array
+    plus a lazy-deletion min-heap of int keys ``(last_use + 1) * n +
+    id`` (stale entries are dropped on pop, pinned ones set aside).
+    Every move's four column values go to one flat list, one log block
+    of rows at a time; :func:`_validate_par_chunk` rule-checks them
+    ``_CHUNK_OPS`` rows at a time before one ``extend_block`` appends
+    the block, and :func:`_finalize_parallel` sets the engine state and
+    counters at the end.  Where the validator's held matrix would pass
+    ``_PAR_HELD_GATE``, the rows go through the engine's per-move steps
+    instead, so play is rule-checked at every size.
+
+    Move-for-move equal to the ``dict`` reference loop, whose choices
+    among several copies take ascending ``(level, index)``: a retired
+    value's DELETE rows, the level-L holder a remote get reads, and the
+    copy pushed down when no level-L copy exists (highest level, then
+    lowest index).  ``assign`` is the id-indexed processor list.
+    """
+    tab = _build_hier_tab(hierarchy)
+    n = c.n
+    L = tab.L
+    base = tab.level_base.tolist()
+    top = base[L]  # iids at or above this are level-L memories
+    # -1 = unbounded, so ``occ[t] >= caps[t] >= 0`` reads "t is full"
+    caps = tab.caps.tolist()
+    parent = tab.parent_iid.tolist()
+    child0 = tab.child0.tolist()
+    child_mask = [(1 << k) - 1 for k in tab.child_cnt.tolist()]
+    levels = tab.iid_level.tolist()
+    indices = tab.iid_index.tolist()
+    pack = [(lv << _INST_SHIFT) | ix for lv, ix in zip(levels, indices)]
+    # A value evicted from t is persisted by another shade at a higher
+    # level (or at level L): those are the bits from this shift up.
+    above = [base[min(lv + 1, L)] for lv in levels]
+    paths = []  # processor -> its iids at levels 1..L
+    for p in range(tab.num_procs):
+        path = [p]
+        while len(path) < L:
+            path.append(parent[path[-1]])
+        paths.append(path)
+    last_use = [[-1] * n if cap >= 0 else None for cap in caps]
+    heaps = [[] for _ in caps]
+
+    sh = [0] * n
+    occ = [0] * tab.NI
+    blue = bytearray(n)
+    for j in c.input_ids.tolist():
+        blue[j] = 1
+    remaining = c.out_degree.tolist()
+    is_input = c.is_input_mask.tolist()
+    is_output = c.is_output_mask.tolist()
+    pred_lists = c.pred_lists
+    rows: List[int] = []  # (opcode, vertex, location, source) per move
+    emit = rows.extend
+
+    def move_down(u, t):
+        """R5: ``u`` into ``t`` from its first holding child; the copy
+        joins ``t`` with its historical recency."""
+        s = sh[u]
+        x = (s >> child0[t]) & child_mask[t]
+        src = child0[t] + (x & -x).bit_length() - 1
+        sh[u] = s | (1 << t)
+        occ[t] += 1
+        emit((OP_MOVE_DOWN, u, pack[t], pack[src]))
+        lu = last_use[t]
+        if lu is not None:
+            heappush(heaps[t], (lu[u] + 1) * n + u)
+
+    def persist(u, t, pinned):
+        """Keep a copy of ``u`` before it leaves ``t``: only a shade
+        above ``t`` (or another level-L one) already does."""
+        if blue[u]:
+            return
+        s = sh[u]
+        if (s & ~(1 << t)) >> above[t]:
+            return
+        if t >= top:
+            emit((OP_STORE, u, pack[t], _NO_INST))
+            blue[u] = 1
+            return
+        pt = parent[t]
+        if not s >> pt & 1:
+            if occ[pt] >= caps[pt] >= 0:
+                make_room(pt, pinned)
+            move_down(u, pt)
+
+    def make_room(t, pinned):
+        """Evict LRU values of bounded instance ``t`` (lowest id among
+        equal recencies, never a pinned one) until a slot is free."""
+        cap = caps[t]
+        heap = heaps[t]
+        lu = last_use[t]
+        bit = 1 << t
+        if len(heap) > 64 and len(heap) > 8 * occ[t]:
+            # Compact: keep each resident value's one current key.
+            live = set()
+            for e in heap:
+                u = e % n
+                if sh[u] & bit and (lu[u] + 1) * n + u == e:
+                    live.add(e)
+            heap[:] = live
+            heapify(heap)
+        while occ[t] >= cap:
+            aside = []
+            victim = -1
+            while heap:
+                e = heap[0]
+                u = e % n
+                if not sh[u] & bit or (lu[u] + 1) * n + u != e:
+                    heappop(heap)
+                elif u in pinned:
+                    aside.append(heappop(heap))
+                else:
+                    victim = u
+                    break
+            for e in aside:
+                heappush(heap, e)
+            if victim < 0:
+                raise GameError(
+                    f"storage {(levels[t], indices[t])} cannot make room: "
+                    f"all {cap} resident values are pinned"
+                )
+            if remaining[victim] > 0 or (
+                is_output[victim] and not blue[victim]
+            ):
+                persist(victim, t, pinned)
+            sh[victim] &= ~bit
+            occ[t] -= 1
+            emit((OP_DELETE, victim, pack[t], _NO_INST))
+
+    def bring_to_node(u, t, pinned):
+        """Give ``u`` the level-L shade ``t``: R1 load, or R3 remote get
+        from the lowest level-L holder, or from the home node after
+        pushing the highest-level copy down to it."""
+        s = sh[u]
+        if s >> t & 1:
+            return
+        if blue[u]:
+            emit((OP_LOAD, u, pack[t], _NO_INST))
+        else:
+            x = s >> top
+            if x:
+                src = top + (x & -x).bit_length() - 1
+            else:
+                if not s:
+                    raise GameError(
+                        f"value {c.vertex(u)!r} has been lost (no copy "
+                        "exists)"
+                    )
+                lb = base[levels[s.bit_length() - 1]]
+                y = s >> lb
+                src = lb + (y & -y).bit_length() - 1
+                while src < top:
+                    src = parent[src]
+                    if occ[src] >= caps[src] >= 0:
+                        make_room(src, pinned)
+                    move_down(u, src)
+                if src == t:
+                    return
+            emit((OP_REMOTE_GET, u, pack[t], pack[src]))
+        sh[u] |= 1 << t
+        occ[t] += 1
+
+    def bring_to_registers(u, path, pinned, clock):
+        """Move ``u`` up ``path`` from the lowest level holding it
+        (fetching it into the node's memory first when none does)."""
+        s = sh[u]
+        for k in range(1, L):
+            if s >> path[k] & 1:
+                break
+        else:
+            bring_to_node(u, path[L - 1], pinned)
+            k = L - 1
+        for j in range(k - 1, -1, -1):
+            t = path[j]
+            if not sh[u] >> t & 1:
+                if occ[t] >= caps[t] >= 0:
+                    make_room(t, pinned)
+                emit((OP_MOVE_UP, u, pack[t], pack[path[j + 1]]))
+                sh[u] |= 1 << t
+                occ[t] += 1
+            lu = last_use[t]
+            if lu is not None:
+                lu[u] = clock
+                heappush(heaps[t], (clock + 1) * n + u)
+
+    def retire(u):
+        """R7 on every shade of a dead value, in ascending iid order."""
+        s = sh[u]
+        sh[u] = 0
+        while s:
+            low = s & -s
+            t = low.bit_length() - 1
+            occ[t] -= 1
+            emit((OP_DELETE, u, pack[t], _NO_INST))
+            s ^= low
+
+    if n * tab.NI > _PAR_HELD_GATE:
+        carry = None
+        steps = game._replay_steps()
+    else:
+        carry = _ParCarry(c, tab)
+    log = game.record.log
+
+    def flush():
+        """Rule-check the staged rows ``_CHUNK_OPS`` at a time and append
+        them as one log block (the engine's own block size)."""
+        if not rows:
+            return
+        if carry is None:
+            it = iter(rows)
+            for code, u, loc, src in zip(it, it, it, it):
+                steps[code](u, loc, src)
+        else:
+            cols = np.array(rows, dtype=np.int32).reshape(-1, 4).T
+            kinds = cols[0].astype(np.int8)
+            for lo in range(0, len(kinds), _CHUNK_OPS):
+                hi = lo + _CHUNK_OPS
+                if not _validate_par_chunk(
+                    c, tab, carry, kinds[lo:hi], cols[1, lo:hi],
+                    cols[2, lo:hi], cols[3, lo:hi],
+                ):
+                    raise GameError(
+                        "kernel planner produced an invalid move sequence"
+                    )
+            log.extend_block(kinds, cols[1], cols[2], cols[3])
+        del rows[:]
+
+    block = 4 * log.block_size
+    clock = 0
+    with _gc_paused():
+        for i in c.ids_of(schedule):
+            clock += 1
+            if is_input[i]:
+                continue
+            reg = assign[i]
+            path = paths[reg]
+            preds = pred_lists[i]
+            pinned = set(preds)
+            pinned.add(i)
+            rbit = 1 << reg
+            rlu = last_use[reg]
+            rheap = heaps[reg]
+            key = (clock + 1) * n
+            for p in preds:
+                if not sh[p] & rbit:
+                    bring_to_registers(p, path, pinned, clock)
+                elif rlu is not None:
+                    rlu[p] = clock
+                    heappush(rheap, key + p)
+            if occ[reg] >= caps[reg] >= 0:
+                make_room(reg, pinned)
+            emit((OP_COMPUTE, i, pack[reg], _NO_INST))
+            sh[i] |= rbit
+            occ[reg] += 1
+            if rlu is not None:
+                rlu[i] = clock
+                heappush(rheap, key + i)
+            if is_output[i]:
+                # Push the result down to the node memory and store it.
+                for t in path[1:]:
+                    if not sh[i] >> t & 1:
+                        if occ[t] >= caps[t] >= 0:
+                            make_room(t, pinned)
+                        move_down(i, t)
+                emit((OP_STORE, i, pack[path[-1]], _NO_INST))
+                blue[i] = 1
+            for p in preds:
+                r = remaining[p] - 1
+                remaining[p] = r
+                if r == 0 and (blue[p] or not is_output[p]):
+                    retire(p)
+            if remaining[i] == 0 and not is_output[i]:
+                retire(i)
+            if len(rows) >= block:
+                flush()
+        flush()
+    if carry is not None:
+        _finalize_parallel(game, tab, carry)
+    game.assert_complete()
+    return game.record
 
 
 def replay_parallel_kernel(game, log) -> bool:

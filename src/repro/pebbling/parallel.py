@@ -465,25 +465,6 @@ class ParallelRBWPebbleGame(CompiledEngineMixin):
         self.occupancy_ids[inst].discard(i)
         self._log_append(OP_DELETE, i, (level << _INST_SHIFT) | index)
 
-    def delete_all_id(self, i: int) -> None:
-        """R7 applied to every shade of ``i`` at once (id space).
-
-        Semantically identical to calling :meth:`delete_id` for each
-        shade the vertex currently holds (one DELETE row is logged per
-        shade, in the same set order) — one call instead of one per copy
-        when a strategy retires a dead value from the whole hierarchy.
-        No-op when the vertex holds no pebbles.
-        """
-        got = self.pebbles_ids.get(i)
-        if not got:
-            return
-        occupancy = self.occupancy_ids
-        append = self._log_append
-        for inst in got:
-            occupancy[inst].discard(i)
-            append(OP_DELETE, i, (inst[0] << _INST_SHIFT) | inst[1])
-        del self.pebbles_ids[i]
-
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------

@@ -29,48 +29,46 @@ Two backends, one semantics
 ---------------------------
 Every strategy exists in two implementations selected by ``backend``:
 
-* ``"batched"`` (the default) is the production fast path.  Sequential
-  games run the vectorized kernel planner
-  (:mod:`repro.pebbling.kernel`): victims are chosen in a tight loop over
-  plain ints, and the resulting moves are spliced and rule-checked a
-  chunk of macro-steps at a time.  The P-RBW game runs a flat-array
-  loop: per-value recency lives in one id-indexed ``last_use`` array per
-  bounded storage instance, victims come out of per-instance
-  lazy-deletion min-heaps instead of ``min(..., key=...)`` scans over
-  the resident set, and the logical clock advances once per
-  *macro-step* (scheduled vertex).  Eviction cost drops from
-  O(resident) to O(log resident) amortized, which is what takes 10^7-move
-  P-RBW games from minutes to seconds.
+* ``"batched"`` (the default) is the production fast path: the kernel
+  planners of :mod:`repro.pebbling.kernel`.  They choose every move over
+  plain ints with no engine call, then rule-check the moves a chunk at a
+  time with the kernel's bulk validators and append them block-wise.
+  Sequential games plan packed outcome words per macro-step and splice
+  them into move columns.  The P-RBW game plans over one int shade
+  bitmask per vertex, one occupancy count per storage instance, and
+  per-instance ``last_use`` arrays with lazy-deletion min-heaps of int
+  keys, so an eviction costs O(log resident) instead of a scan of the
+  resident set.
 * ``"dict"`` is the seed-era reference loop (tuple-keyed ``last_use``
-  dictionaries, linear victim scans).  It is kept verbatim as the
-  executable specification; randomized equivalence tests pin the batched
-  backend to it move-for-move.
+  dictionaries, linear victim scans, one rule-checking engine call per
+  move).  It is kept as the executable specification; randomized
+  equivalence tests pin the batched backend to it move-for-move.  Where
+  the P-RBW reference could pick among several copies of a value it
+  takes them in ascending ``(level, index)`` order: a retired value's
+  DELETE rows, the level-L holder a remote get reads, and the copy
+  pushed down when no level-L copy exists (highest level, then lowest
+  index).
 
 Both backends run entirely in the integer-id space of the compiled CDAG
 backend (:meth:`CDAG.compiled`): schedules are converted to id arrays
-once up front, pebble state and liveness counters are id-indexed lists,
-and moves are rule-checked by the engines' ``*_id`` methods (or, on the
-sequential fast path, by the kernel's bulk validator), so no vertex name
-is hashed inside the spill loops.  Every move lands as a row of plain
-integers in the engine's columnar
+once up front and pebble state and liveness counters are id-indexed, so
+no vertex name is hashed inside the spill loops.  Every move lands as a
+row of plain integers in the engine's columnar
 :class:`~repro.pebbling.state.MoveLog`, so the records returned here stay
 cheap at 10^6+ moves and replay column-to-column (engine ``replay``,
-``partition_from_game``) without ever materializing ``Move`` objects.  Pass ``spill=True`` (or a directory) to
-record into a disk-backed log and keep resident memory flat at 10^8-move
-scale.
+``partition_from_game``) without ever materializing ``Move`` objects.
+Pass ``spill=True`` (or a directory) to record into a disk-backed log
+and keep resident memory flat at 10^8-move scale.
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.cdag import CDAG, Vertex
 from ..core.ordering import topological_schedule, validate_schedule
 from .hierarchy import MemoryHierarchy
-from .kernel import sequential_spill_kernel
+from .kernel import parallel_spill_kernel, sequential_spill_kernel
 from .parallel import ParallelRBWPebbleGame
 from .rbw import RBWPebbleGame
 from .redblue import RedBluePebbleGame
@@ -85,26 +83,6 @@ __all__ = [
 
 _POLICIES = ("lru", "belady")
 _BACKENDS = ("batched", "dict")
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic GC around a batched hot loop.
-
-    The spill loops allocate a small shade set / heap entry per move but
-    never create reference cycles, so generational collections only
-    *scan* the growing game state — at 10^7 moves the gen-2 sweeps more
-    than double the per-move cost.  The pause is process-wide; the GC is
-    restored to its previous state on exit (including on error).
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 # ======================================================================
@@ -362,7 +340,8 @@ def _parallel_spill_prepare(
     schedule: Optional[Sequence[Vertex]],
 ):
     """Shared entry work of both parallel backends: validation, default
-    schedule/assignment, and the level-1 capacity sanity check."""
+    schedule/assignment, the level-1 capacity sanity check, and the
+    assignment as an id-indexed list of processors."""
     L = hierarchy.num_levels
     if hierarchy.capacity(L) is not None:
         raise GameError(
@@ -379,35 +358,51 @@ def _parallel_spill_prepare(
         raise GameError(f"assignment misses vertices, e.g. {unknown[:3]}")
 
     c = cdag.compiled()
-    n = c.n
+    num_procs = hierarchy.num_processors
+    assign: List[int] = []
+    for v in c.vertices:
+        p = assignment[v]
+        # The planners use the processor as a list index and a bit
+        # position: -1 or True would silently play on another one.
+        if isinstance(p, bool) or not isinstance(p, int) or not (
+            0 <= p < num_procs
+        ):
+            raise GameError(
+                f"assignment maps {v!r} to {p!r}; processors are ints in "
+                f"0..{num_procs - 1}"
+            )
+        assign.append(p)
     is_input = c.is_input_mask.tolist()
     pred_lists = c.pred_lists
     s1 = hierarchy.capacity(1)
     if s1 is not None:
         _check_capacity(
             s1,
-            [len(pred_lists[i]) + 1 for i in range(n) if not is_input[i]],
+            [len(pred_lists[i]) + 1 for i in range(c.n) if not is_input[i]],
             "S_1",
         )
-    return schedule, assignment, c
+    return schedule, assign, c
 
 
 def _parallel_spill_dict(
     game: ParallelRBWPebbleGame,
-    cdag: CDAG,
     hierarchy: MemoryHierarchy,
-    assignment: Dict[Vertex, int],
+    assign: List[int],
     schedule: Sequence[Vertex],
     c,
 ) -> GameRecord:
-    """Reference P-RBW owner-computes loop (dict backend, seed semantics)."""
+    """Reference P-RBW owner-computes loop (dict backend, seed semantics).
+
+    Where several copies of a value could serve, it takes them in
+    ascending ``(level, index)`` order: a retired value's DELETE rows,
+    the level-L holder a remote get reads, and (highest level first)
+    the copy pushed down when no level-L copy exists.
+    """
     L = hierarchy.num_levels
-    n = c.n
     sched_ids = c.ids_of(schedule)
     pred_lists = c.pred_lists
     is_input = c.is_input_mask.tolist()
     is_output = c.is_output_mask.tolist()
-    assign: List[int] = [assignment[c.vertex(i)] for i in range(n)]
     remaining_uses: List[int] = c.out_degree.tolist()
     blue_ids = game.blue_ids
     clock = 0
@@ -468,7 +463,7 @@ def _parallel_spill_dict(
         if (L, node) in shades(i):
             last_use[((L, node), i)] = clock
             return
-        holders = [idx for (lvl, idx) in shades(i) if lvl == L]
+        holders = sorted(idx for (lvl, idx) in shades(i) if lvl == L)
         if i in blue_ids:
             game.load_id(i, node)
         elif holders:
@@ -476,7 +471,7 @@ def _parallel_spill_dict(
         else:
             # The value lives only in some cache below another node's
             # memory: push it down on its home node first.
-            home_shades = sorted(shades(i), key=lambda s: -s[0])
+            home_shades = sorted(shades(i), key=lambda s: (-s[0], s[1]))
             if not home_shades:
                 raise GameError(
                     f"value {c.vertex(i)!r} has been lost (no copy exists)"
@@ -551,277 +546,12 @@ def _parallel_spill_dict(
         for p in preds:
             remaining_uses[p] -= 1
             if remaining_uses[p] == 0:
-                for (lvl, idx) in list(shades(p)):
+                for (lvl, idx) in sorted(shades(p)):
                     if not (is_output[p] and p not in blue_ids):
                         game.delete_id(p, lvl, idx)
         if remaining_uses[i] == 0 and not is_output[i]:
-            for (lvl, idx) in list(shades(i)):
+            for (lvl, idx) in sorted(shades(i)):
                 game.delete_id(i, lvl, idx)
-
-    game.assert_complete()
-    return game.record
-
-
-def _parallel_spill_batched(
-    game: ParallelRBWPebbleGame,
-    cdag: CDAG,
-    hierarchy: MemoryHierarchy,
-    assignment: Dict[Vertex, int],
-    schedule: Sequence[Vertex],
-    c,
-) -> GameRecord:
-    """Batched P-RBW owner-computes loop.
-
-    The ``{((level, index), vertex_id): clock}`` recency dict of the
-    reference becomes one flat id-indexed ``last_use`` array per bounded
-    storage instance (persisting across evictions, exactly like the
-    reference's dict entries), and each such instance evicts through a
-    lazy-deletion min-heap of ``(last_use, id)`` keys: stale entries are
-    dropped on pop, pinned entries set aside and re-pushed, so evictions
-    cost O(log resident) instead of a linear scan of the occupancy set.
-    Clock updates are batched per macro-step.  Pinned move-for-move to
-    :func:`_parallel_spill_dict` by the randomized equivalence suite.
-    """
-    L = hierarchy.num_levels
-    n = c.n
-    sched_ids = c.ids_of(schedule)
-    pred_lists = c.pred_lists
-    is_input = c.is_input_mask.tolist()
-    is_output = c.is_output_mask.tolist()
-    assign: List[int] = [assignment[c.vertex(i)] for i in range(n)]
-    remaining_uses: List[int] = c.out_degree.tolist()
-    blue_ids = game.blue_ids
-    pebbles_ids = game.pebbles_ids
-    pebbles_get = pebbles_ids.get
-    occupancy_ids = game.occupancy_ids
-    _EMPTY: frozenset = frozenset()
-
-    # ------------------------------------------------------------------
-    # Per-instance eviction state and precomputed hierarchy tables
-    # (no MemoryHierarchy method calls and one dict hop on the hot path).
-    # Unbounded instances (level L) never evict, so their recency is not
-    # tracked — the reference writes those dict entries but never reads
-    # them.  ``states[inst] = (cap, occupied, heap, last_use)``: the
-    # occupancy sets are pre-created so they are the same objects the
-    # engine mutates, ``last_use`` is a flat id-indexed array persisting
-    # across evictions (mirroring the reference dict's entries), ``heap``
-    # the lazy-deletion eviction heap.
-    # ------------------------------------------------------------------
-    states: Dict[Tuple[int, int], tuple] = {}
-    for level in range(1, L + 1):
-        cap = hierarchy.capacity(level)
-        if cap is None:
-            continue
-        for index in range(hierarchy.instances(level)):
-            inst = (level, index)
-            states[inst] = (
-                cap,
-                occupancy_ids.setdefault(inst, set()),
-                [],
-                [-1] * n,
-            )
-    states_get = states.get
-    parent_of = {
-        (level, index): hierarchy.parent_instance(level, index)
-        for level in range(1, L)
-        for index in range(hierarchy.instances(level))
-    }
-    # Processor -> its instance path [(1, p), (2, ..), ..., (L, node)].
-    path_of = [
-        [
-            hierarchy.instance_of_processor(lvl, p)
-            for lvl in range(1, L + 1)
-        ]
-        for p in range(hierarchy.num_processors)
-    ]
-    node_of = [path_of[p][L - 1][1] for p in range(hierarchy.num_processors)]
-    # Pre-resolved eviction state along each processor's path (None for
-    # unbounded levels): saves a dict hop per move-up/touch.
-    path_states = [
-        [states_get(inst) for inst in path] for path in path_of
-    ]
-
-    store_id = game.store_id
-    load_id = game.load_id
-    delete_id = game.delete_id
-    delete_all_id = game.delete_all_id
-    compute_id = game.compute_id
-    move_up_id = game.move_up_id
-    move_down_id = game.move_down_id
-    remote_get_id = game.remote_get_id
-
-    clock = 0
-
-    def touch(inst: Tuple[int, int], i: int) -> None:
-        """Record a use of ``i`` in ``inst`` at the current macro-step."""
-        st = states_get(inst)
-        if st is not None:
-            st[3][i] = clock
-            heappush(st[2], (clock, i))
-
-    def placed(inst: Tuple[int, int], i: int) -> None:
-        """Register a placement that is *not* a use (persist/push-down):
-        the value joins the instance with its historical recency key."""
-        st = states_get(inst)
-        if st is not None:
-            heappush(st[2], (st[3][i], i))
-
-    def persist(i: int, inst: Tuple[int, int], pinned) -> None:
-        level, index = inst
-        if i in blue_ids:
-            return
-        sh = pebbles_get(i, _EMPTY)
-        if any(other != inst for other in sh):
-            # Same conservative rule as the reference: only an ancestor
-            # or a level-L copy persists the value.
-            for (olvl, oidx) in sh:
-                if (olvl, oidx) == inst:
-                    continue
-                if olvl > level or olvl == L:
-                    return
-        if level == L:
-            store_id(i, index)
-            return
-        parent = parent_of[inst]
-        if parent not in pebbles_get(i, _EMPTY):
-            make_room(parent, pinned)
-            move_down_id(i, parent[0], parent[1])
-            placed(parent, i)
-
-    def make_room(inst: Tuple[int, int], pinned) -> None:
-        st = states_get(inst)
-        if st is None:
-            return
-        cap, occupied, heap, lu = st
-        if len(heap) > 64 and len(heap) > 8 * len(occupied):
-            # Compact the lazy heap: rebuild from the resident set's
-            # current keys (see the sequential driver for rationale).
-            heap[:] = [(lu[u], u) for u in occupied]
-            heapify(heap)
-        while len(occupied) >= cap:
-            aside = []
-            victim = -1
-            while heap:
-                entry = heap[0]
-                key, u = entry
-                if u not in occupied or lu[u] != key:
-                    heappop(heap)
-                    continue
-                if u in pinned:
-                    aside.append(heappop(heap))
-                    continue
-                victim = u
-                break
-            for entry in aside:
-                heappush(heap, entry)
-            if victim < 0:
-                raise GameError(
-                    f"storage {inst} cannot make room: all {cap} resident "
-                    "values are pinned"
-                )
-            if remaining_uses[victim] > 0 or (
-                is_output[victim] and victim not in blue_ids
-            ):
-                persist(victim, inst, pinned)
-            delete_id(victim, inst[0], inst[1])
-
-    def bring_to_node(i: int, node: int, pinned) -> None:
-        sh = pebbles_get(i, _EMPTY)
-        if sh and (L, node) in sh:
-            return
-        if i in blue_ids:
-            load_id(i, node)
-            return
-        holders = [idx for (lvl, idx) in sh if lvl == L]
-        if holders:
-            remote_get_id(i, node, holders[0])
-        else:
-            home_shades = sorted(sh, key=lambda s: -s[0])
-            if not home_shades:
-                raise GameError(
-                    f"value {c.vertex(i)!r} has been lost (no copy exists)"
-                )
-            lvl, idx = home_shades[0]
-            while lvl < L:
-                parent = parent_of[(lvl, idx)]
-                make_room(parent, pinned)
-                move_down_id(i, parent[0], parent[1])
-                placed(parent, i)
-                lvl, idx = parent
-            if idx != node:
-                remote_get_id(i, node, idx)
-
-    def bring_to_registers(i: int, processor: int, pinned) -> None:
-        path = path_of[processor]
-        sh = pebbles_get(i, _EMPTY)
-        start_level = None
-        if sh:
-            if path[0] in sh:
-                touch(path[0], i)
-                return
-            for lvl, idx in path:
-                if (lvl, idx) in sh:
-                    start_level = lvl
-                    break
-        if start_level is None:
-            bring_to_node(i, node_of[processor], pinned)
-            start_level = L
-        p_states = path_states[processor]
-        for lvl in range(start_level - 1, 0, -1):
-            inst = path[lvl - 1]
-            st = p_states[lvl - 1]
-            if inst not in pebbles_get(i, _EMPTY):
-                if st is not None and len(st[1]) >= st[0]:
-                    make_room(inst, pinned)
-                move_up_id(i, inst[0], inst[1])
-            if st is not None:
-                st[3][i] = clock
-                heappush(st[2], (clock, i))
-
-    with _gc_paused():
-        for i in sched_ids:
-            clock += 1
-            if is_input[i]:
-                continue
-            proc = assign[i]
-            preds = pred_lists[i]
-            pinned = set(preds)
-            pinned.add(i)
-            reg = path_of[proc][0]
-            reg_state = path_states[proc][0]
-            for p in preds:
-                sh = pebbles_get(p)
-                if sh is not None and reg in sh:
-                    # Fast path: operand already in this register file.
-                    if reg_state is not None:
-                        reg_state[3][p] = clock
-                        heappush(reg_state[2], (clock, p))
-                else:
-                    bring_to_registers(p, proc, pinned)
-            if reg_state is not None and len(reg_state[1]) >= reg_state[0]:
-                make_room(reg, pinned)
-            compute_id(i, proc)
-            if reg_state is not None:
-                reg_state[3][i] = clock
-                heappush(reg_state[2], (clock, i))
-            if is_output[i]:
-                # Push the result down to the node memory and store it.
-                lvl, idx = reg
-                while lvl < L:
-                    parent = parent_of[(lvl, idx)]
-                    if parent not in pebbles_get(i, _EMPTY):
-                        make_room(parent, pinned)
-                        move_down_id(i, parent[0], parent[1])
-                        placed(parent, i)
-                    lvl, idx = parent
-                store_id(i, node_of[proc])
-            for p in preds:
-                ru = remaining_uses[p] - 1
-                remaining_uses[p] = ru
-                if ru == 0 and not (is_output[p] and p not in blue_ids):
-                    delete_all_id(p)
-            if remaining_uses[i] == 0 and not is_output[i]:
-                delete_all_id(i)
 
     game.assert_complete()
     return game.record
@@ -846,17 +576,19 @@ def parallel_spill_game(
     working set; blue pebbles model the initial/final value home.  There
     is no ``policy`` argument: this strategy always evicts LRU.
 
-    ``backend="batched"`` (default) runs the flat-array + lazy-heap hot
-    loop; ``backend="dict"`` runs the reference loop (identical games,
-    pinned by equivalence tests).  ``spill`` forwards to the engine's
-    move log (disk-backed columns for very long games).
+    ``backend="batched"`` (default) runs the kernel planner
+    (:func:`~repro.pebbling.kernel.parallel_spill_kernel`), which plans
+    over int shade bitmasks and rule-checks the moves in bulk chunks;
+    ``backend="dict"`` runs the reference loop (identical games, pinned
+    by equivalence tests).  ``spill`` forwards to the engine's move log
+    (disk-backed columns for very long games).
     """
     _validate_backend(backend)
-    schedule, assignment, c = _parallel_spill_prepare(
+    schedule, assign, c = _parallel_spill_prepare(
         cdag, hierarchy, assignment, schedule
     )
     game = ParallelRBWPebbleGame(cdag, hierarchy, spill=spill)
     driver = (
-        _parallel_spill_dict if backend == "dict" else _parallel_spill_batched
+        _parallel_spill_dict if backend == "dict" else parallel_spill_kernel
     )
-    return driver(game, cdag, hierarchy, assignment, schedule, c)
+    return driver(game, hierarchy, assign, schedule, c)

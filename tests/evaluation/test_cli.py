@@ -247,6 +247,41 @@ class TestExecution:
         assert proc.stderr.startswith("repro: error: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("cell, named", [
+        ({"experiment": "e6", "params": {"sizes": 5}},
+         "e6 param 'sizes' must be a list, got 5"),
+        ({"experiment": "e8", "params": {"timesteps": [3]}},
+         "e8 param 'timesteps' must be an integer, got [3]"),
+        ({"experiment": "e2", "params": {"s": 64.9}},
+         "e2 param 's' must be an integer, got 64.9"),
+        ({"experiment": "spill", "params": {"ops": "16"}},
+         "spill param 'ops' must be an integer, got '16'"),
+    ], ids=["list-param-scalar", "int-param-list", "int-param-float",
+            "int-param-string"])
+    def test_param_of_wrong_json_type_is_one_error_line(self, cell, named,
+                                                        tmp_path):
+        """A grid-file param of the wrong JSON type is one ``repro:
+        error:`` line naming the experiment, the param and the value,
+        and exit 2 — not a ``TypeError`` traceback, and not a float
+        silently truncated (``s: 64.9`` ran as ``s = 64`` while the
+        manifest recorded 64.9)."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        (tmp_path / "grid.json").write_text(json.dumps([cell]))
+        src = Path(repro.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--grid-file",
+             "grid.json", "--out", "results", "--jobs", "1"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"repro: error: {named}"]
+
     def test_sweep_experiment_filter(self, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["sweep", "--out", str(out), "--grid", "smoke",

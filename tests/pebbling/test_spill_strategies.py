@@ -1,12 +1,12 @@
 """Spill-strategy backends: equivalence, edge cases, validation.
 
-The batched fast paths (the kernel planner for sequential games, the
-flat-array lazy-heap loop for P-RBW games) must reproduce the dict
-reference *move for move* — these tests pin the full move columns, not
-just aggregate costs, on irregular randomized CDAGs as well as the
-structured shapes, and cover the edge cases the fast paths could get
-wrong: eviction ties, a single red pebble, spill-then-reload,
-never-used-again values under Belady, and spilled logs.
+The batched fast paths (the kernel planners for sequential and P-RBW
+games) must reproduce the dict reference *move for move* — these tests
+pin the full move columns, not just aggregate costs, on irregular
+randomized CDAGs as well as the structured shapes, and cover the edge
+cases the fast paths could get wrong: eviction ties, a single red
+pebble, spill-then-reload, never-used-again values under Belady, and
+spilled logs.
 """
 
 import numpy as np
@@ -126,7 +126,7 @@ class TestParallelBatchedEquivalence:
     ])
     def test_hierarchy_shapes(self, seed, nodes, cores, regs_extra,
                               random_dag):
-        """The lazy-heap loop walks every level of every shape exactly
+        """The kernel planner walks every level of every shape exactly
         like the reference, whatever the processor and node counts."""
         cdag = random_dag(seed, 30)
         maxd = max(cdag.in_degree(v) for v in cdag.vertices)
@@ -174,6 +174,23 @@ class TestParallelBatchedEquivalence:
         b = parallel_spill_game(cdag, hierarchy, backend="batched")
         assert_same_game(a, b)
         assert a.vertical_io == b.vertical_io
+
+    def test_game_longer_than_one_log_block(self):
+        """71,323 moves: the kernel stages two log blocks and checks them
+        in five validator slices, with the rule state carried across
+        both, and still plays the reference game."""
+        cdag = grid_stencil_cdag((20, 20), 10)
+        hierarchy = MemoryHierarchy.cluster(
+            nodes=2, cores_per_node=2, registers_per_core=6, cache_size=12
+        )
+        a = parallel_spill_game(cdag, hierarchy, backend="dict")
+        b = parallel_spill_game(cdag, hierarchy, backend="batched")
+        assert len(b.log) == 71323
+        assert_same_game(a, b)
+        assert a.vertical_io == b.vertical_io
+        assert a.horizontal_io == b.horizontal_io
+        replayed = ParallelRBWPebbleGame(cdag, hierarchy).replay(b)
+        assert replayed.summary() == b.summary()
 
     def test_replay_validates_batched_game(self):
         cdag = grid_stencil_cdag((4, 4), 2)

@@ -169,6 +169,24 @@ class TestParallelSpillGame:
         with pytest.raises(GameError):
             parallel_spill_game(c, cluster, assignment={("chain", 0): 0})
 
+    @pytest.mark.parametrize("backend", ["batched", "dict"])
+    @pytest.mark.parametrize("bad", [7, -1, 1.5, "0", True])
+    def test_assignment_value_checked_before_any_move(self, backend, bad):
+        """A processor outside 0..P-1, or not an int (a bool included),
+        is one GameError naming the vertex and the value on both
+        backends.  The planner indexes lists and shifts bits by the
+        processor, so -1 would otherwise play on the last processor."""
+        c = chain_cdag(3)
+        h = MemoryHierarchy.cluster(2, 1, 4, 8)
+        assignment = {v: 0 for v in c.vertices}
+        assignment[("chain", 2)] = bad
+        with pytest.raises(GameError) as exc:
+            parallel_spill_game(c, h, assignment=assignment, backend=backend)
+        assert str(exc.value) == (
+            f"assignment maps ('chain', 2) to {bad!r}; processors are "
+            "ints in 0..1"
+        )
+
     def test_small_registers_rejected(self):
         c = grid_stencil_cdag((4,), 2)  # in-degree 3 => needs >= 4 registers
         h = MemoryHierarchy.cluster(
