@@ -61,10 +61,11 @@ test-obs:
 	$(PY) -m pytest tests/obs tests/service/test_metrics_endpoint.py \
 	  tests/fleet/test_fleet_obs.py tests/fleet/test_fleet_clock.py -q
 
-# Start-up import guards, each in a fresh interpreter: importing the
-# library and sweeping the smoke grid (whose spill cells play pebble
-# games) load no scipy; `repro --help`, `cache --help` and `fleet status --help` load
-# no numpy; the bound server loads scipy before it serves.
+# Start-up import guards, each in a fresh interpreter: no runtime path
+# loads scipy (the library import, a smoke sweep and the bound server
+# load none, and the min-cut cells, bounds, lines and dominators run
+# with it unimportable); `repro --help`, `cache --help` and `fleet status
+# --help` load no numpy.
 test-startup:
 	$(PY) -m pytest tests/test_runtime_deps.py -q
 

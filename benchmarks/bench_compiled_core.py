@@ -176,7 +176,7 @@ def test_bench_wavefront_bound():
         cdag = jacobi_1d(n)
 
         def bound_fresh():
-            cdag._compiled = None  # force split-graph rebuild each op
+            cdag._compiled = None  # cold: recompile (and a new solver) each op
             return automated_wavefront_bound(
                 cdag, s=S_RED, max_candidates=MAX_CANDIDATES
             )

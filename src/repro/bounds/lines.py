@@ -79,7 +79,9 @@ def find_lines(cdag: CDAG, max_lines: Optional[int] = None) -> List[List[Vertex]
     input vertex to an output vertex; at most ``max_lines`` are returned.
     """
     c = cdag.compiled()
-    paths = c.wavefront_solver().disjoint_paths_ids(c.input_ids, c.output_ids)
+    paths = c.wavefront_solver().disjoint_paths_ids(
+        c.input_ids.tolist(), c.output_ids.tolist()
+    )
     if max_lines is not None:
         paths = paths[: max(max_lines, 0)]
     return [c.vertices_of(path) for path in paths]

@@ -182,37 +182,20 @@ def automated_wavefront_bound(
     candidate's bound is individually valid, taking the maximum is valid;
     the heuristic only affects tightness, never soundness.
 
-    Candidates are evaluated best-score-first against one shared
-    :class:`~repro.core.properties.WavefrontSolver` network, with two
-    sound prunes layered on top: sink candidates contribute a wavefront
-    of exactly 1, and a candidate whose ancestor count satisfies
-    ``|Anc(x)| + 1 <= best`` cannot improve on ``best`` (the canonical
-    convex cut ``S = {x} ∪ Anc(x)`` witnesses ``|W^min(x)| <= |Anc(x)|+1``),
-    so its max-flow is skipped entirely.
+    Candidates are evaluated best-score-first
+    (:meth:`~repro.core.properties.WavefrontSolver.max_min_wavefront_ids`),
+    with two sound prunes: a sink candidate contributes a wavefront of
+    exactly 1, and a candidate whose two extreme convex cuts — ``S =
+    {x} ∪ Anc(x)`` and ``T = Desc(x)`` — already have a wavefront of at
+    most ``best`` cannot beat the incumbent, so its max-flow is skipped.
+    Neither prune skips a strictly better candidate, so the result is
+    the first best candidate in rank order.
     """
     _check_s(s)
     ids = _candidate_ids(cdag, max_candidates)
-    if not ids:
-        return MinCutBound(
-            value=0.0, wavefront=0, s=s, vertex=None
-        )
     c = cdag.compiled()
-    solver = c.wavefront_solver()
-    out_degree = c.out_degree
-    best = 0
-    best_vertex = None
-    for i in ids:
-        if out_degree[i] == 0:
-            w = 1  # sinks: the minimum over valid cuts is {x} itself
-        else:
-            anc = c.ancestors_ids(i)
-            if best > 0 and anc.size + 1 <= best:
-                continue  # upper bound can't beat the incumbent
-            w = solver.min_wavefront_id(i, anc=anc)
-        if w > best:
-            best = w
-            best_vertex = c.vertex(i)
+    best, best_id = c.wavefront_solver().max_min_wavefront_ids(ids)
     return MinCutBound(
         value=max(0.0, 2.0 * (best - s)), wavefront=best, s=s,
-        vertex=best_vertex,
+        vertex=None if best_id is None else c.vertex(best_id),
     )

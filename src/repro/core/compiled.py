@@ -41,6 +41,8 @@ from typing import Dict, Hashable, Iterable, List, Optional
 
 import numpy as np
 
+from .flow import reach
+
 Vertex = Hashable
 
 __all__ = ["CompiledCDAG"]
@@ -76,8 +78,6 @@ class CompiledCDAG:
         "_succ_lists",
         "_pred_lists",
         "_topo_ids",
-        "_succ_matrix",
-        "_pred_matrix",
         "_wavefront_solver",
     )
 
@@ -136,8 +136,6 @@ class CompiledCDAG:
         self._succ_lists: Optional[List[List[int]]] = None
         self._pred_lists: Optional[List[List[int]]] = None
         self._topo_ids: Optional[np.ndarray] = None
-        self._succ_matrix = None
-        self._pred_matrix = None
         self._wavefront_solver = None
 
     # ------------------------------------------------------------------
@@ -244,53 +242,13 @@ class CompiledCDAG:
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------
-    def _adjacency_matrix(self, direction: str):
-        """scipy CSR adjacency (cached).
-
-        scipy is imported here and in :meth:`_reach`, not at module top:
-        pebble games never ask for reachability, so they never load it.
-        """
-        from scipy.sparse import csr_matrix
-
-        if direction == "succ":
-            if self._succ_matrix is None:
-                self._succ_matrix = csr_matrix(
-                    (
-                        np.ones(self.m, dtype=np.int8),
-                        self.succ_indices,
-                        self.succ_indptr,
-                    ),
-                    shape=(self.n, self.n),
-                )
-            return self._succ_matrix
-        if self._pred_matrix is None:
-            self._pred_matrix = csr_matrix(
-                (
-                    np.ones(self.m, dtype=np.int8),
-                    self.pred_indices,
-                    self.pred_indptr,
-                ),
-                shape=(self.n, self.n),
-            )
-        return self._pred_matrix
-
-    def _reach(self, start: int, direction: str) -> np.ndarray:
-        """Ids reachable from ``start`` (exclusive) along ``direction``."""
-        from scipy.sparse.csgraph import breadth_first_order
-
-        nodes = breadth_first_order(
-            self._adjacency_matrix(direction), start, directed=True,
-            return_predecessors=False,
-        )
-        return nodes[nodes != start].astype(np.int32)
-
     def ancestors_ids(self, i: int) -> np.ndarray:
         """Ids of all strict ancestors of vertex id ``i``."""
-        return self._reach(i, "pred")
+        return np.asarray(reach(self.pred_lists, [i])[0][1:], dtype=np.int32)
 
     def descendants_ids(self, i: int) -> np.ndarray:
         """Ids of all strict descendants of vertex id ``i``."""
-        return self._reach(i, "succ")
+        return np.asarray(reach(self.succ_lists, [i])[0][1:], dtype=np.int32)
 
     # ------------------------------------------------------------------
     # Aggregate queries

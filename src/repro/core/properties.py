@@ -23,11 +23,11 @@ partitioning and min-cut lower bounds rely on:
   order at each firing (used both for validating the min-cut bound and
   for the upper-bound schedulers).
 
-The vertex min-cut is computed by the classic vertex-splitting reduction
-to edge min-cut / max-flow, using scipy's sparse maximum-flow on one
-network per compiled CDAG (:class:`WavefrontSolver`).  The same network
-answers dominator sizes and, by decomposing its flow, the vertex-disjoint
-input-to-output paths of the Hong-Kung lines bound
+The vertex min-cut is the max-flow of the classic vertex-splitting
+network, run in plain Python over the compiled adjacency lists
+(:mod:`repro.core.flow`, behind :class:`WavefrontSolver`).  The same
+flow answers dominator sizes and, split into its paths, gives the
+vertex-disjoint input-to-output paths of the Hong-Kung lines bound
 (:func:`repro.bounds.lines.find_lines`).
 """
 
@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from .cdag import CDAG, CDAGError, Vertex
 from .compiled import CompiledCDAG
+from .flow import flow_paths, max_vertex_flow, reach
 from .ordering import validate_schedule
 
 __all__ = [
@@ -168,71 +167,12 @@ def minimal_dominator_size(
     if not starts:
         return 0
     # If an input is itself in the target set, it must be in any dominator
-    # (the trivial path of length 0 ends at it); vertex-splitting handles
-    # this naturally because the path source->...->target passes through
-    # the split node.  The split graph is shared with the wavefront
-    # machinery via the cached solver — repeated dominator queries on the
-    # same CDAG (e.g. one per partition subset) only toggle terminal arcs.
+    # (the trivial path of length 0 ends at it): the flow counts a vertex
+    # that is both source and target as a one-vertex path.
     c = cdag.compiled()
     return c.wavefront_solver().vertex_cut_ids(
-        np.asarray(c.ids_of(starts), dtype=np.int64),
-        np.asarray(c.ids_of(vset), dtype=np.int64),
+        c.ids_of(starts), c.ids_of(vset)
     )
-
-
-def _split_graph_csr(c: CompiledCDAG, internal_caps: np.ndarray):
-    """CSR arrays of the vertex-splitting flow network of ``c``.
-
-    Every row is emitted in sorted-column order:
-
-    * row ``2v`` (= ``in(v)``): the single internal arc to ``2v+1``;
-    * row ``2v+1`` (= ``out(v)``): one INF arc per CDAG successor plus a
-      zero-capacity arc to the sink (activated per query);
-    * row ``2n`` (source): a zero-capacity arc to every ``in(v)``
-      (activated per query);
-    * row ``2n+1`` (sink): empty.
-
-    Returns ``(indptr, indices, data, src_pos, sink_pos, internal_pos)``
-    where the three position arrays index ``data`` slots of the
-    source->in(v), out(v)->sink and in(v)->out(v) arcs of each vertex.
-    """
-    n = c.n
-    m = c.m
-    inf = n + 1
-    nnz = 2 * n + m + n  # internal + sink arcs + edge arcs + source arcs
-
-    out_deg = c.out_degree
-    row_len = np.empty(2 * n + 2, dtype=np.int64)
-    row_len[0 : 2 * n : 2] = 1  # in(v) rows
-    row_len[1 : 2 * n : 2] = out_deg + 1  # out(v) rows (+ sink arc)
-    row_len[2 * n] = n  # source row
-    row_len[2 * n + 1] = 0  # sink row
-    indptr = np.concatenate(([0], np.cumsum(row_len)))
-
-    indices = np.empty(nnz, dtype=np.int32)
-    data = np.zeros(nnz, dtype=np.int64)
-
-    internal_pos = indptr[0 : 2 * n : 2]  # row 2v has exactly one slot
-    indices[internal_pos] = 2 * np.arange(n, dtype=np.int32) + 1
-    data[internal_pos] = internal_caps
-
-    # out(v) rows: successors (sorted ids -> sorted columns) then the sink.
-    sink_pos = indptr[2 : 2 * n + 2 : 2] - 1  # last slot of each out-row
-    for v in range(n):
-        start = indptr[2 * v + 1]
-        succ = np.sort(c.successors_ids(v))
-        indices[start : start + succ.size] = 2 * succ
-        data[start : start + succ.size] = inf
-    indices[sink_pos] = 2 * n + 1
-    # data[sink_pos] stays 0 until a query activates it.
-
-    # Source row: in(v) for every v, ascending.
-    src_start = indptr[2 * n]
-    src_pos = src_start + np.arange(n, dtype=np.int64)
-    indices[src_pos] = 2 * np.arange(n, dtype=np.int32)
-    # data[src_pos] stays 0 until a query activates it.
-
-    return indptr, indices, data, src_pos, sink_pos, internal_pos
 
 
 def has_circuit_between(
@@ -310,146 +250,95 @@ def wavefront_of_cut(cdag: CDAG, s_side: Iterable[Vertex]) -> Set[Vertex]:
 class WavefrontSolver:
     """Reusable ``|W^min_G(x)|`` solver over a compiled CDAG.
 
-    The vertex-splitting flow network (``in(v) -> out(v)`` capacity 1,
-    CDAG edges INF) is structurally identical for every candidate vertex
-    — only which vertices are forced onto the S/T sides changes.  This
-    solver builds the split graph **once** (a scipy CSR network) and per
-    query only toggles the capacities of the pre-allocated source/sink
-    arcs.  It holds the package's only max-flow call: wavefront cuts,
-    dominator sizes and Hong-Kung lines all go through it.
+    It holds the package's only max-flow calls: wavefront cuts,
+    dominator sizes and Hong-Kung lines all go through it.  Each query
+    runs :func:`~repro.core.flow.max_vertex_flow` on the compiled
+    successor lists, so nothing is built per CDAG beyond those lists.
 
     Obtain instances via ``cdag.compiled().wavefront_solver()`` — they
-    are cached alongside the compiled snapshot, so repeated
-    :func:`min_wavefront` calls on an unmutated CDAG share one network.
-
-    scipy is imported in ``__init__`` and :meth:`_max_flow`, not at
-    module top, so only a process that computes a min-cut loads it.
+    are cached alongside the compiled snapshot.
     """
 
     def __init__(self, compiled: CompiledCDAG) -> None:
-        from scipy.sparse import csr_matrix
-
         self._c = compiled
-        n = compiled.n
-        self._inf = n + 1
-        self._source = 2 * n
-        self._sink = 2 * n + 1
-        (
-            indptr,
-            indices,
-            self._data,
-            self._src_pos,
-            self._sink_pos,
-            self._internal_pos,
-        ) = _split_graph_csr(compiled, np.ones(n, dtype=np.int64))
-        self._graph = csr_matrix(
-            (self._data, indices, indptr), shape=(2 * n + 2, 2 * n + 2)
-        )
+        self._succ = compiled.succ_lists
+        self._pred = compiled.pred_lists
 
-    def _max_flow(
-        self,
-        forced_s: np.ndarray,
-        forced_t: np.ndarray,
-        uncuttable: Optional[np.ndarray] = None,
-    ):
-        """scipy's maximum flow from the source, feeding ``forced_s``, to
-        the sink, drained by ``forced_t``.
-
-        ``uncuttable`` vertices get INF internal capacity (they may lie on
-        a path but can never be cut).  All per-query capacity changes are
-        rolled back before returning, so the shared network stays clean.
-        """
-        from scipy.sparse.csgraph import maximum_flow
-
-        data = self._data
-        inf = self._inf
-        int_pos = (
-            self._internal_pos[uncuttable]
-            if uncuttable is not None and uncuttable.size
-            else None
-        )
-        snk_pos = self._sink_pos[forced_t]
-        src_pos = self._src_pos[forced_s]
-        try:
-            if int_pos is not None:
-                data[int_pos] = inf
-            data[snk_pos] = inf
-            data[src_pos] = inf
-            return maximum_flow(self._graph, self._source, self._sink)
-        finally:
-            # The network is cached and shared across queries: restore
-            # capacities even if max-flow (or an interrupt) blew up.
-            if int_pos is not None:
-                data[int_pos] = 1
-            data[snk_pos] = 0
-            data[src_pos] = 0
+    def _flow(self, sources: Sequence[int], targets: Sequence[int]):
+        is_target = bytearray(self._c.n)
+        for t in targets:
+            is_target[t] = 1
+        return max_vertex_flow(self._succ, sources, is_target)
 
     def vertex_cut_ids(
-        self,
-        forced_s: np.ndarray,
-        forced_t: np.ndarray,
-        uncuttable: Optional[np.ndarray] = None,
+        self, forced_s: Sequence[int], forced_t: Sequence[int]
     ) -> int:
-        """Minimum vertex cut separating ``forced_s`` from ``forced_t``
-        (``uncuttable`` vertices never join the cut)."""
-        if len(forced_s) == 0 or len(forced_t) == 0:
+        """Minimum vertex cut separating the ids ``forced_s`` from the
+        ids ``forced_t`` (either may be cut; a vertex in both is a
+        one-vertex path)."""
+        if not len(forced_s) or not len(forced_t):
             return 0  # no source/sink side: nothing to separate
-        return int(self._max_flow(forced_s, forced_t, uncuttable).flow_value)
+        return self._flow(forced_s, forced_t)[0]
 
     def disjoint_paths_ids(
-        self, starts: np.ndarray, ends: np.ndarray
+        self, starts: Sequence[int], ends: Sequence[int]
     ) -> List[List[int]]:
         """A maximum family of vertex-disjoint paths from ``starts`` to
-        ``ends``, as id lists in order of their first vertex.
+        ``ends``, as id lists in order of their first vertex (Menger:
+        the flow of :meth:`vertex_cut_ids`, split into its paths)."""
+        _value, fpred, fsucc = self._flow(starts, ends)
+        return flow_paths(starts, fpred, fsucc)
 
-        By Menger's theorem the unit-capacity flow of
-        :meth:`vertex_cut_ids` decomposes into that many such paths.  A
-        vertex passes at most one unit, so the out(v) row ``2v+1`` of the
-        flow carries at most one positive arc: to in(w) (column ``2w``)
-        or to the sink.  Each unit leaving the source row is followed
-        along those arcs to the sink.
+    def max_min_wavefront_ids(
+        self, ids: Iterable[int]
+    ) -> Tuple[int, Optional[int]]:
+        """``(max |W^min_G(x)|, first x attaining it)`` over the ids in
+        the order given (``(0, None)`` for no ids).
+
+        The two extreme convex cuts of ``x`` bound its min-cut from
+        above: ``S = {x} ∪ Anc(x)`` has the wavefront ``B`` (the
+        vertices of ``S`` with a successor outside ``S``), and
+        ``V \\ Desc(x)`` has the wavefront ``P`` (the vertices outside
+        ``Desc(x)`` with a successor inside).  A candidate with
+        ``min(|B|, |P|) <= best`` cannot beat the incumbent, so its flow
+        is skipped.  Otherwise the flow runs from ``B`` only, since every
+        path out of ``S`` leaves it through ``B``, into the descendants,
+        which absorb it and are never cut, over the vertices that reach
+        a descendant.
         """
-        flow = self._max_flow(starts, ends).flow
-        positive = flow.data > 0
-        rows = np.repeat(np.arange(flow.shape[0]), np.diff(flow.indptr))
-        succ = np.full(flow.shape[0], -1, dtype=np.int64)
-        succ[rows[positive]] = flow.indices[positive]
-        lo, hi = flow.indptr[self._source], flow.indptr[self._source + 1]
-        fed = np.sort(flow.indices[lo:hi][flow.data[lo:hi] > 0]) // 2
-        paths: List[List[int]] = []
-        for v in fed.tolist():
-            path = [v]
-            nxt = succ[2 * v + 1]
-            while nxt != self._sink:
-                path.append(int(nxt) // 2)
-                nxt = succ[nxt + 1]
-            paths.append(path)
-        return paths
+        succ, pred = self._succ, self._pred
+        best, best_id = 0, None
+        for x in ids:
+            if not succ[x]:
+                w = 1  # a sink: the minimum over valid cuts is {x}
+            else:
+                desc, in_t = reach(succ, [x])
+                in_t[x] = 0
+                desc = desc[1:]  # T = Desc(x)
+                p = {u for t in desc for u in pred[t] if not in_t[u]}
+                if len(p) <= best:
+                    continue
+                anc, in_s = reach(pred, [x])  # S = {x} ∪ Anc(x)
+                b = []
+                for v in anc:
+                    for y in succ[v]:
+                        if not in_s[y]:
+                            b.append(v)
+                            break
+                if len(b) <= best:
+                    continue
+                # T and what reaches it: the rest is on no S -> T path
+                live = reach(pred, desc)[1]
+                w = max_vertex_flow(succ, b, in_t, absorb=True,
+                                    limit=min(len(b), len(p)),
+                                    live=live)[0]
+            if w > best:
+                best, best_id = w, x
+        return best, best_id
 
-    def min_wavefront_id(
-        self,
-        x: int,
-        anc: Optional[np.ndarray] = None,
-        desc: Optional[np.ndarray] = None,
-    ) -> int:
-        """``|W^min_G(x)|`` for the vertex with id ``x``.
-
-        ``anc``/``desc`` accept precomputed ``ancestors_ids(x)`` /
-        ``descendants_ids(x)`` arrays so callers that already ran the
-        reachability pass (e.g. for candidate pruning) don't repeat it.
-        """
-        c = self._c
-        if desc is None:
-            desc = c.descendants_ids(x)
-        if desc.size == 0:
-            # x is a sink: the minimum over valid cuts is just {x}.
-            return 1
-        if anc is None:
-            anc = c.ancestors_ids(x)
-        forced_s = np.append(anc, np.int32(x))
-        # Descendants of x can never be wavefront members, so their
-        # internal arcs must not be cuttable.
-        return self.vertex_cut_ids(forced_s, desc, uncuttable=desc)
+    def min_wavefront_id(self, x: int) -> int:
+        """``|W^min_G(x)|`` for the vertex with id ``x``."""
+        return self.max_min_wavefront_ids([x])[0]
 
     def min_wavefront(self, x: Vertex) -> int:
         """``|W^min_G(x)|`` for a vertex given by name."""
@@ -463,9 +352,7 @@ def min_wavefront(cdag: CDAG, x: Vertex) -> int:
     ``{x} ∪ Anc(x)`` — and the (mandatory) ``T``-side — ``Desc(x)`` —
     where the "cut vertices" are the S-side vertices with an edge into
     the T-side, computed with the standard vertex-splitting max-flow
-    construction (see :class:`WavefrontSolver`).  The split graph is
-    cached on the compiled CDAG, so evaluating many candidate vertices of
-    the same CDAG reuses one network.
+    construction (see :class:`WavefrontSolver`).
     """
     if x not in cdag:
         raise CDAGError(f"unknown vertex {x!r}")
@@ -483,19 +370,13 @@ def max_min_wavefront(
     the caller can restrict the candidate set (e.g. to reduction vertices)
     to keep the cost reasonable; with ``candidates=None`` all vertices are
     tried (fine for the small CDAGs used in tests and validation benches).
-    All candidates share one :class:`WavefrontSolver` network.
+    Candidates that two convex cuts show cannot beat the incumbent run no
+    max-flow (:meth:`WavefrontSolver.max_min_wavefront_ids`).
     """
-    best = 0
-    best_vertex: Optional[Vertex] = None
     c = cdag.compiled()
-    solver = c.wavefront_solver()
     pool = c.ids_of(candidates) if candidates is not None else range(c.n)
-    for i in pool:
-        w = solver.min_wavefront_id(i)
-        if w > best:
-            best = w
-            best_vertex = c.vertex(i)
-    return best, best_vertex
+    best, best_id = c.wavefront_solver().max_min_wavefront_ids(pool)
+    return best, None if best_id is None else c.vertex(best_id)
 
 
 # ----------------------------------------------------------------------

@@ -159,19 +159,33 @@ def _machines(params: Mapping):
         ) from None
 
 
-def _param(experiment: str, p: Mapping, name: str, kind: type):
+def _is(value, kind: type) -> bool:
+    """``value`` is a JSON value of ``kind`` (a bool is no integer)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _param(experiment: str, p: Mapping, name: str, kind: type,
+           item: type = int):
     """Grid param ``name`` as ``kind``: an ``int`` from a JSON integer, or
-    a ``tuple`` from a JSON array.  A value of any other JSON type is a
-    ``ValueError`` naming the experiment, the param and the value (the
-    CLI prints it as one error line), never a ``TypeError`` from deep
-    inside the experiment, and never a float truncated to a run the
-    manifest does not describe."""
+    a ``tuple`` from a JSON array whose elements are all of type ``item``
+    (JSON integers unless given).  A value of any other JSON type, or a
+    list with an element of another type, is a ``ValueError`` naming the
+    experiment, the param and the value (the CLI prints it as one error
+    line), never a ``TypeError`` from deep inside the experiment, and
+    never a float truncated to a run the manifest does not describe."""
     value = p[name]
     if kind is tuple:
         if isinstance(value, (list, tuple)):
-            return tuple(value)
+            bad = [v for v in value if not _is(v, item)]
+            if not bad:
+                return tuple(value)
+            items = "integers" if item is int else "strings"
+            raise ValueError(
+                f"{experiment} param {name!r} must be a list of {items}, "
+                f"got {bad[0]!r} in {value!r}"
+            )
         what = "a list"
-    elif isinstance(value, int) and not isinstance(value, bool):
+    elif _is(value, int):
         return value
     else:
         what = "an integer"
@@ -243,7 +257,7 @@ def _run_e8(p: Mapping, seed: int) -> List[Dict]:
         timesteps=_param("e8", p, "timesteps", int),
         num_nodes=_param("e8", p, "num_nodes", int),
         cache_words=_param("e8", p, "cache_words", int),
-        policies=_param("e8", p, "policies", tuple),
+        policies=_param("e8", p, "policies", tuple, str),
     )
 
 

@@ -32,7 +32,6 @@ a newer checkout still *resumes* rather than re-executing.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -169,17 +168,6 @@ def _git_sha() -> str:
     return "unknown"
 
 
-@functools.lru_cache(maxsize=None)
-def _scipy_version() -> str:
-    """scipy's version, read from its installed metadata once per
-    process.  Importing scipy just to read ``__version__`` would load it
-    into cells that never use it, and parsing the metadata again for
-    every manifest would cost each cell a few milliseconds."""
-    from importlib.metadata import version
-
-    return version("scipy")
-
-
 def collect_provenance() -> Dict[str, str]:
     """Environment snapshot recorded in manifests (excluded from the
     config hash, so it never forces a re-run)."""
@@ -190,7 +178,6 @@ def collect_provenance() -> Dict[str, str]:
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": _scipy_version(),
     }
 
 

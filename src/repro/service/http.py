@@ -8,7 +8,9 @@ a 413 and never read, a connection idle mid-request for
 :data:`SOCKET_TIMEOUT_S` is dropped), the error map
 (:data:`CLIENT_ERRORS` answer 400, other exceptions 500, unknown routes
 404), the ``http.*`` accounting (three instruments per route, one
-``http.unmatched`` counter for every unknown path), the uptime clock,
+``http.unmatched`` counter for every unknown path, and one
+``http.client_disconnects`` counter for clients that hang up before
+their response instead of a traceback on stderr), the uptime clock,
 the ``GET /metrics`` envelope and the serve loop.  Request threads
 outlive their connection: once it is answered a thread waits for the
 next one (at most :data:`MAX_IDLE_WORKERS` wait), so a warm query runs
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import queue
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -250,6 +253,16 @@ class JsonServer(ThreadingHTTPServer):
             if job is None:  # released by server_close()
                 return
             request, client_address = job
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that hung up before its response (the socket write or
+        read fails) is counted as ``http.client_disconnects``; any other
+        error is printed with its traceback, as socketserver does."""
+        if isinstance(sys.exc_info()[1], (BrokenPipeError,
+                                          ConnectionResetError)):
+            self.app.metrics.counter("http.client_disconnects").inc()
+            return
+        super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         """Close the listening socket and release the waiting threads

@@ -203,11 +203,6 @@ def make_server(
     owns the loop: ``serve_forever()`` / ``shutdown()``, then
     ``server.app.close()`` (the store) and ``server_close()`` (the
     socket and the waiting request threads)."""
-    # The library imports scipy only where a min-cut runs.  A server
-    # lives long and answers bound queries, so it pays that import here,
-    # before it is reachable, and no request's latency carries it.
-    import scipy.sparse.csgraph  # noqa: F401
-
     service = BoundService(store if store is not None
                            else ArtifactStore(db_path))
     return JsonServer(service, host, port)

@@ -72,6 +72,7 @@ from .keys import artifact_key, code_version
 __all__ = [
     "BUILDERS",
     "BuilderDef",
+    "MAX_CANDIDATES",
     "MAX_CDAG_SIZE",
     "build_cdag",
     "compiled_spec",
@@ -95,6 +96,9 @@ __all__ = [
 #: biggest default spec (``grid``) is ~13k by the same count; a chain at
 #: the cap took 3 s and 380 MB to build and compile on a 2-core box.
 MAX_CDAG_SIZE = 1_000_000
+#: Largest ``max_candidates`` a wavefront bound spec takes: a candidate
+#: may cost one max-flow, so this caps a bound query's work.
+MAX_CANDIDATES = 1024
 
 
 class BuilderDef:
@@ -326,7 +330,8 @@ def bound_spec(
 ) -> Dict:
     """The canonical spec mapping content-addressing a bound; rejects
     arguments no bound is computed for (unknown method, ``s < 1``,
-    ``max_candidates < 1``, ``hong_kung`` without ``u_upper``)."""
+    ``max_candidates`` outside ``[1, MAX_CANDIDATES]``, ``hong_kung``
+    without ``u_upper``)."""
     if method not in BOUND_METHODS:
         raise ValueError(
             f"unknown bound method {method!r}; known: {BOUND_METHODS}"
@@ -337,9 +342,10 @@ def bound_spec(
     spec["s"] = int(s)
     spec["method"] = method
     if method == "wavefront":
-        if int(max_candidates) < 1:
+        if not 1 <= int(max_candidates) <= MAX_CANDIDATES:
             raise ValueError(
-                f"max_candidates must be >= 1, got {max_candidates}"
+                f"max_candidates must be in [1, {MAX_CANDIDATES}] "
+                f"(MAX_CANDIDATES), got {max_candidates}"
             )
         spec["max_candidates"] = int(max_candidates)
     if method == "hong_kung":

@@ -115,3 +115,42 @@ class TestSoundness:
         values = [automated_wavefront_bound(dot_then_axpy_cdag(n), s=0).wavefront
                   for n in (2, 3, 4, 5)]
         assert values == [5, 7, 9, 11]
+
+
+#: ``(builder, wavefront, vertex)`` of the automated bound on the bound
+#: server's default builders (the ``/v1/bound`` specs of perfbench's
+#: bound-server mix use these at S = 2, 4 and 8)
+SERVER_BOUNDS = [
+    ("chain", 1, ["chain", 1]),
+    ("chains", 1, ["chains", 0, 1]),
+    ("tree", 1, ["reduce", 5, 0]),
+    ("bcast", 1, ["bcast", 1, 0]),
+    ("diamond", 16, ["dmd", 5, 5]),
+    ("grid", 18, ["st", 2, 2, 2]),
+    ("butterfly", 1, ["fft", 4, 0]),
+    ("pyramid", 8, ["pyr", 8, 0]),
+]
+
+
+class TestPinnedWavefronts:
+    """The automated bound's wavefront and vertex are pinned, so a
+    change of max-flow or of candidate pruning cannot move them."""
+
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    @pytest.mark.parametrize("builder, wavefront, vertex", SERVER_BOUNDS,
+                             ids=[b[0] for b in SERVER_BOUNDS])
+    def test_bound_server_builders(self, builder, wavefront, vertex, s):
+        from repro.store.analysis import fresh_bound
+
+        got = fresh_bound(builder, s=s)
+        assert (got["wavefront"], got["vertex"]) == (wavefront, vertex)
+        assert got["value"] == max(0.0, 2.0 * (wavefront - s))
+
+    @pytest.mark.parametrize("n, wavefront", [(16, 16), (32, 25), (64, 25)])
+    def test_jacobi1d_bench_cdags(self, n, wavefront):
+        # the wavefront/jacobi1d_* entries of bench_compiled_core.py
+        from repro.core import grid_stencil_cdag
+
+        cdag = grid_stencil_cdag((n,), 16)
+        bound = automated_wavefront_bound(cdag, s=8, max_candidates=8)
+        assert bound.wavefront == wavefront

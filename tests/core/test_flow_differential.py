@@ -49,10 +49,10 @@ CASES = [("random", seed) for seed in range(80)] + [
 ]
 
 
-def build(random_dag, family: str, seed: int) -> CDAG:
+def build(random_dag, family: str, seed: int, n: int = N) -> CDAG:
     if family == "random":
-        return random_dag(seed, N)
-    return retagged_dag(seed)
+        return random_dag(seed, n)
+    return retagged_dag(seed, n)
 
 
 def check_lines(cdag: CDAG, lines) -> None:

@@ -256,15 +256,31 @@ class TestExecution:
          "e2 param 's' must be an integer, got 64.9"),
         ({"experiment": "spill", "params": {"ops": "16"}},
          "spill param 'ops' must be an integer, got '16'"),
+        ({"experiment": "e6", "params": {"sizes": ["a"]}},
+         "e6 param 'sizes' must be a list of integers, got 'a' in ['a']"),
+        ({"experiment": "e5",
+          "params": {"dimensions": [2.5], "n": 50, "timesteps": 50}},
+         "e5 param 'dimensions' must be a list of integers, got 2.5 in "
+         "[2.5]"),
+        ({"experiment": "e3", "params": {"small_shape": [2, True]}},
+         "e3 param 'small_shape' must be a list of integers, got True in "
+         "[2, True]"),
+        ({"experiment": "e8", "params": {"policies": ["lru", 1]}},
+         "e8 param 'policies' must be a list of strings, got 1 in "
+         "['lru', 1]"),
     ], ids=["list-param-scalar", "int-param-list", "int-param-float",
-            "int-param-string"])
+            "int-param-string", "int-list-string-element",
+            "int-list-float-element", "int-list-bool-element",
+            "string-list-int-element"])
     def test_param_of_wrong_json_type_is_one_error_line(self, cell, named,
                                                         tmp_path):
-        """A grid-file param of the wrong JSON type is one ``repro:
-        error:`` line naming the experiment, the param and the value,
-        and exit 2 — not a ``TypeError`` traceback, and not a float
-        silently truncated (``s: 64.9`` ran as ``s = 64`` while the
-        manifest recorded 64.9)."""
+        """A grid-file param of the wrong JSON type, or a list param with
+        an element of the wrong type, is one ``repro: error:`` line
+        naming the experiment, the param and the value, and exit 2 —
+        not a ``TypeError`` traceback, and not a float silently
+        truncated (``s: 64.9`` ran as ``s = 64`` while the manifest
+        recorded 64.9; ``dimensions: [2.5]`` ran a 2.5-dimensional
+        stencil)."""
         import json
         import os
         import subprocess

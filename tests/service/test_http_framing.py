@@ -160,3 +160,26 @@ def test_stalled_sender_is_dropped_after_the_socket_timeout(server,
     assert time.monotonic() - start < 5.0
     raw = b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n"
     assert exchange(port, raw)[0] == 200
+
+
+def test_client_hang_up_is_counted_not_printed(server, capfd):
+    """A client that closes before its response makes the server's
+    write fail (``BrokenPipeError`` or ``ConnectionResetError``).  The
+    server counts that as ``http.client_disconnects`` in ``GET
+    /metrics`` and prints no traceback."""
+    port, path = server
+    for _ in range(3):
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as s:
+            s.sendall(head(path, 10) + b'{"w')  # 3 of 10 body bytes
+    raw = b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    deadline = time.monotonic() + 5.0
+    while True:
+        status, payload = exchange(port, raw)
+        assert status == 200
+        count = payload["metrics"]["counters"].get(
+            "http.client_disconnects", 0)
+        if count >= 1 or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert count >= 1
+    assert "Traceback" not in capfd.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 
 from repro.service import ServiceClient, ServiceError, make_server
 from repro.store.analysis import (
-    MAX_CDAG_SIZE, fresh_bound, fresh_schedule, fresh_spill,
+    MAX_CANDIDATES, MAX_CDAG_SIZE, fresh_bound, fresh_schedule, fresh_spill,
 )
 
 
@@ -239,6 +239,22 @@ class TestErrors:
         assert field in payload["error"]
         assert service.store.counters["misses"] == 0
         assert service.store.stats()["entries"] == 0
+
+    def test_max_candidates_over_the_cap_is_400_and_not_stored(
+        self, server, client
+    ):
+        """Over HTTP, ``max_candidates`` above ``MAX_CANDIDATES`` is
+        refused like a value below one, before any store lookup; the
+        cap itself is served."""
+        with pytest.raises(ServiceError) as exc:
+            client.bound(builder="chain", s=2,
+                         max_candidates=MAX_CANDIDATES + 1)
+        assert exc.value.status == 400
+        assert "max_candidates" in exc.value.message
+        assert server.app.store.counters["misses"] == 0
+        served = client.bound(builder="chain", s=2,
+                              max_candidates=MAX_CANDIDATES)
+        assert served["max_candidates"] == MAX_CANDIDATES
 
     def test_out_of_range_int_is_400_before_any_compute(self, server):
         """An int field outside the store's signed 64-bit range is

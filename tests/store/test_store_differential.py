@@ -23,7 +23,9 @@ from repro.store import (
     fresh_schedule,
     fresh_spill,
 )
-from repro.store.analysis import MAX_CDAG_SIZE, compiled_spec
+from repro.store.analysis import (
+    MAX_CANDIDATES, MAX_CDAG_SIZE, bound_spec, compiled_spec,
+)
 
 # (builder, params) points spanning every family; seeds only matter for
 # the forest builder but are exercised everywhere.
@@ -244,3 +246,20 @@ class TestSizeBound:
             cached_bound(store, builder, {key: value})
         assert store.counters["misses"] == store.counters["hits"] == 0
         assert store.stats()["entries"] == 0
+
+    @pytest.mark.parametrize("max_candidates", [0, MAX_CANDIDATES + 1,
+                                                10**9])
+    def test_max_candidates_outside_the_cap_is_refused_before_any_lookup(
+        self, store, max_candidates
+    ):
+        """A wavefront bound runs up to one max-flow per candidate, so
+        ``max_candidates`` is capped at ``MAX_CANDIDATES``: a value
+        outside ``[1, MAX_CANDIDATES]`` is a ``ValueError`` from the
+        spec, and the store is never read."""
+        with pytest.raises(ValueError, match="max_candidates"):
+            bound_spec("chain", max_candidates=max_candidates)
+        with pytest.raises(ValueError, match="max_candidates"):
+            cached_bound(store, "chain", max_candidates=max_candidates)
+        assert store.counters["misses"] == store.counters["hits"] == 0
+        spec = bound_spec("chain", max_candidates=MAX_CANDIDATES)
+        assert spec["max_candidates"] == MAX_CANDIDATES

@@ -1,16 +1,15 @@
-"""The library runs on its declared dependencies, numpy and scipy, and
-each command loads only what it computes.
+"""The library runs on its declared dependency, numpy, and each command
+loads only what it computes.
 
-Every max-flow goes through scipy (``WavefrontSolver``), so loading any
-module of the package must leave networkx out of ``sys.modules``.  A
-sweep runs without the artifact store, so it must not load ``sqlite3``
-or ``repro.store`` either.  scipy is imported only where a min-cut or a
-reachability query runs, so importing the library, playing pebble
-games, or sweeping cells that compute no min-cut loads none of it, and
-``--help`` loads no numpy.  The bound server is the one consumer that
-loads scipy up front.  The probes run in a fresh interpreter because
-the test process may already hold those modules (hypothesis and pytest
-plugins are free to load networkx).
+Every max-flow and reachability query runs in ``repro.core.flow``, so
+loading any module of the package must leave networkx out of
+``sys.modules``, and no runtime path loads scipy: the min-cut cells of
+the default grid, every builder's bound, the lines and dominator
+queries and the bound server all run with scipy unimportable.  A sweep
+runs without the artifact store, so it must not load ``sqlite3`` or
+``repro.store`` either, and ``--help`` loads no numpy.  The probes run
+in a fresh interpreter because the test process may already hold those
+modules (hypothesis and pytest plugins are free to load networkx).
 """
 
 import json
@@ -52,6 +51,29 @@ from repro.service import make_server
 server = make_server(sys.argv[2], port=0)
 server.server_close()
 server.app.close()
+"""
+
+#: every min-cut path, with any import of scipy failing
+NO_SCIPY_PROBE = """
+sys.modules["scipy"] = None
+from repro.bounds.lines import find_lines
+from repro.core import grid_stencil_cdag, minimal_dominator_size
+from repro.evaluation.harness import default_grid, run_grid
+from repro.service import make_server
+from repro.store.analysis import BUILDERS, fresh_bound
+
+root = sys.argv[2]
+cells = [s for s in default_grid() if s.experiment in ("e3", "e7")]
+assert len(run_grid(cells, root + "/results", log=lambda m: None).executed) == 2
+for builder in BUILDERS:
+    fresh_bound(builder, s=4)
+cdag = grid_stencil_cdag((4, 4), 2)
+assert len(find_lines(cdag)) == 16
+assert minimal_dominator_size(cdag, cdag.outputs) == 16
+server = make_server(root + "/store.db", port=0)
+server.server_close()
+server.app.close()
+assert sys.modules.pop("scipy") is None
 """
 
 #: appended to every probe: print the loaded modules under the roots
@@ -104,7 +126,10 @@ def test_sweep_without_min_cut_loads_no_scipy(tmp_path):
     assert _loaded_by(SWEEP_PROBE, ["scipy"], str(tmp_path / "results")) == []
 
 
-def test_bound_server_loads_scipy_before_serving(tmp_path):
-    loaded = _loaded_by(SERVER_PROBE, ["scipy.sparse.csgraph"],
-                        str(tmp_path / "store.db"))
-    assert "scipy.sparse.csgraph" in loaded
+def test_bound_server_loads_no_scipy(tmp_path):
+    assert _loaded_by(SERVER_PROBE, ["scipy"],
+                      str(tmp_path / "store.db")) == []
+
+
+def test_min_cut_paths_run_without_scipy(tmp_path):
+    assert _loaded_by(NO_SCIPY_PROBE, ["scipy"], str(tmp_path)) == []
