@@ -3,8 +3,8 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-kernel test-harness test-service \
-  test-fleet test-obs test-startup doctest bench bench-smoke bench-kernel \
-  bench-service bench-guard lint check
+  test-fleet test-obs test-startup examples doctest bench bench-smoke \
+  bench-kernel bench-service bench-guard lint check
 
 # Tier-1 suite (includes the doctest run over the documented public
 # surface and the ~1 s bench smoke in tests/test_docs_and_bench_smoke.py).
@@ -68,6 +68,11 @@ test-obs:
 # --help` load no numpy.
 test-startup:
 	$(PY) -m pytest tests/test_runtime_deps.py -q
+
+# Every script under examples/, each in a fresh interpreter: exit 0 and
+# no traceback.
+examples:
+	$(PY) -m pytest tests/test_examples.py -q
 
 # Standalone doctest pass over the documented modules.
 doctest:

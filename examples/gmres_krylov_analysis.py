@@ -1,50 +1,35 @@
 #!/usr/bin/env python
 """GMRES: Krylov-dimension sweep of the Section 5.3 analysis.
 
-Runs the actual GMRES solver on a discretized heat problem to obtain
-realistic Krylov dimensions, then sweeps the paper's vertical-intensity
-formula ``6/(m+20)`` against the Table 1 machine balances to show where
-the memory-bound / undetermined crossover falls.
+Checks Theorem 9's wavefront on the CDAG of two Arnoldi iterations, then
+sweeps the paper's vertical-intensity formula ``6/(m+20)`` against the
+Table 1 machine balances to show where the memory-bound / undetermined
+crossover falls.
 
 Run with::
 
     python examples/gmres_krylov_analysis.py
 """
 
-import numpy as np
-
-from repro.algorithms import analyze_gmres, traced_gmres_cdag
+from repro.algorithms import analyze_gmres, gmres_iteration_cdag
 from repro.bounds import automated_wavefront_bound
 from repro.evaluation import format_table
 from repro.machine import CRAY_XT5, IBM_BGQ
-from repro.solvers import Grid, StencilOperator, gmres
 
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. A real GMRES solve: how large is m in practice for this problem?
+    # 1. Theorem 9's wavefront on the Arnoldi CDAG of a 2x2 grid.
     # ------------------------------------------------------------------
-    grid = Grid(shape=(10, 10))
-    op = StencilOperator(grid)
-    rng = np.random.default_rng(7)
-    b = rng.random(grid.num_points)
-    result = gmres(op, b, tol=1e-10)
-    print(f"GMRES on the {grid.shape} heat system: converged="
-          f"{result.converged} after m={result.iterations} Krylov vectors "
-          f"(residual {result.residual_norms[-1]:.2e})")
-
-    # ------------------------------------------------------------------
-    # 2. Theorem 9's wavefront verified on the traced Arnoldi CDAG.
-    # ------------------------------------------------------------------
-    tiny = Grid(shape=(2, 2))
-    _, cdag = traced_gmres_cdag(tiny, krylov_iterations=2)
+    shape = (2, 2)
+    cdag = gmres_iteration_cdag(shape, krylov_iterations=2)
     bound = automated_wavefront_bound(cdag, s=0)
-    print(f"traced GMRES CDAG: {cdag.num_vertices()} vertices, largest "
+    print(f"GMRES CDAG: {cdag.num_vertices()} vertices, largest "
           f"wavefront {bound.wavefront} (Theorem 9 predicts >= "
-          f"{2 * tiny.num_points})")
+          f"{2 * shape[0] * shape[1]})")
 
     # ------------------------------------------------------------------
-    # 3. The m-sweep of Section 5.3.3 on both Table 1 machines.
+    # 2. The m-sweep of Section 5.3.3 on both Table 1 machines.
     # ------------------------------------------------------------------
     rows = []
     for m in (5, 10, 20, 50, 100, 200):

@@ -1,17 +1,13 @@
 #!/usr/bin/env python
-"""Heat equation + Conjugate Gradient: from a real solver run to the
+"""Conjugate Gradient on the heat equation: from its CDAG to the
 paper's Section 5.2 conclusion.
 
 The script
 
-1. discretizes the heat equation on a 3-D grid and advances it with the
-   implicit scheme, solving each timestep's linear system with the
-   library's CG solver (the actual numerical substrate of the paper's
-   evaluation);
-2. traces a small CG iteration to obtain its CDAG and verifies the
+1. builds the CDAG of one CG iteration on a small grid and verifies the
    Theorem 8 wavefront (2 n^d at the step scalar) with the automated
    min-cut analyzer;
-3. evaluates the machine-balance conditions on the Table 1 systems and
+2. evaluates the machine-balance conditions on the Table 1 systems and
    prints the verdict the paper reaches: CG is memory-bandwidth bound
    (vertical), not network bound (horizontal).
 
@@ -20,41 +16,26 @@ Run with::
     python examples/heat_equation_cg.py
 """
 
-import numpy as np
-
-from repro.algorithms import analyze_cg, traced_cg_cdag
+from repro.algorithms import analyze_cg, cg_iteration_cdag
 from repro.bounds import automated_wavefront_bound
 from repro.evaluation import format_table
 from repro.machine import CRAY_XT5, IBM_BGQ
-from repro.solvers import Grid, run_heat_equation
 
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. Run the real solver: a 3-D heat problem advanced 3 timesteps.
+    # 1. One CG iteration on a 2x2 grid: Theorem 8's wavefront structure.
     # ------------------------------------------------------------------
-    grid = Grid(shape=(8, 8, 8))
-    result = run_heat_equation(grid, timesteps=3, solver="cg", tol=1e-10)
-    exact = grid.exact_solution(3 * grid.timestep)
-    rel_err = np.linalg.norm(result.solution - exact) / np.linalg.norm(exact)
-    print(f"heat run: {grid.num_points} unknowns, 3 implicit steps, "
-          f"{result.total_inner_iterations} CG iterations total, "
-          f"relative error vs exact solution = {rel_err:.2e}")
-
-    # ------------------------------------------------------------------
-    # 2. Trace one CG iteration on a tiny grid and verify Theorem 8's
-    #    wavefront structure on the *real* data-flow graph.
-    # ------------------------------------------------------------------
-    tiny = Grid(shape=(2, 2))
-    _, cdag = traced_cg_cdag(tiny, iterations=1)
-    nd = tiny.num_points
+    shape = (2, 2)
+    cdag = cg_iteration_cdag(shape, 1)
+    nd = shape[0] * shape[1]
     bound = automated_wavefront_bound(cdag, s=0)
-    print(f"traced CG CDAG: {cdag.num_vertices()} vertices; "
+    print(f"CG CDAG: {cdag.num_vertices()} vertices; "
           f"largest wavefront found = {bound.wavefront} "
           f"(Theorem 8 predicts >= 2 n^d = {2 * nd})")
 
     # ------------------------------------------------------------------
-    # 3. The Section 5.2.3 analysis on the Table 1 machines.
+    # 2. The Section 5.2.3 analysis on the Table 1 machines.
     # ------------------------------------------------------------------
     rows = []
     for machine in (IBM_BGQ, CRAY_XT5):

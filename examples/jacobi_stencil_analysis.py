@@ -3,10 +3,9 @@
 
 The script reproduces the Section 5.4 story end to end:
 
-1. builds the iterated-stencil CDAG and measures the I/O of two schedules —
-   sweep-by-sweep (streaming) and the classic space-time tiled schedule —
-   against the Theorem 10 lower bound, showing the bound is tight for the
-   tiled schedule up to a small constant;
+1. builds the iterated-stencil CDAG and plays two schedules as spill
+   games — sweep-by-sweep (streaming) and a space-time tiled schedule —
+   against the Theorem 10 lower bound;
 2. runs the block-partitioned stencil on the simulated cluster and compares
    measured vertical/horizontal traffic against the bounds;
 3. prints the per-dimension bandwidth-bound verdicts on IBM BG/Q (the
@@ -25,7 +24,6 @@ from repro.distsim import SimulatedCluster
 from repro.evaluation import format_table
 from repro.machine import IBM_BGQ
 from repro.pebbling import spill_game_rbw
-from repro.solvers import tiled_sweep_io_estimate
 
 
 def main() -> None:
@@ -44,15 +42,13 @@ def main() -> None:
         cdag, key=lambda v: (v[2] // tile_width, v[1], v[2])
     )
     tiled_io = spill_game_rbw(cdag, s, schedule=tiled_order).io_count
-    tiled_model = tiled_sweep_io_estimate(n, timesteps, 1, s)
 
     print("1-D stencil, n=24, T=6, S=8")
     print(f"  Theorem 10 lower bound      : {lower:8.1f}")
-    print(f"  tiled-schedule model        : {tiled_model:8.1f}")
     print(f"  measured, tiled schedule    : {tiled_io:8d}")
     print(f"  measured, sweep-by-sweep    : {sweep_io:8d}")
-    print("  (the tiled schedule sits within a small constant of the bound; "
-          "plain sweeps pay the full n per timestep)")
+    print("  (both games are legal, so both counts are upper bounds; no "
+          "schedule moves less than the bound)")
 
     # ------------------------------------------------------------------
     # 2. Simulated cluster measurement for a 2-D stencil.

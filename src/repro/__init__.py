@@ -9,8 +9,7 @@ A production-quality reproduction of
 The library provides:
 
 * :mod:`repro.core` — the CDAG model, structural analyses (dominators,
-  In/Out sets, convex cuts, wavefronts), S-partitions, schedules and a
-  tracing executor that derives CDAGs from real numerical code;
+  In/Out sets, convex cuts, wavefronts), S-partitions and schedules;
 * :mod:`repro.pebbling` — red-blue, Red-Blue-White and parallel RBW pebble
   game engines, upper-bound strategies and an exact optimal-game search;
 * :mod:`repro.bounds` — the lower-bound machinery: 2S-partitioning
@@ -19,9 +18,7 @@ The library provides:
 * :mod:`repro.machine` — machine-balance models and the Table 1 catalog;
 * :mod:`repro.algorithms` — CDAG constructors and closed-form bounds for
   the algorithms analysed in the paper (matmul, composite example, CG,
-  GMRES, Jacobi, FFT);
-* :mod:`repro.solvers` — the numerical substrate (heat-equation grids,
-  sparse matrices, CG/GMRES/Jacobi solvers) whose executions are analysed;
+  GMRES, Jacobi, reductions);
 * :mod:`repro.distsim` — a simulated distributed-memory machine measuring
   vertical (cache-miss) and horizontal (ghost-cell) traffic;
 * :mod:`repro.evaluation` — drivers that regenerate every table and

@@ -19,18 +19,14 @@ Reproduces Section 5.2 of the paper:
   memory-bandwidth bound; the horizontal requirement
   ``6 N_nodes^{1/3} / (20 n)`` is far below the network balance.
 
-Two CDAG constructions are provided: a *structural* one (exact vertex
-classes of one CG iteration, scalable to a few thousand vertices) and a
-*traced* one that runs the real CG solver of
-:mod:`repro.solvers.cg_solver` scalar-by-scalar on a small grid and
-records the data flow, for validation that the structural CDAG has the
-same shape (vertex/edge counts, wavefronts).
+:func:`cg_iteration_cdag` builds the exact vertex classes of CG
+iterations on a grid, scalable to a few thousand vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,23 +35,34 @@ from ..bounds.analytical import (
     stencil_horizontal_upper_bound,
 )
 from ..core.cdag import CDAG, Vertex
-from ..core.trace import TraceContext, TracedArray
 from ..machine.balance import BalanceVerdict, horizontal_condition, vertical_condition
 from ..machine.spec import MachineSpec
-from ..solvers.cg_solver import cg_total_flops
-from ..solvers.grid import Grid, stencil_neighbors
 
 __all__ = [
     "cg_iteration_cdag",
-    "traced_cg_cdag",
     "CGAnalysis",
     "analyze_cg",
 ]
 
 
 # ----------------------------------------------------------------------
-# CDAG constructions
+# CDAG construction
 # ----------------------------------------------------------------------
+def stencil_neighbors(
+    shape: Sequence[int], idx: Sequence[int]
+) -> List[Tuple[int, ...]]:
+    """Interior axis neighbours (±1 along each dimension) of the point
+    ``idx`` of a grid of extents ``shape``, axis by axis, minus first."""
+    out: List[Tuple[int, ...]] = []
+    for axis in range(len(shape)):
+        for sign in (-1, 1):
+            j = list(idx)
+            j[axis] += sign
+            if 0 <= j[axis] < shape[axis]:
+                out.append(tuple(j))
+    return out
+
+
 def cg_iteration_cdag(
     shape: Tuple[int, ...], iterations: int = 1, name: str = "cg"
 ) -> CDAG:
@@ -79,6 +86,8 @@ def cg_iteration_cdag(
     matrix-free, its coefficients are compile-time constants); outputs are
     the final ``x`` and ``p``/``r`` vectors.
     """
+    if any(n < 1 for n in shape):
+        raise ValueError(f"shape entries must be >= 1, got {tuple(shape)}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     points = list(np.ndindex(*shape))
@@ -189,59 +198,6 @@ def cg_iteration_cdag(
     return cdag
 
 
-def traced_cg_cdag(grid: Grid, iterations: int = 1) -> Tuple[np.ndarray, CDAG]:
-    """Trace ``iterations`` CG steps on the implicit heat system of ``grid``.
-
-    Runs the textbook CG recurrence scalar-by-scalar with the tracer,
-    starting from ``x = 0`` and a sine right-hand side; returns the final
-    iterate (as floats, validated by the tests against the vectorised
-    solver) and the recorded CDAG.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    ctx = TraceContext("traced-cg")
-    diag, off = grid.implicit_matrix_diagonals()
-    # A ramp right-hand side: the sine mode is an eigenvector of the
-    # stencil operator, for which CG would converge in a single step and
-    # later iterations would divide by a vanishing residual norm.
-    ramp = 1.0 + np.arange(grid.num_points, dtype=float) / grid.num_points
-    b_values = grid.implicit_rhs(ramp)
-    b = ctx.input_array(b_values.reshape(grid.shape), prefix="b")
-
-    shape = grid.shape
-    points = list(np.ndindex(*shape))
-
-    def stencil_matvec(vec: TracedArray) -> TracedArray:
-        out = vec.copy()
-        for g in points:
-            acc = vec[g] * diag
-            for nb in stencil_neighbors(shape, g):
-                acc = acc + vec[nb] * off
-            out[g] = acc
-        return out
-
-    # x = 0 so r = b, p = r.
-    r = b.copy()
-    p = b.copy()
-    x = None  # represented lazily: x = sum of updates
-    rr = r.dot(r)
-    for _ in range(iterations):
-        v = stencil_matvec(p)
-        a = rr / p.dot(v)
-        if x is None:
-            x = p.scale(a)
-        else:
-            x = x + p.scale(a)
-        r_new = r - v.scale(a)
-        rr_new = r_new.dot(r_new)
-        g_scalar = rr_new / rr
-        p = r_new + p.scale(g_scalar)
-        r, rr = r_new, rr_new
-    ctx.mark_output(x)
-    ctx.mark_output(r)
-    return x.values().reshape(-1), ctx.build()
-
-
 # ----------------------------------------------------------------------
 # Analysis (Theorem 8 + Section 5.2.3)
 # ----------------------------------------------------------------------
@@ -288,7 +244,8 @@ def analyze_cg(
     re-aggregated per node as in the paper's analysis); the horizontal
     upper bound is the ghost-cell volume of the node's block.
     """
-    total_flops = cg_total_flops(n, iterations, dimensions, paper_constant=True)
+    # The paper's 20 n^d T operation count (Section 5.2.3).
+    total_flops = 20.0 * n ** dimensions * iterations
     # 6 n^d T / P per processor; a node holds N_cores processors.
     lb_per_node = cg_vertical_lower_bound(
         n, iterations, dimensions, processors=machine.total_cores

@@ -19,9 +19,7 @@ This module provides:
 
 * :func:`composite_cdag` — the full CDAG of the composite computation
   (structural, with explicit multiply/accumulate vertices);
-* :func:`traced_composite` — a traced scalar execution validated against
-  NumPy;
-* :func:`recompute_friendly_schedule_io` — the clever evaluation order
+* :func:`recompute_friendly_game` — the clever evaluation order
   achieving ``4N + 1`` I/O under the (recomputation-allowing) red-blue
   game, reproduced as an explicit move generator so the claim is
   machine-checked rather than asserted;
@@ -33,20 +31,16 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from ..bounds.analytical import (
     composite_example_io_upper_bound,
     composite_example_naive_sum,
 )
 from ..core.cdag import CDAG, Vertex
-from ..core.trace import TraceContext
 from ..pebbling.redblue import RedBluePebbleGame
 from ..pebbling.state import GameRecord
 
 __all__ = [
     "composite_cdag",
-    "traced_composite",
     "recompute_friendly_game",
     "naive_step_sum",
     "composite_example_io_upper_bound",
@@ -114,37 +108,6 @@ def composite_cdag(n: int, name: str = "composite") -> CDAG:
                 edges.append((prev, s))
                 sum_prev = s
     return CDAG.from_edge_list(vertices, edges, inputs, [sum_prev], name=name)
-
-
-def traced_composite(
-    p: np.ndarray, q: np.ndarray, r: np.ndarray, s: np.ndarray
-) -> Tuple[float, CDAG]:
-    """Traced execution of the composite computation; returns (sum, CDAG).
-
-    The numerical result equals ``sum((p q^T)(r s^T)) = (q . r) * sum_i p_i
-    * sum_j s_j``, which the tests verify against a NumPy evaluation.
-    """
-    arrays = [np.asarray(v, dtype=float) for v in (p, q, r, s)]
-    n = len(arrays[0])
-    if any(a.shape != (n,) for a in arrays):
-        raise ValueError("all four vectors must have the same length")
-    ctx = TraceContext("traced-composite")
-    tp = ctx.input_array(arrays[0], prefix="p")
-    tq = ctx.input_array(arrays[1], prefix="q")
-    tr = ctx.input_array(arrays[2], prefix="r")
-    ts = ctx.input_array(arrays[3], prefix="s")
-    total = None
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                a_ik = tp[i] * tq[k]
-                b_kj = tr[k] * ts[j]
-                prod = a_ik * b_kj
-                acc = prod if acc is None else acc + prod
-            total = acc if total is None else total + acc
-    ctx.mark_output(total)
-    return total.value, ctx.build()
 
 
 def recompute_friendly_game(n: int) -> GameRecord:

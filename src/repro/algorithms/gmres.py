@@ -30,15 +30,12 @@ from ..bounds.analytical import (
     stencil_horizontal_upper_bound,
 )
 from ..core.cdag import CDAG, Vertex
-from ..core.trace import TraceContext, TracedArray
 from ..machine.balance import BalanceVerdict, horizontal_condition, vertical_condition
 from ..machine.spec import MachineSpec
-from ..solvers.gmres_solver import gmres_flops
-from ..solvers.grid import Grid, stencil_neighbors
+from .cg import stencil_neighbors
 
 __all__ = [
     "gmres_iteration_cdag",
-    "traced_gmres_cdag",
     "GMRESAnalysis",
     "analyze_gmres",
 ]
@@ -65,6 +62,8 @@ def gmres_iteration_cdag(
     basis vector and all Hessenberg scalars (they feed the least-squares
     solve).
     """
+    if any(n < 1 for n in shape):
+        raise ValueError(f"shape entries must be >= 1, got {tuple(shape)}")
     if krylov_iterations < 1:
         raise ValueError("krylov_iterations must be >= 1")
     points = list(np.ndindex(*shape))
@@ -152,52 +151,6 @@ def gmres_iteration_cdag(
     return cdag
 
 
-def traced_gmres_cdag(
-    grid: Grid, krylov_iterations: int = 2
-) -> Tuple[np.ndarray, CDAG]:
-    """Trace ``m`` Arnoldi/GMRES iterations scalar-by-scalar on ``grid``.
-
-    Returns the final Krylov basis vector (numerically validated by tests
-    against the vectorised solver's Arnoldi process) and the CDAG.
-    """
-    if krylov_iterations < 1:
-        raise ValueError("krylov_iterations must be >= 1")
-    ctx = TraceContext("traced-gmres")
-    diag, off = grid.implicit_matrix_diagonals()
-    # A ramp start vector: the sine initial condition is an eigenvector of
-    # the stencil operator, which would make the Arnoldi process break
-    # down after one step and leave a degenerate CDAG.
-    ramp = 1.0 + np.arange(grid.num_points, dtype=float) / grid.num_points
-    r0 = grid.implicit_rhs(ramp)
-    beta = float(np.linalg.norm(r0))
-    v0_vals = (r0 / beta).reshape(grid.shape)
-    v = ctx.input_array(v0_vals, prefix="v0")
-    shape = grid.shape
-    points = list(np.ndindex(*shape))
-
-    def stencil_matvec(vec: TracedArray) -> TracedArray:
-        out = vec.copy()
-        for g in points:
-            acc = vec[g] * diag
-            for nb in stencil_neighbors(shape, g):
-                acc = acc + vec[nb] * off
-            out[g] = acc
-        return out
-
-    basis = [v]
-    for i in range(krylov_iterations):
-        w = stencil_matvec(basis[i])
-        for j in range(i + 1):
-            h_ji = w.dot(basis[j])
-            w = w - basis[j].scale(h_ji)
-        h_next = w.norm2()
-        v_next = w.scale(1.0 / h_next if h_next.value != 0 else 0.0) \
-            if h_next.value != 0 else w
-        basis.append(v_next)
-    ctx.mark_output(basis[-1])
-    return basis[-1].values().reshape(-1), ctx.build()
-
-
 @dataclass(frozen=True)
 class GMRESAnalysis:
     """The Section 5.3 quantities for one (n, d, m, machine) setting."""
@@ -231,7 +184,9 @@ def analyze_gmres(
 ) -> GMRESAnalysis:
     """Reproduce the Section 5.3.3 analysis of GMRES on ``machine``."""
     m = krylov_iterations
-    total_flops = gmres_flops(n, m, dimensions, paper_constant=True)
+    # The paper's 20 n^d m + n^d m^2 operation count (Section 5.3.3).
+    nd = n ** dimensions
+    total_flops = 20.0 * nd * m + nd * float(m) ** 2
     lb_per_node = gmres_vertical_lower_bound(
         n, m, dimensions, processors=machine.total_cores
     ) * machine.cores_per_node

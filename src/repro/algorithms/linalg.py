@@ -14,27 +14,21 @@ pebbles.  Theorem 3 (retagging) is the repair.  This module provides:
 * :func:`matmul_accumulation_chains` — the CDAG left after deleting the
   input/output vertices, used by tests to demonstrate the degenerate
   behaviour the paper describes;
-* :func:`traced_matmul` — a traced execution producing both the numeric
-  product (validated against NumPy) and the CDAG;
-* outer-product builders mirroring Section 3's first two steps.
+* :func:`outer_product_cdag` and :func:`outer_product_io` re-exported
+  for Section 3's first two steps.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..bounds.analytical import matmul_io_lower_bound, outer_product_io
 from ..core.cdag import CDAG, Vertex
 from ..core.builders import independent_chains_cdag, outer_product_cdag
-from ..core.trace import TraceContext
 
 __all__ = [
     "matmul_cdag",
     "matmul_accumulation_chains",
-    "traced_matmul",
-    "traced_outer_product",
     "matmul_io_lower_bound",
     "outer_product_io",
     "outer_product_cdag",
@@ -106,49 +100,3 @@ def matmul_accumulation_chains(n: int) -> CDAG:
     # the inputs, the multiplies become sources feeding the accumulate
     # chain.  Equivalent stats: n^2 chains of length ~2n-1.
     return independent_chains_cdag(n * n, 2 * n - 2, name=f"matmul{n}-chains")
-
-
-def traced_matmul(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, CDAG]:
-    """Execute ``C = A @ B`` scalar-by-scalar under the tracer.
-
-    Returns the numeric product (checked by the caller / tests against
-    ``numpy.matmul``) and the recorded CDAG.  Intended for small matrices;
-    the CDAG has ``2 n m + n m (2k - 1)`` vertices for an
-    ``(n x k) @ (k x m)`` product.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError("incompatible matrix shapes")
-    ctx = TraceContext("traced-matmul")
-    ta = ctx.input_array(a, prefix="A")
-    tb = ctx.input_array(b, prefix="B")
-    n, k = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = ta[i, 0] * tb[0, j]
-            for kk in range(1, k):
-                acc = acc + ta[i, kk] * tb[kk, j]
-            ctx.mark_output(acc)
-            out[i, j] = acc.value
-    return out, ctx.build()
-
-
-def traced_outer_product(p: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, CDAG]:
-    """Traced outer product ``A = p q^T`` (Section 3, first step)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.ndim != 1 or q.ndim != 1:
-        raise ValueError("outer product expects two vectors")
-    ctx = TraceContext("traced-outer")
-    tp = ctx.input_array(p, prefix="p")
-    tq = ctx.input_array(q, prefix="q")
-    out = np.zeros((len(p), len(q)))
-    for i in range(len(p)):
-        for j in range(len(q)):
-            prod = tp[i] * tq[j]
-            ctx.mark_output(prod)
-            out[i, j] = prod.value
-    return out, ctx.build()

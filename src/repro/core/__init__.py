@@ -3,12 +3,11 @@
 The :mod:`repro.core` package contains the computational-DAG model of the
 paper (Section 2.1), the structural properties used by the lower-bound
 machinery (dominators, In/Out sets, convex cuts, wavefronts), the
-S-partition objects of the Hong-Kung and RBW games, schedule generation,
-structured CDAG builders and the tracing executor that derives CDAGs from
-real numerical code.
+S-partition objects of the Hong-Kung and RBW games, schedule generation
+and structured CDAG builders.
 """
 
-from .cdag import CDAG, CDAGBuilder, CDAGError, CycleError, Vertex
+from .cdag import CDAG, CDAGError, CycleError, Vertex
 from .compiled import CompiledCDAG
 from .builders import (
     broadcast_tree_cdag,
@@ -56,11 +55,9 @@ from .properties import (
     schedule_wavefronts,
     wavefront_of_cut,
 )
-from .trace import TraceContext, TracedArray, TracedValue
 
 __all__ = [
     "CDAG",
-    "CDAGBuilder",
     "CDAGError",
     "CompiledCDAG",
     "CycleError",
@@ -107,8 +104,4 @@ __all__ = [
     "out_set",
     "schedule_wavefronts",
     "wavefront_of_cut",
-    # tracing
-    "TraceContext",
-    "TracedArray",
-    "TracedValue",
 ]

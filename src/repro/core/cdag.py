@@ -45,7 +45,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "CDAGError",
     "CycleError",
     "CDAG",
-    "CDAGBuilder",
 ]
 
 
@@ -557,55 +555,3 @@ class CDAG:
 
             self._compiled = CompiledCDAG(self)
         return self._compiled
-
-
-class CDAGBuilder:
-    """Incremental CDAG construction helper.
-
-    The builder assigns fresh integer-free symbolic names on demand and is
-    used by the tracing executor (:mod:`repro.core.trace`) and by the
-    algorithm-specific CDAG constructors.  Each ``operation`` call wires
-    the operands to a new vertex, mirroring how a single scalar operation
-    appears in the CDAG model.
-    """
-
-    def __init__(self, name: str = "cdag") -> None:
-        self._cdag = CDAG(name=name, validate=False)
-        self._counter = 0
-
-    def fresh(self, prefix: str = "v") -> Vertex:
-        """Return a fresh unique vertex name."""
-        self._counter += 1
-        return f"{prefix}_{self._counter}"
-
-    def add_input(self, v: Optional[Vertex] = None, prefix: str = "in") -> Vertex:
-        """Add (and tag) an input vertex."""
-        v = v if v is not None else self.fresh(prefix)
-        self._cdag.add_vertex(v)
-        self._cdag.tag_input(v)
-        return v
-
-    def operation(
-        self,
-        operands: Sequence[Vertex],
-        v: Optional[Vertex] = None,
-        prefix: str = "op",
-        output: bool = False,
-    ) -> Vertex:
-        """Add a compute vertex consuming ``operands``; optionally tag as output."""
-        v = v if v is not None else self.fresh(prefix)
-        self._cdag.add_vertex(v)
-        for u in operands:
-            self._cdag.add_edge(u, v)
-        if output:
-            self._cdag.tag_output(v)
-        return v
-
-    def mark_output(self, v: Vertex) -> None:
-        self._cdag.tag_output(v)
-
-    def build(self, validate: bool = True, hong_kung: bool = False) -> CDAG:
-        """Finalize and return the CDAG."""
-        if validate:
-            self._cdag.validate(hong_kung=hong_kung)
-        return self._cdag

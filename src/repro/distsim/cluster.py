@@ -16,9 +16,8 @@ are compared against the paper's lower bounds in experiment E8.  The
 reference streams deliberately mirror a straightforward (untiled)
 implementation — one pass over the block per vector operation — because
 that is the behaviour the paper's balance analysis assumes when it argues
-CG is memory-bandwidth bound; the tiled stencil schedule of Theorem 10's
-tightness argument is available separately via
-:func:`repro.solvers.jacobi_solver.tiled_sweep_io_estimate`.
+CG is memory-bandwidth bound.  The tiled stencil schedule of Theorem
+10's tightness argument is not modelled here.
 
 Usage example (doctest), E8's grid cell: four nodes with 32-word caches
 sweep a 12x12 grid three times::
@@ -159,8 +158,9 @@ class SimulatedCluster:
         3. streams the three SAXPYs.
 
         The per-node reference stream is replayed through the node cache
-        for the vertical count.  FLOPs are counted with the same
-        convention as :func:`repro.solvers.cg_solver.cg_flops_per_iteration`.
+        for the vertical count.  FLOPs are counted as ``(4d + 14)`` per
+        grid point and iteration: the (2d+1)-point SpMV costs ``2(2d+1)``,
+        and each of the three dot products and three SAXPYs costs ``2``.
         """
         part = self._partition(shape)
         report = ClusterTrafficReport()

@@ -1,19 +1,26 @@
 """Tests for the CG and GMRES CDAG constructions and Theorem 8/9 analyses."""
 
+import re
+
 import numpy as np
 import pytest
 
+from reference_trace import (
+    Grid,
+    StencilOperator,
+    conjugate_gradient,
+    traced_cg_cdag,
+    traced_gmres_cdag,
+)
 from repro.algorithms import (
     analyze_cg,
     analyze_gmres,
     cg_iteration_cdag,
     gmres_iteration_cdag,
-    traced_cg_cdag,
-    traced_gmres_cdag,
 )
+from repro.algorithms.cg import stencil_neighbors
 from repro.bounds import automated_wavefront_bound
 from repro.core.properties import min_wavefront
-from repro.solvers import Grid, StencilOperator, conjugate_gradient
 
 
 class TestCGStructuralCDAG:
@@ -54,11 +61,55 @@ class TestCGStructuralCDAG:
         with pytest.raises(ValueError):
             cg_iteration_cdag((2, 2), 0)
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0,), (3, -1)],
+                             ids=["2x0", "0", "3x-1"])
+    def test_zero_extent_names_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            cg_iteration_cdag(shape, 1)
+
+    def test_empty_shape_is_one_point(self):
+        assert len(cg_iteration_cdag((), 1).inputs) == 3
+
+    def test_stencil_neighbors_interior_and_boundary(self):
+        assert len(stencil_neighbors((3, 3), (1, 1))) == 4
+        assert stencil_neighbors((3, 3), (0, 0)) == [(1, 0), (0, 1)]
+        assert len(stencil_neighbors((3, 3), (0, 1))) == 3
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 3), (3, 3), (2, 3, 4)],
+                             ids=["1", "5", "1x3", "3x3", "2x3x4"])
+    def test_stencil_neighbors_are_the_points_one_step_away(self, shape):
+        points = list(np.ndindex(*shape))
+        for p in points:
+            got = stencil_neighbors(shape, p)
+            want = {
+                q for q in points
+                if sum(abs(a - b) for a, b in zip(p, q)) == 1
+            }
+            assert len(got) == len(want) and set(got) == want
+
+    @pytest.mark.parametrize("shape, iterations", [
+        ((1,), 1), ((5,), 2), ((2, 2), 1), ((3, 3), 3), ((3, 2, 2), 2),
+    ], ids=["1-T1", "5-T2", "2x2-T1", "3x3-T3", "3x2x2-T2"])
+    def test_vertex_count_formula(self, shape, iterations):
+        # once: x0, r0, p0 and <r0, r0> (nd products, nd - 1 adds); per
+        # iteration: v, the <p, v> products, x, r, the <r, r> products
+        # and p (nd each), two chains of nd - 1 adds, and a and g
+        nd = int(np.prod(shape))
+        c = cg_iteration_cdag(shape, iterations)
+        assert c.num_vertices() == 5 * nd - 1 + 8 * nd * iterations
+        assert len(c.inputs) == len(c.outputs) == 3 * nd
+        for g in np.ndindex(*shape):
+            assert c.in_degree(("v", 0, g)) == 1 + len(
+                stencil_neighbors(shape, g)
+            )
+
 
 class TestCGTracedCDAG:
-    def test_traced_cg_matches_vectorised_solver(self):
-        grid = Grid(shape=(3, 3))
-        iterations = 2
+    @pytest.mark.parametrize("shape, iterations", [
+        ((3, 3), 2), ((5,), 3), ((2, 2, 2), 2),
+    ], ids=["3x3-T2", "5-T3", "2x2x2-T2"])
+    def test_traced_cg_matches_vectorised_solver(self, shape, iterations):
+        grid = Grid(shape=shape)
         x_traced, cdag = traced_cg_cdag(grid, iterations)
         # reference: the vectorised CG limited to the same iteration count,
         # starting from x = 0 with the same (ramp) right-hand side
@@ -98,9 +149,10 @@ class TestGMRESCDAGs:
         bound = automated_wavefront_bound(c, s=0)
         assert bound.wavefront >= 2 * nd
 
-    def test_traced_gmres_matches_numpy_arnoldi(self):
-        grid = Grid(shape=(3, 2))
-        m = 2
+    @pytest.mark.parametrize("shape, m", [((3, 2), 2), ((5,), 3), ((3, 3, 3), 2)],
+                             ids=["3x2-m2", "5-m3", "3x3x3-m2"])
+    def test_traced_gmres_matches_numpy_arnoldi(self, shape, m):
+        grid = Grid(shape=shape)
         traced_v, cdag = traced_gmres_cdag(grid, m)
         # reference Arnoldi with the same operator and (ramp) start vector
         op = StencilOperator(grid)
@@ -115,11 +167,60 @@ class TestGMRESCDAGs:
         assert np.allclose(traced_v, v[-1], atol=1e-10)
         cdag.validate()
 
+    @pytest.mark.parametrize("shape, m", [
+        ((1,), 1), ((4,), 3), ((2, 2), 2), ((3, 2), 1), ((2, 2, 2), 2),
+    ], ids=["1-m1", "4-m3", "2x2-m2", "3x2-m1", "2x2x2-m2"])
+    def test_vertex_count_formula(self, shape, m):
+        # per iteration i: w, v', the norm's products and v_{i+1} (nd
+        # each), the norm's nd - 1 adds and h_{i+1,i}, and i + 1 inner
+        # products of nd products and nd - 1 adds each
+        nd = int(np.prod(shape))
+        c = gmres_iteration_cdag(shape, m)
+        inner_products = m * (m + 1) // 2
+        assert c.num_vertices() == nd + 5 * nd * m + (2 * nd - 1) * inner_products
+        assert len(c.inputs) == nd
+        assert len(c.outputs) == nd + inner_products + m
+
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
             gmres_iteration_cdag((2, 2), 0)
         with pytest.raises(ValueError):
             traced_gmres_cdag(Grid(shape=(2, 2)), 0)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0, 2)],
+                             ids=["0x2", "2x0x2"])
+    def test_zero_extent_names_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            gmres_iteration_cdag(shape, 1)
+
+    def test_empty_shape_is_one_point(self):
+        assert len(gmres_iteration_cdag((), 1).inputs) == 1
+
+
+class TestOperationCounts:
+    """The paper's operation counts, which every intensity of Sections
+    5.2.3 and 5.3.3 divides by."""
+
+    def test_cg_flops_per_iteration_3d(self, bgq):
+        a = analyze_cg(bgq, n=10, dimensions=3, iterations=1)
+        assert a.total_flops == 20 * 1000
+
+    @pytest.mark.parametrize("dimensions", [1, 2, 3])
+    def test_cg_total_flops_paper_constant(self, bgq, dimensions):
+        a = analyze_cg(bgq, n=1000, dimensions=dimensions, iterations=5)
+        assert a.total_flops == 20.0 * 1000 ** dimensions * 5
+
+    @pytest.mark.parametrize("dimensions", [1, 2, 3])
+    def test_gmres_flops_paper_constant(self, bgq, dimensions):
+        n, m = 100, 7
+        nd = n ** dimensions
+        a = analyze_gmres(bgq, n=n, dimensions=dimensions, krylov_iterations=m)
+        assert a.total_flops == pytest.approx(20 * nd * m + nd * m ** 2)
+
+    def test_gmres_flops_grow_superlinearly_in_m(self, bgq):
+        f10 = analyze_gmres(bgq, n=50, krylov_iterations=10).total_flops
+        f20 = analyze_gmres(bgq, n=50, krylov_iterations=20).total_flops
+        assert f20 > 2 * f10
 
 
 class TestSection52Analysis:

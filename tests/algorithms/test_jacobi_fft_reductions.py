@@ -1,6 +1,5 @@
-"""Tests for the Jacobi analysis (Theorem 10), FFT and reduction kernels."""
+"""Tests for the Jacobi analysis (Theorem 10), the butterfly bound and reductions."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -9,10 +8,8 @@ from repro.algorithms import (
     dot_product_cdag,
     dot_then_axpy_cdag,
     jacobi_cdag,
-    radix2_fft,
     saxpy_cdag,
 )
-from repro.algorithms.fft import fft_flops
 from repro.bounds import fft_io_lower_bound, jacobi_io_lower_bound
 from repro.core import butterfly_cdag
 from repro.core.properties import min_wavefront
@@ -64,6 +61,13 @@ class TestJacobiAnalysis:
         a3 = analyze_jacobi(bgq, n=50, dimensions=3, timesteps=5)
         assert a3.per_op_vertical_requirement > a2.per_op_vertical_requirement
 
+    @pytest.mark.parametrize("dimensions", [1, 2, 3])
+    def test_count_flops_is_2_3d_per_update(self, bgq, dimensions):
+        # 2 * 3^d FLOPs per point update of the 3^d-point box stencil
+        a = analyze_jacobi(bgq, n=10, dimensions=dimensions, timesteps=2,
+                           count_flops=True)
+        assert a.total_flops == 2 * 3 ** dimensions * 10 ** dimensions * 2
+
     def test_count_flops_lowers_intensity(self, bgq):
         per_update = analyze_jacobi(bgq, n=50, dimensions=2, timesteps=5)
         per_flop = analyze_jacobi(bgq, n=50, dimensions=2, timesteps=5,
@@ -78,22 +82,6 @@ class TestJacobiAnalysis:
 
 
 class TestFFT:
-    def test_radix2_matches_numpy(self, rng):
-        for log_n in (2, 3, 5):
-            x = rng.random(1 << log_n)
-            assert np.allclose(radix2_fft(x), np.fft.fft(x))
-
-    def test_complex_input(self, rng):
-        x = rng.random(8) + 1j * rng.random(8)
-        assert np.allclose(radix2_fft(x), np.fft.fft(x))
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            radix2_fft(np.zeros(6))
-
-    def test_flops_formula(self):
-        assert fft_flops(8) == 5 * 8 * 3
-
     def test_butterfly_spill_game_dominates_bound(self):
         log_n, s = 3, 4
         c = butterfly_cdag(log_n)

@@ -1,24 +1,46 @@
 """Unit tests for the matmul/outer-product CDAGs and the Section 3 composite example."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from reference_trace import (
+    traced_composite,
+    traced_dot,
+    traced_matmul,
+    traced_outer_product,
+)
 from repro.algorithms import (
     composite_cdag,
+    dot_product_cdag,
     matmul_accumulation_chains,
     matmul_cdag,
     naive_step_sum,
     recompute_friendly_game,
-    traced_composite,
-    traced_matmul,
-    traced_outer_product,
 )
 from repro.bounds import (
     composite_example_io_upper_bound,
     matmul_io_lower_bound,
     outer_product_io,
 )
+from repro.core import outer_product_cdag
 from repro.pebbling import spill_game_rbw
+
+
+def dataflow_labels(cdag):
+    """Each input's label is its name; each operation's label is the
+    sorted labels of its operands.  Two CDAGs whose label multisets and
+    output labels agree compute the same expressions from the same
+    named inputs, whatever they call their operation vertices."""
+    label = {}
+    for v in cdag.topological_order():
+        if cdag.is_input(v):
+            label[v] = repr(v)
+        else:
+            operands = sorted(label[u] for u in cdag.predecessors(v))
+            label[v] = "(" + ",".join(operands) + ")"
+    return label
 
 
 class TestMatmulCDAG:
@@ -87,6 +109,29 @@ class TestTracedKernels:
         with pytest.raises(ValueError):
             traced_outer_product(rng.random((2, 2)), rng.random(2))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("traced, structural", [
+        (lambda n, rng: traced_matmul(rng.random((n, n)), rng.random((n, n)))[1],
+         matmul_cdag),
+        (lambda n, rng: traced_outer_product(rng.random(n), rng.random(n))[1],
+         outer_product_cdag),
+        (lambda n, rng: traced_dot(rng.random(n), rng.random(n))[1],
+         dot_product_cdag),
+    ], ids=["matmul", "outer", "dot"])
+    def test_structural_builder_matches_traced_dataflow(
+        self, n, traced, structural, rng
+    ):
+        """The structural builders that E6 and the bound server's ``outer``
+        builder run, and the dot product whose reduction chain
+        ``dot_then_axpy_cdag`` repeats, wire the same operands into each
+        operation as the traced program does."""
+        t_cdag, s_cdag = traced(n, rng), structural(n)
+        want, got = dataflow_labels(t_cdag), dataflow_labels(s_cdag)
+        assert Counter(got.values()) == Counter(want.values())
+        assert sorted(got[v] for v in s_cdag.outputs) == sorted(
+            want[v] for v in t_cdag.outputs
+        )
+
 
 class TestCompositeExample:
     def test_composite_cdag_counts(self):
@@ -105,6 +150,22 @@ class TestCompositeExample:
         expected = float(np.sum(np.outer(p, q) @ np.outer(r, s)))
         assert value == pytest.approx(expected)
         assert len(cdag.outputs) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_composite_cdag_matches_traced_expressions(self, n, rng):
+        """``composite_cdag`` computes each element of A and B once and
+        shares it, where the traced program recomputes it for each of its
+        n uses: both compute the same expressions and the same sum."""
+        _, t_cdag = traced_composite(*(rng.random(n) for _ in range(4)))
+        s_cdag = composite_cdag(n)
+        want, got = dataflow_labels(t_cdag), dataflow_labels(s_cdag)
+        assert set(got.values()) == set(want.values())
+        assert len(set(got.values())) == s_cdag.num_vertices()
+        recomputed = 2 * (n ** 3 - n ** 2)
+        assert t_cdag.num_vertices() == s_cdag.num_vertices() + recomputed
+        assert [got[v] for v in s_cdag.outputs] == [
+            want[v] for v in t_cdag.outputs
+        ]
 
     def test_traced_composite_length_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -128,8 +189,6 @@ class TestCompositeExample:
         assert composite_example_io_upper_bound(n) < matmul_io_lower_bound(n, s)
 
     def test_outer_product_io_formula_is_exact_for_game(self):
-        from repro.core import outer_product_cdag
-
         n = 3
         rec = spill_game_rbw(outer_product_cdag(n), num_red=2 * n + 2)
         assert rec.io_count == outer_product_io(n)

@@ -11,7 +11,6 @@ from repro.core import (
     reduction_tree_cdag,
 )
 from repro.machine import CRAY_XT5, IBM_BGQ
-from repro.solvers import Grid
 
 
 def make_random_dag(seed: int, n: int, extra_edge_prob: float = 0.15) -> CDAG:
@@ -68,16 +67,6 @@ def small_diamond():
 @pytest.fixture
 def small_outer():
     return outer_product_cdag(3)
-
-
-@pytest.fixture
-def grid_2d():
-    return Grid(shape=(6, 6), spacing=1.0 / 7, timestep=0.005)
-
-
-@pytest.fixture
-def grid_1d():
-    return Grid(shape=(16,), spacing=1.0 / 17, timestep=0.001)
 
 
 @pytest.fixture

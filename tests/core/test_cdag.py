@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CDAG, CDAGBuilder, CDAGError, CycleError, chain_cdag
+from repro.core import CDAG, CDAGError, CycleError, chain_cdag
 
 
 class TestConstruction:
@@ -167,20 +167,3 @@ class TestDerivedCDAGs:
         assert core.num_vertices() == 2
         assert core.inputs == frozenset()
         assert core.outputs == frozenset()
-
-
-class TestBuilderHelper:
-    def test_builder_basic_flow(self):
-        b = CDAGBuilder("t")
-        x = b.add_input()
-        y = b.add_input()
-        z = b.operation([x, y], output=True)
-        c = b.build()
-        assert c.is_input(x) and c.is_input(y)
-        assert c.is_output(z)
-        assert c.in_degree(z) == 2
-
-    def test_builder_fresh_names_unique(self):
-        b = CDAGBuilder()
-        names = {b.fresh() for _ in range(100)}
-        assert len(names) == 100

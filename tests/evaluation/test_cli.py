@@ -247,6 +247,33 @@ class TestExecution:
         assert proc.stderr.startswith("repro: error: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("small_shape", [[0, 2], [2, 0, 2]],
+                             ids=["zero-first", "zero-middle"])
+    def test_malformed_e3_cell_is_one_error_line(self, small_shape, tmp_path):
+        """An E3 cell whose wavefront-check grid has a zero extent fails as
+        one ``repro: error:`` line naming the shape, never a traceback."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        (tmp_path / "grid.json").write_text(json.dumps(
+            [{"experiment": "e3", "params": {"small_shape": small_shape}}]
+        ))
+        src = Path(repro.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--grid-file",
+             "grid.json", "--out", "results", "--jobs", "1"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"repro: error: shape entries must be >= 1, got {tuple(small_shape)}\n"
+        )
+
     @pytest.mark.parametrize("cell, named", [
         ({"experiment": "e6", "params": {"sizes": 5}},
          "e6 param 'sizes' must be a list, got 5"),
