@@ -26,12 +26,14 @@ test-kernel:
 # (SIGKILL a 4-cell smoke grid mid-run, resume, byte-compare against an
 # uninterrupted run), the manifest/resume hypothesis property suite,
 # the `repro reproduce` end-to-end pass (incl. injected corruption),
-# and the seed-identity audit.
+# the seed-identity audit, and the param gate (one check, one message
+# per malformed cell on every entry point).
 test-harness:
 	$(PY) -m pytest tests/evaluation/test_harness_resume.py \
 	  tests/evaluation/test_manifest_properties.py \
 	  tests/evaluation/test_reproduce.py \
-	  tests/evaluation/test_harness_seeds.py -q
+	  tests/evaluation/test_harness_seeds.py \
+	  tests/evaluation/test_param_gate.py -q
 
 # Artifact store + memoized bound server: the randomized differential
 # suite (cached bytes == fresh bytes), the store engine/corruption

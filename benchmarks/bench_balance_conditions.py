@@ -5,13 +5,14 @@ are vertically (memory-bandwidth) bound on both Table 1 machines, the
 3-D Jacobi stencil is not, and none of the algorithms are network bound.
 """
 
-from repro.evaluation import experiment_balance_conditions, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_balance_condition_sweep(benchmark):
-    rows = benchmark(experiment_balance_conditions)
+    spec = make_spec("e9")
+    rows = benchmark(REGISTRY["e9"].run, spec.params, spec.seed)
     emit(render_report(
         "Evaluation summary — bandwidth-bound verdicts per algorithm and machine",
         rows,

@@ -7,14 +7,14 @@ For a collection of small CDAGs, checks the soundness sandwich
 where the exact optimum comes from the bitmask A* search (a 0-1 BFS
 with an admissible, consistent heuristic) over the RBW game's state
 space in ``repro.pebbling.optimal``.  This is the ablation bench for
-the automated wavefront heuristic called out in DESIGN.md.
+the automated wavefront heuristic.
 
 ``optimal/e7_cases`` times that search alone: the six E7 searches run
 cold at E7's pebble counts, in smoke mode too, so the CI bench guard
 (``check_bench.py``) covers the exact oracle.
 """
 
-from repro.evaluation import experiment_bound_validation, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 from repro.evaluation.experiments import bound_validation_cases
 from repro.pebbling import optimal_rbw_io
 
@@ -22,7 +22,8 @@ from conftest import emit, record_bench, time_ns_per_op
 
 
 def test_bound_sandwich_on_small_cdags(benchmark):
-    rows = benchmark(experiment_bound_validation)
+    spec = make_spec("e7")
+    rows = benchmark(REGISTRY["e7"].run, spec.params, spec.seed)
     emit(render_report(
         "Bound-machinery validation — LB <= OPT <= UB on small CDAGs",
         rows,
@@ -31,7 +32,7 @@ def test_bound_sandwich_on_small_cdags(benchmark):
 
 
 def test_optimal_search_on_e7_cases():
-    cases = bound_validation_cases()
+    cases = bound_validation_cases(make_spec("e7").params["s"])
 
     def run():
         return [

@@ -8,13 +8,14 @@ bound), plus a small-grid wavefront cross-check of Theorem 8.
 
 import pytest
 
-from repro.evaluation import experiment_cg_bounds, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_cg_bounds_analysis(benchmark):
-    rows = benchmark(experiment_cg_bounds, n=1000, dimensions=3, iterations=1)
+    spec = make_spec("e3")
+    rows = benchmark(REGISTRY["e3"].run, spec.params, spec.seed)
     emit(render_report(
         "Section 5.2.3 — CG vertical/horizontal data movement vs machine balance",
         rows,

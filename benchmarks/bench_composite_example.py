@@ -5,13 +5,14 @@ the true I/O of the composite computation (``4N + 1``), demonstrated with a
 move-checked red-blue game.
 """
 
-from repro.evaluation import experiment_composite_example, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_composite_example_io(benchmark):
-    rows = benchmark(experiment_composite_example, sizes=(4, 8, 16, 32), s=64)
+    spec = make_spec("e2", {"sizes": [4, 8, 16, 32]})
+    rows = benchmark(REGISTRY["e2"].run, spec.params, spec.seed)
     emit(render_report(
         "Section 3 — composite example: per-step bound sum vs composite I/O",
         rows,

@@ -4,23 +4,19 @@ Runs the block-partitioned stencil and CG workloads on the simulated
 cluster (per-node LRU/Belady caches, ghost-cell exchanges) and compares
 the measured per-node vertical and horizontal traffic against the
 Theorem 8/10 lower bounds and the ghost-cell upper-bound formula.  Also the
-ablation bench for the cache replacement policy called out in DESIGN.md.
+ablation bench for the cache replacement policy.
 """
 
-from repro.evaluation import experiment_distsim_parallel, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_distsim_measurements_vs_bounds(benchmark):
-    rows = benchmark(
-        experiment_distsim_parallel,
-        shape=(24, 24),
-        timesteps=6,
-        num_nodes=4,
-        cache_words=64,
-        policies=("lru", "belady"),
+    spec = make_spec(
+        "e8", {"shape": [24, 24], "timesteps": 6, "cache_words": 64}
     )
+    rows = benchmark(REGISTRY["e8"].run, spec.params, spec.seed)
     emit(render_report(
         "Simulated cluster — measured traffic vs analytical bounds",
         rows,

@@ -39,10 +39,10 @@ WORKERS = 2
 
 # Cell targets must be importable in worker subprocesses (fork/spawn).
 def _run_quick(params, seed):
-    return [{"x": int(params.get("x", 0)), "seed": seed}]
+    return [{"x": int(params.get("x", 1)), "seed": seed}]
 
 
-BENCH_REGISTRY = {"quick": ExperimentDef("quick", _run_quick, {"x": 0})}
+BENCH_REGISTRY = {"quick": ExperimentDef("quick", _run_quick, {"x": 1})}
 
 
 @pytest.fixture
@@ -123,7 +123,7 @@ def test_two_worker_sweep_overhead(fleet, bench_record, report_emitter):
     per-cell fleet overhead (scheduling traffic + process spawn)."""
     url, root = fleet
     specs = [
-        RunSpec("quick", {"x": i}, 0, f"cell{i:02d}") for i in range(CELLS)
+        RunSpec("quick", {"x": i + 1}, 0, f"cell{i:02d}") for i in range(CELLS)
     ]
     results = []
 

@@ -7,18 +7,14 @@ undetermined (large m), and the negligible horizontal requirement.
 
 import pytest
 
-from repro.evaluation import experiment_gmres_bounds, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_gmres_bounds_analysis(benchmark):
-    rows = benchmark(
-        experiment_gmres_bounds,
-        n=1000,
-        dimensions=3,
-        krylov_dimensions=(5, 10, 20, 50, 100, 200),
-    )
+    spec = make_spec("e4", {"krylov_dimensions": [5, 10, 20, 50, 100, 200]})
+    rows = benchmark(REGISTRY["e4"].run, spec.params, spec.seed)
     emit(render_report(
         "Section 5.3.3 — GMRES vertical intensity 6/(m+20) vs machine balance",
         rows,

@@ -8,15 +8,14 @@ high-dimensional stencils are bound).
 
 import pytest
 
-from repro.evaluation import experiment_jacobi_bounds, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_jacobi_dimension_threshold(benchmark):
-    rows = benchmark(
-        experiment_jacobi_bounds, dimensions=(1, 2, 3, 4, 5, 6, 8, 11)
-    )
+    spec = make_spec("e5")
+    rows = benchmark(REGISTRY["e5"].run, spec.params, spec.seed)
     emit(render_report(
         "Section 5.4.3 — Jacobi vertical requirement per dimension (IBM BG/Q)",
         rows,

@@ -5,13 +5,14 @@ computed from the CDAG, and the measured upper bound of a spill game; the
 sandwich LB <= UB must hold for every (N, S).
 """
 
-from repro.evaluation import experiment_matmul_bounds, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_matmul_bound_sandwich(benchmark):
-    rows = benchmark(experiment_matmul_bounds, sizes=(4, 6), cache_sizes=(8, 16, 32))
+    spec = make_spec("e6", {"cache_sizes": [8, 16, 32]})
+    rows = benchmark(REGISTRY["e6"].run, spec.params, spec.seed)
     emit(render_report(
         "Matrix multiplication — analytical LB vs Corollary 1 vs spill-game UB",
         rows,

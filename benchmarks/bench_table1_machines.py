@@ -6,13 +6,14 @@ the machine catalog and checks the published words/FLOP balance values.
 
 import pytest
 
-from repro.evaluation import experiment_table1_machines, render_report
+from repro.evaluation import REGISTRY, make_spec, render_report
 
 from conftest import emit
 
 
 def test_table1_machines(benchmark):
-    rows = benchmark(experiment_table1_machines)
+    spec = make_spec("e1")
+    rows = benchmark(REGISTRY["e1"].run, spec.params, spec.seed)
     emit(render_report("Table 1 — Specifications of various computing systems",
                        rows))
     by_name = {r["machine"]: r for r in rows}

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one table/analysis of the paper (see DESIGN.md,
-per-experiment index) and *prints* the reproduced rows so that
+Each benchmark regenerates one table/analysis of the paper (see
+``docs/experiments.md``) and *prints* the reproduced rows so that
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` leaves a
 readable record of the reproduced numbers next to the timings.  The
 ``emit`` helper temporarily suspends pytest's output capture so the tables

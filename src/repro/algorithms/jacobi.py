@@ -66,9 +66,10 @@ def bandwidth_bound_dimension_threshold(
     every ``d`` and ``inf`` is returned).  The paper quotes the same
     threshold in the linearised form ``d <= 0.21 log(2 S_2)`` (= 4.83 for
     the 32 MB L2 of BG/Q); the exact form used here gives a higher
-    threshold for the same inputs — the discrepancy is documented in
-    EXPERIMENTS.md — but the qualitative conclusion (only impractically
-    high-dimensional stencils are bound) is identical.
+    threshold for the same inputs — E5 reports both, as
+    ``paper_threshold_d`` and ``exact_threshold_d`` — but the
+    qualitative conclusion (only impractically high-dimensional stencils
+    are bound) is identical.
     """
     if balance <= 0 or cache_words <= 0:
         raise ValueError("balance and cache size must be positive")

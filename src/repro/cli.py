@@ -3,13 +3,13 @@
 Usage::
 
     python -m repro.cli table1
-    python -m repro.cli composite --sizes 4 8 16
-    python -m repro.cli cg --n 1000
-    python -m repro.cli gmres --m 5 10 50
-    python -m repro.cli jacobi --dimensions 1 2 3 5
-    python -m repro.cli matmul --sizes 4 6 --cache 8 16
+    python -m repro.cli composite --param sizes=[4,8,16]
+    python -m repro.cli cg --param n=1000
+    python -m repro.cli gmres --param krylov_dimensions=[5,10,50]
+    python -m repro.cli jacobi --param dimensions=[1,2,3,5]
+    python -m repro.cli matmul --param sizes=[4,6] --param cache_sizes=[8,16]
     python -m repro.cli validate
-    python -m repro.cli distsim --nodes 4 --cache 64
+    python -m repro.cli distsim --param num_nodes=4 --param cache_words=64
     python -m repro.cli balance
     python -m repro.cli spill --workload star --ops 2000
     python -m repro.cli sweep --out results --grid smoke --resume
@@ -28,10 +28,13 @@ Usage::
     python -m repro.cli cache gc --db repro-store.db --watch --interval 60
     python -m repro.cli all
 
-Each subcommand runs the corresponding experiment driver from
-:mod:`repro.evaluation.experiments` and prints the reproduced table; the
-``all`` subcommand runs everything the benchmark harness covers (E1-E9)
-with default parameters.  ``spill`` plays a spill-strategy pebble game
+Each table subcommand (``table1`` ... ``balance``, listed in
+:data:`TABLES`) runs one experiment's cell from the harness registry
+(:data:`repro.evaluation.harness.REGISTRY`, which holds every param and
+its default) and prints the reproduced table.  ``--param KEY=JSON``
+(repeatable) overrides one registry param, exactly as a grid file's
+cell would, and goes through the same check.  ``all`` prints the
+default grid's E1-E9 cells.  ``spill`` plays a spill-strategy pebble game
 on a synthetic workload through the unified
 :func:`repro.pebbling.run_spill_game` entry point, and ``--backend
 {batched,dict}`` selects the strategy loop (both play the identical
@@ -91,6 +94,20 @@ from typing import Optional, Sequence
 
 __all__ = ["build_parser", "main"]
 
+#: table subcommand -> (experiment key in the harness registry, report
+#: title); the params and their defaults live in the registry
+TABLES = {
+    "table1": ("e1", "Table 1 — machine specifications"),
+    "composite": ("e2", "Section 3 — composite example"),
+    "cg": ("e3", "Section 5.2.3 — CG analysis"),
+    "gmres": ("e4", "Section 5.3.3 — GMRES analysis"),
+    "jacobi": ("e5", "Section 5.4.3 — Jacobi analysis"),
+    "matmul": ("e6", "Matmul bound sandwich"),
+    "validate": ("e7", "Bound-machinery validation"),
+    "distsim": ("e8", "Simulated cluster vs parallel bounds"),
+    "balance": ("e9", "Balance-condition summary"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed separately for testing)."""
@@ -101,37 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="Table 1: machine balance parameters")
-
-    p = sub.add_parser("composite", help="Section 3 composite example")
-    p.add_argument("--sizes", type=int, nargs="+", default=[4, 8, 16])
-    p.add_argument("--cache", type=int, default=64, help="fast memory words S")
-
-    p = sub.add_parser("cg", help="Section 5.2: CG analysis")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--dimensions", type=int, default=3)
-
-    p = sub.add_parser("gmres", help="Section 5.3: GMRES analysis")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--m", type=int, nargs="+", default=[5, 10, 20, 50, 100, 200])
-
-    p = sub.add_parser("jacobi", help="Section 5.4: Jacobi analysis")
-    p.add_argument("--dimensions", type=int, nargs="+",
-                   default=[1, 2, 3, 4, 5, 6, 8, 11])
-
-    p = sub.add_parser("matmul", help="matmul bound sandwich")
-    p.add_argument("--sizes", type=int, nargs="+", default=[4, 6])
-    p.add_argument("--cache", type=int, nargs="+", default=[8, 16, 32])
-
-    sub.add_parser("validate", help="LB <= OPT <= UB sandwich on small CDAGs")
-
-    p = sub.add_parser("distsim", help="simulated cluster vs parallel bounds")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--cache", type=int, default=64)
-    p.add_argument("--side", type=int, default=24, help="grid side length")
-    p.add_argument("--timesteps", type=int, default=6)
-
-    sub.add_parser("balance", help="balance-condition summary (E9)")
+    for name, (key, title) in TABLES.items():
+        p = sub.add_parser(name, help=f"{key.upper()}: {title}")
+        p.add_argument(
+            "--param", action="append", default=[], metavar="KEY=JSON",
+            help=f"set one of {key}'s registry params to a JSON value, as "
+            "a grid file's cell would (repeatable)",
+        )
 
     p = sub.add_parser(
         "spill",
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gc --watch: stop after N passes "
                    "(default: run until interrupted)")
 
-    sub.add_parser("all", help="run every experiment with default parameters")
+    sub.add_parser("all", help="print the default grid's E1-E9 tables")
     return parser
 
 
@@ -532,72 +525,30 @@ def _run_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(name: str, args: argparse.Namespace) -> str:
-    """Run a single experiment and return its rendered report."""
-    if name == "spill":
-        return _run_spill(args)
-    from .evaluation import (
-        experiment_balance_conditions,
-        experiment_bound_validation,
-        experiment_cg_bounds,
-        experiment_composite_example,
-        experiment_distsim_parallel,
-        experiment_gmres_bounds,
-        experiment_jacobi_bounds,
-        experiment_matmul_bounds,
-        experiment_table1_machines,
-        render_report,
-    )
+def _param_overrides(pairs: Sequence[str]) -> dict:
+    """The ``--param KEY=JSON`` pairs of a table subcommand as params."""
+    import json
 
-    if name == "table1":
-        return render_report(
-            "Table 1 — machine specifications", experiment_table1_machines()
-        )
-    if name == "composite":
-        return render_report(
-            "Section 3 — composite example",
-            experiment_composite_example(sizes=tuple(args.sizes), s=args.cache),
-        )
-    if name == "cg":
-        return render_report(
-            "Section 5.2.3 — CG analysis",
-            experiment_cg_bounds(n=args.n, dimensions=args.dimensions),
-        )
-    if name == "gmres":
-        return render_report(
-            "Section 5.3.3 — GMRES analysis",
-            experiment_gmres_bounds(n=args.n, krylov_dimensions=tuple(args.m)),
-        )
-    if name == "jacobi":
-        return render_report(
-            "Section 5.4.3 — Jacobi analysis",
-            experiment_jacobi_bounds(dimensions=tuple(args.dimensions)),
-        )
-    if name == "matmul":
-        return render_report(
-            "Matmul bound sandwich",
-            experiment_matmul_bounds(sizes=tuple(args.sizes),
-                                     cache_sizes=tuple(args.cache)),
-        )
-    if name == "validate":
-        return render_report(
-            "Bound-machinery validation", experiment_bound_validation()
-        )
-    if name == "distsim":
-        return render_report(
-            "Simulated cluster vs parallel bounds",
-            experiment_distsim_parallel(
-                shape=(args.side, args.side),
-                timesteps=args.timesteps,
-                num_nodes=args.nodes,
-                cache_words=args.cache,
-            ),
-        )
-    if name == "balance":
-        return render_report(
-            "Balance-condition summary", experiment_balance_conditions()
-        )
-    raise ValueError(f"unknown experiment {name!r}")
+    overrides = {}
+    for pair in pairs:
+        key, sep, text = pair.partition("=")
+        if not sep or not key:
+            raise ValueError(f"--param must be KEY=JSON, got {pair!r}")
+        try:
+            overrides[key] = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--param {key}: {text!r} is not JSON ({exc})"
+                             ) from None
+    return overrides
+
+
+def _report(spec, title: str) -> str:
+    """One checked cell, run through the registry, as its report."""
+    from .evaluation.harness import REGISTRY
+    from .evaluation.report import render_report
+
+    rows = REGISTRY[spec.experiment].run(spec.params, spec.seed)
+    return render_report(title, rows)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -631,15 +582,21 @@ def _run_command(args: argparse.Namespace) -> int:
         return _run_serve(args)
     if args.command == "cache":
         return _run_cache(args)
-    if args.command == "all":
-        defaults = build_parser()
-        for name in ("table1", "composite", "cg", "gmres", "jacobi",
-                     "matmul", "validate", "distsim", "balance"):
-            sub_args = defaults.parse_args([name])
-            print(_run_one(name, sub_args))
-            print()
+    if args.command == "spill":
+        print(_run_spill(args))
+    elif args.command == "all":
+        from .evaluation.harness import default_grid
+
+        titles = dict(TABLES.values())
+        for spec in default_grid():
+            if spec.experiment in titles:
+                print(_report(spec, titles[spec.experiment]))
+                print()
     else:
-        print(_run_one(args.command, args))
+        from .evaluation.harness import make_spec
+
+        key, title = TABLES[args.command]
+        print(_report(make_spec(key, _param_overrides(args.param)), title))
     return 0
 
 

@@ -1,12 +1,12 @@
 """Experiment drivers reproducing every table and analysis of the paper.
 
 Each ``experiment_*`` function regenerates one artifact of the paper's
-evaluation (see DESIGN.md, "Per-experiment index") and returns a list of
-row dictionaries plus, via :func:`repro.evaluation.report.render_report`,
-a printable table.  The benchmark files under ``benchmarks/`` call these
-drivers so that ``pytest benchmarks/ --benchmark-only`` both times them
-and prints the reproduced rows; EXPERIMENTS.md records the paper-reported
-values next to the measured ones.
+evaluation (see ``docs/experiments.md``) and returns a list of row
+dictionaries plus, via :func:`repro.evaluation.report.render_report`, a
+printable table.  A driver takes every param of its experiment as a
+keyword and has no defaults: the params and their defaults live in
+:data:`repro.evaluation.harness.REGISTRY`, and the harness, the CLI and
+the benchmark files under ``benchmarks/`` run the drivers through it.
 
 Experiments
 -----------
@@ -17,7 +17,7 @@ Experiments
 * E5 — Theorem 10 / Section 5.4.3: Jacobi dimension thresholds.
 * E6 — Matmul / outer-product bounds (Section 3 constants).
 * E7 — Bound-machinery validation: LB <= OPT <= UB sandwiches on small CDAGs.
-* E8 — Simulated-cluster measurements vs the parallel bounds.
+* E8 — Simulated-cluster measurements vs the Theorem 8 and 10 bounds.
 * E9 — Balance-condition sweep across algorithms x machines x levels.
 * Spill — strategy pebble games on synthetic workloads (the
   ``workload x policy x backend`` axes of the harness grid).
@@ -101,7 +101,7 @@ def experiment_table1_machines(
 # E2 — Section 3 composite example
 # ----------------------------------------------------------------------
 def experiment_composite_example(
-    sizes: Sequence[int] = (4, 8, 16), s: int = 64
+    sizes: Sequence[int], s: int
 ) -> List[Dict[str, object]]:
     """Per-step bound sum vs the true composite I/O (the Section 3 point).
 
@@ -132,11 +132,11 @@ def experiment_composite_example(
 # E3 — CG (Theorem 8 + Section 5.2.3)
 # ----------------------------------------------------------------------
 def experiment_cg_bounds(
-    n: int = 1000,
-    dimensions: int = 3,
-    iterations: int = 1,
+    n: int,
+    dimensions: int,
+    iterations: int,
+    small_shape: Tuple[int, ...],
     machines: Optional[Sequence[MachineSpec]] = None,
-    small_shape: Tuple[int, ...] = (2, 2),
 ) -> List[Dict[str, object]]:
     """CG analysis rows: one per machine plus one empirical cross-check row.
 
@@ -192,9 +192,9 @@ def experiment_cg_bounds(
 # E4 — GMRES (Theorem 9 + Section 5.3.3)
 # ----------------------------------------------------------------------
 def experiment_gmres_bounds(
-    n: int = 1000,
-    dimensions: int = 3,
-    krylov_dimensions: Sequence[int] = (5, 10, 20, 50, 100, 200),
+    n: int,
+    dimensions: int,
+    krylov_dimensions: Sequence[int],
     machine: Optional[MachineSpec] = None,
 ) -> List[Dict[str, object]]:
     """GMRES vertical intensity ``6/(m+20)`` as a function of ``m``.
@@ -228,10 +228,10 @@ def experiment_gmres_bounds(
 # E5 — Jacobi (Theorem 10 + Section 5.4.3)
 # ----------------------------------------------------------------------
 def experiment_jacobi_bounds(
-    dimensions: Sequence[int] = (1, 2, 3, 4, 5, 6, 8, 11),
+    dimensions: Sequence[int],
+    n: int,
+    timesteps: int,
     machine: Optional[MachineSpec] = None,
-    n: int = 100,
-    timesteps: int = 100,
 ) -> List[Dict[str, object]]:
     """Per-dimension Jacobi vertical requirement vs the machine balance.
 
@@ -269,8 +269,8 @@ def experiment_jacobi_bounds(
 # E6 — Matmul / outer-product constants
 # ----------------------------------------------------------------------
 def experiment_matmul_bounds(
-    sizes: Sequence[int] = (4, 6, 8),
-    cache_sizes: Sequence[int] = (8, 16, 32),
+    sizes: Sequence[int],
+    cache_sizes: Sequence[int],
 ) -> List[Dict[str, object]]:
     """Hong-Kung matmul bound vs measured upper bounds from spill games.
 
@@ -306,7 +306,7 @@ def experiment_matmul_bounds(
 # ----------------------------------------------------------------------
 # E7 — Bound-machinery validation (LB <= OPT <= UB)
 # ----------------------------------------------------------------------
-def bound_validation_cases(s: int = 3) -> List[Tuple[str, CDAG, int]]:
+def bound_validation_cases(s: int) -> List[Tuple[str, CDAG, int]]:
     """E7's small CDAGs as ``(name, cdag, S)``.
 
     Every engine needs enough red pebbles to hold a vertex's operands
@@ -331,7 +331,7 @@ def bound_validation_cases(s: int = 3) -> List[Tuple[str, CDAG, int]]:
     return out
 
 
-def experiment_bound_validation(s: int = 3) -> List[Dict[str, object]]:
+def experiment_bound_validation(s: int) -> List[Dict[str, object]]:
     """Sandwich validation on small CDAGs where the optimum is computable.
 
     For each small CDAG: the Corollary 1 / wavefront lower bounds, the
@@ -370,11 +370,11 @@ def experiment_bound_validation(s: int = 3) -> List[Dict[str, object]]:
 # E8 — Simulated cluster vs parallel bounds
 # ----------------------------------------------------------------------
 def experiment_distsim_parallel(
-    shape: Tuple[int, ...] = (24, 24),
-    timesteps: int = 8,
-    num_nodes: int = 4,
-    cache_words: int = 64,
-    policies: Sequence[str] = ("lru", "belady"),
+    shape: Tuple[int, ...],
+    timesteps: int,
+    num_nodes: int,
+    cache_words: int,
+    policies: Sequence[str],
 ) -> List[Dict[str, object]]:
     """Measured cluster traffic vs the analytical bounds (stencil + CG).
 
@@ -425,10 +425,10 @@ def experiment_distsim_parallel(
 # E9 — Balance-condition sweep
 # ----------------------------------------------------------------------
 def experiment_balance_conditions(
-    n: int = 1000,
-    dimensions: int = 3,
-    gmres_m: int = 10,
-    jacobi_timesteps: int = 1000,
+    n: int,
+    dimensions: int,
+    gmres_m: int,
+    jacobi_timesteps: int,
     machines: Optional[Sequence[MachineSpec]] = None,
 ) -> List[Dict[str, object]]:
     """Which (algorithm, machine) pairs are bandwidth bound at which level.
@@ -469,17 +469,17 @@ def experiment_balance_conditions(
 # Spill-strategy games (harness grid axes: workload x policy x backend)
 # ----------------------------------------------------------------------
 def experiment_spill_strategies(
-    workload: str = "star",
-    ops: int = 64,
-    degree: int = 8,
-    chains: int = 8,
-    length: int = 16,
-    num_red: int = 4,
-    components: int = 4,
-    component_size: int = 12,
-    policy: str = "lru",
-    backend: str = "batched",
-    seed: int = 0,
+    workload: str,
+    ops: int,
+    degree: int,
+    chains: int,
+    length: int,
+    num_red: int,
+    components: int,
+    component_size: int,
+    policy: str,
+    backend: str,
+    seed: int,
 ) -> List[Dict[str, object]]:
     """Play one complete spill-strategy game and report its move/I/O row.
 

@@ -1,7 +1,15 @@
 """Manifest-driven experiment harness: declarative grids, resume, reproduce.
 
-The ad-hoc ``experiment_*`` drivers stay callable directly, but sweeps
-now run through a declarative grid of :class:`RunSpec` cells — one
+:data:`REGISTRY` is the one definition of every experiment: its
+params, their defaults (which also fix each param's type) and its
+tolerances.  The ``experiment_*`` drivers take every param as a
+keyword and have no defaults of their own.  Every entry point (a
+grid, a grid file, the fleet's ``/v1/grid``, the CLI's table
+subcommands, the bound server's ``/v1/pebble``) builds its cells
+through :func:`make_spec` or :func:`run_grid`, and so through the one
+param check :func:`check_params`, before anything is built.
+
+Sweeps run a declarative grid of :class:`RunSpec` cells — one
 (experiment, params, seed) point each — executed by :func:`run_grid`
 into a results store following the run-directory protocol of
 :mod:`repro.evaluation.manifest` (``manifest.json`` first,
@@ -65,6 +73,7 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -98,6 +107,7 @@ __all__ = [
     "ResumePlan",
     "GridRunResult",
     "CellFailure",
+    "check_params",
     "make_spec",
     "default_grid",
     "smoke_grid",
@@ -134,194 +144,95 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """Registry entry: how to run one experiment and how tightly its
-    metrics must reproduce."""
+    """Registry entry: how to run one experiment, its params with their
+    defaults, and how tightly its metrics must reproduce.
+
+    ``run(params, seed)`` gets params that passed :func:`check_params`;
+    a default also fixes its param's type.  ``optional_params`` are the
+    params a cell may add to the defaults, each with a value of its
+    type; absent, the driver's own fallback applies."""
 
     name: str
     run: Callable[[Mapping, int], List[Dict]]
     default_params: Mapping
     tolerances: Mapping = field(default_factory=dict)
+    optional_params: Mapping = field(default_factory=dict)
 
 
-def _machines(params: Mapping):
-    """Resolve a ``"machines": [name, ...]`` param through the paper
-    catalog (grid params stay JSON; MachineSpec objects never land in a
-    manifest)."""
-    names = params.get("machines")
-    if names is None:
-        return None
-    by_name = {m.name: m for m in PAPER_MACHINES}
-    try:
-        return [by_name[n] for n in names]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown machine {exc.args[0]!r}; known: {sorted(by_name)}"
-        ) from None
+#: the machines a ``machines`` param may name, by name (grid params stay
+#: JSON; MachineSpec objects never land in a manifest)
+_MACHINES = {m.name: m for m in PAPER_MACHINES}
 
 
-def _is(value, kind: type) -> bool:
-    """``value`` is a JSON value of ``kind`` (a bool is no integer)."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _call_driver(driver: Callable[..., List[Dict]], seeded: bool,
+                 params: Mapping, seed: int) -> List[Dict]:
+    """Run ``driver`` on a cell's checked params: each param is the
+    driver keyword of the same name, a list becomes a tuple, ``machines``
+    resolves by name through the paper catalog, and a ``seeded`` driver
+    also gets the cell's seed."""
+    kwargs = {name: tuple(value) if isinstance(value, list) else value
+              for name, value in params.items()}
+    if "machines" in kwargs:
+        kwargs["machines"] = [_MACHINES[name] for name in kwargs["machines"]]
+    if seeded:
+        kwargs["seed"] = seed
+    return driver(**kwargs)
 
 
-def _param(experiment: str, p: Mapping, name: str, kind: type,
-           item: type = int):
-    """Grid param ``name`` as ``kind``: an ``int`` from a JSON integer, or
-    a ``tuple`` from a JSON array whose elements are all of type ``item``
-    (JSON integers unless given).  A value of any other JSON type, or a
-    list with an element of another type, is a ``ValueError`` naming the
-    experiment, the param and the value (the CLI prints it as one error
-    line), never a ``TypeError`` from deep inside the experiment, and
-    never a float truncated to a run the manifest does not describe."""
-    value = p[name]
-    if kind is tuple:
-        if isinstance(value, (list, tuple)):
-            bad = [v for v in value if not _is(v, item)]
-            if not bad:
-                return tuple(value)
-            items = "integers" if item is int else "strings"
-            raise ValueError(
-                f"{experiment} param {name!r} must be a list of {items}, "
-                f"got {bad[0]!r} in {value!r}"
-            )
-        what = "a list"
-    elif _is(value, int):
-        return value
-    else:
-        what = "an integer"
-    raise ValueError(
-        f"{experiment} param {name!r} must be {what}, got {value!r}"
-    )
-
-
-def _run_e1(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_table1_machines(machines=_machines(p))
-
-
-def _run_e2(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_composite_example(
-        sizes=_param("e2", p, "sizes", tuple), s=_param("e2", p, "s", int)
-    )
-
-
-def _run_e3(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_cg_bounds(
-        n=_param("e3", p, "n", int),
-        dimensions=_param("e3", p, "dimensions", int),
-        iterations=_param("e3", p, "iterations", int),
-        machines=_machines(p),
-        small_shape=_param("e3", p, "small_shape", tuple),
-    )
-
-
-def _run_e4(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_gmres_bounds(
-        n=_param("e4", p, "n", int),
-        dimensions=_param("e4", p, "dimensions", int),
-        krylov_dimensions=_param("e4", p, "krylov_dimensions", tuple),
-    )
-
-
-def _run_e5(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_jacobi_bounds(
-        dimensions=_param("e5", p, "dimensions", tuple),
-        n=_param("e5", p, "n", int),
-        timesteps=_param("e5", p, "timesteps", int),
-    )
-
-
-def _run_e6(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_matmul_bounds(
-        sizes=_param("e6", p, "sizes", tuple),
-        cache_sizes=_param("e6", p, "cache_sizes", tuple),
-    )
-
-
-def _run_e7(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_bound_validation(s=_param("e7", p, "s", int))
-
-
-def _run_e8(p: Mapping, seed: int) -> List[Dict]:
-    shape = p["shape"]
-    if not (
-        isinstance(shape, list)
-        and shape
-        and all(type(n) is int and n >= 1 for n in shape)
-    ):
-        raise ValueError(
-            "e8 param 'shape' must be a non-empty list of integers >= 1, "
-            f"got {shape!r}"
-        )
-    return _exp.experiment_distsim_parallel(
-        shape=tuple(shape),
-        timesteps=_param("e8", p, "timesteps", int),
-        num_nodes=_param("e8", p, "num_nodes", int),
-        cache_words=_param("e8", p, "cache_words", int),
-        policies=_param("e8", p, "policies", tuple, str),
-    )
-
-
-def _run_e9(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_balance_conditions(
-        n=_param("e9", p, "n", int),
-        dimensions=_param("e9", p, "dimensions", int),
-        gmres_m=_param("e9", p, "gmres_m", int),
-        jacobi_timesteps=_param("e9", p, "jacobi_timesteps", int),
-        machines=_machines(p),
-    )
-
-
-def _run_spill(p: Mapping, seed: int) -> List[Dict]:
-    return _exp.experiment_spill_strategies(
-        workload=p["workload"],
-        ops=_param("spill", p, "ops", int),
-        degree=_param("spill", p, "degree", int),
-        chains=_param("spill", p, "chains", int),
-        length=_param("spill", p, "length", int),
-        num_red=_param("spill", p, "num_red", int),
-        components=_param("spill", p, "components", int),
-        component_size=_param("spill", p, "component_size", int),
-        policy=p["policy"],
-        backend=p["backend"],
-        seed=seed,
-    )
+def _driver(driver: Callable[..., List[Dict]], seeded: bool = False):
+    """``run(params, seed)`` for a registry entry (a partial of module
+    functions, so it pickles into spawned cell processes)."""
+    return partial(_call_driver, driver, seeded)
 
 
 #: loose tolerance for float-heavy analytical pipelines (cross-machine
 #: libm/BLAS variation); counts and game I/O stay exact by default
 _FLOAT_TOL = {"*": {"rel": 1e-6, "abs": 1e-9}}
 
+#: the optional param of the experiments whose drivers tabulate
+#: machines (absent, the driver tabulates every paper machine)
+_MACHINES_PARAM = {"machines": list(_MACHINES)}
+
 REGISTRY: Dict[str, ExperimentDef] = {
-    "e1": ExperimentDef("e1", _run_e1, {}),
-    "e2": ExperimentDef("e2", _run_e2, {"sizes": [4, 8, 16], "s": 64}),
+    "e1": ExperimentDef(
+        "e1", _driver(_exp.experiment_table1_machines), {},
+        optional_params=_MACHINES_PARAM,
+    ),
+    "e2": ExperimentDef(
+        "e2",
+        _driver(_exp.experiment_composite_example),
+        {"sizes": [4, 8, 16], "s": 64},
+    ),
     "e3": ExperimentDef(
         "e3",
-        _run_e3,
+        _driver(_exp.experiment_cg_bounds),
         {"n": 1000, "dimensions": 3, "iterations": 1, "small_shape": [2, 2]},
         _FLOAT_TOL,
+        optional_params=_MACHINES_PARAM,
     ),
     "e4": ExperimentDef(
         "e4",
-        _run_e4,
+        _driver(_exp.experiment_gmres_bounds),
         {"n": 1000, "dimensions": 3, "krylov_dimensions": [5, 10, 20, 50, 100]},
         _FLOAT_TOL,
     ),
     "e5": ExperimentDef(
         "e5",
-        _run_e5,
+        _driver(_exp.experiment_jacobi_bounds),
         {"dimensions": [1, 2, 3, 4, 5, 6, 8, 11], "n": 100, "timesteps": 100},
         _FLOAT_TOL,
     ),
     "e6": ExperimentDef(
         "e6",
-        _run_e6,
+        _driver(_exp.experiment_matmul_bounds),
         {"sizes": [4, 6], "cache_sizes": [8, 16]},
         _FLOAT_TOL,
     ),
-    "e7": ExperimentDef("e7", _run_e7, {"s": 3}),
+    "e7": ExperimentDef("e7", _driver(_exp.experiment_bound_validation),
+                        {"s": 3}),
     "e8": ExperimentDef(
         "e8",
-        _run_e8,
+        _driver(_exp.experiment_distsim_parallel),
         {
             "shape": [12, 12],
             "timesteps": 3,
@@ -333,13 +244,14 @@ REGISTRY: Dict[str, ExperimentDef] = {
     ),
     "e9": ExperimentDef(
         "e9",
-        _run_e9,
+        _driver(_exp.experiment_balance_conditions),
         {"n": 1000, "dimensions": 3, "gmres_m": 10, "jacobi_timesteps": 1000},
         _FLOAT_TOL,
+        optional_params=_MACHINES_PARAM,
     ),
     "spill": ExperimentDef(
         "spill",
-        _run_spill,
+        _driver(_exp.experiment_spill_strategies, seeded=True),
         {
             "workload": "star",
             "ops": 64,
@@ -355,6 +267,95 @@ REGISTRY: Dict[str, ExperimentDef] = {
     ),
 }
 
+#: a param value's JSON kind, singular and plural (a bool is no integer)
+_KINDS = {
+    bool: ("a boolean", "booleans"),
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    list: ("a list", "lists"),
+    tuple: ("a list", "lists"),
+}
+
+
+def _kind(value) -> Tuple[str, str]:
+    return _KINDS.get(type(value), ("an object", "objects"))
+
+
+def _check_value(where: str, value, default) -> None:
+    """``value`` has the kind of ``default`` (a list, non-empty, with
+    elements of the kind of the default's first); integers are >= 1."""
+    want = _kind(default)[0]
+    if _kind(value)[0] != want:
+        raise ValueError(f"{where} must be {want}, got {value!r}")
+    if want == "an integer" and value < 1:
+        raise ValueError(f"{where} must be >= 1, got {value!r}")
+    if want != "a list":
+        return
+    if not value:
+        raise ValueError(f"{where} must be a non-empty list, got {value!r}")
+    item, items = _kind(default[0])
+    for element in value:
+        if _kind(element)[0] != item:
+            raise ValueError(
+                f"{where} must be a list of {items}, got {element!r} in "
+                f"{value!r}"
+            )
+        if item == "an integer" and element < 1:
+            raise ValueError(
+                f"{where} must be a list of {items} >= 1, got {element!r} "
+                f"in {value!r}"
+            )
+
+
+def _entry(
+    experiment: str, registry: Mapping[str, ExperimentDef]
+) -> ExperimentDef:
+    if experiment not in registry:
+        raise ValueError(
+            f"unknown experiment {experiment!r}; known: {sorted(registry)}"
+        )
+    return registry[experiment]
+
+
+def check_params(
+    experiment: str,
+    params: Mapping,
+    registry: Mapping[str, ExperimentDef] = REGISTRY,
+) -> None:
+    """The one check of a cell, before anything is built or written.
+
+    ``params`` must set every default of a known experiment and nothing
+    else but its optional params.  Each value has the JSON kind of its
+    default: a list is non-empty and its elements have the kind of the
+    default's first element, every integer, alone or in a list, is at
+    least 1 (the sizes and counts every driver takes), and ``machines``
+    names paper machines.  Anything else is one ``ValueError`` naming
+    the experiment, the param and the value.  :func:`make_spec`,
+    :func:`run_grid` (so the fleet's ``/v1/grid``) and
+    :func:`reproduce` call it."""
+    entry = _entry(experiment, registry)
+    known = {**entry.default_params, **entry.optional_params}
+    for name in sorted(params):
+        if name not in known:
+            raise ValueError(
+                f"unknown param {name!r} for experiment {experiment!r}; "
+                f"known: {sorted(known)}"
+            )
+        _check_value(f"{experiment} param {name!r}", params[name],
+                     known[name])
+    for name in sorted(entry.default_params):
+        if name not in params:
+            raise ValueError(
+                f"missing param {name!r} for experiment {experiment!r}"
+            )
+    for name in params.get("machines", ()):
+        if name not in _MACHINES:
+            raise ValueError(
+                f"{experiment} param 'machines' must name machines of "
+                f"{sorted(_MACHINES)}, got {name!r}"
+            )
+
 
 def make_spec(
     experiment: str,
@@ -363,24 +364,12 @@ def make_spec(
     label: Optional[str] = None,
     registry: Mapping[str, ExperimentDef] = REGISTRY,
 ) -> RunSpec:
-    """Build a cell: registry defaults merged with ``params`` overrides,
-    canonicalized; ``label`` defaults to the experiment key."""
-    if experiment not in registry:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; known: {sorted(registry)}"
-        )
-    merged = dict(registry[experiment].default_params)
-    # "machines" is a cross-cutting axis (resolved by name through the
-    # paper catalog) accepted by the machine-parameterized experiments
-    # even though it is absent from their defaults.
-    allowed = set(merged) | {"machines"}
-    for key, value in (params or {}).items():
-        if merged and key not in allowed:
-            raise ValueError(
-                f"unknown param {key!r} for experiment {experiment!r}; "
-                f"known: {sorted(allowed)}"
-            )
-        merged[key] = value
+    """Build a checked cell (:func:`check_params`): registry defaults
+    merged with ``params`` overrides, canonicalized; ``label`` defaults
+    to the experiment key."""
+    merged = {**_entry(experiment, registry).default_params,
+              **(params or {})}
+    check_params(experiment, merged, registry)
     return RunSpec(
         experiment=experiment,
         params=canonical_config(merged),
@@ -600,16 +589,13 @@ def _validate_grid(
     specs: Sequence[RunSpec], registry: Mapping[str, ExperimentDef]
 ) -> None:
     """The grid check of ``run_grid`` and the fleet's ``/v1/grid``:
-    known experiments and unique labels.  A label names the cell's run
-    directory ``root / label``, which is wiped before the cell runs, so
-    it must be one plain path component inside the results root."""
+    every cell passes :func:`check_params`, and labels are unique.  A
+    label names the cell's run directory ``root / label``, which is
+    wiped before the cell runs, so it must be one plain path component
+    inside the results root."""
     seen = set()
     for spec in specs:
-        if spec.experiment not in registry:
-            raise ValueError(
-                f"unknown experiment {spec.experiment!r}; "
-                f"known: {sorted(registry)}"
-            )
+        check_params(spec.experiment, spec.params, registry)
         label = spec.label
         if not label:
             raise ValueError(f"cell for {spec.experiment!r} has an empty label")
@@ -929,6 +915,7 @@ def reproduce(
             problems.append("summary config_hash does not match manifest")
         tolerances = registry[experiment].tolerances
         try:
+            check_params(experiment, params, registry)
             fresh_rows = registry[experiment].run(params, seed)
         except Exception as exc:  # one bad cell must not stop the rest
             problems.append(

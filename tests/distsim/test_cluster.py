@@ -8,7 +8,7 @@ from repro.bounds import (
     stencil_horizontal_upper_bound,
 )
 from repro.distsim import BlockPartition, SimulatedCluster, node_grid
-from repro.evaluation import experiment_distsim_parallel
+from repro.evaluation import REGISTRY, make_spec
 
 WORKLOADS = ["run_stencil", "run_cg"]
 
@@ -144,9 +144,8 @@ class TestExperimentE8Pinned:
     inequalities against the bounds."""
 
     def test_rows_match_recorded_traffic(self):
-        rows = experiment_distsim_parallel(
-            shape=(12, 12), timesteps=3, num_nodes=4, cache_words=32
-        )
+        spec = make_spec("e8")
+        rows = REGISTRY["e8"].run(spec.params, spec.seed)
         measured = [
             (r["policy"], r["workload"], r["measured_vertical_max"],
              r["measured_horizontal_max"])

@@ -42,10 +42,10 @@ class TestParser:
 
     def test_argument_parsing(self):
         parser = build_parser()
-        args = parser.parse_args(["gmres", "--m", "3", "7", "--n", "50"])
-        assert args.m == [3, 7] and args.n == 50
-        args = parser.parse_args(["distsim", "--nodes", "2", "--cache", "16"])
-        assert args.nodes == 2 and args.cache == 16
+        args = parser.parse_args(["gmres", "--param", "krylov_dimensions=[3,7]",
+                                  "--param", "n=50"])
+        assert args.param == ["krylov_dimensions=[3,7]", "n=50"]
+        assert parser.parse_args(["distsim"]).param == []
         args = parser.parse_args(
             ["spill", "--workload", "star", "--ops", "64", "--backend", "dict"]
         )
@@ -60,23 +60,24 @@ class TestExecution:
         assert "0.052" in out
 
     def test_cg_output(self, capsys):
-        assert main(["cg", "--n", "100"]) == 0
+        assert main(["cg", "--param", "n=100"]) == 0
         out = capsys.readouterr().out
         assert "vertical_intensity" in out
         assert "0.3" in out
 
     def test_gmres_custom_m(self, capsys):
-        assert main(["gmres", "--m", "10", "--n", "100"]) == 0
+        assert main(["gmres", "--param", "krylov_dimensions=[10]",
+                     "--param", "n=100"]) == 0
         out = capsys.readouterr().out
         assert "0.2" in out  # 6/(10+20)
 
     def test_jacobi_output(self, capsys):
-        assert main(["jacobi", "--dimensions", "2", "3"]) == 0
+        assert main(["jacobi", "--param", "dimensions=[2, 3]"]) == 0
         out = capsys.readouterr().out
         assert "per_op_requirement" in out
 
     def test_composite_output(self, capsys):
-        assert main(["composite", "--sizes", "4"]) == 0
+        assert main(["composite", "--param", "sizes=[4]"]) == 0
         out = capsys.readouterr().out
         assert "17" in out  # 4N+1 for N=4
 
@@ -86,8 +87,9 @@ class TestExecution:
         assert "CG" in out and "Jacobi" in out
 
     def test_distsim_small(self, capsys):
-        assert main(["distsim", "--nodes", "2", "--cache", "32",
-                     "--side", "8", "--timesteps", "2"]) == 0
+        assert main(["distsim", "--param", "num_nodes=2",
+                     "--param", "cache_words=32", "--param", "shape=[8, 8]",
+                     "--param", "timesteps=2"]) == 0
         out = capsys.readouterr().out
         assert "measured_vertical_max" in out
 
@@ -189,12 +191,15 @@ class TestExecution:
          '[{"experiment": "e1", "params": "x"}]'),
         (["sweep", "--jobs", "0", "--grid", "smoke"], None),
         (["spill", "--workload", "chains", "--red", "0"], None),
-        (["jacobi", "--dimensions", "0"], None),
+        (["jacobi", "--param", "dimensions=[0]"], None),
         (["spill", "--workload", "star", "--ops", "-3"], None),
         (["spill", "--workload", "chains", "--chains", "0"], None),
+        (["cg", "--param", "n"], None),
+        (["cg", "--param", "n=abc"], None),
     ], ids=["missing-file", "not-json", "cell-not-object", "no-experiment",
             "params-not-object", "jobs-0", "red-0", "jacobi-dimensions-0",
-            "star-ops-negative", "chains-0"])
+            "star-ops-negative", "chains-0", "param-without-value",
+            "param-not-json"])
     def test_malformed_input_is_one_error_line(self, argv, grid, tmp_path):
         """Bad input at the command line ends in one ``repro: error:``
         line and exit 2, never a Python traceback."""
@@ -251,7 +256,8 @@ class TestExecution:
                              ids=["zero-first", "zero-middle"])
     def test_malformed_e3_cell_is_one_error_line(self, small_shape, tmp_path):
         """An E3 cell whose wavefront-check grid has a zero extent fails as
-        one ``repro: error:`` line naming the shape, never a traceback."""
+        one ``repro: error:`` line naming the param and the value, never a
+        traceback, and before any cell directory is written."""
         import json
         import os
         import subprocess
@@ -271,8 +277,10 @@ class TestExecution:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == (
-            f"repro: error: shape entries must be >= 1, got {tuple(small_shape)}\n"
+            "repro: error: e3 param 'small_shape' must be a list of "
+            f"integers >= 1, got 0 in {small_shape}\n"
         )
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("cell, named", [
         ({"experiment": "e6", "params": {"sizes": 5}},

@@ -1,27 +1,29 @@
-"""Tests for the evaluation experiment drivers (E1-E9)."""
+"""Tests for the evaluation experiment drivers (E1-E9).
+
+Each driver runs on its registry cell: the defaults of
+``repro.evaluation.harness.REGISTRY`` with a test's overrides, checked
+by ``make_spec`` as any grid cell is."""
 
 import pytest
 
 from repro.evaluation import (
+    REGISTRY,
     experiments,
-    experiment_balance_conditions,
-    experiment_bound_validation,
-    experiment_cg_bounds,
-    experiment_composite_example,
-    experiment_distsim_parallel,
-    experiment_gmres_bounds,
-    experiment_jacobi_bounds,
-    experiment_matmul_bounds,
-    experiment_table1_machines,
     format_table,
+    make_spec,
     render_report,
 )
 from repro.pebbling import SearchBudgetExceeded
 
 
+def _rows(experiment, seed=0, **overrides):
+    spec = make_spec(experiment, overrides, seed=seed)
+    return REGISTRY[experiment].run(spec.params, spec.seed)
+
+
 class TestE1Table1:
     def test_rows_match_paper_constants(self):
-        rows = experiment_table1_machines()
+        rows = _rows("e1")
         by_name = {r["machine"]: r for r in rows}
         assert by_name["IBM BG/Q"]["vertical_balance"] == pytest.approx(0.052)
         assert by_name["IBM BG/Q"]["horizontal_balance"] == pytest.approx(0.049)
@@ -33,7 +35,7 @@ class TestE1Table1:
 
 class TestE2Composite:
     def test_verified_game_matches_4n_plus_1(self):
-        rows = experiment_composite_example(sizes=(4, 8))
+        rows = _rows("e2", sizes=[4, 8])
         for row in rows:
             assert row["verified_game_io"] == 4 * row["N"] + 1
             assert row["verified_game_io"] == row["composite_upper_bound_4N+1"]
@@ -42,7 +44,7 @@ class TestE2Composite:
 
 class TestE3CG:
     def test_vertical_intensity_and_verdicts(self):
-        rows = experiment_cg_bounds(n=1000, dimensions=3)
+        rows = _rows("e3", n=1000, dimensions=3)
         machine_rows = [r for r in rows if r["machine"] in ("IBM BG/Q", "Cray XT5")]
         assert len(machine_rows) == 2
         for r in machine_rows:
@@ -51,7 +53,7 @@ class TestE3CG:
             assert r["possibly_network_bound"] is False
 
     def test_wavefront_check_row_present(self):
-        rows = experiment_cg_bounds()
+        rows = _rows("e3")
         check = [r for r in rows if "wavefront check" in str(r["machine"])]
         assert len(check) == 1
         assert check[0]["vertically_bound"] is True  # wavefront >= 2 n^d
@@ -59,7 +61,7 @@ class TestE3CG:
 
 class TestE4GMRES:
     def test_intensity_tracks_paper_formula(self):
-        rows = experiment_gmres_bounds(krylov_dimensions=(5, 10, 100))
+        rows = _rows("e4", krylov_dimensions=[5, 10, 100])
         for r in rows:
             assert r["vertical_intensity"] == pytest.approx(
                 r["paper_formula_6/(m+20)"]
@@ -71,7 +73,7 @@ class TestE4GMRES:
 
 class TestE5Jacobi:
     def test_threshold_and_verdicts(self):
-        rows = experiment_jacobi_bounds(dimensions=(1, 2, 3, 11))
+        rows = _rows("e5", dimensions=[1, 2, 3, 11])
         by_d = {r["d"]: r for r in rows}
         assert by_d[2]["vertically_bound"] is False
         assert by_d[3]["vertically_bound"] is False
@@ -83,7 +85,7 @@ class TestE5Jacobi:
 
 class TestE6Matmul:
     def test_sandwich_holds(self):
-        rows = experiment_matmul_bounds(sizes=(4,), cache_sizes=(8,))
+        rows = _rows("e6", sizes=[4], cache_sizes=[8])
         for r in rows:
             assert r["sandwich_ok"] is True
             assert r["corollary1_LB"] <= r["spill_game_UB"]
@@ -91,7 +93,7 @@ class TestE6Matmul:
 
 class TestE7Validation:
     def test_all_rows_sound(self):
-        rows = experiment_bound_validation()
+        rows = _rows("e7")
         assert len(rows) >= 5
         assert all(r["sound"] for r in rows)
 
@@ -101,24 +103,22 @@ class TestE7Validation:
 
         monkeypatch.setattr(experiments, "optimal_rbw_io", broken)
         with pytest.raises(RuntimeError, match="bug in the exact search"):
-            experiment_bound_validation()
+            _rows("e7")
 
     def test_budget_exceeded_gives_skipped_rows(self, monkeypatch):
         def over_budget(*args, **kwargs):
             raise SearchBudgetExceeded("over budget")
 
         monkeypatch.setattr(experiments, "optimal_rbw_io", over_budget)
-        rows = experiment_bound_validation()
+        rows = _rows("e7")
         assert all(r["optimal_io"] == "(skipped)" for r in rows)
         assert all(r["sound"] for r in rows)
 
 
 class TestE8Distsim:
     def test_measured_traffic_dominates_bounds(self):
-        rows = experiment_distsim_parallel(
-            shape=(12, 12), timesteps=3, num_nodes=4, cache_words=32,
-            policies=("lru",),
-        )
+        rows = _rows("e8", shape=[12, 12], timesteps=3, num_nodes=4,
+                     cache_words=32, policies=["lru"])
         assert len(rows) == 2
         for r in rows:
             assert r["vertical_ok"] is True
@@ -127,7 +127,7 @@ class TestE8Distsim:
 
 class TestE9Balance:
     def test_summary_narrative(self):
-        rows = experiment_balance_conditions()
+        rows = _rows("e9")
         cg_rows = [r for r in rows if r["algorithm"] == "CG"]
         jac_rows = [r for r in rows if r["algorithm"] == "Jacobi"]
         assert all(r["vertically_bound"] for r in cg_rows)
@@ -147,10 +147,8 @@ class TestSpillStrategies:
     @pytest.mark.parametrize("policy", ["lru", "belady"])
     def test_rows_do_not_depend_on_backend(self, workload, policy):
         fast, ref = (
-            experiments.experiment_spill_strategies(
-                workload=workload, policy=policy, backend=backend, seed=3,
-                **self.SMALL,
-            )
+            _rows("spill", seed=3, workload=workload, policy=policy,
+                  backend=backend, **self.SMALL)
             for backend in ("batched", "dict")
         )
         assert len(fast) == len(ref) == 1
@@ -164,9 +162,9 @@ class TestSpillStrategies:
 
     def test_unknown_workload_and_backend_rejected(self):
         with pytest.raises(ValueError, match="workload"):
-            experiments.experiment_spill_strategies(workload="mesh")
+            _rows("spill", workload="mesh")
         with pytest.raises(ValueError, match="'batched', 'dict'"):
-            experiments.experiment_spill_strategies(ops=4, backend="kernel")
+            _rows("spill", ops=4, backend="kernel")
 
 
 class TestReportFormatting:

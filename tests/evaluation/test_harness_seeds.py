@@ -61,14 +61,18 @@ class TestSameSeedIdentity:
             assert a.hash() != b.hash()
 
 
+def _forest_rows(seed):
+    """The forest driver, called directly on a small registry cell."""
+    spec = make_spec(
+        "spill", {"workload": "forest", "components": 3, "component_size": 10}
+    )
+    return experiment_spill_strategies(**spec.params, seed=seed)
+
+
 class TestDriverSeedPlumbing:
     def test_forest_driver_is_deterministic_per_seed(self):
-        rows_a = experiment_spill_strategies(
-            workload="forest", components=3, component_size=10, seed=11
-        )
-        rows_b = experiment_spill_strategies(
-            workload="forest", components=3, component_size=10, seed=11
-        )
+        rows_a = _forest_rows(11)
+        rows_b = _forest_rows(11)
         assert rows_a == rows_b
         assert rows_a[0]["seed"] == 11
 
@@ -77,12 +81,8 @@ class TestDriverSeedPlumbing:
         is fixed by construction, so structure shows up in the edge
         count or the played game; assert on a seed pair where it does
         (deterministically — no RNG in the test itself)."""
-        rows_11 = experiment_spill_strategies(
-            workload="forest", components=3, component_size=10, seed=11
-        )[0]
-        rows_12 = experiment_spill_strategies(
-            workload="forest", components=3, component_size=10, seed=12
-        )[0]
+        rows_11 = _forest_rows(11)[0]
+        rows_12 = _forest_rows(12)[0]
         assert (
             rows_11["num_edges"],
             rows_11["moves"],
@@ -94,6 +94,6 @@ class TestDriverSeedPlumbing:
         seed changes the manifest identity but never the rows."""
         from repro.evaluation.experiments import experiment_composite_example
 
-        assert experiment_composite_example(sizes=(4, 8)) == (
-            experiment_composite_example(sizes=(4, 8))
+        assert experiment_composite_example(sizes=(4, 8), s=64) == (
+            experiment_composite_example(sizes=(4, 8), s=64)
         )

@@ -40,7 +40,7 @@ def make_controller(root, clock, **kw):
 
 def _submit(controller, n=1):
     controller.submit_grid([
-        spec_to_wire(RunSpec("quick", {"x": i}, 0, f"cell{i}"))
+        spec_to_wire(RunSpec("quick", {"x": i + 1}, 0, f"cell{i}"))
         for i in range(n)
     ])
 

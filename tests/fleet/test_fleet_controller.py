@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.evaluation.harness import ExperimentDef, RunSpec, run_grid
+from repro.evaluation.harness import REGISTRY, ExperimentDef, RunSpec, run_grid
 from repro.fleet.controller import (
     FleetController,
     spec_from_wire,
@@ -21,7 +21,7 @@ TEST_REGISTRY = {"quick": ExperimentDef("quick", _run_quick, {"x": 2})}
 
 
 def _specs(n):
-    return [RunSpec("quick", {"x": i}, 0, f"cell{i}") for i in range(n)]
+    return [RunSpec("quick", {"x": i + 1}, 0, f"cell{i}") for i in range(n)]
 
 
 def _wire(specs):
@@ -59,6 +59,25 @@ class TestSubmit:
         cells = _wire(_specs(1))
         with pytest.raises(ValueError, match="duplicate"):
             ctl.submit_grid(cells + cells)
+
+    @pytest.mark.parametrize("params, error", [
+        ({"sizes": [4, 8, 16], "s": 64, "bogus": 1},
+         "unknown param 'bogus' for experiment 'e2'; known: ['s', 'sizes']"),
+        ({}, "missing param 's' for experiment 'e2'"),
+        ({"sizes": [4.5], "s": 64},
+         "e2 param 'sizes' must be a list of integers, got 4.5 in [4.5]"),
+    ], ids=["unknown-param", "no-params", "float-size"])
+    def test_paper_cell_failing_the_param_check_is_400(self, tmp_path,
+                                                       params, error):
+        """A wire cell goes through the harness's param check against the
+        controller's registry, so a cell that would fail at run time is
+        refused at submission, and nothing is queued."""
+        ctl = make_controller(tmp_path, registry=REGISTRY)
+        status, body = ctl.handle("POST", "/v1/grid", {"cells": [
+            {"experiment": "e2", "params": params, "label": "e2"}]})
+        assert (status, body) == (400, {"error": error})
+        assert ctl.status()["pending"] == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_second_grid_while_active(self, tmp_path):
         ctl = make_controller(tmp_path)
@@ -176,8 +195,8 @@ class TestIntrospection:
         """A worker wipes and writes ``root / label``: a label with a
         path separator, or an absolute one, would escape the root."""
         ctl = make_controller(tmp_path)
-        cells = [{"experiment": "quick", "label": "ok"},
-                 {"experiment": "quick", "label": label}]
+        cells = [{"experiment": "quick", "params": {"x": 2}, "label": "ok"},
+                 {"experiment": "quick", "params": {"x": 2}, "label": label}]
         status, body = ctl.handle("POST", "/v1/grid", {"cells": cells})
         assert status == 400
         assert repr(label) in body["error"]

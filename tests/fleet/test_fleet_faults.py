@@ -68,9 +68,9 @@ def _run_gated(params, seed):
 FAULT_REGISTRY = {
     "quick": ExperimentDef("quick", _run_quick, {"x": 2}),
     "first_run_hangs": ExperimentDef(
-        "first_run_hangs", _run_first_run_hangs, {}
+        "first_run_hangs", _run_first_run_hangs, {"flag": ""}
     ),
-    "gated": ExperimentDef("gated", _run_gated, {}),
+    "gated": ExperimentDef("gated", _run_gated, {"gate": ""}),
 }
 
 

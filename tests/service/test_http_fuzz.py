@@ -244,8 +244,8 @@ LEASE = st.tuples(st.just("POST"), st.just("/v1/lease"),
                   st.fixed_dictionaries({"worker": WORKER}))
 VALID_GRID = st.lists(st.sampled_from(["c0", "c1", "c2", "c3"]), min_size=1,
                       max_size=4, unique=True).map(
-    lambda labels: [{"experiment": "quick", "label": label}
-                    for label in labels])
+    lambda labels: [{"experiment": "quick", "params": {"x": 2},
+                     "label": label} for label in labels])
 FLEET_STEP = st.one_of(
     st.tuples(st.just("POST"), st.just("/v1/grid"),
               st.fixed_dictionaries({"cells": or_junk(st.lists(
