@@ -37,11 +37,13 @@ test-harness:
 
 # Artifact store + memoized bound server: the randomized differential
 # suite (cached bytes == fresh bytes), the store engine/corruption
-# tests, the key-stability property suite, the HTTP endpoint +
+# tests (warm hits write nothing until a flush), the key-stability
+# property suite and the pinned artifact keys, the HTTP endpoint +
 # concurrent-clients suite, the shared HTTP layer's route-aware fuzz
 # of both servers (no 5xx, monotonic /metrics, bounded registry, lease
-# invariants) and its socket-level framing tests (bad/oversized
-# Content-Length, stalled senders), and the sweep --jobs
+# invariants) and its socket-level framing tests (bad/oversized or
+# disagreeing Content-Length, malformed request lines and headers,
+# unknown methods, cut bodies, stalled senders), and the sweep --jobs
 # integration.
 test-service:
 	$(PY) -m pytest tests/store tests/service \
@@ -67,7 +69,8 @@ test-obs:
 # loads scipy (the library import, a smoke sweep and the bound server
 # load none, and the min-cut cells, bounds, lines and dominators run
 # with it unimportable); `repro --help`, `cache --help` and `fleet status
-# --help` load no numpy.
+# --help` load no numpy; the bound server and the fleet controller load
+# no http.server.
 test-startup:
 	$(PY) -m pytest tests/test_runtime_deps.py -q
 

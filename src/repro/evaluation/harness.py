@@ -150,13 +150,16 @@ class ExperimentDef:
     ``run(params, seed)`` gets params that passed :func:`check_params`;
     a default also fixes its param's type.  ``optional_params`` are the
     params a cell may add to the defaults, each with a value of its
-    type; absent, the driver's own fallback applies."""
+    type; absent, the driver's own fallback applies.  ``choices`` maps a
+    string param, or a list-of-strings param, to the strings its value
+    (each element) may be."""
 
     name: str
     run: Callable[[Mapping, int], List[Dict]]
     default_params: Mapping
     tolerances: Mapping = field(default_factory=dict)
     optional_params: Mapping = field(default_factory=dict)
+    choices: Mapping = field(default_factory=dict)
 
 
 #: the machines a ``machines`` param may name, by name (grid params stay
@@ -190,13 +193,14 @@ def _driver(driver: Callable[..., List[Dict]], seeded: bool = False):
 _FLOAT_TOL = {"*": {"rel": 1e-6, "abs": 1e-9}}
 
 #: the optional param of the experiments whose drivers tabulate
-#: machines (absent, the driver tabulates every paper machine)
+#: machines (absent, the driver tabulates every paper machine); it also
+#: lists the names such a param may hold
 _MACHINES_PARAM = {"machines": list(_MACHINES)}
 
 REGISTRY: Dict[str, ExperimentDef] = {
     "e1": ExperimentDef(
         "e1", _driver(_exp.experiment_table1_machines), {},
-        optional_params=_MACHINES_PARAM,
+        optional_params=_MACHINES_PARAM, choices=_MACHINES_PARAM,
     ),
     "e2": ExperimentDef(
         "e2",
@@ -208,7 +212,7 @@ REGISTRY: Dict[str, ExperimentDef] = {
         _driver(_exp.experiment_cg_bounds),
         {"n": 1000, "dimensions": 3, "iterations": 1, "small_shape": [2, 2]},
         _FLOAT_TOL,
-        optional_params=_MACHINES_PARAM,
+        optional_params=_MACHINES_PARAM, choices=_MACHINES_PARAM,
     ),
     "e4": ExperimentDef(
         "e4",
@@ -241,13 +245,14 @@ REGISTRY: Dict[str, ExperimentDef] = {
             "policies": ["lru", "belady"],
         },
         _FLOAT_TOL,
+        choices={"policies": ("lru", "belady")},
     ),
     "e9": ExperimentDef(
         "e9",
         _driver(_exp.experiment_balance_conditions),
         {"n": 1000, "dimensions": 3, "gmres_m": 10, "jacobi_timesteps": 1000},
         _FLOAT_TOL,
-        optional_params=_MACHINES_PARAM,
+        optional_params=_MACHINES_PARAM, choices=_MACHINES_PARAM,
     ),
     "spill": ExperimentDef(
         "spill",
@@ -263,6 +268,11 @@ REGISTRY: Dict[str, ExperimentDef] = {
             "component_size": 12,
             "policy": "lru",
             "backend": "batched",
+        },
+        choices={
+            "workload": ("star", "chains", "forest"),
+            "policy": ("lru", "belady"),
+            "backend": ("batched", "dict"),
         },
     ),
 }
@@ -308,6 +318,21 @@ def _check_value(where: str, value, default) -> None:
             )
 
 
+def _check_choice(where: str, name: str, value, choices) -> None:
+    """``value``, or each element of a list ``value``, is one of
+    ``choices``."""
+    allowed = sorted(choices)
+    if not isinstance(value, (list, tuple)):
+        if value not in choices:
+            raise ValueError(f"{where} must be one of {allowed}, "
+                             f"got {value!r}")
+        return
+    for element in value:
+        if element not in choices:
+            raise ValueError(f"{where} must name {name} of {allowed}, "
+                             f"got {element!r}")
+
+
 def _entry(
     experiment: str, registry: Mapping[str, ExperimentDef]
 ) -> ExperimentDef:
@@ -329,9 +354,11 @@ def check_params(
     else but its optional params.  Each value has the JSON kind of its
     default: a list is non-empty and its elements have the kind of the
     default's first element, every integer, alone or in a list, is at
-    least 1 (the sizes and counts every driver takes), and ``machines``
-    names paper machines.  Anything else is one ``ValueError`` naming
-    the experiment, the param and the value.  :func:`make_spec`,
+    least 1 (the sizes and counts every driver takes), and a param with
+    ``choices`` in the registry (a spill cell's ``workload``, ``policy``
+    and ``backend``, e8's ``policies``, ``machines``) holds only those
+    strings.  Anything else is one ``ValueError`` naming the
+    experiment, the param and the value.  :func:`make_spec`,
     :func:`run_grid` (so the fleet's ``/v1/grid``) and
     :func:`reproduce` call it."""
     entry = _entry(experiment, registry)
@@ -342,18 +369,14 @@ def check_params(
                 f"unknown param {name!r} for experiment {experiment!r}; "
                 f"known: {sorted(known)}"
             )
-        _check_value(f"{experiment} param {name!r}", params[name],
-                     known[name])
+        where = f"{experiment} param {name!r}"
+        _check_value(where, params[name], known[name])
+        if name in entry.choices:
+            _check_choice(where, name, params[name], entry.choices[name])
     for name in sorted(entry.default_params):
         if name not in params:
             raise ValueError(
                 f"missing param {name!r} for experiment {experiment!r}"
-            )
-    for name in params.get("machines", ()):
-        if name not in _MACHINES:
-            raise ValueError(
-                f"{experiment} param 'machines' must name machines of "
-                f"{sorted(_MACHINES)}, got {name!r}"
             )
 
 

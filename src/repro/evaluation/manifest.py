@@ -86,9 +86,23 @@ TIMING_NAME = "timing.json"
 # ----------------------------------------------------------------------
 # Canonicalization + hashing
 # ----------------------------------------------------------------------
+#: the exact types that are their own canonical form (a subclass or a
+#: numpy scalar takes the general path of :func:`_canon_value`)
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
 def _canon_value(value, path: str):
     """One JSON-safe canonical value; raises TypeError on anything that
     would not survive a JSON round trip exactly."""
+    kind = type(value)
+    if kind in _PLAIN or (kind is float and math.isfinite(value)):
+        return value
+    if kind is dict and all(type(k) is str for k in value):
+        return {k: v if type(v) in _PLAIN else _canon_value(v, f"{path}.{k}")
+                for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [v if type(v) in _PLAIN else _canon_value(v, f"{path}[{i}]")
+                for i, v in enumerate(value)]
     if isinstance(value, (np.bool_, np.integer, np.floating)):
         value = value.item()
     if value is None or isinstance(value, (bool, int, str)):
@@ -116,7 +130,7 @@ def canonical_config(config: Mapping) -> Dict:
     be strings; ``canonical_config`` is idempotent and invariant under
     dict key reordering (the serialized form sorts keys).
     """
-    if not isinstance(config, Mapping):
+    if type(config) is not dict and not isinstance(config, Mapping):
         raise TypeError(f"config must be a mapping, got {type(config).__name__}")
     return _canon_value(config, "$")
 

@@ -1,12 +1,13 @@
 """Analysis-as-a-service: the long-running memoized bound server.
 
-``repro serve`` runs a threaded HTTP server that answers
+``repro serve`` runs a threaded HTTP/1.0 server that answers
 bound/schedule/pebbling/compile queries for many concurrent clients out
 of the content-addressed artifact store (:mod:`repro.store`), with
 single-flight deduplication of identical in-flight computations and
 ``/health`` + ``/stats`` introspection.  :mod:`repro.service.http` is
-the stdlib-only HTTP layer it shares with the fleet controller (route
-tables, framing, error map, ``http.*`` metrics).  See
+the HTTP layer it shares with the fleet controller, on the stdlib's
+``socketserver`` (route tables, request framing, one-write answers,
+error map, ``http.*`` metrics).  See
 ``docs/service.md`` for the service contract and
 ``benchmarks/bench_service.py`` for the many-tenant load benchmark.
 """

@@ -54,18 +54,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+# The private lookups return the artifact key they looked up too, so an
+# answer echoes it without deriving the spec and key a second time.
 from ..store.analysis import (
-    bound_spec,
-    cached_bound,
-    cached_compiled_payload,
-    cached_schedule,
+    _lookup_bound,
+    _lookup_compiled,
+    _lookup_schedule,
     cached_spill,
-    compiled_spec,
-    schedule_spec,
 )
 from ..store.codec import unpack_arrays
 from ..store.db import ArtifactStore
-from ..store.keys import artifact_key
 from .http import JsonApp, JsonServer, number, run_forever
 
 __all__ = ["BoundService", "make_server", "serve", "DEFAULT_PORT"]
@@ -140,14 +138,11 @@ class BoundService(JsonApp):
 
     def compiled(self, body: Dict) -> Dict:
         builder, params, seed = self._query_triple(body)
-        payload, hit = cached_compiled_payload(
-            self.store, builder, params, seed
-        )
+        payload, hit, key = _lookup_compiled(self.store, builder, params,
+                                             seed)
         _arrays, meta = unpack_arrays(payload)
         return {
-            "key": artifact_key(
-                "compiled", compiled_spec(builder, params, seed)
-            ),
+            "key": key,
             "cached": hit,
             "n": meta["n"],
             "m": meta["m"],
@@ -157,11 +152,10 @@ class BoundService(JsonApp):
     def schedule(self, body: Dict) -> Dict:
         builder, params, seed = self._query_triple(body)
         kind = body.get("kind", "dfs")
-        ids, hit = cached_schedule(self.store, builder, params, seed, kind)
+        ids, hit, key = _lookup_schedule(self.store, builder, params, seed,
+                                         kind)
         out = {
-            "key": artifact_key(
-                "schedule", schedule_spec(builder, params, seed, kind)
-            ),
+            "key": key,
             "cached": hit,
             "kind": kind,
             "length": int(ids.size),
@@ -178,9 +172,8 @@ class BoundService(JsonApp):
         u_upper = body.get("u_upper")
         if u_upper is not None:
             u_upper = number(body, "u_upper", None, float)
-        args = (builder, params, seed, s, method, max_candidates, u_upper)
-        result, hit = cached_bound(self.store, *args)
-        key = artifact_key("bound", bound_spec(*args))
+        result, hit, key = _lookup_bound(self.store, builder, params, seed,
+                                         s, method, max_candidates, u_upper)
         return {"key": key, "cached": hit, **result}
 
     def pebble(self, body: Dict) -> Dict:

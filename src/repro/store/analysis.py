@@ -356,9 +356,9 @@ def bound_spec(
     return spec
 
 
-def _store_meta(kind: str, spec: Mapping) -> Dict:
+def _store_meta(spec: Mapping) -> Dict:
+    """The descriptive columns of a stored row, derived on a miss only."""
     return {
-        "kind": kind,
         "builder": str(spec.get("builder", "")),
         "seed": int(spec.get("seed", 0)),
         "spec_json": dumps_canonical(canonical_config(spec), indent=None),
@@ -368,9 +368,14 @@ def _store_meta(kind: str, spec: Mapping) -> Dict:
 
 def _get_or_compute(
     store: ArtifactStore, kind: str, spec: Mapping, compute: Callable[[], bytes]
-) -> Tuple[bytes, bool]:
+) -> Tuple[bytes, bool, str]:
+    """``(payload, was_hit, key)`` for the ``kind`` artifact of
+    ``spec``: the key is derived once and handed back, so a caller that
+    echoes it derives nothing again."""
     key = artifact_key(kind, spec)
-    return store.get_or_compute(key, compute, **_store_meta(kind, spec))
+    payload, hit = store.get_or_compute(key, compute, kind,
+                                        lambda: _store_meta(spec))
+    return payload, hit, key
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +394,17 @@ def fresh_compiled_payload(
     return serialize_compiled(fresh_compiled(builder, params, seed))
 
 
+def _lookup_compiled(
+    store: ArtifactStore, builder: str, params: Optional[Mapping], seed: int
+) -> Tuple[bytes, bool, str]:
+    return _get_or_compute(
+        store,
+        "compiled",
+        compiled_spec(builder, params, seed),
+        lambda: fresh_compiled_payload(builder, params, seed),
+    )
+
+
 def cached_compiled_payload(
     store: ArtifactStore,
     builder: str,
@@ -396,13 +412,7 @@ def cached_compiled_payload(
     seed: int = 0,
 ) -> Tuple[bytes, bool]:
     """``(payload bytes, was_hit)`` for the compiled-snapshot artifact."""
-    spec = compiled_spec(builder, params, seed)
-    return _get_or_compute(
-        store,
-        "compiled",
-        spec,
-        lambda: fresh_compiled_payload(builder, params, seed),
-    )
+    return _lookup_compiled(store, builder, params, seed)[:2]
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +433,25 @@ def fresh_schedule(
     return np.asarray(ids, dtype=np.int32)
 
 
+def _lookup_schedule(
+    store: ArtifactStore,
+    builder: str,
+    params: Optional[Mapping],
+    seed: int,
+    kind: str,
+) -> Tuple[np.ndarray, bool, str]:
+    spec = schedule_spec(builder, params, seed, kind)
+
+    def compute() -> bytes:
+        return serialize_schedule(
+            fresh_schedule(builder, params, seed, kind), kind
+        )
+
+    payload, hit, key = _get_or_compute(store, "schedule", spec, compute)
+    ids, _meta = schedule_from_payload(payload)
+    return ids, hit, key
+
+
 def cached_schedule(
     store: ArtifactStore,
     builder: str,
@@ -431,16 +460,7 @@ def cached_schedule(
     kind: str = "dfs",
 ) -> Tuple[np.ndarray, bool]:
     """``(schedule ids, was_hit)``."""
-    spec = schedule_spec(builder, params, seed, kind)
-
-    def compute() -> bytes:
-        return serialize_schedule(
-            fresh_schedule(builder, params, seed, kind), kind
-        )
-
-    payload, hit = _get_or_compute(store, "schedule", spec, compute)
-    ids, _meta = schedule_from_payload(payload)
-    return ids, hit
+    return _lookup_schedule(store, builder, params, seed, kind)[:2]
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +541,24 @@ def fresh_bound(
     )
 
 
+def _lookup_bound(
+    store: ArtifactStore,
+    builder: str,
+    params: Optional[Mapping],
+    seed: int,
+    s: int,
+    method: str,
+    max_candidates: int,
+    u_upper: Optional[float],
+) -> Tuple[Dict, bool, str]:
+    args = (builder, params, seed, s, method, max_candidates, u_upper)
+    payload, hit, key = _get_or_compute(
+        store, "bound", bound_spec(*args),
+        lambda: serialize_json(fresh_bound(*args)),
+    )
+    return json_from_payload(payload), hit, key
+
+
 def cached_bound(
     store: ArtifactStore,
     builder: str,
@@ -532,25 +570,8 @@ def cached_bound(
     u_upper: Optional[float] = None,
 ) -> Tuple[Dict, bool]:
     """``(bound mapping, was_hit)`` — the service's core query."""
-    spec = bound_spec(
-        builder, params, seed, s, method, max_candidates, u_upper
-    )
-
-    def compute() -> bytes:
-        return serialize_json(
-            fresh_bound(
-                builder,
-                params,
-                seed,
-                s=s,
-                method=method,
-                max_candidates=max_candidates,
-                u_upper=u_upper,
-            )
-        )
-
-    payload, hit = _get_or_compute(store, "bound", spec, compute)
-    return json_from_payload(payload), hit
+    return _lookup_bound(store, builder, params, seed, s, method,
+                         max_candidates, u_upper)[:2]
 
 
 # ----------------------------------------------------------------------
@@ -578,16 +599,15 @@ def cached_spill(
 ) -> Tuple[Dict, bool]:
     """``(spill-game row, was_hit)`` — the pebbling-query endpoint.
 
-    The workload's CDAG must pass the builder size cap
-    (:data:`MAX_CDAG_SIZE`), checked on the params before any lookup.
+    The params pass the harness's cell check first (``make_spec``: an
+    unknown workload, policy or backend is refused there), and the
+    workload's CDAG must pass the builder size cap
+    (:data:`MAX_CDAG_SIZE`), both before any lookup.
     """
     from ..evaluation.harness import make_spec
 
     cell = make_spec("spill", params, seed=seed)
     workload = cell.params["workload"]
-    if workload not in _SPILL_BUILDERS:
-        raise ValueError(f"unknown spill workload {workload!r}; known: "
-                         f"{sorted(_SPILL_BUILDERS)}")
     builder = _SPILL_BUILDERS[workload]
     # The chains workload calls the builder's ``num_chains`` ``chains``.
     _resolve(builder, {
@@ -599,7 +619,7 @@ def cached_spill(
         "params": dict(cell.params),
         "seed": int(seed),
     }
-    payload, hit = _get_or_compute(
+    payload, hit, _key = _get_or_compute(
         store, "spill", spec, lambda: serialize_json(fresh_spill(params, seed))
     )
     return json_from_payload(payload), hit

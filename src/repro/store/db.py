@@ -27,7 +27,11 @@ then an ``INSERT OR REPLACE`` publish, the miss's one write
 transaction.  Single flight is per process: two processes that miss
 the same key both compute the same bytes (content addressing) and the
 last write wins with an identical row — wasted work, not a wrong
-answer.
+answer.  A hit writes nothing: its ``last_used_s`` and ``hits`` wait in
+memory and reach the row, with every other hit of the window, in one
+transaction at most :data:`HIT_FLUSH_S` later, or sooner when
+:meth:`~ArtifactStore.stats`, :meth:`~ArtifactStore.gc` or
+:meth:`~ArtifactStore.close` runs.
 
 Doctest::
 
@@ -53,11 +57,14 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-__all__ = ["ArtifactStore", "STORE_SCHEMA_VERSION"]
+__all__ = ["ArtifactStore", "HIT_FLUSH_S", "STORE_SCHEMA_VERSION"]
 
 STORE_SCHEMA_VERSION = "repro-store/1"
+#: Seconds a hit's ``last_used_s`` and ``hits`` update may wait in memory
+#: before it is written (with every other hit of that window).
+HIT_FLUSH_S = 1.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -153,9 +160,11 @@ class ArtifactStore:
     many requests each, so every write commits or rolls back before it
     returns and no transaction outlives the call that opened it.  The
     instance itself is thread-safe and is shared by all server request
-    threads.  ``counters`` tracks process-lifetime traffic:
-    ``hits`` / ``misses`` / ``puts`` / ``corrupt`` / ``flights`` (calls
-    that waited behind an identical in-flight computation).
+    threads.  A hit's row update is deferred (see :meth:`_note_hit`), so
+    warm reads take no write lock.  ``counters`` tracks process-lifetime
+    traffic: ``hits`` / ``misses`` / ``puts`` / ``corrupt`` /
+    ``flights`` (calls that waited behind an identical in-flight
+    computation).
 
     :meth:`bind_obs` attaches an observability registry and event ring
     (:mod:`repro.obs`): every ``counters`` tick is then mirrored as a
@@ -172,6 +181,9 @@ class ArtifactStore:
         self._local = threading.local()
         self._counter_mu = threading.Lock()
         self._flight = _SingleFlight()
+        self._hits_mu = threading.Lock()
+        self._hits: Dict[str, Tuple[float, int]] = {}  # unwritten hits
+        self._flush_timer: Optional[threading.Timer] = None
         self.metrics = None
         self.events = None
         self.counters: Dict[str, int] = {
@@ -226,10 +238,12 @@ class ArtifactStore:
         return conn
 
     def close(self) -> None:
-        """Close the calling thread's connection (other threads'
-        connections close when those threads end; a server's waiting
-        request threads end at its ``server_close()``).  The store stays
-        usable: the next call from this thread opens a new connection."""
+        """Write the pending hit records, then close the calling
+        thread's connection (other threads' connections close when those
+        threads end; a server's waiting request threads end at its
+        ``server_close()``).  The store stays usable: the next call from
+        this thread opens a new connection."""
+        self._flush_hits()
         held = getattr(self._local, "held", None)
         if held is not None:
             self._local.held = None
@@ -304,13 +318,43 @@ class ArtifactStore:
             self._emit("store.corrupt_recovered", key=key,
                        nbytes=int(nbytes))
             return None
-        with conn:
-            conn.execute(
-                "UPDATE artifacts SET last_used_s = ?, hits = hits + 1 "
-                "WHERE key = ?",
-                (time.time(), key),
-            )
+        self._note_hit(key)
         return payload
+
+    def _note_hit(self, key: str) -> None:
+        """Record a hit in memory; the first hit of a window schedules
+        :meth:`_flush_hits` :data:`HIT_FLUSH_S` later, so a warm read
+        takes no write lock."""
+        now = time.time()
+        with self._hits_mu:
+            hits = self._hits[key][1] if key in self._hits else 0
+            self._hits[key] = (now, hits + 1)
+            if self._flush_timer is not None:
+                return
+            timer = self._flush_timer = threading.Timer(HIT_FLUSH_S,
+                                                        self._flush_hits)
+        timer.daemon = True  # an exiting process does not wait for it
+        timer.start()
+
+    def _flush_hits(self) -> None:
+        """Write every pending hit record (``last_used_s``, ``hits``) in
+        one transaction.  :meth:`stats`, :meth:`gc` and :meth:`close`
+        call it first; otherwise it runs :data:`HIT_FLUSH_S` after the
+        first unwritten hit."""
+        with self._hits_mu:
+            pending, self._hits = self._hits, {}
+            timer, self._flush_timer = self._flush_timer, None
+        if timer is not None:
+            timer.cancel()  # a no-op when the timer is what runs this
+        if not pending:
+            return
+        conn = self._conn()
+        with conn:
+            conn.executemany(
+                "UPDATE artifacts SET last_used_s = MAX(last_used_s, ?), "
+                "hits = hits + ? WHERE key = ?",
+                [(used, hits, key) for key, (used, hits) in pending.items()],
+            )
 
     def put(
         self,
@@ -358,21 +402,20 @@ class ArtifactStore:
         key: str,
         compute: Callable[[], bytes],
         kind: str,
-        builder: str = "",
-        seed: int = 0,
-        spec_json: str = "",
-        code_ver: str = "",
+        describe: Callable[[], Mapping] = dict,
     ) -> Tuple[bytes, bool]:
         """``(payload, was_hit)`` — the memoization entry point.
 
-        Fast path: a point read.  On miss, the per-key single-flight
-        lock elects one in-process leader, which reads again, computes
-        and publishes with :meth:`put`: one write transaction.  Late
-        in-process arrivals block on the lock, then re-read the store
-        and hit — counted under ``counters["flights"]``.  Another
-        process missing the same key at the same time computes too and
-        writes an identical row (content addressing): wasted work, not
-        a wrong answer.
+        Fast path: a point read, and no write.  On miss, the per-key
+        single-flight lock elects one in-process leader, which reads
+        again, computes and publishes with :meth:`put`: one write
+        transaction, whose descriptive columns (``builder``, ``seed``,
+        ``spec_json``, ``code_ver``) are the mapping ``describe()``
+        returns, so a hit never derives them.  Late in-process arrivals
+        block on the lock, then re-read the store and hit — counted
+        under ``counters["flights"]``.  Another process missing the same
+        key at the same time computes too and writes an identical row
+        (content addressing): wasted work, not a wrong answer.
 
         Each call counts once: a hit if it returns stored bytes (from
         either read), a miss if it computes.
@@ -390,15 +433,7 @@ class ArtifactStore:
                 return payload, True
             self._count("misses")
             payload = compute()
-            self.put(
-                key,
-                payload,
-                kind=kind,
-                builder=builder,
-                seed=seed,
-                spec_json=spec_json,
-                code_ver=code_ver,
-            )
+            self.put(key, payload, kind=kind, **describe())
             return payload, False
         finally:
             self._flight.release(key, lock)
@@ -409,6 +444,7 @@ class ArtifactStore:
     def stats(self) -> Dict:
         """Entry counts and bytes (total and per kind), database file
         sizes, traffic counters, and the journal mode."""
+        self._flush_hits()
         conn = self._conn()
         per_kind = {
             kind: {"entries": int(count), "nbytes": int(nbytes or 0)}
@@ -457,7 +493,10 @@ class ArtifactStore:
         never be addressed again); ``max_bytes`` then evicts
         least-recently-used entries until the stored payload bytes fit.
         ``vacuum`` additionally compacts the file and truncates the WAL.
+        The pending hit records are written first, so the LRU order is
+        this process's latest.
         """
+        self._flush_hits()
         conn = self._conn()
         now = time.time() if now is None else now
         removed = removed_bytes = 0

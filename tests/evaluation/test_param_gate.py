@@ -5,9 +5,11 @@ and defaults, and ``check_params`` checks a cell against them before
 anything is built or written.  A malformed cell gives the same one-line
 message on every path that takes cells: ``sweep --grid-file``, the
 table subcommand's ``--param``, the fleet's ``/v1/grid`` and, for spill
-cells, the bound server's ``cached_spill``.  The drivers themselves
-have no param defaults, so ``repro all`` prints the default grid's
-cells and nothing else.
+cells, the bound server's ``cached_spill`` and ``/v1/pebble``.  A string
+param with registry ``choices`` (a spill workload, policy or backend)
+is refused there too, before any directory is made or store row read.
+The drivers themselves have no param defaults, so ``repro all`` prints
+the default grid's cells and nothing else.
 """
 
 import inspect
@@ -26,9 +28,12 @@ from repro.evaluation.harness import (
     run_grid,
 )
 from repro.evaluation.manifest import canonical_row, read_metrics
+from repro.distsim import cache as distsim_cache
 from repro.fleet.controller import FleetController
+from repro.pebbling import strategies
+from repro.service.server import BoundService
 from repro.store import ArtifactStore
-from repro.store.analysis import cached_spill
+from repro.store.analysis import _SPILL_BUILDERS, cached_spill
 
 #: table subcommand of each experiment key
 SUBCOMMAND = {key: name for name, (key, _title) in TABLES.items()}
@@ -77,6 +82,22 @@ CASES = [
                  id="spill-unknown-param"),
     pytest.param("spill", {"ops": 0}, "spill param 'ops' must be >= 1, got 0",
                  id="spill-zero"),
+    pytest.param("spill", {"workload": "mesh"},
+                 "spill param 'workload' must be one of ['chains', 'forest', "
+                 "'star'], got 'mesh'",
+                 id="spill-unknown-workload"),
+    pytest.param("spill", {"policy": "fifo"},
+                 "spill param 'policy' must be one of ['belady', 'lru'], got "
+                 "'fifo'",
+                 id="spill-unknown-policy"),
+    pytest.param("spill", {"backend": "kernel"},
+                 "spill param 'backend' must be one of ['batched', 'dict'], "
+                 "got 'kernel'",
+                 id="spill-unknown-backend"),
+    pytest.param("e8", {"policies": ["lru", "fifo"]},
+                 "e8 param 'policies' must name policies of ['belady', "
+                 "'lru'], got 'fifo'",
+                 id="list-param-unknown-choice"),
 ]
 #: the cases of the experiments that have a table subcommand
 TABLE_CASES = [case for case in CASES if case.values[0] in SUBCOMMAND]
@@ -132,6 +153,16 @@ class TestOneMessagePerPath:
             assert str(exc.value) == message
             assert store.stats()["entries"] == 0
             assert store.counters["misses"] == 0
+
+    @pytest.mark.parametrize(PARAMS, SPILL_CASES)
+    def test_pebble_endpoint(self, tmp_path, experiment, params, message):
+        service = BoundService(ArtifactStore(tmp_path / "store.db"))
+        try:
+            assert service.handle("POST", "/v1/pebble", {"params": params}) \
+                == (400, {"error": message})
+            assert service.store.counters["misses"] == 0
+        finally:
+            service.close()
 
 
 class TestCheckedBeforeAnythingRuns:
@@ -201,14 +232,16 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _admissible(value, default) -> bool:
-    """Oracle: ``value`` may stand where ``default`` does."""
+def _admissible(value, default, choices=None) -> bool:
+    """Oracle: ``value`` may stand where ``default`` does, and is (each
+    element is) one of ``choices`` when the param has them."""
     if isinstance(default, list):
         return (isinstance(value, list) and len(value) > 0
-                and all(_admissible(v, default[0]) for v in value))
+                and all(_admissible(v, default[0], choices) for v in value))
     if type(default) is int:
         return type(value) is int and value >= 1
-    return type(value) is type(default)
+    return type(value) is type(default) and (choices is None
+                                             or value in choices)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -230,7 +263,22 @@ def test_grid_cell_fuzz_is_refused_or_well_typed(experiment, data):
         return
     assert set(spec.params) <= set(known)
     for name, value in spec.params.items():
-        assert _admissible(value, known[name]), (name, value)
+        assert _admissible(value, known[name], entry.choices.get(name)), \
+            (name, value)
+
+
+def test_choices_are_what_the_engines_accept():
+    """The registry's choices are the values the engines take: the spill
+    workloads the bound server sizes, the strategy policies and
+    backends, and the distsim cache policies."""
+    choices = REGISTRY["spill"].choices
+    assert set(choices["workload"]) == set(_SPILL_BUILDERS)
+    assert tuple(choices["policy"]) == strategies._POLICIES
+    assert tuple(choices["backend"]) == strategies._BACKENDS
+    for policy in REGISTRY["e8"].choices["policies"]:
+        distsim_cache.CacheSimulator(4, policy=policy)
+    with pytest.raises(ValueError):
+        distsim_cache.CacheSimulator(4, policy="fifo")
 
 
 #: each registry key's driver

@@ -3,7 +3,13 @@ for the handlers is a 400 too), and request framing on both servers
 over a real socket — a malformed ``Content-Length`` or body is a 400, a
 length over the body cap is a 413 answered without reading the body,
 and a client that stalls mid-body loses its connection after the socket
-timeout while the server keeps answering others."""
+timeout while the server keeps answering others.  Malformed heads (a
+request line of the wrong shape, a version other than HTTP/1.x, an
+over-long line, too many headers, a header without a colon,
+``Content-Length`` headers that disagree) get a JSON answer with a
+status line too; every method goes through the route table; a declared
+body is read and framed whatever the method; a body cut short is a
+counted disconnect that gets no answer."""
 
 import json
 import socket
@@ -183,3 +189,121 @@ def test_client_hang_up_is_counted_not_printed(server, capfd):
         time.sleep(0.05)
     assert count >= 1
     assert "Traceback" not in capfd.readouterr().err
+
+
+# -- malformed heads: every answer is JSON with a status line ----------
+def answer(port, raw, timeout=5.0):
+    """Send ``raw``, read until the server closes, and check the answer's
+    framing: an HTTP/1.0 status line, the ``Server``, ``Date``,
+    ``Content-Type: application/json`` and ``Content-Length`` headers, a
+    body of that length.  Returns ``(status, payload)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as s:
+        s.sendall(raw)
+        data = b""
+        while chunk := s.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    version, status, _reason = status_line.split(" ", 2)
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert version == "HTTP/1.0"
+    assert list(headers) == ["Server", "Date", "Content-Type",
+                             "Content-Length"]
+    assert headers["Content-Type"] == "application/json"
+    assert int(headers["Content-Length"]) == len(body)
+    return int(status), json.loads(body)
+
+
+def counters(port):
+    raw = b"GET /metrics HTTP/1.0\r\n\r\n"
+    status, payload = answer(port, raw)
+    assert status == 200
+    return payload["metrics"]["counters"]
+
+
+@pytest.mark.parametrize("raw, status, words", [
+    (b"GET\r\n\r\n", 400, "malformed request line"),
+    (b"GET /health\r\n\r\n", 400, "malformed request line"),
+    (b"GET /health HTTP/1.1 extra\r\n\r\n", 400, "malformed request line"),
+    (b"GET /health HTTX/1.1\r\n\r\n", 400, "malformed HTTP version"),
+    (b"GET /health HTTP/2.0\r\n\r\n", 505, "only HTTP/1.x"),
+    (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, "request line"),
+    (b"GET /health HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 120 + b"\r\n", 431,
+     "more than 100 header lines"),
+    (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 431,
+     "header line"),
+    (b"GET /health HTTP/1.1\r\nHost localhost\r\n\r\n", 400,
+     "malformed header line"),
+], ids=["one-word", "two-words", "four-words", "bad-version", "http-2",
+        "long-request-line", "120-headers", "long-header-line",
+        "header-without-colon"])
+def test_malformed_head_is_answered_json(server, raw, status, words):
+    port, _path = server
+    got, payload = answer(port, raw)
+    assert got == status
+    assert words in payload["error"]
+
+
+def test_disagreeing_content_lengths_are_400(server):
+    """RFC 9112 §6.3: a message whose ``Content-Length`` headers differ
+    cannot be framed.  Headers that agree are one length."""
+    port, path = server
+    body = b"{}"
+    raw = (f"POST {path} HTTP/1.1\r\nContent-Length: 2\r\n"
+           f"Content-Length: 20\r\n\r\n").encode() + body
+    status, payload = answer(port, raw)
+    assert status == 400
+    assert "Content-Length headers disagree" in payload["error"]
+    raw = (f"POST {path} HTTP/1.1\r\nContent-Length: 2\r\n"
+           f"Content-Length: 2\r\n\r\n").encode() + body
+    _status, payload = answer(port, raw)  # the endpoint's own answer
+    assert "Content-Length" not in payload.get("error", "")
+
+
+@pytest.mark.parametrize("method", ["PUT", "DELETE", "HEAD", "BREW"])
+def test_every_method_goes_through_the_route_table(server, method):
+    """An unknown method on a known path is a 404 like an unknown path,
+    and ticks ``http.unmatched``."""
+    port, path = server
+    before = counters(port).get("http.unmatched", 0)
+    raw = f"{method} {path} HTTP/1.1\r\nContent-Length: 2\r\n\r\n{{}}"
+    status, payload = answer(port, raw.encode())
+    assert status == 404
+    assert payload == {"error": f"unknown endpoint {method} {path}"}
+    assert counters(port)["http.unmatched"] == before + 1
+
+
+def test_declared_body_is_read_whatever_the_method(server):
+    """A GET's declared body is read and framed like a POST's: read in
+    full before the answer (so closing the socket cannot reset it under
+    a client still sending), and a body that is not a JSON object is a
+    400 on any method."""
+    port, _path = server
+
+    def get_health(body):
+        return (f"GET /health HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+                "\r\n").encode() + body
+
+    status, payload = answer(port, get_health(
+        b'{"pad": "' + b"x" * 200_000 + b'"}'))
+    assert (status, payload["status"]) == (200, "ok")
+    status, payload = answer(port, get_health(b"not json"))
+    assert status == 400
+    assert "not valid JSON" in payload["error"]
+
+
+def test_short_body_is_a_disconnect_and_gets_no_answer(server):
+    """A client that half-closes after 3 of its 10 announced body bytes
+    gets no answer (the server does not parse a cut body), and the
+    server counts it under ``http.client_disconnects``."""
+    port, path = server
+    before = counters(port).get("http.client_disconnects", 0)
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as s:
+        s.sendall(head(path, 10) + b'{"w')
+        s.shutdown(socket.SHUT_WR)
+        assert s.recv(65536) == b""
+    deadline = time.monotonic() + 5.0
+    while counters(port).get("http.client_disconnects", 0) == before \
+            and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert counters(port)["http.client_disconnects"] == before + 1

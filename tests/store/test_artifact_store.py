@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import sqlite3
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.store import (
     serialize_schedule,
     unpack_arrays,
 )
+from repro.store import db
 from repro.store.keys import CODE_VERSION_ENV
 
 
@@ -31,6 +33,24 @@ def store(tmp_path):
 
 KEY = "00" * 32
 KEY2 = "11" * 32
+
+
+def row_use(store, key):
+    """``(hits, last_used_s)`` of ``key``'s row, read on a connection
+    of its own (what another process sees)."""
+    conn = sqlite3.connect(str(store.path))
+    try:
+        return conn.execute(
+            "SELECT hits, last_used_s FROM artifacts WHERE key = ?", (key,)
+        ).fetchone()
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def no_timed_flush(monkeypatch):
+    """Hit records wait for an explicit flush (stats, gc, close)."""
+    monkeypatch.setattr(db, "HIT_FLUSH_S", 3600.0)
 
 
 class TestRoundtrip:
@@ -180,10 +200,15 @@ class TestStatsAndGc:
         assert report == {"removed": 1, "removed_bytes": 3}
         assert store.stats()["entries"] == 0
 
-    def test_gc_max_bytes_evicts_lru(self, store):
+    def test_gc_max_bytes_evicts_lru(self, store, no_timed_flush):
         store.put(KEY, b"a" * 100, kind="bound")
         store.put(KEY2, b"b" * 100, kind="bound")
+        put_used = row_use(store, KEY)[1]
         store.get(KEY)  # KEY freshly used; KEY2 is the LRU victim
+        # The hit's write is pending: the row still reads as older than
+        # KEY2's, and gc writes it before it picks the victim.
+        assert row_use(store, KEY) == (0, put_used)
+        assert put_used < row_use(store, KEY2)[1]
         report = store.gc(max_bytes=150)
         assert report["removed"] == 1
         assert store.get(KEY) == b"a" * 100
@@ -204,6 +229,74 @@ class TestStatsAndGc:
         store.put(KEY2, b"def", kind="schedule")
         assert store.clear() == 2
         assert store.stats()["entries"] == 0
+
+
+class TestDeferredHitWrites:
+    """A hit writes nothing: its ``last_used_s`` and ``hits`` wait in
+    memory and are written in one transaction by a timer, or before
+    ``stats``, ``gc`` and ``close``."""
+
+    def test_warm_gets_issue_no_write_until_a_flush(self, store,
+                                                    no_timed_flush):
+        store.put(KEY, b"abc", kind="bound")
+        store.put(KEY2, b"defg", kind="bound")
+        traced = []
+
+        def reader(key):
+            conn = store._conn()  # opened (and its schema set) untraced
+            conn.set_trace_callback(traced.append)
+            for _ in range(500):
+                assert store.get(key) is not None
+
+        threads = [threading.Thread(target=reader, args=(key,))
+                   for key in (KEY, KEY2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert len(traced) == 1000
+        assert all(statement.startswith("SELECT ") for statement in traced)
+        assert row_use(store, KEY)[0] == row_use(store, KEY2)[0] == 0
+
+        traced.clear()
+        conn = store._conn()
+        conn.set_trace_callback(traced.append)
+        try:
+            store.stats()
+        finally:
+            conn.set_trace_callback(None)
+        writes = [statement.split(" SET ")[0].strip() for statement in traced
+                  if not statement.startswith(("SELECT", "PRAGMA"))]
+        assert writes == ["BEGIN", "UPDATE artifacts", "UPDATE artifacts",
+                          "COMMIT"]
+        assert row_use(store, KEY)[0] == row_use(store, KEY2)[0] == 500
+
+    def test_hits_column_agrees_with_the_counter_after_close(
+        self, tmp_path, no_timed_flush
+    ):
+        store = ArtifactStore(tmp_path / "store.db")
+        for key in (KEY, KEY2):
+            store.get_or_compute(key, lambda: b"computed", kind="bound")
+        for i in range(30):
+            store.get_or_compute(KEY if i % 3 else KEY2,
+                                 lambda: b"computed", kind="bound")
+            store.get(KEY)
+        store.close()
+        assert store.counters["hits"] == 60
+        assert row_use(store, KEY)[0] + row_use(store, KEY2)[0] == 60
+
+    def test_a_lone_hit_reaches_the_row_without_a_flush_call(
+        self, store, monkeypatch
+    ):
+        monkeypatch.setattr(db, "HIT_FLUSH_S", 0.05)
+        store.put(KEY, b"abc", kind="bound")
+        before = row_use(store, KEY)[1]
+        assert store.get(KEY) == b"abc"
+        deadline = time.monotonic() + 5.0
+        while row_use(store, KEY)[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        hits, used = row_use(store, KEY)
+        assert hits == 1 and used > before
 
 
 class TestSingleFlight:

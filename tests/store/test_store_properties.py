@@ -8,8 +8,15 @@ pinned in ``tests/evaluation/test_manifest_properties.py``:
 * **Sensitivity** — the address *does* change whenever the kind, the
   spec contents, or the code-version stamp change (distinct artifacts
   can never alias).
+* **One canonical form** — plain dicts, lists and scalars take a fast
+  path through ``canonical_config``; the same values behind other
+  ``Mapping`` and tuple types take the general path, and both give the
+  same form (literal keys are pinned in ``test_pinned_keys.py``).
 """
 
+import types
+
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -117,3 +124,30 @@ class TestKeySensitivity:
             assert artifact_key("compiled", base) != artifact_key(
                 "compiled", variant
             )
+
+
+def _general(value):
+    """``value`` behind types the fast path of ``canonical_config`` does
+    not take: dicts as read-only mapping proxies, lists as tuples of
+    those, ints and floats as numpy scalars."""
+    if isinstance(value, dict):
+        return types.MappingProxyType(
+            {k: _general(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(_general(v) for v in value)
+    if type(value) is int:
+        return np.int64(value)
+    if type(value) is float:
+        return np.float64(value)
+    return value
+
+
+class TestOneCanonicalForm:
+    @settings(max_examples=200)
+    @given(_specs)
+    def test_fast_and_general_paths_agree(self, spec):
+        general = _general(spec)
+        assert dumps_canonical(canonical_config(spec), indent=None) == \
+            dumps_canonical(canonical_config(general), indent=None)
+        assert artifact_key("bound", spec, "v") == \
+            artifact_key("bound", general, "v")

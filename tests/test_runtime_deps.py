@@ -7,7 +7,8 @@ loading any module of the package must leave networkx out of
 the default grid, every builder's bound, the lines and dominator
 queries and the bound server all run with scipy unimportable.  A sweep
 runs without the artifact store, so it must not load ``sqlite3`` or
-``repro.store`` either, and ``--help`` loads no numpy.  The probes run
+``repro.store`` either, ``--help`` loads no numpy, and the two HTTP
+servers load no ``http.server``.  The probes run
 in a fresh interpreter because the test process may already hold those
 modules (hypothesis and pytest plugins are free to load networkx).
 """
@@ -48,6 +49,15 @@ except SystemExit:
 
 SERVER_PROBE = """
 from repro.service import make_server
+server = make_server(sys.argv[2], port=0)
+server.server_close()
+server.app.close()
+"""
+
+#: both HTTP servers' modules, and a bound server bound and closed
+HTTP_PROBE = """
+import repro.fleet.controller
+from repro.service.server import make_server
 server = make_server(sys.argv[2], port=0)
 server.server_close()
 server.app.close()
@@ -133,3 +143,10 @@ def test_bound_server_loads_no_scipy(tmp_path):
 
 def test_min_cut_paths_run_without_scipy(tmp_path):
     assert _loaded_by(NO_SCIPY_PROBE, ["scipy"], str(tmp_path)) == []
+
+
+def test_http_servers_load_no_http_server(tmp_path):
+    """The HTTP layer reads requests itself, so neither server loads
+    ``http.server``."""
+    assert _loaded_by(HTTP_PROBE, ["http.server"],
+                      str(tmp_path / "store.db")) == []
