@@ -2,7 +2,7 @@
 # CI (.github/workflows/ci.yml) calls these same targets, one per job.
 PY := PYTHONPATH=src python
 
-.PHONY: test test-kernel test-harness test-service \
+.PHONY: test test-core test-kernel test-harness test-service \
   test-fleet test-obs test-startup examples doctest bench bench-smoke \
   bench-kernel bench-service bench-guard lint check
 
@@ -10,6 +10,15 @@ PY := PYTHONPATH=src python
 # surface and the ~1 s bench smoke in tests/test_docs_and_bench_smoke.py).
 test:
 	$(PY) -m pytest -x -q
+
+# CDAG core suites: the id-space CDAG (bulk id constructor, snapshots
+# that outlive mutations, derived CDAGs, schedule checks), the builders
+# pinned to their loop forms, the compiled snapshot, orders, flows and
+# partitions pinned to their dict references, the traced-builder oracle,
+# and the perfbench binding check (every name perfbench wraps exists).
+test-core:
+	$(PY) -m pytest tests/core tests/algorithms/test_reference_trace.py \
+	  tests/test_perfbench_binding.py -q
 
 # Kernel planner differential suites (numpy tier by default; CI's numba
 # matrix arm runs this with numba installed and REPRO_KERNEL=numba so
@@ -70,7 +79,8 @@ test-obs:
 # load none, and the min-cut cells, bounds, lines and dominators run
 # with it unimportable); `repro --help`, `cache --help` and `fleet status
 # --help` load no numpy; the bound server and the fleet controller load
-# no http.server.
+# no http.server; and a bound server loads no HTTP client
+# (repro.service.client, urllib.request, http.client).
 test-startup:
 	$(PY) -m pytest tests/test_runtime_deps.py -q
 
@@ -82,6 +92,7 @@ examples:
 # Standalone doctest pass over the documented modules.
 doctest:
 	$(PY) -m pytest --doctest-modules \
+	  src/repro/core/cdag.py \
 	  src/repro/core/ordering.py \
 	  src/repro/pebbling/state.py \
 	  src/repro/pebbling/parallel.py \

@@ -8,6 +8,11 @@ and the id-space schedulers (ns/scheduled-vertex) —
 and records everything into ``BENCH_core.json`` via the shared conftest
 helper.
 
+The construction entries (``build/grid2d_*``) time the by-name bulk
+path (``CDAG.from_edge_list``, the headline ``ns_per_op``), the
+incremental constructor and ``grid_stencil_cdag`` itself end to end
+(``builder_ns_per_op``: id arrays into ``CDAG.from_ids``).
+
 The whole-pipeline test times ``CDAG.from_edge_list`` construction plus
 the automated wavefront bound on the shared
 :class:`~repro.core.properties.WavefrontSolver` network, on 1D Jacobi at
@@ -110,16 +115,21 @@ def test_bench_build():
             lambda: CDAG.from_edge_list(verts, edges, inputs, outputs),
             repeat=3,
         )
+        builder_ns = time_ns_per_op(
+            lambda: grid_stencil_cdag((n, n), 2), repeat=3
+        )
         record_bench(
             f"build/grid2d_{n}",
             ns_per_op=bulk_ns,
             incremental_ns_per_op=legacy_ns,
+            builder_ns_per_op=builder_ns,
             num_vertices=proto.num_vertices(),
             num_edges=proto.num_edges(),
         )
         rows.append(
             f"  n={n:3d}  |V|={proto.num_vertices():7d}  "
             f"bulk={bulk_ns/1e6:8.2f} ms  incremental={legacy_ns/1e6:8.2f} ms"
+            f"  builder={builder_ns/1e6:8.2f} ms"
         )
     emit("CDAG construction (2D grid stencil, T=2)\n" + "\n".join(rows))
 

@@ -28,6 +28,7 @@ from .ordering import (
     min_liveset_schedule_ids,
     priority_schedule,
     topological_schedule,
+    schedule_ids,
     validate_schedule,
 )
 from .partition import (
@@ -80,6 +81,7 @@ __all__ = [
     "min_liveset_schedule_ids",
     "priority_schedule",
     "topological_schedule",
+    "schedule_ids",
     "validate_schedule",
     # partitions
     "SPartition",

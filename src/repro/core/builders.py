@@ -19,12 +19,19 @@ and related-work comparisons:
 Vertices are named with readable tuples such as ``("chain", i, j)`` so
 that failures in tests and games are easy to interpret; the naming also
 keeps builders deterministic, which matters for reproducible benchmark
-numbers.
+numbers.  The builders the large spill games use (chains and grid
+stencils) compute their edges as numpy id arrays for
+:meth:`CDAG.from_ids <repro.core.cdag.CDAG.from_ids>`, so no vertex name
+is hashed per edge; their loop forms are kept as test oracles
+(``tests/core/reference_builders.py``).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .cdag import CDAG, Vertex
 
@@ -75,24 +82,17 @@ def independent_chains_cdag(
     ``C_ij += A_ik * B_kj`` over ``k``); each chain can be evaluated with
     2 red pebbles, which is why naive input/output deletion gives weak
     bounds and motivates Theorem 3 (retagging).
+
+    Vertex ``("chains", c, i)`` has id ``c * (length + 1) + i``, so the
+    edges are id arrays: every id but a chain's last feeds the next one.
     """
     if num_chains < 1 or length < 1:
         raise ValueError("num_chains and length must be >= 1")
-    vertices: List[Vertex] = []
-    edges: List[Tuple[Vertex, Vertex]] = []
-    inputs: List[Vertex] = []
-    outputs: List[Vertex] = []
-    for c in range(num_chains):
-        prev: Vertex = ("chains", c, 0)
-        vertices.append(prev)
-        inputs.append(prev)
-        for i in range(1, length + 1):
-            v: Vertex = ("chains", c, i)
-            vertices.append(v)
-            edges.append((prev, v))
-            prev = v
-        outputs.append(prev)
-    return CDAG.from_edge_list(vertices, edges, inputs, outputs, name=name)
+    ids = np.arange(num_chains * (length + 1)).reshape(num_chains, -1)
+    src = ids[:, :-1].ravel()
+    vertices = product(("chains",), range(num_chains), range(length + 1))
+    return CDAG.from_ids(vertices, src, src + 1, ids[:, 0], ids[:, -1],
+                         name=name)
 
 
 def reduction_tree_cdag(
@@ -216,8 +216,6 @@ def grid_stencil_cdag(
         ``"box"`` (3^d-point: all offsets in {-1,0,1}^d, the "9-point"
         stencil of Theorem 10 when d=2).
     """
-    import itertools
-
     shape = tuple(int(n) for n in shape)
     if any(n < 1 for n in shape) or timesteps < 1:
         raise ValueError("shape entries and timesteps must be >= 1")
@@ -230,33 +228,30 @@ def grid_stencil_cdag(
                 off[axis] = sign
                 offsets.append(tuple(off))
     elif neighborhood == "box":
-        offsets = list(itertools.product((-1, 0, 1), repeat=d))
+        offsets = list(product((-1, 0, 1), repeat=d))
     else:
         raise ValueError("neighborhood must be 'star' or 'box'")
 
-    def in_bounds(idx: Tuple[int, ...]) -> bool:
-        return all(0 <= idx[k] < shape[k] for k in range(d))
-
-    vertices: List[Vertex] = []
-    edges: List[Tuple[Vertex, Vertex]] = []
-    points = list(itertools.product(*[range(n) for n in shape]))
-    # Each point's in-bounds neighbours, in ``offsets`` order, are the
-    # same at every step: find them once.
-    neighbours = []
-    for p in points:
-        shifted = (tuple(p[k] + off[k] for k in range(d)) for off in offsets)
-        neighbours.append([q for q in shifted if in_bounds(q)])
-    for t in range(timesteps + 1):
-        prev = ("st", t - 1)
-        for p, near in zip(points, neighbours):
-            v: Vertex = ("st", t) + p
-            vertices.append(v)
-            if t > 0:
-                for q in near:
-                    edges.append((prev + q, v))
-    inputs = [("st", 0) + p for p in points]
-    outputs = [("st", timesteps) + p for p in points]
-    return CDAG.from_edge_list(vertices, edges, inputs, outputs, name=name)
+    # Vertex ("st", t) + p has id t * P + (row-major index of p).  Each
+    # point's in-bounds neighbours, in ``offsets`` order, are the same at
+    # every step: find them once, as (point, offset) arrays.
+    P = int(np.prod(shape))
+    coords = np.indices(shape).reshape(d, P).T
+    q = coords[:, None, :] + np.asarray(offsets, dtype=np.int64).reshape(
+        len(offsets), d)
+    inside = ((q >= 0) & (q < np.asarray(shape, dtype=np.int64))).all(axis=2)
+    strides = np.asarray([int(np.prod(shape[k + 1:])) for k in range(d)],
+                         dtype=np.int64)
+    near = (q @ strides)[inside]
+    point = np.repeat(np.arange(P), inside.sum(axis=1))
+    step = P * np.arange(timesteps)[:, None]
+    points = np.arange(P)
+    vertices = product(("st",), range(timesteps + 1),
+                       *[range(n) for n in shape])
+    return CDAG.from_ids(
+        vertices, (near + step).ravel(), (point + step + P).ravel(),
+        points, points + timesteps * P, name=name,
+    )
 
 
 def butterfly_cdag(log_n: int, name: str = "fft") -> CDAG:

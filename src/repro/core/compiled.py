@@ -1,23 +1,21 @@
 """Compiled integer-indexed CDAG backend.
 
-The dict-of-tuples representation of :class:`~repro.core.cdag.CDAG` is
-convenient for construction and for readable error messages, but every
-traversal pays Python tuple-hashing per neighbour.  On the problem sizes
-of the paper's evaluation (Jacobi/CG/GMRES grids where ``|V|`` reaches
-10^5-10^6), that hashing dominates the pebble games, the 2S-partition
-construction and the wavefront min-cuts.
-
-:class:`CompiledCDAG` is a frozen snapshot of a CDAG in integer-id space:
+:class:`~repro.core.cdag.CDAG` already stores its graph in id space: a
+name table (``_verts``/``_index``) plus one successor and one
+predecessor id list per vertex.  :class:`CompiledCDAG` is the frozen
+snapshot the order, traversal and array algorithms run on:
 
 * vertices are numbered ``0..n-1`` in insertion order (so ids double as
   the deterministic tie-break used everywhere else);
 * successor and predecessor adjacency are stored as CSR arrays
-  (``indptr``/``indices``, numpy int32), with plain-``int`` list-of-list
-  mirrors for hot Python loops (hashing a small ``int`` is several times
-  cheaper than hashing a name tuple);
+  (``indptr``/``indices``, numpy int32), built straight from the CDAG's
+  id lists with no name lookup; the lists themselves are
+  :attr:`~CompiledCDAG.succ_lists`/:attr:`~CompiledCDAG.pred_lists`,
+  the plain-``int`` adjacency hot Python loops walk;
 * input/output tags are boolean masks plus id arrays;
 * the topological order is computed once and cached;
-* an ``id <-> vertex`` table converts at the API boundary only.
+* an ``id <-> vertex`` table (the CDAG's own) converts at the API
+  boundary only.
 
 It is the one runtime implementation of the CDAG's order and traversal
 queries: :class:`~repro.core.cdag.CDAG`'s ``topological_order``,
@@ -26,18 +24,21 @@ queries: :class:`~repro.core.cdag.CDAG`'s ``topological_order``,
 
 Instances are obtained via the cached :meth:`repro.core.cdag.CDAG.compiled`
 accessor; any mutation of the source CDAG (new vertex/edge, re-tagging)
-invalidates the cache, so holding on to a compiled view across mutations
-is safe — you simply get a fresh snapshot next time.
+invalidates the cache, and the first structural change after a snapshot
+copies the storage the snapshot shares, so holding on to a compiled view
+across mutations is safe — it keeps describing the graph it was taken
+from, and you simply get a fresh snapshot next time.
 
 The snapshot is *immutable by convention*: none of its methods mutate it,
 and consumers (pebble engines, partitioners, the wavefront solver) treat
-the arrays as read-only.
+the arrays and lists as read-only.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional
+from itertools import chain
+from typing import Hashable, Iterable, List, Optional
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class CompiledCDAG:
     ----------
     cdag:
         The source :class:`~repro.core.cdag.CDAG`.  Construction is
-        ``O(|V| + |E|)`` and is the *only* place tuple hashing happens;
-        afterwards all traversal is id arithmetic.
+        ``O(|V| + |E|)`` over the CDAG's id lists and hashes no vertex
+        name; all traversal is id arithmetic.
     """
 
     __slots__ = (
@@ -82,47 +83,40 @@ class CompiledCDAG:
     )
 
     def __init__(self, cdag) -> None:
-        succ: Dict[Vertex, List[Vertex]] = cdag._succ
-        pred: Dict[Vertex, List[Vertex]] = cdag._pred
-        verts: List[Vertex] = list(succ)
+        verts: List[Vertex] = cdag._verts
+        succ: List[List[int]] = cdag._succ_ids
+        pred: List[List[int]] = cdag._pred_ids
         n = len(verts)
-        index: Dict[Vertex, int] = {v: i for i, v in enumerate(verts)}
-
-        out_degree = np.fromiter(
-            (len(succ[v]) for v in verts), dtype=np.int64, count=n
-        )
-        in_degree = np.fromiter(
-            (len(pred[v]) for v in verts), dtype=np.int64, count=n
-        )
+        out_degree = np.fromiter(map(len, succ), dtype=np.int64, count=n)
+        in_degree = np.fromiter(map(len, pred), dtype=np.int64, count=n)
         m = int(out_degree.sum())
 
         succ_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(out_degree, out=succ_indptr[1:])
         succ_indices = np.fromiter(
-            (index[w] for v in verts for w in succ[v]),
-            dtype=np.int32,
-            count=m,
+            chain.from_iterable(succ), dtype=np.int32, count=m
         )
         pred_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(in_degree, out=pred_indptr[1:])
         pred_indices = np.fromiter(
-            (index[u] for v in verts for u in pred[v]),
-            dtype=np.int32,
-            count=m,
+            chain.from_iterable(pred), dtype=np.int32, count=m
         )
 
         is_input = np.zeros(n, dtype=bool)
-        for v in cdag._inputs:
-            is_input[index[v]] = True
+        is_input[list(cdag._inputs)] = True
         is_output = np.zeros(n, dtype=bool)
-        for v in cdag._outputs:
-            is_output[index[v]] = True
+        is_output[list(cdag._outputs)] = True
 
         self.name = cdag.name
         self.n = n
         self.m = m
+        # Shared with the CDAG, which copies them before its next
+        # structural change (``CDAG._unshare``).
         self._verts = verts
-        self._index = index
+        self._index = cdag._index
+        self._succ_lists = succ
+        self._pred_lists = pred
+        cdag._shared = True
         self.succ_indptr = succ_indptr
         self.succ_indices = succ_indices
         self.pred_indptr = pred_indptr
@@ -133,8 +127,6 @@ class CompiledCDAG:
         self.is_output_mask = is_output
         self.input_ids = np.flatnonzero(is_input).astype(np.int32)
         self.output_ids = np.flatnonzero(is_output).astype(np.int32)
-        self._succ_lists: Optional[List[List[int]]] = None
-        self._pred_lists: Optional[List[List[int]]] = None
         self._topo_ids: Optional[np.ndarray] = None
         self._wavefront_solver = None
 
@@ -181,24 +173,12 @@ class CompiledCDAG:
 
     @property
     def succ_lists(self) -> List[List[int]]:
-        """Successor ids as plain-``int`` lists (built once, for hot loops)."""
-        if self._succ_lists is None:
-            flat = self.succ_indices.tolist()
-            ptr = self.succ_indptr.tolist()
-            self._succ_lists = [
-                flat[ptr[i] : ptr[i + 1]] for i in range(self.n)
-            ]
+        """Successor ids as plain-``int`` lists (the CDAG's own id lists)."""
         return self._succ_lists
 
     @property
     def pred_lists(self) -> List[List[int]]:
-        """Predecessor ids as plain-``int`` lists (built once, for hot loops)."""
-        if self._pred_lists is None:
-            flat = self.pred_indices.tolist()
-            ptr = self.pred_indptr.tolist()
-            self._pred_lists = [
-                flat[ptr[i] : ptr[i + 1]] for i in range(self.n)
-            ]
+        """Predecessor ids as plain-``int`` lists (the CDAG's own id lists)."""
         return self._pred_lists
 
     # ------------------------------------------------------------------
@@ -210,21 +190,18 @@ class CompiledCDAG:
         Ids are insertion order and the ready queue is FIFO-seeded in
         ascending id, so the order matches the insertion-order Kahn sort
         kept as the test reference (``tests/core/reference_graph.py``).
-        Walks the flat CSR lists rather than :attr:`succ_lists`, so
-        engine validation does not build the per-vertex list mirror.
         """
         if self._topo_ids is not None:
             return self._topo_ids
         indeg = self.in_degree.tolist()
-        flat = self.succ_indices.tolist()
-        ptr = self.succ_indptr.tolist()
+        succ_lists = self._succ_lists
         ready = deque(i for i in range(self.n) if indeg[i] == 0)
         order: List[int] = []
         append = order.append
         while ready:
             i = ready.popleft()
             append(i)
-            for w in flat[ptr[i] : ptr[i + 1]]:
+            for w in succ_lists[i]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     ready.append(w)

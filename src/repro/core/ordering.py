@@ -29,8 +29,10 @@ snapshot (:meth:`CDAG.compiled`): :func:`dfs_schedule_ids` and
 the vertex-space wrappers convert ids back to names once at the end.
 Their dict-of-names reference implementations live in the test suite
 (``tests/core/reference_graph.py``), and the equivalence tests pin both
-to identical schedules on randomized CDAGs.  :func:`validate_schedule`
-checks the edge partial order vectorized over the compiled CSR arrays.
+to identical schedules on randomized CDAGs.  :func:`schedule_ids` turns
+a schedule of names into ids once and checks the edge partial order
+vectorized over the compiled CSR arrays; :func:`validate_schedule` is
+that check alone.
 
 Usage example (doctest)::
 
@@ -51,7 +53,7 @@ Usage example (doctest)::
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,41 +67,64 @@ __all__ = [
     "min_liveset_schedule",
     "min_liveset_schedule_ids",
     "priority_schedule",
+    "schedule_ids",
     "validate_schedule",
 ]
 
 
-def validate_schedule(cdag: CDAG, schedule: Sequence[Vertex]) -> None:
-    """Raise :class:`CDAGError` unless ``schedule`` is a valid total order.
+def schedule_ids(
+    cdag: CDAG, schedule: Optional[Sequence[Vertex]] = None
+) -> np.ndarray:
+    """``schedule`` as an array of vertex ids, converted and checked once.
 
-    Runs on the compiled backend: the schedule is converted to ids once
-    and the dependence check compares the position arrays of every CSR
-    edge in a single vectorized pass.
+    With ``schedule=None`` this is the compiled snapshot's cached
+    topological order (:meth:`CompiledCDAG.topological_order_ids
+    <repro.core.compiled.CompiledCDAG.topological_order_ids>`), which is
+    valid by construction.  Otherwise every name is looked up once and
+    :class:`CDAGError` names the first unknown, repeated, missing or
+    out-of-order vertex: the dependence check compares the position
+    arrays of every CSR edge in a single vectorized pass.  Callers treat
+    the array as read-only.
     """
     c = cdag.compiled()
+    if schedule is None:
+        return c.topological_order_ids()
     try:
-        ids = c.ids_of(schedule)
+        ids = np.asarray(c.ids_of(schedule), dtype=np.int64)
     except KeyError as exc:
         raise CDAGError(
             f"schedule contains unknown vertex {exc.args[0]!r}"
         ) from None
-    if len(set(ids)) != len(ids):
-        raise CDAGError("schedule contains duplicate vertices")
-    if len(ids) != c.n:
-        raise CDAGError("schedule must contain every vertex exactly once")
-    if c.m == 0:
-        return
-    pos = np.empty(c.n, dtype=np.int64)
-    pos[ids] = np.arange(c.n, dtype=np.int64)
-    head_pos = np.repeat(pos, np.diff(c.succ_indptr))
-    bad = np.flatnonzero(head_pos > pos[c.succ_indices])
-    if bad.size:
-        k = int(bad[0])
-        u = int(np.searchsorted(c.succ_indptr, k, side="right") - 1)
-        v = int(c.succ_indices[k])
+    count = np.bincount(ids, minlength=c.n)
+    if ids.size and count.max() > 1:
+        dup = c.vertex(int(ids[count[ids] > 1][0]))
+        raise CDAGError(f"schedule contains duplicate vertices, e.g. {dup!r}")
+    if ids.size != c.n:
+        missing = c.vertex(int(np.flatnonzero(count == 0)[0]))
         raise CDAGError(
-            f"schedule violates dependence {c.vertex(u)!r} -> {c.vertex(v)!r}"
+            "schedule must contain every vertex exactly once; "
+            f"{missing!r} is missing"
         )
+    if c.m:
+        pos = np.empty(c.n, dtype=np.int64)
+        pos[ids] = np.arange(c.n, dtype=np.int64)
+        head_pos = np.repeat(pos, np.diff(c.succ_indptr))
+        bad = np.flatnonzero(head_pos > pos[c.succ_indices])
+        if bad.size:
+            k = int(bad[0])
+            u = int(np.searchsorted(c.succ_indptr, k, side="right") - 1)
+            v = int(c.succ_indices[k])
+            raise CDAGError(
+                f"schedule violates dependence {c.vertex(u)!r} -> "
+                f"{c.vertex(v)!r}"
+            )
+    return ids
+
+
+def validate_schedule(cdag: CDAG, schedule: Sequence[Vertex]) -> None:
+    """Raise :class:`CDAGError` unless ``schedule`` is a valid total order
+    (the check of :func:`schedule_ids`)."""
+    schedule_ids(cdag, list(schedule))
 
 
 def topological_schedule(cdag: CDAG) -> List[Vertex]:

@@ -464,7 +464,9 @@ def load_grid_file(path: Path, seed: int = 0) -> List[RunSpec]:
     """A grid from a JSON file: a list of ``{"experiment": ...,
     "params": {...}, "seed": ..., "label": ...}`` cell objects (params,
     seed and label optional).  A malformed file or cell raises
-    ``ValueError`` naming the file and the cell index."""
+    ``ValueError`` naming the file and the cell index, with
+    :func:`make_spec`'s message after it for a bad experiment or
+    param."""
     try:
         cells = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -484,12 +486,15 @@ def load_grid_file(path: Path, seed: int = 0) -> List[RunSpec]:
             cell_seed = int(cell.get("seed", seed))
         except (TypeError, ValueError):
             raise ValueError(f"{where} has a non-integer 'seed'") from None
-        spec = make_spec(
-            cell["experiment"],
-            cell.get("params"),
-            seed=cell_seed,
-            label=cell.get("label"),
-        )
+        try:
+            spec = make_spec(
+                cell["experiment"],
+                cell.get("params"),
+                seed=cell_seed,
+                label=cell.get("label"),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         if "label" not in cell and spec.experiment == "spill":
             spec = RunSpec(spec.experiment, spec.params, spec.seed,
                            _spill_label(spec.params, spec.seed))

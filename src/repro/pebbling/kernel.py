@@ -46,15 +46,13 @@ the randomized differential suites pin them move-for-move.
 
 from __future__ import annotations
 
-import gc
 import os
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 import numpy as np
 
-from ..core.ordering import topological_schedule, validate_schedule
+from ..core.cdag import gc_paused
 from .state import (
     _INST_MASK,
     _INST_SHIFT,
@@ -121,26 +119,6 @@ def numba_available() -> bool:
         except Exception:
             _numba_probe = False
     return _numba_probe
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic GC around a batched hot loop.
-
-    The planners' loops allocate small sets, lists and heap entries but
-    create no reference cycles, so generational collections only *scan*
-    the growing game state — at 10^7 moves the gen-2 sweeps more than
-    double the per-move cost.  The pause is process-wide; the GC is
-    restored to its previous state on exit (including on error).
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _blue_miss(c, p: int) -> GameError:
@@ -279,17 +257,6 @@ def _build_seq_plan(c, sched_ids: np.ndarray) -> _SeqPlan:
     plan.st_kinds = st_kinds
     plan.st_vids = st_vids
     return plan
-
-
-def _seq_plan_for(cdag, c, schedule) -> _SeqPlan:
-    """The plan of ``schedule`` (validated), or of the topological
-    schedule when ``schedule`` is None."""
-    if schedule is None:
-        schedule = topological_schedule(cdag)
-    else:
-        schedule = list(schedule)
-        validate_schedule(cdag, schedule)
-    return _build_seq_plan(c, np.asarray(c.ids_of(schedule), dtype=np.int64))
 
 
 # ======================================================================
@@ -988,19 +955,20 @@ def sequential_spill_kernel(
     game,
     cdag,
     num_red: int,
-    schedule,
+    sched_ids: np.ndarray,
     policy: str,
     rbw: bool,
 ):
     """Fast driver behind ``spill_game_rbw``/``spill_game_redblue``
     (``backend="batched"``): plan -> splice -> validate -> bulk append,
-    one chunk of macro-steps at a time.  Move-for-move equal to the
-    ``dict`` reference loop."""
+    one chunk of macro-steps at a time.  ``sched_ids`` is the checked
+    schedule (:func:`~repro.core.ordering.schedule_ids`).  Move-for-move
+    equal to the ``dict`` reference loop."""
     from .strategies import _check_capacity
 
     mode = kernel_mode()
     c = cdag.compiled()
-    plan = _seq_plan_for(cdag, c, schedule)
+    plan = _build_seq_plan(c, sched_ids)
     _check_capacity(
         num_red, [plan.max_need] if plan.nops else [], "S"
     )
@@ -1016,7 +984,7 @@ def sequential_spill_kernel(
     log = game.record.log
     carry = _SeqCarry(c, rbw)
     a = 0
-    with _gc_paused():
+    with gc_paused():
         for out in chunks:
             b = min(a + _CHUNK_OPS, plan.nops)
             kinds, vids = _splice_seq(plan, a, b, out)
@@ -1421,7 +1389,7 @@ def _finalize_parallel(game, tab: _HierTab, carry: _ParCarry) -> None:
         record.compute_per_processor[int(p)] = int(carry.comp[p])
 
 
-def parallel_spill_kernel(game, hierarchy, assign, schedule, c):
+def parallel_spill_kernel(game, hierarchy, assign, sched_ids, c):
     """Fast driver behind ``parallel_spill_game`` (``backend="batched"``).
 
     Plans the owner-computes moves over flat int state: instances are
@@ -1442,7 +1410,8 @@ def parallel_spill_kernel(game, hierarchy, assign, schedule, c):
     among several copies take ascending ``(level, index)``: a retired
     value's DELETE rows, the level-L holder a remote get reads, and the
     copy pushed down when no level-L copy exists (highest level, then
-    lowest index).  ``assign`` is the id-indexed processor list.
+    lowest index).  ``assign`` is the id-indexed processor list and
+    ``sched_ids`` the checked schedule.
     """
     tab = _build_hier_tab(hierarchy)
     n = c.n
@@ -1656,8 +1625,8 @@ def parallel_spill_kernel(game, hierarchy, assign, schedule, c):
 
     block = 4 * log.block_size
     clock = 0
-    with _gc_paused():
-        for i in c.ids_of(schedule):
+    with gc_paused():
+        for i in sched_ids.tolist():
             clock += 1
             if is_input[i]:
                 continue

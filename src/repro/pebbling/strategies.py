@@ -50,9 +50,12 @@ Every strategy exists in two implementations selected by ``backend``:
   index).
 
 Both backends run entirely in the integer-id space of the compiled CDAG
-backend (:meth:`CDAG.compiled`): schedules are converted to id arrays
-once up front and pebble state and liveness counters are id-indexed, so
-no vertex name is hashed inside the spill loops.  Every move lands as a
+backend (:meth:`CDAG.compiled`): a schedule is converted to an id array
+and checked once up front (:func:`~repro.core.ordering.schedule_ids`;
+the topological order's cached ids when none is given), the default
+owner-computes assignment is computed on ids, and pebble state and
+liveness counters are id-indexed, so no vertex name is hashed inside
+the spill loops.  Every move lands as a
 row of plain integers in the engine's columnar
 :class:`~repro.pebbling.state.MoveLog`, so the records returned here stay
 cheap at 10^6+ moves and replay column-to-column (engine ``replay``,
@@ -65,8 +68,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..core.cdag import CDAG, Vertex
-from ..core.ordering import topological_schedule, validate_schedule
+from ..core.ordering import schedule_ids
 from .hierarchy import MemoryHierarchy
 from .kernel import parallel_spill_kernel, sequential_spill_kernel
 from .parallel import ParallelRBWPebbleGame
@@ -126,12 +131,13 @@ def _sequential_spill(
     game,
     cdag: CDAG,
     num_red: int,
-    schedule: Optional[Sequence[Vertex]],
+    sched: np.ndarray,
     policy: str,
 ) -> GameRecord:
     """Reference driver for the red-blue and RBW engines (dict backend).
 
-    Walks the operation vertices of ``schedule`` in order.  Before firing a
+    Walks the operation vertices of the checked schedule ``sched`` (ids,
+    from :func:`~repro.core.ordering.schedule_ids`) in order.  Before firing a
     vertex its operands are loaded (R1) if absent from fast memory,
     spilling victims chosen by ``policy`` when the red-pebble budget is
     exhausted.  Values whose last use has passed are deleted; outputs are
@@ -139,12 +145,9 @@ def _sequential_spill(
     resident set linearly — kept as the executable specification the
     batched backend is pinned against.
     """
-    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
-    validate_schedule(cdag, schedule)
-
     c = cdag.compiled()
     n = c.n
-    sched_ids = c.ids_of(schedule)
+    sched_ids = sched.tolist()
     pred_lists = c.pred_lists
     succ_lists = c.succ_lists
     is_input = c.is_input_mask.tolist()
@@ -271,12 +274,13 @@ def spill_game_rbw(
     _validate_policy(policy)
     _validate_backend(backend)
     _validate_num_red(num_red)
+    sched = schedule_ids(cdag, schedule)
     game = RBWPebbleGame(cdag, num_red, spill=spill)
     if backend == "batched":
         return sequential_spill_kernel(
-            game, cdag, num_red, schedule, policy, rbw=True
+            game, cdag, num_red, sched, policy, rbw=True
         )
-    return _sequential_spill(game, cdag, num_red, schedule, policy)
+    return _sequential_spill(game, cdag, num_red, sched, policy)
 
 
 def spill_game_redblue(
@@ -296,17 +300,37 @@ def spill_game_redblue(
     _validate_policy(policy)
     _validate_backend(backend)
     _validate_num_red(num_red)
+    sched = schedule_ids(cdag, schedule)
     game = RedBluePebbleGame(cdag, num_red, strict=False, spill=spill)
     if backend == "batched":
         return sequential_spill_kernel(
-            game, cdag, num_red, schedule, policy, rbw=False
+            game, cdag, num_red, sched, policy, rbw=False
         )
-    return _sequential_spill(game, cdag, num_red, schedule, policy)
+    return _sequential_spill(game, cdag, num_red, sched, policy)
 
 
 # ======================================================================
 # Parallel strategy
 # ======================================================================
+def _block_assignment_ids(c, num_processors: int, sched) -> List[int]:
+    """The owner-computes assignment of :func:`contiguous_block_assignment`
+    as an id-indexed list of processors, for the checked schedule
+    ``sched`` (ids)."""
+    is_input = c.is_input_mask
+    ops = sched[~is_input[sched]]
+    assign = np.zeros(c.n, dtype=np.int64)
+    if not ops.size:
+        return assign.tolist()
+    per = max(1, (ops.size + num_processors - 1) // num_processors)
+    assign[ops] = np.minimum(np.arange(ops.size) // per, num_processors - 1)
+    assign = assign.tolist()
+    succ_lists = c.succ_lists
+    for i in c.input_ids.tolist():
+        succs = succ_lists[i]
+        assign[i] = assign[succs[0]] if succs else 0
+    return assign
+
+
 def contiguous_block_assignment(
     cdag: CDAG,
     num_processors: int,
@@ -318,19 +342,10 @@ def contiguous_block_assignment(
     Inputs are assigned to the processor of their first consumer so that
     the initial load lands on the node that uses the value.
     """
-    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
-    ops = [v for v in schedule if not cdag.is_input(v)]
-    assignment: Dict[Vertex, int] = {}
-    if not ops:
-        return {v: 0 for v in cdag.vertices}
-    per = max(1, (len(ops) + num_processors - 1) // num_processors)
-    for i, v in enumerate(ops):
-        assignment[v] = min(i // per, num_processors - 1)
-    for v in cdag.vertices:
-        if cdag.is_input(v):
-            succs = cdag.successors(v)
-            assignment[v] = assignment[succs[0]] if succs else 0
-    return assignment
+    c = cdag.compiled()
+    sched = schedule_ids(cdag, schedule)
+    return dict(zip(c.vertices, _block_assignment_ids(c, num_processors,
+                                                      sched)))
 
 
 def _parallel_spill_prepare(
@@ -339,39 +354,36 @@ def _parallel_spill_prepare(
     assignment: Optional[Dict[Vertex, int]],
     schedule: Optional[Sequence[Vertex]],
 ):
-    """Shared entry work of both parallel backends: validation, default
-    schedule/assignment, the level-1 capacity sanity check, and the
-    assignment as an id-indexed list of processors."""
+    """Shared entry work of both parallel backends: validation, the
+    checked schedule as ids, the level-1 capacity sanity check, and the
+    assignment (default or checked per vertex) as an id-indexed list of
+    processors."""
     L = hierarchy.num_levels
     if hierarchy.capacity(L) is not None:
         raise GameError(
             "parallel_spill_game requires unbounded level-L memories"
         )
-    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
-    validate_schedule(cdag, schedule)
-    if assignment is None:
-        assignment = contiguous_block_assignment(
-            cdag, hierarchy.num_processors, schedule
-        )
-    unknown = [v for v in cdag.vertices if v not in assignment]
-    if unknown:
-        raise GameError(f"assignment misses vertices, e.g. {unknown[:3]}")
-
+    sched = schedule_ids(cdag, schedule)
     c = cdag.compiled()
     num_procs = hierarchy.num_processors
-    assign: List[int] = []
-    for v in c.vertices:
-        p = assignment[v]
-        # The planners use the processor as a list index and a bit
-        # position: -1 or True would silently play on another one.
-        if isinstance(p, bool) or not isinstance(p, int) or not (
-            0 <= p < num_procs
-        ):
-            raise GameError(
-                f"assignment maps {v!r} to {p!r}; processors are ints in "
-                f"0..{num_procs - 1}"
-            )
-        assign.append(p)
+    if assignment is None:
+        assign = _block_assignment_ids(c, num_procs, sched)
+    else:
+        verts = c.vertices
+        unknown = [v for v in verts if v not in assignment]
+        if unknown:
+            raise GameError(f"assignment misses vertices, e.g. {unknown[:3]}")
+        assign = [assignment[v] for v in verts]
+        for v, p in zip(verts, assign):
+            # The planners use the processor as a list index and a bit
+            # position: -1 or True would silently play on another one.
+            if isinstance(p, bool) or not isinstance(p, int) or not (
+                0 <= p < num_procs
+            ):
+                raise GameError(
+                    f"assignment maps {v!r} to {p!r}; processors are ints "
+                    f"in 0..{num_procs - 1}"
+                )
     is_input = c.is_input_mask.tolist()
     pred_lists = c.pred_lists
     s1 = hierarchy.capacity(1)
@@ -381,14 +393,14 @@ def _parallel_spill_prepare(
             [len(pred_lists[i]) + 1 for i in range(c.n) if not is_input[i]],
             "S_1",
         )
-    return schedule, assign, c
+    return sched, assign, c
 
 
 def _parallel_spill_dict(
     game: ParallelRBWPebbleGame,
     hierarchy: MemoryHierarchy,
     assign: List[int],
-    schedule: Sequence[Vertex],
+    sched: np.ndarray,
     c,
 ) -> GameRecord:
     """Reference P-RBW owner-computes loop (dict backend, seed semantics).
@@ -399,7 +411,7 @@ def _parallel_spill_dict(
     the copy pushed down when no level-L copy exists.
     """
     L = hierarchy.num_levels
-    sched_ids = c.ids_of(schedule)
+    sched_ids = sched.tolist()
     pred_lists = c.pred_lists
     is_input = c.is_input_mask.tolist()
     is_output = c.is_output_mask.tolist()
@@ -584,11 +596,11 @@ def parallel_spill_game(
     (disk-backed columns for very long games).
     """
     _validate_backend(backend)
-    schedule, assign, c = _parallel_spill_prepare(
+    sched, assign, c = _parallel_spill_prepare(
         cdag, hierarchy, assignment, schedule
     )
     game = ParallelRBWPebbleGame(cdag, hierarchy, spill=spill)
     driver = (
         _parallel_spill_dict if backend == "dict" else parallel_spill_kernel
     )
-    return driver(game, hierarchy, assign, schedule, c)
+    return driver(game, hierarchy, assign, sched, c)

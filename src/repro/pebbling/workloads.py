@@ -39,6 +39,8 @@ benchmarked independently of Python-speed appends.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from ..core.builders import chain_cdag, independent_chains_cdag
@@ -105,21 +107,21 @@ def star_spill_cdag(num_ops: int, degree: int = 8) -> CDAG:
     labels).  The owner-computes P-RBW strategy turns every operation
     into ``degree`` loads, ``2 * degree`` move-ups (three-level
     hierarchy), a compute, and ``3 * degree + 1`` retiring deletes —
-    ``6 * degree + 2`` rule-checked moves per operation."""
+    ``6 * degree + 2`` rule-checked moves per operation.
+
+    Operation ``k`` owns ids ``k * (degree + 1) + j``: its inputs
+    ``("in", k, j)`` at ``j < degree``, then ``("op", k)``."""
     if num_ops < 1 or degree < 1:
         raise ValueError("num_ops and degree must be >= 1")
-    vertices = []
-    edges = []
-    inputs = []
-    for k in range(num_ops):
-        op = ("op", k)
-        for j in range(degree):
-            iv = ("in", k, j)
-            vertices.append(iv)
-            inputs.append(iv)
-            edges.append((iv, op))
-        vertices.append(op)
-    return CDAG.from_edge_list(vertices, edges, inputs, [], name="star")
+    width = degree + 1
+    ids = np.arange(num_ops * width).reshape(num_ops, width)
+    vertices = [None] * ids.size
+    for j in range(degree):
+        vertices[j::width] = product(("in",), range(num_ops), (j,))
+    vertices[degree::width] = product(("op",), range(num_ops))
+    src = ids[:, :degree].ravel()
+    return CDAG.from_ids(vertices, src, np.repeat(ids[:, degree], degree),
+                         src, name="star")
 
 
 def star_spill_setup(num_ops: int, degree: int = 8):
@@ -175,35 +177,35 @@ def component_forest_cdag(
     """
     if num_components < 1 or component_size < 1:
         raise ValueError("need at least one component of one vertex")
-    vertices = []
-    edges = []
-    inputs = []
-    outputs = []
+    n = component_size
+    # One draw per pair i < j, row-major: the order a nested i / j loop
+    # of scalar draws would take.
+    rows, cols = np.triu_indices(n, 1)
+    heads = np.arange(1, n)
+    src, dst, inputs, outputs = [], [], [], []
     for k in range(num_components):
         rng = np.random.default_rng(seed + k)
-        n = component_size
-        comp_edges = set()
-        for j in range(1, n):
-            comp_edges.add((int(rng.integers(0, j)), j))
-        # One draw per pair i < j, row-major: the order a nested
-        # i / j loop of scalar draws would take.
-        rows, cols = np.triu_indices(n, 1)
+        # One backbone draw per vertex past the first, in vertex order
+        # (the stream scalar ``rng.integers(0, j)`` calls consume).
+        backbone = rng.integers(0, heads) * n + heads
         extra = rng.random(rows.size) < extra_edge_prob
-        comp_edges.update(zip(rows[extra].tolist(), cols[extra].tolist()))
-        has_pred = {j for _, j in comp_edges}
-        has_succ = {i for i, _ in comp_edges}
-        for i in range(n):
-            v = ("c", k, i)
-            vertices.append(v)
-            if i not in has_pred:
-                inputs.append(v)
-            if i not in has_succ and i in has_pred:
-                outputs.append(v)
-        edges.extend(
-            ((("c", k, i), ("c", k, j)) for i, j in sorted(comp_edges))
-        )
-    return CDAG.from_edge_list(
-        vertices, edges, inputs, outputs,
+        # Edge (i, j) is the key i * n + j: the keys present, in
+        # ascending order, are the sorted edge set.
+        present = np.zeros(n * n, dtype=bool)
+        present[backbone] = True
+        present[rows[extra] * n + cols[extra]] = True
+        tail, head = np.divmod(np.flatnonzero(present), n)
+        has_pred = np.bincount(head, minlength=n) > 0
+        has_succ = np.bincount(tail, minlength=n) > 0
+        base = k * n
+        src.append(tail + base)
+        dst.append(head + base)
+        inputs.append(np.flatnonzero(~has_pred) + base)
+        outputs.append(np.flatnonzero(has_pred & ~has_succ) + base)
+    return CDAG.from_ids(
+        product(("c",), range(num_components), range(n)),
+        np.concatenate(src), np.concatenate(dst),
+        np.concatenate(inputs), np.concatenate(outputs),
         name=f"forest{num_components}x{component_size}",
     )
 

@@ -10,6 +10,36 @@ import numpy as np
 from repro.core.cdag import CDAG
 
 
+def independent_chains_cdag(num_chains, length, name="chains"):
+    """One name-keyed edge per chain link."""
+    vertices, edges, inputs, outputs = [], [], [], []
+    for c in range(num_chains):
+        prev = ("chains", c, 0)
+        vertices.append(prev)
+        inputs.append(prev)
+        for i in range(1, length + 1):
+            v = ("chains", c, i)
+            vertices.append(v)
+            edges.append((prev, v))
+            prev = v
+        outputs.append(prev)
+    return CDAG.from_edge_list(vertices, edges, inputs, outputs, name=name)
+
+
+def star_spill_cdag(num_ops, degree=8):
+    """Each operation's fresh inputs, then the operation, by name."""
+    vertices, edges, inputs = [], [], []
+    for k in range(num_ops):
+        op = ("op", k)
+        for j in range(degree):
+            iv = ("in", k, j)
+            vertices.append(iv)
+            inputs.append(iv)
+            edges.append((iv, op))
+        vertices.append(op)
+    return CDAG.from_edge_list(vertices, edges, inputs, [], name="star")
+
+
 def grid_stencil_cdag(shape, timesteps, neighborhood="star",
                       name="stencil"):
     """Bounds-checks every (point, step, offset) triple."""

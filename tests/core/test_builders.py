@@ -14,7 +14,7 @@ from repro.core import (
     pyramid_cdag,
     reduction_tree_cdag,
 )
-from repro.pebbling.workloads import component_forest_cdag
+from repro.pebbling.workloads import component_forest_cdag, star_spill_cdag
 
 import reference_builders as reference
 
@@ -205,3 +205,22 @@ def test_component_forest_matches_scalar_draws(size):
     reference.assert_same_cdag(component_forest_cdag(3, size, seed=7),
                                reference.component_forest_cdag(3, size,
                                                                 seed=7))
+
+
+@pytest.mark.parametrize("num_chains", [1, 2, 5])
+@pytest.mark.parametrize("length", [1, 2, 7])
+def test_independent_chains_match_the_link_loop(num_chains, length):
+    """Id arrays give the CDAG one name-keyed edge per link gave."""
+    reference.assert_same_cdag(
+        independent_chains_cdag(num_chains, length),
+        reference.independent_chains_cdag(num_chains, length),
+    )
+
+
+@pytest.mark.parametrize("num_ops", [1, 2, 5])
+@pytest.mark.parametrize("degree", [1, 2, 8])
+def test_star_spill_matches_the_operation_loop(num_ops, degree):
+    """Interleaved input and operation ids give the star the per-operation
+    loop built: each operation after its own inputs, inputs tagged."""
+    reference.assert_same_cdag(star_spill_cdag(num_ops, degree),
+                               reference.star_spill_cdag(num_ops, degree))

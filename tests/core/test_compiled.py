@@ -111,12 +111,16 @@ class TestStructuralEquivalence:
                 reference_graph.descendants(cdag, v)
             )
 
-    def test_validate_sorts_without_list_mirrors(self, cdag):
-        """The cycle check walks the flat CSR arrays, so validating a
-        CDAG builds no per-vertex successor lists."""
+    def test_snapshot_shares_the_cdag_id_lists(self, cdag):
+        """Compiling copies no adjacency: the snapshot's id lists are the
+        CDAG's own, and its CSR arrays are those lists flattened."""
         cdag.validate()
         c = cdag.compiled()
-        assert c._succ_lists is None
+        assert c.succ_lists is cdag._succ_ids
+        assert c.pred_lists is cdag._pred_ids
+        for i in range(c.n):
+            assert c.successors_ids(i).tolist() == c.succ_lists[i]
+            assert c.predecessors_ids(i).tolist() == c.pred_lists[i]
         assert c.topological_order() == cdag.topological_order()
 
     def test_cache_invalidation_on_mutation(self):

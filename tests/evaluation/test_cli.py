@@ -277,8 +277,9 @@ class TestExecution:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == (
-            "repro: error: e3 param 'small_shape' must be a list of "
-            f"integers >= 1, got 0 in {small_shape}\n"
+            "repro: error: grid file grid.json, cell 0: e3 param "
+            f"'small_shape' must be a list of integers >= 1, got 0 in "
+            f"{small_shape}\n"
         )
         assert not (tmp_path / "results").exists()
 
@@ -331,7 +332,8 @@ class TestExecution:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [f"repro: error: {named}"]
+        assert proc.stderr.splitlines() == [
+            f"repro: error: grid file grid.json, cell 0: {named}"]
 
     def test_sweep_experiment_filter(self, tmp_path, capsys):
         out = tmp_path / "results"

@@ -5,7 +5,8 @@ and defaults, and ``check_params`` checks a cell against them before
 anything is built or written.  A malformed cell gives the same one-line
 message on every path that takes cells: ``sweep --grid-file``, the
 table subcommand's ``--param``, the fleet's ``/v1/grid`` and, for spill
-cells, the bound server's ``cached_spill`` and ``/v1/pebble``.  A string
+cells, the bound server's ``cached_spill`` and ``/v1/pebble``
+(``--grid-file`` puts ``grid file PATH, cell I:`` in front).  A string
 param with registry ``choices`` (a spill workload, policy or backend)
 is refused there too, before any directory is made or store row read.
 The drivers themselves have no param defaults, so ``repro all`` prints
@@ -123,7 +124,7 @@ class TestOneMessagePerPath:
         out = tmp_path / "results"
         err = _stderr_of(capsys, ["sweep", "--grid-file", str(grid),
                                   "--out", str(out)])
-        assert err == f"repro: error: {message}\n"
+        assert err == f"repro: error: grid file {grid}, cell 0: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(PARAMS, TABLE_CASES)
@@ -179,8 +180,8 @@ class TestCheckedBeforeAnythingRuns:
         err = _stderr_of(capsys, ["sweep", "--grid-file", str(grid),
                                   "--out", str(out)])
         assert err == (
-            "repro: error: e6 param 'sizes' must be a list of integers, "
-            "got 4.5 in [4.5]\n"
+            f"repro: error: grid file {grid}, cell 1: e6 param 'sizes' must "
+            "be a list of integers, got 4.5 in [4.5]\n"
         )
         assert not out.exists()
 

@@ -19,6 +19,7 @@ import repro.pebbling.parallel as parallel_mod
 import repro.pebbling.rbw as rbw_mod
 import repro.pebbling.redblue as redblue_mod
 from repro.core.builders import grid_stencil_cdag, independent_chains_cdag
+from repro.core.ordering import schedule_ids
 from repro.pebbling import (
     GameError,
     MemoryHierarchy,
@@ -103,7 +104,7 @@ class TestNumbaTiers:
         numba compiles); pin it against the dict-order planner directly."""
         cdag = independent_chains_cdag(8, 6)
         c = cdag.compiled()
-        plan = kernel._seq_plan_for(cdag, c, None)
+        plan = kernel._build_seq_plan(c, schedule_ids(cdag))
         assert plan.arity1
         chunks = list(
             kernel._plan_lru_arity1_numba(plan, c, 4, use_jit=False)
@@ -263,7 +264,7 @@ class TestChunkBoundaries:
         monkeypatch.setattr(kernel, "_CHUNK_OPS", chunk)
         same_columns(ref, spill_game_rbw(cdag, 4))
         c = cdag.compiled()
-        plan = kernel._seq_plan_for(cdag, c, None)
+        plan = kernel._build_seq_plan(c, schedule_ids(cdag))
         flat = list(kernel._plan_lru_arity1_numba(plan, c, 4, use_jit=False))
         planned = list(kernel._plan_lru_arity1(plan, c, 4))
         assert len(flat) == len(planned) == -(-plan.nops // chunk)

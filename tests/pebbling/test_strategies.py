@@ -4,13 +4,16 @@ import pytest
 
 from repro.core import (
     chain_cdag,
+    dfs_schedule,
     diamond_cdag,
     grid_stencil_cdag,
     independent_chains_cdag,
     min_liveset_schedule,
     outer_product_cdag,
     reduction_tree_cdag,
+    topological_schedule,
 )
+from repro.core.compiled import CompiledCDAG
 from repro.pebbling import (
     GameError,
     MemoryHierarchy,
@@ -107,6 +110,69 @@ class TestContiguousAssignment:
         c = chain_cdag(3)
         a = contiguous_block_assignment(c, 1)
         assert set(a.values()) == {0}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("procs", [1, 2, 3, 5])
+    def test_id_assignment_matches_the_name_loop(self, seed, procs,
+                                                 random_dag):
+        """The assignment computed on ids is the one the by-name loop
+        gives: schedule blocks of operations, inputs on their first
+        consumer's processor."""
+        cdag = random_dag(seed, 20)
+        for schedule in (None, dfs_schedule(cdag),
+                         min_liveset_schedule(cdag)):
+            order = (topological_schedule(cdag) if schedule is None
+                     else schedule)
+            ops = [v for v in order if not cdag.is_input(v)]
+            per = max(1, -(-len(ops) // procs))
+            want = {v: min(k // per, procs - 1) for k, v in enumerate(ops)}
+            for v in cdag.vertices:
+                if cdag.is_input(v):
+                    succs = cdag.successors(v)
+                    want[v] = want[succs[0]] if succs else 0
+            assert contiguous_block_assignment(cdag, procs, schedule) == want
+
+
+class TestScheduleConvertedOnce:
+    """A strategy looks each schedule name up once, and none without a
+    schedule; the kernel and the dict reference both get the ids."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+        original = CompiledCDAG.ids_of
+
+        def counted(self, vertices):
+            out = original(self, vertices)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(CompiledCDAG, "ids_of", counted)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["batched", "dict"])
+    def test_sequential(self, lookups, backend):
+        cdag = grid_stencil_cdag((4, 4), 2)
+        schedule = dfs_schedule(cdag)
+        for play in (spill_game_rbw, spill_game_redblue):
+            lookups.clear()
+            play(cdag, 6, schedule=schedule, backend=backend)
+            assert lookups == [cdag.num_vertices()]
+            lookups.clear()
+            play(cdag, 6, backend=backend)
+            assert lookups == []
+
+    @pytest.mark.parametrize("backend", ["batched", "dict"])
+    def test_parallel(self, lookups, backend):
+        cdag = grid_stencil_cdag((4, 4), 2)
+        hierarchy = MemoryHierarchy.cluster(
+            nodes=2, cores_per_node=1, registers_per_core=6, cache_size=12)
+        parallel_spill_game(cdag, hierarchy, schedule=dfs_schedule(cdag),
+                            backend=backend)
+        assert lookups == [cdag.num_vertices()]
+        lookups.clear()
+        parallel_spill_game(cdag, hierarchy, backend=backend)
+        assert lookups == []
 
 
 class TestParallelSpillGame:

@@ -3,7 +3,8 @@
 Two things ride in the plain ``pytest -x -q`` invocation:
 
 * the **doctest run** over the documented public surface
-  (``core/ordering.py``, ``pebbling/state.py``, ``pebbling/parallel.py``,
+  (``core/cdag.py``, ``core/ordering.py``, ``pebbling/state.py``,
+  ``pebbling/parallel.py``,
   ``distsim/cluster.py`` with E8's traffic counts, plus the
   artifact-store/service layer: ``store/keys.py``,
   ``store/db.py``, ``store/analysis.py``, ``service/server.py``)
@@ -23,6 +24,7 @@ import doctest
 import numpy as np
 import pytest
 
+import repro.core.cdag
 import repro.core.ordering
 import repro.distsim.cluster
 import repro.obs.dashboard
@@ -38,6 +40,7 @@ from repro.pebbling.state import OP_COMPUTE, OP_DELETE, OP_LOAD
 from repro.pebbling.workloads import prbw_pump_game
 
 DOCTEST_MODULES = [
+    repro.core.cdag,
     repro.core.ordering,
     repro.pebbling.state,
     repro.pebbling.parallel,

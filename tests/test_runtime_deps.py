@@ -7,8 +7,9 @@ loading any module of the package must leave networkx out of
 the default grid, every builder's bound, the lines and dominator
 queries and the bound server all run with scipy unimportable.  A sweep
 runs without the artifact store, so it must not load ``sqlite3`` or
-``repro.store`` either, ``--help`` loads no numpy, and the two HTTP
-servers load no ``http.server``.  The probes run
+``repro.store`` either, ``--help`` loads no numpy, the two HTTP
+servers load no ``http.server``, and a bound server loads no HTTP client
+(``repro.service.client``, ``urllib.request``, ``http.client``).  The probes run
 in a fresh interpreter because the test process may already hold those
 modules (hypothesis and pytest plugins are free to load networkx).
 """
@@ -150,3 +151,23 @@ def test_http_servers_load_no_http_server(tmp_path):
     ``http.server``."""
     assert _loaded_by(HTTP_PROBE, ["http.server"],
                       str(tmp_path / "store.db")) == []
+
+
+def test_bound_server_loads_no_http_client(tmp_path):
+    """``repro.service`` exports the client lazily, so binding a bound
+    server loads neither the client module nor the stdlib HTTP client
+    it is built on."""
+    roots = ["repro.service.client", "urllib.request", "http.client"]
+    assert _loaded_by(SERVER_PROBE, roots, str(tmp_path / "store.db")) == []
+
+
+def test_the_client_is_still_exported():
+    """``from repro.service import ServiceClient`` resolves the lazy
+    export, and an unknown name is still an AttributeError."""
+    import repro.service as service
+    from repro.service import ServiceClient, ServiceError
+    from repro.service.client import ServiceClient as direct
+
+    assert ServiceClient is direct and issubclass(ServiceError, Exception)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        service.nope
