@@ -36,7 +36,8 @@ test-kernel:
 # uninterrupted run), the manifest/resume hypothesis property suite,
 # the `repro reproduce` end-to-end pass (incl. injected corruption),
 # the seed-identity audit, and the param gate (one check, one message
-# per malformed cell on every entry point).
+# per malformed cell on every entry point, `repro spill --param`
+# included, and per malformed builder spec of the bound server).
 test-harness:
 	$(PY) -m pytest tests/evaluation/test_harness_resume.py \
 	  tests/evaluation/test_manifest_properties.py \

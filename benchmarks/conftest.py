@@ -133,9 +133,11 @@ def _record_run_store():
     ``metrics.jsonl`` + ``summary.json``) — ``BENCH_core.json`` then
     carries a ``view`` key naming the run it was derived from, so the
     committed flat dict is an auditable view over a trajectory of runs
-    rather than the only record.  Returns the provenance dict, or
-    ``None`` when the repro package is not importable (plain pytest
-    invocation without PYTHONPATH=src)."""
+    rather than the only record.  Its ``store`` is the run store's path
+    relative to the repository root (as given when ``BENCH_RUNS`` points
+    outside it), so the committed view names no checkout's location.
+    Returns the provenance dict, or ``None`` when the repro package is
+    not importable (plain pytest invocation without PYTHONPATH=src)."""
     try:
         from repro.evaluation.manifest import (
             SCHEMA_VERSION,
@@ -175,7 +177,12 @@ def _record_run_store():
             **summarize_rows(rows),
         },
     )
-    return {"schema": "bench-view/1", "run": label, "store": str(root)}
+    repo = Path(__file__).resolve().parent.parent
+    try:
+        store = root.resolve().relative_to(repo).as_posix()
+    except ValueError:
+        store = str(root)
+    return {"schema": "bench-view/1", "run": label, "store": store}
 
 
 def pytest_sessionfinish(session):

@@ -11,7 +11,7 @@ Usage::
     python -m repro.cli validate
     python -m repro.cli distsim --param num_nodes=4 --param cache_words=64
     python -m repro.cli balance
-    python -m repro.cli spill --workload star --ops 2000
+    python -m repro.cli spill --param ops=2000 --param backend='"dict"'
     python -m repro.cli sweep --out results --grid smoke --resume
     python -m repro.cli sweep --out results --jobs 4 --cell-timeout 600
     python -m repro.cli sweep --grid smoke --fleet http://127.0.0.1:8199
@@ -34,13 +34,13 @@ Each table subcommand (``table1`` ... ``balance``, listed in
 its default) and prints the reproduced table.  ``--param KEY=JSON``
 (repeatable) overrides one registry param, exactly as a grid file's
 cell would, and goes through the same check.  ``all`` prints the
-default grid's E1-E9 cells.  ``spill`` plays a spill-strategy pebble game
-on a synthetic workload through the unified
-:func:`repro.pebbling.run_spill_game` entry point, and ``--backend
-{batched,dict}`` selects the strategy loop (both play the identical
-game).  For sequential games the ``REPRO_KERNEL`` environment variable
-picks the batched planner's tier: ``numpy`` (default) or ``numba``
-(jitted planner where numba is installed; degrades to numpy otherwise).
+default grid's E1-E9 cells.  ``spill`` takes ``--param`` over the
+spill entry's params too and times that cell's game; its ``backend``
+param, ``batched`` or ``dict``, selects the strategy loop (both play
+the identical game).  For sequential games the ``REPRO_KERNEL``
+environment variable picks the batched planner's tier: ``numpy``
+(default) or ``numba`` (jitted planner where numba is installed;
+degrades to numpy otherwise).
 
 ``sweep`` executes a declarative experiment grid through the
 manifest-driven harness (:mod:`repro.evaluation.harness`): one result
@@ -109,6 +109,18 @@ TABLES = {
 }
 
 
+def _cell_command(sub, name: str, key: str, **kwargs):
+    """A subcommand that runs registry entry ``key``'s cell, its params
+    set by repeated ``--param KEY=JSON``."""
+    p = sub.add_parser(name, **kwargs)
+    p.add_argument(
+        "--param", action="append", default=[], metavar="KEY=JSON",
+        help=f"set one of {key}'s registry params to a JSON value, as a "
+        "grid file's cell would (repeatable)",
+    )
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -119,34 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, (key, title) in TABLES.items():
-        p = sub.add_parser(name, help=f"{key.upper()}: {title}")
-        p.add_argument(
-            "--param", action="append", default=[], metavar="KEY=JSON",
-            help=f"set one of {key}'s registry params to a JSON value, as "
-            "a grid file's cell would (repeatable)",
-        )
-
-    p = sub.add_parser(
-        "spill",
+        _cell_command(sub, name, key, help=f"{key.upper()}: {title}")
+    p = _cell_command(
+        sub, "spill", "spill",
         help="spill-strategy pebble game on a synthetic workload",
+        description="Play the spill registry cell's game and time it.  "
+        "Its workload is star, chains or forest; its backend "
+        "{batched,dict} picks the strategy loop (same game either way), "
+        "and for sequential games 'batched' honors the REPRO_KERNEL env "
+        "var: numpy (default) or numba (jitted planner, falls back to "
+        "numpy when numba is absent).",
     )
-    p.add_argument("--workload", choices=["star", "chains"], default="star")
-    p.add_argument("--ops", type=int, default=2000,
-                   help="operations in the star workload")
-    p.add_argument("--degree", type=int, default=8,
-                   help="operands per star operation")
-    p.add_argument("--chains", type=int, default=64,
-                   help="chains in the chains workload")
-    p.add_argument("--length", type=int, default=32, help="chain length")
-    p.add_argument("--red", type=int, default=4,
-                   help="red pebbles for the chains workload")
-    p.add_argument("--policy", choices=["lru", "belady"], default="lru")
-    p.add_argument("--backend", choices=["batched", "dict"],
-                   default="batched",
-                   help="strategy loop (same game either way); for "
-                   "sequential games 'batched' honors the REPRO_KERNEL env "
-                   "var: numpy (default) or numba (jitted planner, falls "
-                   "back to numpy when numba is absent)")
     p.add_argument("--spill-log", action="store_true",
                    help="record into a disk-spilled move log")
 
@@ -310,36 +305,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_spill(args: argparse.Namespace) -> str:
-    """The ``spill`` subcommand: play a strategy game on a synthetic
-    workload and report its record."""
+    """The ``spill`` subcommand: play the spill cell's game, timed, and
+    report its record."""
     from time import perf_counter
 
-    from .core.ordering import dfs_schedule
+    from .evaluation.harness import make_spec
     from .pebbling import run_spill_game
-    from .pebbling.workloads import chains_spill_setup, star_spill_setup
+    from .pebbling.workloads import spill_workload
 
-    if args.workload == "star":
-        cdag, memory = star_spill_setup(args.ops, args.degree)
-        schedule = None
-    else:
-        # The chain-major (DFS) schedule keeps each chain contiguous.
-        cdag, memory = chains_spill_setup(args.chains, args.length, args.red)
-        schedule = dfs_schedule(cdag)
+    spec = make_spec("spill", _param_overrides(args.param))
+    params = dict(spec.params)
+    policy, backend = params.pop("policy"), params.pop("backend")
+    cdag, memory, schedule = spill_workload(seed=spec.seed, **params)
     start = perf_counter()
     record = run_spill_game(
         cdag,
         memory,
         schedule=schedule,
-        policy=args.policy,
-        backend=args.backend,
+        policy=policy,
+        backend=backend,
         spill=args.spill_log,
     )
     elapsed = perf_counter() - start
     summary = record.summary()
     lines = [
-        f"workload      : {args.workload} "
+        f"workload      : {params['workload']} "
         f"({cdag.num_vertices()} vertices, {cdag.num_edges()} edges)",
-        f"backend       : {args.backend}",
+        f"backend       : {backend}",
         f"moves         : {summary['moves']}",
         f"io (R1+R2)    : {summary['io']}",
         f"vertical_io   : {summary['vertical_io']}",

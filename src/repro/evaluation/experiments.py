@@ -485,49 +485,22 @@ def experiment_spill_strategies(
 
     This is the driver behind the harness's spill cells: every strategy
     axis (``policy``, ``backend``) is a first-class parameter, so one
-    grid sweeps the whole strategy engine.  Workloads:
-
-    * ``"star"`` — owner-computes P-RBW hierarchy walk
-      (:func:`~repro.pebbling.workloads.star_spill_setup`); this
-      strategy always evicts LRU, so ``policy`` is validated but its
-      ``"lru"`` and ``"belady"`` rows differ only in the label;
-    * ``"chains"`` — LRU-thrashing interleaved chains under ``num_red``
-      red pebbles (:func:`~repro.pebbling.workloads.chains_spill_setup`);
-    * ``"forest"`` — seeded random component forest
-      (:func:`~repro.pebbling.workloads.component_forest_cdag`); the
-      **only randomized workload**, constructed from the explicit
-      ``seed`` (recorded in the row) so identical seeds replay the
-      identical game.
+    grid sweeps the whole strategy engine.  The workload is set up by
+    :func:`~repro.pebbling.workloads.spill_workload`, as for ``repro
+    spill``: ``"star"``, an owner-computes P-RBW hierarchy walk that
+    always evicts LRU (its ``"belady"`` row differs only in the label),
+    ``"chains"``, LRU-thrashing interleaved chains under ``num_red``
+    red pebbles, or ``"forest"``, the only randomized workload, built
+    from the explicit ``seed`` (recorded in the row) so identical seeds
+    replay the identical game.
     """
-    from ..core.ordering import dfs_schedule
     from ..pebbling.sharded import run_spill_game
-    from ..pebbling.workloads import (
-        chains_spill_setup,
-        component_forest_cdag,
-        star_spill_setup,
-    )
+    from ..pebbling.workloads import spill_workload
 
-    if workload == "star":
-        cdag, memory = star_spill_setup(ops, degree)
-        schedule = None
-    elif workload == "chains":
-        cdag, memory = chains_spill_setup(chains, length, num_red)
-        # Chain-major (DFS) order keeps each chain contiguous.
-        schedule = dfs_schedule(cdag)
-    elif workload == "forest":
-        cdag = component_forest_cdag(components, component_size, seed=seed)
-        # Random components can exceed num_red's operand capacity; the
-        # engine needs room for a vertex's operands plus its result.
-        max_indeg = max(
-            (cdag.in_degree(v) for v in cdag.vertices if not cdag.is_input(v)),
-            default=0,
-        )
-        memory = max(num_red, max_indeg + 1)
-        schedule = dfs_schedule(cdag)
-    else:
-        raise ValueError(
-            f"workload must be 'star', 'chains' or 'forest', got {workload!r}"
-        )
+    cdag, memory, schedule = spill_workload(
+        workload, ops, degree, chains, length, num_red, components,
+        component_size, seed,
+    )
     record = run_spill_game(
         cdag,
         memory,

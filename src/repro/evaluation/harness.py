@@ -5,9 +5,11 @@ params, their defaults (which also fix each param's type) and its
 tolerances.  The ``experiment_*`` drivers take every param as a
 keyword and have no defaults of their own.  Every entry point (a
 grid, a grid file, the fleet's ``/v1/grid``, the CLI's table
-subcommands, the bound server's ``/v1/pebble``) builds its cells
-through :func:`make_spec` or :func:`run_grid`, and so through the one
-param check :func:`check_params`, before anything is built.
+subcommands and ``spill``, the bound server's ``/v1/pebble``) builds
+its cells through :func:`make_spec` or :func:`run_grid`, and so through
+the one param check :func:`check_params`, before anything is built.
+Its value rule, :func:`check_fields`, also checks the bound server's
+builder specs against each builder's defaults.
 
 Sweeps run a declarative grid of :class:`RunSpec` cells — one
 (experiment, params, seed) point each — executed by :func:`run_grid`
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import numbers
 import os
 import shutil
 import signal
@@ -107,6 +110,7 @@ __all__ = [
     "ResumePlan",
     "GridRunResult",
     "CellFailure",
+    "check_fields",
     "check_params",
     "make_spec",
     "default_grid",
@@ -289,7 +293,10 @@ _KINDS = {
 
 
 def _kind(value) -> Tuple[str, str]:
-    return _KINDS.get(type(value), ("an object", "objects"))
+    kind = _KINDS.get(type(value))
+    if kind is None and isinstance(value, numbers.Integral):
+        return _KINDS[int]  # a numpy integer
+    return kind or ("an object", "objects")
 
 
 def _check_value(where: str, value, default) -> None:
@@ -343,41 +350,52 @@ def _entry(
     return registry[experiment]
 
 
+def check_fields(
+    owner: str,
+    label: str,
+    params: Mapping,
+    defaults: Mapping,
+    optional: Optional[Mapping] = None,
+    choices: Optional[Mapping] = None,
+) -> None:
+    """The value rule: ``params`` set every default and nothing else but
+    the ``optional`` params.  Each value has the JSON kind of its
+    default (a numpy integer is an integer, a bool never is); a list is
+    non-empty, its elements of the kind of the default's first; every
+    integer, alone or in a list, is at least 1; a param with ``choices``
+    holds only those strings.  Anything else is one ``ValueError``
+    naming ``owner`` (``experiment 'e2'``) or starting with ``label``
+    (``e2 param 's' must be ...``)."""
+    known = {**defaults, **(optional or {})}
+    choices = choices or {}
+    for name in sorted(params):
+        if name not in known:
+            raise ValueError(
+                f"unknown param {name!r} for {owner}; known: {sorted(known)}"
+            )
+        where = f"{label} param {name!r}"
+        _check_value(where, params[name], known[name])
+        if name in choices:
+            _check_choice(where, name, params[name], choices[name])
+    for name in sorted(defaults):
+        if name not in params:
+            raise ValueError(f"missing param {name!r} for {owner}")
+
+
 def check_params(
     experiment: str,
     params: Mapping,
     registry: Mapping[str, ExperimentDef] = REGISTRY,
 ) -> None:
-    """The one check of a cell, before anything is built or written.
-
-    ``params`` must set every default of a known experiment and nothing
-    else but its optional params.  Each value has the JSON kind of its
-    default: a list is non-empty and its elements have the kind of the
-    default's first element, every integer, alone or in a list, is at
-    least 1 (the sizes and counts every driver takes), and a param with
-    ``choices`` in the registry (a spill cell's ``workload``, ``policy``
-    and ``backend``, e8's ``policies``, ``machines``) holds only those
-    strings.  Anything else is one ``ValueError`` naming the
-    experiment, the param and the value.  :func:`make_spec`,
+    """The one check of a cell, before anything is built or written:
+    :func:`check_fields` over the registry entry's defaults, optional
+    params and choices (spill's ``workload``, ``policy`` and
+    ``backend``, e8's ``policies``, ``machines``).  :func:`make_spec`,
     :func:`run_grid` (so the fleet's ``/v1/grid``) and
     :func:`reproduce` call it."""
     entry = _entry(experiment, registry)
-    known = {**entry.default_params, **entry.optional_params}
-    for name in sorted(params):
-        if name not in known:
-            raise ValueError(
-                f"unknown param {name!r} for experiment {experiment!r}; "
-                f"known: {sorted(known)}"
-            )
-        where = f"{experiment} param {name!r}"
-        _check_value(where, params[name], known[name])
-        if name in entry.choices:
-            _check_choice(where, name, params[name], entry.choices[name])
-    for name in sorted(entry.default_params):
-        if name not in params:
-            raise ValueError(
-                f"missing param {name!r} for experiment {experiment!r}"
-            )
+    check_fields(f"experiment {experiment!r}", experiment, params,
+                 entry.default_params, entry.optional_params, entry.choices)
 
 
 def make_spec(
@@ -410,16 +428,16 @@ def _spill_label(params: Mapping, seed: int) -> str:
 
 def default_grid(seed: int = 0) -> List[RunSpec]:
     """The full sweep: all nine paper experiments at their registry
-    defaults plus a spill axis product over workload x policy (plus one
-    seeded-forest cell)."""
+    defaults plus four spill cells: star (whose P-RBW strategy always
+    evicts LRU), chains under LRU and Belady, and one seeded forest."""
     specs = [make_spec(name, seed=seed) for name in
              ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9")]
     spill_axes: List[Dict] = [
-        {"workload": w, "policy": p}
-        for w in ("star", "chains")
-        for p in ("lru", "belady")
+        {"workload": "star"},
+        {"workload": "chains", "policy": "lru"},
+        {"workload": "chains", "policy": "belady"},
+        {"workload": "forest"},
     ]
-    spill_axes.append({"workload": "forest"})
     for overrides in spill_axes:
         spec = make_spec("spill", overrides, seed=seed)
         specs.append(
@@ -690,7 +708,10 @@ def _cell_process_main(
 
 def _mp_context():
     """Fork where the platform has it (cheap, inherits non-picklable
-    registries); spawn otherwise."""
+    registries); spawn otherwise.  numpy loads ``numpy.random`` lazily,
+    so it is loaded here, once, not in every forked forest cell."""
+    import numpy.random  # noqa: F401
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"

@@ -28,6 +28,9 @@ and the sequential spill strategies) to a target operation count, for the
   loads and spills (an I/O-bound game, the worst case for the
   eviction bookkeeping the batched backend accelerates).
 
+:func:`spill_workload` sets up the harness's spill cells and ``repro
+spill``: these two and the seeded :func:`component_forest_cdag`.
+
 Bulk log synthesis
 ------------------
 :func:`synthesize_redblue_pump_log` writes the red-blue pump's column
@@ -45,6 +48,7 @@ import numpy as np
 
 from ..core.builders import chain_cdag, independent_chains_cdag
 from ..core.cdag import CDAG
+from ..core.ordering import dfs_schedule
 from .hierarchy import MemoryHierarchy
 from .parallel import ParallelRBWPebbleGame
 from .redblue import RedBluePebbleGame
@@ -57,6 +61,7 @@ __all__ = [
     "star_spill_setup",
     "chains_spill_setup",
     "component_forest_cdag",
+    "spill_workload",
     "synthesize_redblue_pump_log",
 ]
 
@@ -208,6 +213,41 @@ def component_forest_cdag(
         np.concatenate(inputs), np.concatenate(outputs),
         name=f"forest{num_components}x{component_size}",
     )
+
+
+def spill_workload(
+    workload: str,
+    ops: int,
+    degree: int,
+    chains: int,
+    length: int,
+    num_red: int,
+    components: int,
+    component_size: int,
+    seed: int,
+):
+    """``(cdag, memory, schedule)`` of one spill workload, from the
+    spill registry entry's params: ``"star"`` is :func:`star_spill_setup`
+    in the default order (``schedule`` is ``None``), ``"chains"``
+    :func:`chains_spill_setup` and ``"forest"`` the seeded
+    :func:`component_forest_cdag`, both in chain- or component-major
+    (DFS) order."""
+    if workload == "star":
+        cdag, memory = star_spill_setup(ops, degree)
+        return cdag, memory, None
+    if workload == "chains":
+        cdag, memory = chains_spill_setup(chains, length, num_red)
+    elif workload == "forest":
+        cdag = component_forest_cdag(components, component_size, seed=seed)
+        # Random operand sets may not fit num_red; the engine needs room
+        # for a vertex's operands plus its result.
+        memory = max(num_red, 1 + max(map(cdag.in_degree, cdag.operations),
+                                      default=0))
+    else:
+        raise ValueError(
+            f"workload must be 'star', 'chains' or 'forest', got {workload!r}"
+        )
+    return cdag, memory, dfs_schedule(cdag)
 
 
 def synthesize_redblue_pump_log(

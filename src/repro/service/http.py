@@ -67,21 +67,19 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def number(body: Dict, name: str, default, kind=int):
-    """``body[name]`` (or ``default``) converted by ``kind``.  A value
-    that does not convert, or an ``int`` outside the signed 64-bit
-    range, is a client error naming the field."""
+    """``body[name]`` (or ``default``) as a ``kind``: a JSON integer for
+    an ``int`` field, any JSON number for a ``float`` one, never a bool
+    or a string.  Anything else, or an ``int`` field outside the signed
+    64-bit range, is a client error naming the field."""
     value = body.get(name, default)
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{name!r} must be a number, got {value!r}"
-        ) from None
-    if kind is int and not -_INT64 <= out < _INT64:
+    if type(value) is not int and (kind is int or type(value) is not float):
+        want = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name!r} must be {want}, got {value!r}")
+    if kind is int and not -_INT64 <= value < _INT64:
         raise ValueError(
             f"{name!r} must fit in a signed 64-bit integer, got {value!r}"
         )
-    return out
+    return kind(value)
 
 
 class JsonApp:

@@ -57,6 +57,7 @@ from ..core import builders as _b
 from ..core.cdag import CDAG
 from ..core.compiled import CompiledCDAG
 from ..core.ordering import dfs_schedule_ids, min_liveset_schedule_ids
+from ..evaluation.harness import REGISTRY, check_fields, make_spec
 from ..evaluation.manifest import canonical_config, dumps_canonical
 from ..pebbling.workloads import component_forest_cdag, star_spill_cdag
 from .codec import (
@@ -103,9 +104,10 @@ MAX_CANDIDATES = 1024
 
 class BuilderDef:
     """One registered CDAG family: a construction function over
-    canonical params (+ seed for the randomized families), the defaults
-    merged under caller overrides, and ``size(params)``, an upper bound
-    on the CDAG's vertices + edges computed without building it."""
+    checked, canonical params (+ seed for the randomized families), the
+    defaults merged under caller overrides (each fixes its param's
+    type), and ``size(params)``, an upper bound on the CDAG's vertices
+    + edges computed without building it."""
 
     __slots__ = ("name", "build", "defaults", "size", "seeded")
 
@@ -124,131 +126,104 @@ class BuilderDef:
         self.seeded = seeded
 
 
-def _n(p: Mapping, key: str) -> int:
-    """``int(p[key])``, the builders' own conversion.  Every builder
-    refuses a size below one, so such a value is a client error here,
-    before any lookup (it also cannot cancel a huge one in a bound)."""
-    n = int(p[key])
-    if n < 1:
-        raise ValueError(f"param {key!r} must be >= 1, got {n}")
-    return n
-
-
 def _grid_size(p: Mapping) -> int:
     """``T + 1`` layers of points with at most ``2d + 1`` in-edges each,
     counted ``d`` times: every vertex name and neighbour offset has
     ``d`` coordinates, so a long shape of ones costs that much."""
-    shape = [int(x) for x in p["shape"]]
-    if any(n < 1 for n in shape):
-        raise ValueError(f"param 'shape' entries must be >= 1, got {shape}")
-    timesteps = _n(p, "timesteps")
+    shape, timesteps = p["shape"], p["timesteps"]
     points = 1
     for n in shape:  # capped, so a long shape never makes a huge int
         points = min(points * n, MAX_CDAG_SIZE + 1)
     d = len(shape)
-    return (timesteps + 1 + timesteps * (2 * d + 1)) * points * max(d, 1)
-
-
-def _butterfly_size(p: Mapping) -> int:
-    """``(L + 1) * 2**L`` vertices and ``2L * 2**L`` edges; ``2**L`` is
-    clamped at ``2**64``, already far over any cap."""
-    log_n = _n(p, "log_n")
-    return (3 * log_n + 1) << min(log_n, 64)
+    return (timesteps + 1 + timesteps * (2 * d + 1)) * points * d
 
 
 BUILDERS: Dict[str, BuilderDef] = {
     "chain": BuilderDef(
         "chain",
-        lambda p, seed: _b.chain_cdag(int(p["length"])),
+        lambda p, seed: _b.chain_cdag(p["length"]),
         {"length": 64},
-        lambda p: 2 * _n(p, "length") + 1,
+        lambda p: 2 * p["length"] + 1,
     ),
     "chains": BuilderDef(
         "chains",
-        lambda p, seed: _b.independent_chains_cdag(
-            int(p["num_chains"]), int(p["length"])
-        ),
+        lambda p, seed: _b.independent_chains_cdag(p["num_chains"], p["length"]),
         {"num_chains": 8, "length": 32},
-        lambda p: _n(p, "num_chains") * (2 * _n(p, "length") + 1),
+        lambda p: p["num_chains"] * (2 * p["length"] + 1),
     ),
     "tree": BuilderDef(
         "tree",
-        lambda p, seed: _b.reduction_tree_cdag(
-            int(p["num_leaves"]), int(p["arity"])
-        ),
+        lambda p, seed: _b.reduction_tree_cdag(p["num_leaves"], p["arity"]),
         {"num_leaves": 64, "arity": 2},
         # at most 3N vertices (N leaves, then ceil-halved levels), and
         # one edge fewer
-        lambda p: 6 * _n(p, "num_leaves"),
+        lambda p: 6 * p["num_leaves"],
     ),
     "bcast": BuilderDef(
         "bcast",
-        lambda p, seed: _b.broadcast_tree_cdag(
-            int(p["num_leaves"]), int(p["arity"])
-        ),
+        lambda p, seed: _b.broadcast_tree_cdag(p["num_leaves"], p["arity"]),
         {"num_leaves": 64, "arity": 2},
         # levels grow geometrically up to N: under 3N + 1 vertices
-        lambda p: 6 * _n(p, "num_leaves") + 2,
+        lambda p: 6 * p["num_leaves"] + 2,
     ),
     "diamond": BuilderDef(
         "diamond",
-        lambda p, seed: _b.diamond_cdag(int(p["width"]), int(p["depth"])),
+        lambda p, seed: _b.diamond_cdag(p["width"], p["depth"]),
         {"width": 16, "depth": 16},
-        lambda p: 4 * _n(p, "width") * _n(p, "depth"),
+        lambda p: 4 * p["width"] * p["depth"],
     ),
     "grid": BuilderDef(
         "grid",
-        lambda p, seed: _b.grid_stencil_cdag(
-            tuple(int(x) for x in p["shape"]), int(p["timesteps"])
-        ),
+        lambda p, seed: _b.grid_stencil_cdag(tuple(p["shape"]),
+                                             p["timesteps"]),
         {"shape": [16, 16], "timesteps": 4},
         _grid_size,
     ),
     "butterfly": BuilderDef(
         "butterfly",
-        lambda p, seed: _b.butterfly_cdag(int(p["log_n"])),
+        lambda p, seed: _b.butterfly_cdag(p["log_n"]),
         {"log_n": 5},
-        _butterfly_size,
+        # (L + 1) * 2**L vertices and 2L * 2**L edges; 2**L is clamped
+        # at 2**64, already far over any cap
+        lambda p: (3 * p["log_n"] + 1) << min(p["log_n"], 64),
     ),
     "pyramid": BuilderDef(
         "pyramid",
-        lambda p, seed: _b.pyramid_cdag(int(p["base"])),
+        lambda p, seed: _b.pyramid_cdag(p["base"]),
         {"base": 16},
         # B(B + 1)/2 vertices, B(B - 1) edges
-        lambda p: 2 * _n(p, "base") ** 2,
+        lambda p: 2 * p["base"] ** 2,
     ),
     "outer": BuilderDef(
         "outer",
-        lambda p, seed: _b.outer_product_cdag(int(p["n"])),
+        lambda p, seed: _b.outer_product_cdag(p["n"]),
         {"n": 8},
-        lambda p: 3 * _n(p, "n") ** 2 + 2 * _n(p, "n"),
+        lambda p: 3 * p["n"] ** 2 + 2 * p["n"],
     ),
     "dense": BuilderDef(
         "dense",
-        lambda p, seed: _b.dense_layer_cdag(
-            int(p["num_inputs"]), int(p["num_outputs"])
-        ),
+        lambda p, seed: _b.dense_layer_cdag(p["num_inputs"],
+                                            p["num_outputs"]),
         {"num_inputs": 8, "num_outputs": 8},
-        lambda p: (_n(p, "num_inputs") + 1) * (_n(p, "num_outputs") + 1),
+        lambda p: (p["num_inputs"] + 1) * (p["num_outputs"] + 1),
     ),
     "star_spill": BuilderDef(
         "star_spill",
-        lambda p, seed: star_spill_cdag(int(p["ops"]), int(p["degree"])),
+        lambda p, seed: star_spill_cdag(p["ops"], p["degree"]),
         {"ops": 64, "degree": 8},
-        lambda p: _n(p, "ops") * (2 * _n(p, "degree") + 1),
+        lambda p: p["ops"] * (2 * p["degree"] + 1),
     ),
     "forest": BuilderDef(
         "forest",
-        lambda p, seed: component_forest_cdag(
-            int(p["components"]), int(p["component_size"]), seed=seed
-        ),
+        lambda p, seed: component_forest_cdag(p["components"],
+                                              p["component_size"],
+                                              seed=seed),
         {"components": 4, "component_size": 12},
         # every pair i < j of a component may be an edge; each
         # component's own random generator costs about as much to set up
         # as 16 vertices, so a forest of tiny components counts that too
-        lambda p: _n(p, "components")
-        * (_n(p, "component_size") * (_n(p, "component_size") + 1) // 2
-           + 16),
+        lambda p: p["components"]
+        * (p["component_size"] * (p["component_size"] + 1) // 2 + 16),
         seeded=True,
     ),
 }
@@ -258,19 +233,16 @@ BOUND_METHODS = ("wavefront", "hong_kung", "analytical")
 
 
 def _resolve(builder: str, params: Optional[Mapping]) -> Tuple[BuilderDef, Dict]:
+    """The builder and its params: defaults merged under ``params``,
+    the harness's value rule, canonical form, then the size cap."""
     if builder not in BUILDERS:
         raise ValueError(
             f"unknown builder {builder!r}; known: {sorted(BUILDERS)}"
         )
     bdef = BUILDERS[builder]
-    merged = dict(bdef.defaults)
-    for key, value in (params or {}).items():
-        if key not in merged:
-            raise ValueError(
-                f"unknown param {key!r} for builder {builder!r}; "
-                f"known: {sorted(merged)}"
-            )
-        merged[key] = value
+    merged = {**bdef.defaults, **(params or {})}
+    where = f"builder {builder!r}"
+    check_fields(where, where, merged, bdef.defaults)
     merged = canonical_config(merged)
     size = bdef.size(merged)
     if size > MAX_CDAG_SIZE:
@@ -529,11 +501,11 @@ def fresh_bound(
         }
     # analytical
     if builder == "butterfly":
-        n = 2 ** int(merged["log_n"])
+        n = 2 ** merged["log_n"]
         return {**base, "value": float(fft_io_lower_bound(n, int(s))),
                 "n": n}
     if builder == "outer":
-        n = int(merged["n"])
+        n = merged["n"]
         return {**base, "value": float(outer_product_io(n)), "n": n}
     raise ValueError(
         f"no analytical bound registered for builder {builder!r} "
@@ -580,8 +552,6 @@ def cached_bound(
 def fresh_spill(params: Optional[Mapping] = None, seed: int = 0) -> Dict:
     """One complete spill-strategy game's move/I/O row, computed fresh
     through the harness driver (accepts its parameter set)."""
-    from ..evaluation.harness import REGISTRY, make_spec
-
     spec = make_spec("spill", params, seed=seed)
     rows = REGISTRY["spill"].run(spec.params, spec.seed)
     return rows[0]
@@ -604,8 +574,6 @@ def cached_spill(
     workload's CDAG must pass the builder size cap
     (:data:`MAX_CDAG_SIZE`), both before any lookup.
     """
-    from ..evaluation.harness import make_spec
-
     cell = make_spec("spill", params, seed=seed)
     workload = cell.params["workload"]
     builder = _SPILL_BUILDERS[workload]

@@ -47,9 +47,10 @@ class TestParser:
         assert args.param == ["krylov_dimensions=[3,7]", "n=50"]
         assert parser.parse_args(["distsim"]).param == []
         args = parser.parse_args(
-            ["spill", "--workload", "star", "--ops", "64", "--backend", "dict"]
+            ["spill", "--param", "ops=64", "--param", 'backend="dict"',
+             "--spill-log"]
         )
-        assert args.workload == "star" and args.backend == "dict"
+        assert args.param == ["ops=64", 'backend="dict"'] and args.spill_log
 
 
 class TestExecution:
@@ -94,22 +95,44 @@ class TestExecution:
         assert "measured_vertical_max" in out
 
     def test_spill_sequential(self, capsys):
-        assert main(["spill", "--workload", "star", "--ops", "16"]) == 0
+        assert main(["spill", "--param", "ops=16"]) == 0
         out = capsys.readouterr().out
+        assert "workload      : star" in out  # the registry default
         assert "moves         : 800" in out  # 50 moves/op at degree 8
 
     def test_spill_dict_backend_matches_counts(self, capsys):
-        assert main(["spill", "--workload", "star", "--ops", "16",
-                     "--backend", "dict"]) == 0
+        assert main(["spill", "--param", "ops=16",
+                     "--param", 'backend="dict"']) == 0
         out = capsys.readouterr().out
         assert "moves         : 800" in out
         assert "backend       : dict" in out
 
-    @pytest.mark.parametrize("removed", [["--workers", "2"],
-                                         ["--backend", "kernel"]])
+    @pytest.mark.parametrize("workload", ["star", "chains", "forest"])
+    def test_spill_plays_the_registry_cell(self, workload, capsys):
+        """``repro spill`` plays the game of the spill cell its params
+        name, set up as a sweep's cell is: the same counts as the
+        cell's row."""
+        from repro.evaluation.harness import REGISTRY, make_spec
+
+        spec = make_spec("spill", {"workload": workload})
+        row = REGISTRY["spill"].run(spec.params, spec.seed)[0]
+        assert main(["spill", "--param", f'workload="{workload}"']) == 0
+        out = capsys.readouterr().out
+        assert (f"({row['num_vertices']} vertices, {row['num_edges']} "
+                "edges)") in out
+        assert f"moves         : {row['moves']}\n" in out
+        assert f"io (R1+R2)    : {row['io']}\n" in out
+
+    @pytest.mark.parametrize("removed", [
+        ["--workers", "2"], ["--backend", "kernel"], ["--workload", "star"],
+        ["--ops", "16"], ["--degree", "8"], ["--chains", "4"],
+        ["--length", "8"], ["--red", "4"], ["--policy", "lru"],
+    ])
     def test_spill_rejects_removed_options(self, removed, capsys):
+        """The spill params are registry params, set by ``--param``:
+        the old flags are usage errors."""
         with pytest.raises(SystemExit) as exc:
-            main(["spill", "--workload", "star", "--ops", "16", *removed])
+            main(["spill", "--param", "ops=16", *removed])
         assert exc.value.code == 2
         capsys.readouterr()
 
@@ -190,16 +213,20 @@ class TestExecution:
         (["sweep", "--grid-file", "grid.json"],
          '[{"experiment": "e1", "params": "x"}]'),
         (["sweep", "--jobs", "0", "--grid", "smoke"], None),
-        (["spill", "--workload", "chains", "--red", "0"], None),
+        (["spill", "--param", 'workload="chains"', "--param", "num_red=0"],
+         None),
         (["jacobi", "--param", "dimensions=[0]"], None),
-        (["spill", "--workload", "star", "--ops", "-3"], None),
-        (["spill", "--workload", "chains", "--chains", "0"], None),
+        (["spill", "--param", "ops=-3"], None),
+        (["spill", "--param", 'workload="chains"', "--param", "chains=0"],
+         None),
         (["cg", "--param", "n"], None),
         (["cg", "--param", "n=abc"], None),
+        (["spill", "--param", "num_red=0"], None),
+        (["spill", "--param", 'workload="mesh"'], None),
     ], ids=["missing-file", "not-json", "cell-not-object", "no-experiment",
             "params-not-object", "jobs-0", "red-0", "jacobi-dimensions-0",
             "star-ops-negative", "chains-0", "param-without-value",
-            "param-not-json"])
+            "param-not-json", "spill-num-red-0", "spill-unknown-workload"])
     def test_malformed_input_is_one_error_line(self, argv, grid, tmp_path):
         """Bad input at the command line ends in one ``repro: error:``
         line and exit 2, never a Python traceback."""

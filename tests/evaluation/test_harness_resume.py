@@ -205,14 +205,14 @@ class TestGridValidation:
         )
 
     def test_default_grid_cells(self):
-        """Nine paper experiments plus five spill cells (star/chains x
-        lru/belady and the seeded forest), all on the default backend."""
+        """Nine paper experiments plus four spill cells (star under lru,
+        whose P-RBW strategy always evicts LRU; chains under lru and
+        belady; the seeded forest), all on the default backend."""
         grid = default_grid(seed=2)
-        assert len(grid) == 14
+        assert len(grid) == 13
         assert [c.label for c in grid[:9]] == [f"e{k}" for k in range(1, 10)]
         assert [c.label for c in grid[9:]] == [
             "spill_star_lru_batched_s2",
-            "spill_star_belady_batched_s2",
             "spill_chains_lru_batched_s2",
             "spill_chains_belady_batched_s2",
             "spill_forest_lru_batched_s2",

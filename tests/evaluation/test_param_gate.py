@@ -11,6 +11,12 @@ param with registry ``choices`` (a spill workload, policy or backend)
 is refused there too, before any directory is made or store row read.
 The drivers themselves have no param defaults, so ``repro all`` prints
 the default grid's cells and nothing else.
+
+The bound server's builder specs go through the same value rule
+(``check_fields``) over each builder's defaults: a malformed spec is one
+message naming the builder and the param, from the spec functions and as
+a 400 from ``/v1/compiled``, ``/v1/schedule`` and ``/v1/bound``, before
+anything is built or the store is read.
 """
 
 import inspect
@@ -34,7 +40,14 @@ from repro.fleet.controller import FleetController
 from repro.pebbling import strategies
 from repro.service.server import BoundService
 from repro.store import ArtifactStore
-from repro.store.analysis import _SPILL_BUILDERS, cached_spill
+from repro.store.analysis import (
+    _SPILL_BUILDERS,
+    BUILDERS,
+    bound_spec,
+    cached_spill,
+    compiled_spec,
+    schedule_spec,
+)
 
 #: table subcommand of each experiment key
 SUBCOMMAND = {key: name for name, (key, _title) in TABLES.items()}
@@ -166,6 +179,70 @@ class TestOneMessagePerPath:
             service.close()
 
 
+#: (builder, param overrides, the message every builder-spec path gives)
+BUILDER_CASES = [
+    pytest.param("grid", {"shape": "16"},
+                 "builder 'grid' param 'shape' must be a list, got '16'",
+                 id="shape-string"),
+    pytest.param("grid", {"shape": []},
+                 "builder 'grid' param 'shape' must be a non-empty list, "
+                 "got []",
+                 id="shape-empty"),
+    pytest.param("grid", {"shape": [16, 0]},
+                 "builder 'grid' param 'shape' must be a list of integers "
+                 ">= 1, got 0 in [16, 0]",
+                 id="shape-zero-entry"),
+    pytest.param("chain", {"length": "64"},
+                 "builder 'chain' param 'length' must be an integer, got "
+                 "'64'",
+                 id="length-string"),
+    pytest.param("chain", {"length": 64.9},
+                 "builder 'chain' param 'length' must be an integer, got "
+                 "64.9",
+                 id="length-float"),
+    pytest.param("chain", {"length": True},
+                 "builder 'chain' param 'length' must be an integer, got "
+                 "True",
+                 id="length-bool"),
+    pytest.param("forest", {"components": 0},
+                 "builder 'forest' param 'components' must be >= 1, got 0",
+                 id="zero"),
+    pytest.param("dense", {"bogus": 1},
+                 "unknown param 'bogus' for builder 'dense'; known: "
+                 "['num_inputs', 'num_outputs']",
+                 id="unknown-param"),
+]
+BUILDER_PARAMS = "builder, params, message"
+#: each builder-spec endpoint, with the fields it needs besides the spec
+ENDPOINTS = {"/v1/compiled": {}, "/v1/schedule": {"kind": "minlive"},
+             "/v1/bound": {"s": 4}}
+
+
+class TestOneMessagePerBuilderPath:
+    @pytest.mark.parametrize(BUILDER_PARAMS, BUILDER_CASES)
+    def test_spec_functions(self, builder, params, message):
+        for spec in (compiled_spec, schedule_spec, bound_spec):
+            with pytest.raises(ValueError) as exc:
+                spec(builder, params)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("path", sorted(ENDPOINTS))
+    @pytest.mark.parametrize(BUILDER_PARAMS, BUILDER_CASES)
+    def test_query_endpoints(self, tmp_path, path, builder, params,
+                             message):
+        """One 400 with the message; nothing is built, so the store is
+        never read."""
+        service = BoundService(ArtifactStore(tmp_path / "store.db"))
+        try:
+            body = {"builder": builder, "params": params, **ENDPOINTS[path]}
+            assert service.handle("POST", path, body) \
+                == (400, {"error": message})
+            assert service.store.counters["hits"] == 0
+            assert service.store.counters["misses"] == 0
+        finally:
+            service.close()
+
+
 class TestCheckedBeforeAnythingRuns:
     def test_every_cell_of_a_grid_file_is_checked_first(self, tmp_path,
                                                         capsys):
@@ -245,26 +322,42 @@ def _admissible(value, default, choices=None) -> bool:
                                              or value in choices)
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(experiment=st.sampled_from(sorted(REGISTRY)), data=st.data())
-def test_grid_cell_fuzz_is_refused_or_well_typed(experiment, data):
-    """Random JSON values for an experiment's params (and an unknown
-    key): the check refuses a cell with one ``ValueError`` and nothing
-    else, and a cell it admits holds only values that may stand where
-    the registry's defaults do."""
-    entry = REGISTRY[experiment]
-    known = {**entry.default_params, **entry.optional_params}
+def _checked(owner):
+    """``(known params, choices, check)`` of an experiment's cells or a
+    builder's specs; ``check(overrides)`` returns the admitted params."""
+    kind, name = owner
+    if kind == "builder":
+        return (BUILDERS[name].defaults, {},
+                lambda overrides: compiled_spec(name, overrides)["params"])
+    entry = REGISTRY[name]
+    return ({**entry.default_params, **entry.optional_params}, entry.choices,
+            lambda overrides: make_spec(name, overrides).params)
+
+
+#: every owner of params the one check guards
+OWNERS = [("experiment", name) for name in sorted(REGISTRY)] + [
+    ("builder", name) for name in sorted(BUILDERS)]
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(owner=st.sampled_from(OWNERS), data=st.data())
+def test_grid_cell_fuzz_is_refused_or_well_typed(owner, data):
+    """Random JSON values for an experiment's or a builder's params (and
+    an unknown key): the check refuses a cell or spec with one
+    ``ValueError`` and nothing else, and one it admits holds only values
+    that may stand where the defaults do."""
+    known, choices, check = _checked(owner)
     overrides = data.draw(st.dictionaries(
         st.sampled_from(sorted(known) + ["bogus"]), JSON_VALUES,
         max_size=3))
     try:
-        spec = make_spec(experiment, overrides)
+        params = check(overrides)
     except ValueError as exc:
         assert "\n" not in str(exc)
         return
-    assert set(spec.params) <= set(known)
-    for name, value in spec.params.items():
-        assert _admissible(value, known[name], entry.choices.get(name)), \
+    assert set(params) <= set(known)
+    for name, value in params.items():
+        assert _admissible(value, known[name], choices.get(name)), \
             (name, value)
 
 

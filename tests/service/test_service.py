@@ -204,6 +204,15 @@ class TestErrors:
         ("/v1/pebble", {"seed": None}, "seed"),
         ("/v1/bound", {"builder": "chain", "s": None}, "s"),
         ("/v1/compiled", {"builder": "chain", "seed": [1]}, "seed"),
+        ("/v1/bound", {"builder": "chain", "s": "4"}, "s"),
+        ("/v1/compiled", {"builder": "chain", "seed": True}, "seed"),
+        ("/v1/pebble", {"seed": 1.0}, "seed"),
+        ("/v1/bound", {"builder": "chain", "max_candidates": 7.9},
+         "max_candidates"),
+        ("/v1/bound", {"builder": "chain", "method": "hong_kung",
+                       "u_upper": True}, "u_upper"),
+        ("/v1/bound", {"builder": "chain", "method": "hong_kung",
+                       "u_upper": "12.5"}, "u_upper"),
     ])
     def test_non_number_in_number_field_is_400(self, server, path, body,
                                                field):

@@ -190,7 +190,8 @@ class TestAdoptionSafety:
 
 
 # Small params for every family, edge cases included (a grid of ones,
-# an empty shape, arities past the leaf count).
+# arities past the leaf count).  An empty shape is refused by the param
+# check (tests/evaluation/test_param_gate.py).
 SIZE_SWEEP = {
     "chain": [{"length": n} for n in range(1, 12)],
     "chains": [{"num_chains": c, "length": n}
@@ -202,7 +203,7 @@ SIZE_SWEEP = {
     "diamond": [{"width": w, "depth": d}
                 for w in range(1, 5) for d in range(1, 5)],
     "grid": [{"shape": shape, "timesteps": t}
-             for shape in ([], [1], [5], [3, 4], [1, 1, 1], [2, 3, 2])
+             for shape in ([1], [5], [3, 4], [1, 1, 1], [2, 3, 2])
              for t in (1, 3)],
     "butterfly": [{"log_n": n} for n in range(1, 7)],
     "pyramid": [{"base": b} for b in range(1, 12)],
@@ -239,7 +240,7 @@ class TestSizeBound:
     ):
         """Each builder's first param is a size (a shape entry for the
         grid); below one it is a ``ValueError`` naming the param, raised
-        by the size check, so the store is never read."""
+        by the param check, so the store is never read."""
         key = next(iter(BUILDERS[builder].defaults))
         value = [4, 0] if key == "shape" else 0
         with pytest.raises(ValueError, match=f"param '{key}'"):

@@ -7,7 +7,8 @@ loading any module of the package must leave networkx out of
 the default grid, every builder's bound, the lines and dominator
 queries and the bound server all run with scipy unimportable.  A sweep
 runs without the artifact store, so it must not load ``sqlite3`` or
-``repro.store`` either, ``--help`` loads no numpy, the two HTTP
+``repro.store`` either, ``--help`` loads no numpy, the fork point of
+cell processes loads ``numpy.random``, the two HTTP
 servers load no ``http.server``, and a bound server loads no HTTP client
 (``repro.service.client``, ``urllib.request``, ``http.client``).  The probes run
 in a fresh interpreter because the test process may already hold those
@@ -87,6 +88,15 @@ server.app.close()
 assert sys.modules.pop("scipy") is None
 """
 
+#: the fork point of ``sweep --jobs N`` and fleet workers, after
+#: everything a cell needs is imported but before numpy.random is
+FORK_PROBE = """
+from repro.evaluation import harness
+import repro.pebbling.workloads
+assert "numpy.random" not in sys.modules
+harness._mp_context()
+"""
+
 #: appended to every probe: print the loaded modules under the roots
 #: given as JSON in argv[1] (a root matches itself and its submodules)
 LOADED = """
@@ -125,11 +135,19 @@ def test_library_and_pebble_games_load_no_scipy():
 
 
 @pytest.mark.parametrize(
-    "argv", [["--help"], ["cache", "--help"], ["fleet", "status", "--help"]],
+    "argv", [["--help"], ["cache", "--help"], ["fleet", "status", "--help"],
+             ["spill", "--help"]],
     ids=" ".join,
 )
 def test_help_loads_no_numpy(argv):
     assert _loaded_by(HELP_PROBE, ["numpy"], *argv) == []
+
+
+def test_cell_processes_fork_with_numpy_random_loaded():
+    """``numpy`` loads ``numpy.random`` lazily, so the fork point loads
+    it: a forked cell that builds a seeded forest does not import it in
+    the child, once per cell."""
+    assert "numpy.random" in _loaded_by(FORK_PROBE, ["numpy.random"])
 
 
 def test_sweep_without_min_cut_loads_no_scipy(tmp_path):
