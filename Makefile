@@ -78,9 +78,12 @@ test-obs:
 # Start-up import guards, each in a fresh interpreter: no runtime path
 # loads scipy (the library import, a smoke sweep and the bound server
 # load none, and the min-cut cells, bounds, lines and dominators run
-# with it unimportable); `repro --help`, `cache --help` and `fleet status
-# --help` load no numpy; the bound server and the fleet controller load
-# no http.server; and a bound server loads no HTTP client
+# with it unimportable); `repro --help`, `cache --help`, `fleet status
+# --help` and `spill --help` load no numpy; the fleet controller (bound
+# and closed, and `fleet serve --help`) loads neither numpy nor the
+# experiment drivers, which the fork point of cell processes loads with
+# numpy.random; the bound server and the fleet controller load no
+# http.server; and a bound server loads no HTTP client
 # (repro.service.client, urllib.request, http.client).
 test-startup:
 	$(PY) -m pytest tests/test_runtime_deps.py -q

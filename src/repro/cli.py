@@ -59,7 +59,7 @@ results store.
 serve`` starts the controller that owns the cell queue over a shared
 results root (``--grid`` submits a named grid at startup;
 ``--grid-file`` submits a JSON grid file through the same loader
-``sweep --grid-file`` uses), ``fleet worker`` attaches a polling worker
+``sweep --grid-file`` uses), ``fleet worker`` attaches a worker
 (``--slots N`` caps its local cell processes), and ``fleet status``
 prints the controller's full queue/lease/worker state as JSON —
 ``--failures`` instead renders the per-cell failure dashboard
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fleet",
-        help="distributed sweeps: controller + polling workers over a "
+        help="distributed sweeps: controller + workers over a "
         "shared results root (serve | worker | status)",
     )
     fleet_sub = p.add_subparsers(dest="fleet_command", required=True)
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "attempt, capped at 60s)")
     fp = fleet_sub.add_parser(
         "worker",
-        help="attach a polling worker to a running controller",
+        help="attach a worker to a running controller",
     )
     fp.add_argument("url", help="controller base URL")
     fp.add_argument("--root", default="results",
@@ -373,7 +373,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             print(f"no grid cells match experiments {sorted(keep)}")
             return 2
     if args.fleet:
-        from .fleet import fleet_sweep
+        from .fleet.worker import fleet_sweep
 
         status = fleet_sweep(args.fleet, specs)
         if status["failed"]:
@@ -428,10 +428,11 @@ def _run_bench_view(args: argparse.Namespace) -> int:
 
 
 def _run_fleet(args: argparse.Namespace) -> int:
-    """The ``fleet`` subcommand family: serve | worker | status."""
-    from .fleet import FleetClient, FleetWorker, serve_fleet
-
+    """The ``fleet`` subcommand family: serve | worker | status.  Each
+    imports only its own role, so the controller loads no numpy."""
     if args.fleet_command == "serve":
+        from .fleet.controller import serve_fleet
+
         grid = _resolve_grid(args.grid, args.grid_file, args.seed)
         serve_fleet(
             args.root,
@@ -444,6 +445,8 @@ def _run_fleet(args: argparse.Namespace) -> int:
         )
         return 0
     if args.fleet_command == "worker":
+        from .fleet.worker import FleetWorker
+
         FleetWorker(
             args.url,
             args.root,
@@ -453,6 +456,8 @@ def _run_fleet(args: argparse.Namespace) -> int:
             exit_when_done=not args.keep_alive,
         ).run()
         return 0
+    from .fleet.client import FleetClient
+
     client = FleetClient(args.url, retries=1)
     if args.failures:
         from .obs import render_failure_table

@@ -3,7 +3,12 @@
 :data:`REGISTRY` is the one definition of every experiment: its
 params, their defaults (which also fix each param's type) and its
 tolerances.  The ``experiment_*`` drivers take every param as a
-keyword and have no defaults of their own.  Every entry point (a
+keyword and have no defaults of their own.  An entry names its driver
+in :mod:`repro.evaluation.experiments` rather than importing it: the
+drivers (and numpy) load at the first cell a process runs, before that
+cell's timer starts, or at the fork point of cell processes, so a
+process that only plans and checks grids (the fleet controller) never
+loads them.  Every entry point (a
 grid, a grid file, the fleet's ``/v1/grid``, the CLI's table
 subcommands and ``spill``, the bound server's ``/v1/pebble``) builds
 its cells through :func:`make_spec` or :func:`run_grid`, and so through
@@ -52,7 +57,9 @@ its deadline is terminated and reported the same way.  The commit
 protocol makes this safe without any cross-process locking: cells never
 share a run directory, and a cell only counts as complete once its
 ``summary.json`` is committed.  ``jobs > 1`` buys crash isolation and
-the per-cell timeout, not speed.
+the per-cell timeout, not speed.  The scheduling loop waits on the cell
+processes' exits (:func:`_wait_for_exit`), so a finished cell frees its
+slot at once, with no timer tick.
 
 Crash-injection hook
 --------------------
@@ -68,7 +75,6 @@ compares per row and is inert unless the variable is set.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import numbers
 import os
 import shutil
@@ -81,12 +87,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..machine.catalog import PAPER_MACHINES
-from . import experiments as _exp
 from .manifest import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     SCHEMA_VERSION,
     TIMING_NAME,
+    _git_sha,
     append_metrics_row,
     build_manifest,
     canonical_config,
@@ -171,24 +177,29 @@ class ExperimentDef:
 _MACHINES = {m.name: m for m in PAPER_MACHINES}
 
 
-def _call_driver(driver: Callable[..., List[Dict]], seeded: bool,
+def _call_driver(driver: str, seeded: bool,
                  params: Mapping, seed: int) -> List[Dict]:
-    """Run ``driver`` on a cell's checked params: each param is the
-    driver keyword of the same name, a list becomes a tuple, ``machines``
-    resolves by name through the paper catalog, and a ``seeded`` driver
-    also gets the cell's seed."""
+    """Run the driver named ``driver`` in
+    :mod:`repro.evaluation.experiments` on a cell's checked params: each
+    param is the driver keyword of the same name, a list becomes a
+    tuple, ``machines`` resolves by name through the paper catalog, and
+    a ``seeded`` driver also gets the cell's seed."""
+    from . import experiments
+
     kwargs = {name: tuple(value) if isinstance(value, list) else value
               for name, value in params.items()}
     if "machines" in kwargs:
         kwargs["machines"] = [_MACHINES[name] for name in kwargs["machines"]]
     if seeded:
         kwargs["seed"] = seed
-    return driver(**kwargs)
+    return getattr(experiments, driver)(**kwargs)
 
 
-def _driver(driver: Callable[..., List[Dict]], seeded: bool = False):
-    """``run(params, seed)`` for a registry entry (a partial of module
-    functions, so it pickles into spawned cell processes)."""
+def _driver(driver: str, seeded: bool = False):
+    """``run(params, seed)`` for a registry entry: a partial naming its
+    driver, which resolves at call time, so loading the registry loads
+    no driver (the fleet controller never runs one) and the entry
+    pickles into spawned cell processes."""
     return partial(_call_driver, driver, seeded)
 
 
@@ -203,44 +214,44 @@ _MACHINES_PARAM = {"machines": list(_MACHINES)}
 
 REGISTRY: Dict[str, ExperimentDef] = {
     "e1": ExperimentDef(
-        "e1", _driver(_exp.experiment_table1_machines), {},
+        "e1", _driver("experiment_table1_machines"), {},
         optional_params=_MACHINES_PARAM, choices=_MACHINES_PARAM,
     ),
     "e2": ExperimentDef(
         "e2",
-        _driver(_exp.experiment_composite_example),
+        _driver("experiment_composite_example"),
         {"sizes": [4, 8, 16], "s": 64},
     ),
     "e3": ExperimentDef(
         "e3",
-        _driver(_exp.experiment_cg_bounds),
+        _driver("experiment_cg_bounds"),
         {"n": 1000, "dimensions": 3, "iterations": 1, "small_shape": [2, 2]},
         _FLOAT_TOL,
         optional_params=_MACHINES_PARAM, choices=_MACHINES_PARAM,
     ),
     "e4": ExperimentDef(
         "e4",
-        _driver(_exp.experiment_gmres_bounds),
+        _driver("experiment_gmres_bounds"),
         {"n": 1000, "dimensions": 3, "krylov_dimensions": [5, 10, 20, 50, 100]},
         _FLOAT_TOL,
     ),
     "e5": ExperimentDef(
         "e5",
-        _driver(_exp.experiment_jacobi_bounds),
+        _driver("experiment_jacobi_bounds"),
         {"dimensions": [1, 2, 3, 4, 5, 6, 8, 11], "n": 100, "timesteps": 100},
         _FLOAT_TOL,
     ),
     "e6": ExperimentDef(
         "e6",
-        _driver(_exp.experiment_matmul_bounds),
+        _driver("experiment_matmul_bounds"),
         {"sizes": [4, 6], "cache_sizes": [8, 16]},
         _FLOAT_TOL,
     ),
-    "e7": ExperimentDef("e7", _driver(_exp.experiment_bound_validation),
+    "e7": ExperimentDef("e7", _driver("experiment_bound_validation"),
                         {"s": 3}),
     "e8": ExperimentDef(
         "e8",
-        _driver(_exp.experiment_distsim_parallel),
+        _driver("experiment_distsim_parallel"),
         {
             "shape": [12, 12],
             "timesteps": 3,
@@ -253,14 +264,14 @@ REGISTRY: Dict[str, ExperimentDef] = {
     ),
     "e9": ExperimentDef(
         "e9",
-        _driver(_exp.experiment_balance_conditions),
+        _driver("experiment_balance_conditions"),
         {"n": 1000, "dimensions": 3, "gmres_m": 10, "jacobi_timesteps": 1000},
         _FLOAT_TOL,
         optional_params=_MACHINES_PARAM, choices=_MACHINES_PARAM,
     ),
     "spill": ExperimentDef(
         "spill",
-        _driver(_exp.experiment_spill_strategies, seeded=True),
+        _driver("experiment_spill_strategies", seeded=True),
         {
             "workload": "star",
             "ops": 64,
@@ -706,10 +717,27 @@ def _cell_process_main(
     )
 
 
+def _load_cell_code() -> None:
+    """Do once what every cell would otherwise do itself: import the
+    experiment drivers and resolve the manifests' git sha.  Called
+    before the first in-process cell, so that no cell's timing pays for
+    them, and at the fork point, so that no forked cell does."""
+    from . import experiments  # noqa: F401
+
+    _git_sha()
+
+
 def _mp_context():
     """Fork where the platform has it (cheap, inherits non-picklable
-    registries); spawn otherwise.  numpy loads ``numpy.random`` lazily,
-    so it is loaded here, once, not in every forked forest cell."""
+    registries); spawn otherwise.  The cells' code
+    (:func:`_load_cell_code`) is loaded here, once, before any cell is
+    forked, and so is ``numpy.random``, which numpy loads lazily and
+    every forked forest cell would otherwise import."""
+    import multiprocessing
+
+    # Drivers first: where no bytecode is cached, compiling them on top
+    # of numpy.random peaks about 1 MB higher.
+    _load_cell_code()
     import numpy.random  # noqa: F401
 
     methods = multiprocessing.get_all_start_methods()
@@ -731,6 +759,25 @@ def describe_worker_exit(exitcode: Optional[int]) -> str:
             name = f"signal {-exitcode}"
         return f"worker killed by {name}"
     return f"worker exited with code {exitcode}"
+
+
+def _wait_for_exit(running: Mapping[str, Tuple],
+                   until: Optional[float] = None) -> None:
+    """Block until a cell process of ``running`` (label -> (process,
+    deadline or None)) exits, the nearest of its deadlines passes, or
+    the ``time.monotonic()`` instant ``until`` comes, whichever is
+    first.  It waits on the processes' sentinels, so a cell's exit wakes
+    it at once; with nothing running and no ``until`` it returns."""
+    from multiprocessing.connection import wait
+
+    wake = [deadline for _proc, deadline in running.values()
+            if deadline is not None]
+    if until is not None:
+        wake.append(until)
+    if not running and not wake:
+        return
+    timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
+    wait([proc.sentinel for proc, _deadline in running.values()], timeout)
 
 
 def _run_cells_parallel(
@@ -802,8 +849,7 @@ def _run_cells_parallel(
                         events.emit("cell.failed", label=label,
                                     error=done[label])
                 del running[label]
-            if running:
-                time.sleep(0.01)
+            _wait_for_exit(running)
     finally:
         # A KeyboardInterrupt (or a log()/scheduling exception) must not
         # orphan live workers: terminate and reap every one of them so
@@ -886,6 +932,8 @@ def run_grid(
             events=events,
         )
     else:
+        if to_run:
+            _load_cell_code()
         executed = []
         for spec in to_run:
             run_dir = root / spec.label

@@ -32,6 +32,7 @@ a newer checkout still *resumes* rather than re-executing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,8 +41,6 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -103,7 +102,11 @@ def _canon_value(value, path: str):
     if kind is list or kind is tuple:
         return [v if type(v) in _PLAIN else _canon_value(v, f"{path}[{i}]")
                 for i, v in enumerate(value)]
-    if isinstance(value, (np.bool_, np.integer, np.floating)):
+    # A numpy scalar exists only once numpy is loaded, so a process that
+    # never loads it (the fleet controller) never imports it here.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value,
+                                     (np.bool_, np.integer, np.floating)):
         value = value.item()
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -163,10 +166,9 @@ def config_hash(experiment: str, params: Mapping, seed: int) -> str:
 # ----------------------------------------------------------------------
 # Manifests
 # ----------------------------------------------------------------------
-def _git_sha() -> str:
-    env = os.environ.get("REPRO_GIT_SHA")
-    if env:
-        return env
+@functools.lru_cache(maxsize=None)
+def _git_head() -> str:
+    """The checkout's ``HEAD`` commit, asked of git once per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -182,16 +184,24 @@ def _git_sha() -> str:
     return "unknown"
 
 
+def _git_sha() -> str:
+    """``REPRO_GIT_SHA`` when set (read on every call), else
+    :func:`_git_head`."""
+    return os.environ.get("REPRO_GIT_SHA") or _git_head()
+
+
 def collect_provenance() -> Dict[str, str]:
     """Environment snapshot recorded in manifests (excluded from the
     config hash, so it never forces a re-run)."""
     import time
 
+    import numpy
+
     return {
         "git_sha": _git_sha(),
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": sys.version.split()[0],
-        "numpy": np.__version__,
+        "numpy": numpy.__version__,
     }
 
 

@@ -3,10 +3,11 @@
 The layer above ``sweep --jobs N`` (per-cell worker processes on one
 machine): a small stdlib-HTTP **controller** owns a persistent cell
 queue derived from :func:`repro.evaluation.harness.plan_resume` over a
-shared results root, and polling **workers** — on the same machine or
-any host that can reach the controller and the results root — lease
-cells, execute them through the harness's crash-isolated cell-process
-machinery, and report back.  Leases carry a TTL renewed by heartbeats;
+shared results root, and **workers** — on the same machine or any host
+that can reach the controller and the results root — lease cells
+(an idle worker's lease waits on the controller until the queue
+changes), execute them through the harness's crash-isolated
+cell-process machinery, and report back.  Leases carry a TTL renewed by heartbeats;
 an expired lease re-queues its cell with bounded retries and
 exponential backoff, so worker crashes, hangs and partitions cost one
 lease window, never the sweep.  Results are byte-identical to
@@ -15,23 +16,28 @@ durable state: restarting the controller re-plans over the results
 root and never recomputes a committed cell.
 
 See ``docs/fleet.md`` for the wire protocol and operational notes.
+
+Every name below resolves on first use (a module ``__getattr__``), so
+each process loads only its own role: the controller neither the
+worker's cell-process machinery nor the HTTP client.
 """
 
-from .client import FleetClient
-from .controller import (
-    DEFAULT_FLEET_PORT,
-    FleetController,
-    make_fleet_server,
-    serve_fleet,
-)
-from .worker import FleetWorker, fleet_sweep
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_FLEET_PORT",
-    "FleetClient",
-    "FleetController",
-    "FleetWorker",
-    "fleet_sweep",
-    "make_fleet_server",
-    "serve_fleet",
-]
+#: the submodule each exported name lives in
+_EXPORTS = {
+    "FleetClient": "client",
+    **dict.fromkeys(("DEFAULT_FLEET_PORT", "FleetController",
+                     "make_fleet_server", "serve_fleet"), "controller"),
+    **dict.fromkeys(("FleetWorker", "fleet_sweep"), "worker"),
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = list(_EXPORTS)

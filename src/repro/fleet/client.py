@@ -4,7 +4,7 @@ The transport (stdlib ``urllib``, JSON bodies, :class:`ServiceError` on
 HTTP error statuses) is inherited unchanged from the bound-service
 client — including its bounded connection-level retry with exponential
 backoff and jitter, which fleet callers turn **on** by default: a
-worker's poll loop must survive the controller restarting (connection
+worker's lease loop must survive the controller restarting (connection
 refused for a few seconds) without dying, while HTTP-level errors
 (``400 unknown experiment``) still fail fast.
 """
@@ -48,8 +48,8 @@ class FleetClient(ServiceClient):
     def register(self, worker: str, slots: int = 1) -> Dict:
         return self.post("/v1/register", {"worker": worker, "slots": slots})
 
-    def lease(self, worker: str) -> Dict:
-        return self.post("/v1/lease", {"worker": worker})
+    def lease(self, worker: str, wait_s: float = 0.0) -> Dict:
+        return self.post("/v1/lease", {"worker": worker, "wait_s": wait_s})
 
     def heartbeat(self, worker: str, labels: Sequence[str]) -> Dict:
         return self.post(

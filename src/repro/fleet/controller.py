@@ -29,8 +29,16 @@ Design rules, in order:
   right config hash; anything else is treated as a failure report.
 * **Per-worker concurrency caps.**  Workers register with a slot count
   (their local process-pool width); the controller never leases a
-  worker more cells than its slots, so one greedy poll loop cannot
+  worker more cells than its slots, so one greedy lease loop cannot
   starve the fleet.
+* **Idle leases wait for the queue to change.**  A lease that finds no
+  cell for its worker may wait up to ``wait_s`` (capped at ``poll_s``)
+  on a condition over the queue lock.  Submitting a grid, dropping a
+  lease (a report or an expiry) and re-queueing a cell wake it, and so
+  do the earliest delayed cell's eligibility and the earliest lease
+  expiry; a complete grid answers at once.  The wait runs in real time
+  (``Condition.wait``); every lease, backoff and expiry decision still
+  reads ``clock``.
 
 Duplicate execution is possible by design (a live worker past its TTL
 races its replacement) and harmless by construction: cells are
@@ -192,6 +200,9 @@ class FleetController(JsonApp):
         self.log = log
         super().__init__(clock=clock, events_capacity=events_capacity)
         self._mu = threading.Lock()
+        #: notified whenever the queue or the leases change, so that an
+        #: idle lease waiting on it can look again
+        self._changed = threading.Condition(self._mu)
         self._specs: Dict[str, RunSpec] = {}
         self._order: List[str] = []
         self._queue: deque = deque()
@@ -217,7 +228,8 @@ class FleetController(JsonApp):
                 str(body.get("worker", "")), number(body, "slots", 1)
             ),
             ("POST", "/v1/lease"): lambda body: self.lease(
-                str(body.get("worker", ""))
+                str(body.get("worker", "")),
+                number(body, "wait_s", 0.0, kind=float),
             ),
             ("POST", "/v1/heartbeat"): lambda body: self.heartbeat(
                 str(body.get("worker", "")),
@@ -267,6 +279,7 @@ class FleetController(JsonApp):
             self._skipped = list(plan.skip)
             self._failed = {}
             self._last_error = {}
+            self._changed.notify_all()
             self.log(
                 f"grid submitted: {len(self._queue)} cell(s) queued, "
                 f"{len(self._skipped)} already committed"
@@ -314,32 +327,39 @@ class FleetController(JsonApp):
             "root": str(self.root),
         }
 
-    def lease(self, worker: str) -> Dict:
+    def lease(self, worker: str, wait_s: float = 0.0) -> Dict:
         """Hand one pending cell to ``worker``, or explain why not
         (``complete`` grid, empty-but-backing-off queue, or the worker's
-        slot cap)."""
+        slot cap).
+
+        With no cell to hand out and the grid not complete, the call
+        waits up to ``wait_s`` seconds (capped at ``poll_s``) for the
+        queue to change, and looks again each time it does."""
         if not worker:
             raise ValueError("lease request needs a worker name")
-        now = self.clock()
+        if not wait_s >= 0:  # NaN too
+            raise ValueError(f"'wait_s' must be >= 0, got {wait_s!r}")
+        until = time.monotonic() + min(wait_s, self.poll_s)
         with self._mu:
-            rec = self._touch_locked(worker, now)
-            self._expire_leases_locked(now)
-            self._promote_delayed_locked(now)
-            if len(rec.leased) >= rec.slots:
-                return {"cell": None, "complete": False,
-                        "reason": "worker at slot capacity",
-                        "retry_in_s": self.poll_s}
-            if not self._queue:
+            while True:
+                now = self.clock()
+                rec = self._touch_locked(worker, now)
+                self._expire_leases_locked(now)
+                self._promote_delayed_locked(now)
+                full = len(rec.leased) >= rec.slots
+                if self._queue and not full:
+                    break
                 complete = self._complete_locked()
-                retry = self.poll_s
-                if self._delayed:
-                    retry = max(
-                        self.poll_s,
-                        min(t for t, _ in self._delayed) - now,
-                    )
-                return {"cell": None, "complete": complete,
-                        "reason": "no pending cells",
-                        "retry_in_s": retry}
+                left = until - time.monotonic()
+                if complete or left <= 0:
+                    return self._no_cell_locked(full, complete, now)
+                # A delayed cell's eligibility and a lease's expiry change
+                # the queue without a request to notify.
+                due = [t for t, _ in self._delayed]
+                due += [lease.expires_s for lease in self._leases.values()]
+                if due:
+                    left = min(left, min(due) - now)
+                self._changed.wait(left)
             label = self._queue.popleft()
             attempt = self._attempts[label]
             self._leases[label] = _Lease(
@@ -359,6 +379,19 @@ class FleetController(JsonApp):
                 "lease_ttl_s": self.lease_ttl_s,
                 "complete": False,
             }
+
+    def _no_cell_locked(self, full: bool, complete: bool,
+                        now: float) -> Dict:
+        """The answer to a lease that gets no cell."""
+        if full:
+            return {"cell": None, "complete": False,
+                    "reason": "worker at slot capacity",
+                    "retry_in_s": self.poll_s}
+        retry = self.poll_s
+        if self._delayed:
+            retry = max(self.poll_s, min(t for t, _ in self._delayed) - now)
+        return {"cell": None, "complete": complete,
+                "reason": "no pending cells", "retry_in_s": retry}
 
     def heartbeat(self, worker: str, labels: Sequence[str]) -> Dict:
         """Renew ``worker``'s leases on ``labels``; returns the subset it
@@ -551,6 +584,7 @@ class FleetController(JsonApp):
         rec = self._workers.get(lease.worker)
         if rec is not None:
             rec.leased.discard(lease.label)
+        self._changed.notify_all()
 
     def _expire_leases_locked(self, now: Optional[float] = None) -> None:
         now = self.clock() if now is None else now
@@ -587,6 +621,7 @@ class FleetController(JsonApp):
             self.backoff_s * (2 ** (attempt - 1)), self.backoff_max_s
         )
         self._delayed.append((now + delay, label))
+        self._changed.notify_all()
         self.log(f"[requeue] {label} in {delay:g}s "
                  f"(attempt {attempt}: {reason})")
         self.metrics.counter("fleet.cells_requeued").inc()

@@ -1,4 +1,4 @@
-"""Fleet worker: poll, lease, execute, report.
+"""Fleet worker: lease, execute, report.
 
 A worker is a thin scheduling shell around the *same* per-cell
 machinery ``sweep --jobs N`` uses: each leased cell runs in its own
@@ -8,7 +8,7 @@ into the shared results root under the exact run-directory commit
 protocol — which is what makes a fleet sweep byte-identical to a local
 one.
 
-The loop, once per tick:
+The loop, once per wake-up:
 
 1. **Reap** finished cell processes; report exit 0 as done (the
    controller re-verifies the committed summary) and anything else as
@@ -18,7 +18,14 @@ The loop, once per tick:
    re-assigned) gets its process terminated — two owners of one run
    directory would be wasteful, though never incorrect.
 3. **Lease** more cells while local slots are free (``slots`` is the
-   per-worker concurrency cap; the controller enforces it too).
+   per-worker concurrency cap; the controller enforces it too).  A
+   worker with no running cell asks with ``wait_s = poll_s``, so the
+   controller holds the request until the queue changes (a long poll);
+   one with running cells asks without waiting.
+4. **Wait** on the running cells' sentinels
+   (:func:`~repro.evaluation.harness._wait_for_exit`) until a cell
+   exits, the next heartbeat, the nearest ``cell_timeout`` deadline or
+   the controller's ``retry_in_s``, whichever comes first.
 
 Connection-level hiccups are absorbed by :class:`FleetClient`'s
 bounded retry; if the controller stays down past that, the worker
@@ -40,6 +47,7 @@ from ..evaluation.harness import (
     RunSpec,
     _cell_process_main,
     _mp_context,
+    _wait_for_exit,
     describe_worker_exit,
 )
 from ..obs import EventRing, MetricsRegistry, signal_from_error
@@ -50,8 +58,8 @@ __all__ = ["FleetWorker", "fleet_sweep"]
 
 
 class FleetWorker:
-    """One polling worker process (hosting up to ``slots`` cell
-    subprocesses) attached to a fleet controller.
+    """One worker process (hosting up to ``slots`` cell subprocesses)
+    attached to a fleet controller.
 
     Parameters
     ----------
@@ -66,8 +74,11 @@ class FleetWorker:
     slots:
         Local concurrency cap — at most this many cell processes at
         once (mirrors ``sweep --jobs``).
+    poll_s:
+        The longest an idle lease waits on the controller (which caps
+        it at its own ``poll_s``); defaults to the controller's.
     exit_when_done:
-        Leave the poll loop once the controller reports the grid
+        Leave the lease loop once the controller reports the grid
         complete (the default); long-lived workers that should idle
         and wait for the next grid pass ``False``.
     cell_timeout:
@@ -110,8 +121,8 @@ class FleetWorker:
 
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, int]:
-        """Poll until the grid completes (or forever, with
-        ``exit_when_done=False``); returns ``{"executed": n,
+        """Lease and run cells until the grid completes (or forever,
+        with ``exit_when_done=False``); returns ``{"executed": n,
         "failed": m}`` counts for this worker."""
         info = self.client.register(self.name, self.slots)
         lease_ttl = float(info.get("lease_ttl_s", 30.0))
@@ -136,16 +147,16 @@ class FleetWorker:
                     for label in lost:
                         self._terminate(label, "lease lost")
                     next_heartbeat = now + heartbeat_every
-                idle_s = poll_s
+                wake_at = None
                 while len(self._running) < self.slots:
-                    resp = self.client.lease(self.name)
+                    idle = not self._running
+                    resp = self.client.lease(
+                        self.name, wait_s=poll_s if idle else 0.0
+                    )
                     cell = resp.get("cell")
                     if cell is None:
-                        if (
-                            resp.get("complete")
-                            and not self._running
-                            and self.exit_when_done
-                        ):
+                        complete = resp.get("complete")
+                        if complete and idle and self.exit_when_done:
                             self.log(
                                 f"fleet worker {self.name}: grid complete "
                                 f"({self.executed} cell(s) executed)"
@@ -154,15 +165,19 @@ class FleetWorker:
                                 "executed": self.executed,
                                 "failed": self.reported_failed,
                             }
-                        idle_s = min(
-                            max(float(resp.get("retry_in_s", poll_s)),
-                                0.01),
-                            heartbeat_every,
-                        )
+                        # An idle lease has already waited on the
+                        # controller, so it asks again at once.
+                        if complete or not idle:
+                            wake_at = time.monotonic() + max(
+                                float(resp.get("retry_in_s", poll_s)), 0.01
+                            )
                         break
                     self.metrics.counter("worker.leases_acquired").inc()
                     self._start_cell(spec_from_wire(cell))
-                time.sleep(idle_s if not self._running else 0.01)
+                if self._running and (wake_at is None
+                                      or wake_at > next_heartbeat):
+                    wake_at = next_heartbeat
+                _wait_for_exit(self._running, wake_at)
         finally:
             # Never orphan cell processes: on any exit path (controller
             # unreachable, KeyboardInterrupt) terminate and reap them.

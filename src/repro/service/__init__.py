@@ -11,29 +11,29 @@ error map, ``http.*`` metrics).  See
 ``docs/service.md`` for the service contract and
 ``benchmarks/bench_service.py`` for the many-tenant load benchmark.
 
-``ServiceClient`` and ``ServiceError`` resolve on first use (a module
-``__getattr__``), so a server process, which never uses the client,
-does not load :mod:`repro.service.client` and with it
-``urllib.request`` and ``http.client``.
+Every name below resolves on first use (a module ``__getattr__``): a
+bound server, which never uses the client, does not load
+:mod:`repro.service.client` and with it ``urllib.request`` and
+``http.client``, and the fleet controller, which uses only
+:mod:`repro.service.http`, does not load the bound server and the
+analysis stack (numpy, the store, the builders) behind it.
 """
 
-from .server import DEFAULT_PORT, BoundService, make_server, serve
+from importlib import import_module
 
-_CLIENT_NAMES = ("ServiceClient", "ServiceError")
+#: the submodule each exported name lives in
+_EXPORTS = {
+    **dict.fromkeys(("BoundService", "DEFAULT_PORT", "make_server",
+                     "serve"), "server"),
+    **dict.fromkeys(("ServiceClient", "ServiceError"), "client"),
+}
 
 
 def __getattr__(name: str):
-    if name in _CLIENT_NAMES:
-        from . import client
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
-        return getattr(client, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "BoundService",
-    "ServiceClient",
-    "ServiceError",
-    "DEFAULT_PORT",
-    "make_server",
-    "serve",
-]
+__all__ = list(_EXPORTS)

@@ -196,6 +196,11 @@ def make_server(
     owns the loop: ``serve_forever()`` / ``shutdown()``, then
     ``server.app.close()`` (the store) and ``server_close()`` (the
     socket and the waiting request threads)."""
+    # ``/v1/pebble`` runs the spill driver, which the harness registry
+    # names but does not import: load it with the server, so that no
+    # request pays for the import.
+    from ..evaluation import experiments  # noqa: F401
+
     service = BoundService(store if store is not None
                            else ArtifactStore(db_path))
     return JsonServer(service, host, port)

@@ -46,6 +46,7 @@ Doctest::
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -255,6 +256,18 @@ def _resolve(builder: str, params: Optional[Mapping]) -> Tuple[BuilderDef, Dict]
     return bdef, merged
 
 
+def _number(name: str, value, kind=int):
+    """``value`` as a ``kind``: an integer (a numpy integer too) for an
+    ``int`` field, any real number for a ``float`` one, never a bool or
+    a string; anything else is a ``ValueError`` naming the field (the
+    rule and the message of :func:`repro.service.http.number`)."""
+    want = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, want):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def build_cdag(
     builder: str, params: Optional[Mapping] = None, seed: int = 0
 ) -> CDAG:
@@ -268,7 +281,8 @@ def compiled_spec(
 ) -> Dict:
     """The canonical spec mapping content-addressing a builder's CDAG."""
     _, merged = _resolve(builder, params)
-    return {"builder": builder, "params": merged, "seed": int(seed)}
+    return {"builder": builder, "params": merged,
+            "seed": _number("seed", seed)}
 
 
 def _check_schedule_kind(kind: str) -> None:
@@ -301,30 +315,33 @@ def bound_spec(
     u_upper: Optional[float] = None,
 ) -> Dict:
     """The canonical spec mapping content-addressing a bound; rejects
-    arguments no bound is computed for (unknown method, ``s < 1``,
-    ``max_candidates`` outside ``[1, MAX_CANDIDATES]``, ``hong_kung``
-    without ``u_upper``)."""
+    arguments no bound is computed for (unknown method, ``s`` or
+    ``max_candidates`` not an integer, ``s < 1``, ``max_candidates``
+    outside ``[1, MAX_CANDIDATES]``, ``hong_kung`` without a real
+    ``u_upper``)."""
     if method not in BOUND_METHODS:
         raise ValueError(
             f"unknown bound method {method!r}; known: {BOUND_METHODS}"
         )
-    if int(s) < 1:
+    s = _number("s", s)
+    if s < 1:
         raise ValueError(f"s (fast-memory size) must be >= 1, got {s}")
     spec = compiled_spec(builder, params, seed)
-    spec["s"] = int(s)
+    spec["s"] = s
     spec["method"] = method
     if method == "wavefront":
-        if not 1 <= int(max_candidates) <= MAX_CANDIDATES:
+        max_candidates = _number("max_candidates", max_candidates)
+        if not 1 <= max_candidates <= MAX_CANDIDATES:
             raise ValueError(
                 f"max_candidates must be in [1, {MAX_CANDIDATES}] "
                 f"(MAX_CANDIDATES), got {max_candidates}"
             )
-        spec["max_candidates"] = int(max_candidates)
+        spec["max_candidates"] = max_candidates
     if method == "hong_kung":
         if u_upper is None:
             raise ValueError("method 'hong_kung' requires u_upper (a valid "
                              "upper bound on U(2S))")
-        spec["u_upper"] = float(u_upper)
+        spec["u_upper"] = _number("u_upper", u_upper, float)
     return spec
 
 
@@ -466,43 +483,44 @@ def fresh_bound(
     closed-form family bound and is available for the ``butterfly`` and
     ``outer`` builders only.  ``s`` must be >= 1 for every method.
     """
-    merged = bound_spec(
+    spec = bound_spec(
         builder, params, seed, s, method, max_candidates, u_upper
-    )["params"]
+    )
+    merged, s = spec["params"], spec["s"]
     base = {
         "builder": builder,
         "method": method,
-        "s": int(s),
-        "seed": int(seed),
+        "s": s,
+        "seed": spec["seed"],
     }
     if method == "wavefront":
         cdag = build_cdag(builder, params, seed)
         bound = automated_wavefront_bound(
-            cdag, int(s), max_candidates=int(max_candidates)
+            cdag, s, max_candidates=spec["max_candidates"]
         )
         return {
             **base,
             "value": float(bound.value),
             "wavefront": int(bound.wavefront),
             "vertex": _bound_vertex_json(bound.vertex),
-            "max_candidates": int(max_candidates),
+            "max_candidates": spec["max_candidates"],
         }
     if method == "hong_kung":
         c = fresh_compiled(builder, params, seed)
         num_ops = c.n - int(c.is_input_mask.sum())
         bound = lower_bound_from_largest_subset(
-            int(s), num_ops, float(u_upper)
+            s, num_ops, spec["u_upper"]
         )
         return {
             **base,
             "value": float(bound.value),
             "num_operations": int(num_ops),
-            "u_upper": float(u_upper),
+            "u_upper": spec["u_upper"],
         }
     # analytical
     if builder == "butterfly":
         n = 2 ** merged["log_n"]
-        return {**base, "value": float(fft_io_lower_bound(n, int(s))),
+        return {**base, "value": float(fft_io_lower_bound(n, s)),
                 "n": n}
     if builder == "outer":
         n = merged["n"]

@@ -168,3 +168,19 @@ def test_interrupted_schedule_loop_reaps_every_worker(tmp_path):
     # the interrupted cells are resumable partials
     plan = plan_resume(specs, scan_results_root(tmp_path))
     assert set(plan.partial) == {"sleepy0", "sleepy1"}
+
+
+def test_quick_cells_wake_the_loop_without_a_sleep_tick(tmp_path,
+                                                         monkeypatch):
+    """The parallel loop waits on the cells' exits, not on a timer: a
+    grid of quick cells completes with ``time.sleep`` unusable."""
+
+    def no_sleep(seconds):
+        raise AssertionError(f"the schedule loop slept {seconds}s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    specs = [RunSpec("quick", {"x": x}, 0, f"quick{x}") for x in range(1, 7)]
+    result = run_grid(specs, tmp_path, registry=TEST_REGISTRY, jobs=3,
+                      log=lambda m: None)
+    assert result.failed == []
+    assert result.executed == [spec.label for spec in specs]

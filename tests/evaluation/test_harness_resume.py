@@ -204,6 +204,31 @@ class TestGridValidation:
             (out / "e2" / "metrics.jsonl").read_text().splitlines()
         )
 
+    def test_git_sha_is_asked_of_git_once_per_process(self, monkeypatch):
+        """Every manifest records the checkout's commit, but ``git
+        rev-parse HEAD`` runs once per process (the fork point of cell
+        processes runs it, so no cell does); ``REPRO_GIT_SHA`` is read
+        on every call."""
+        from repro.evaluation import manifest
+
+        spawned = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
+        manifest._git_head.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        sha = manifest._git_sha()
+        assert manifest._git_sha() == sha
+        monkeypatch.setenv("REPRO_GIT_SHA", "pinned")
+        assert manifest._git_sha() == "pinned"
+        monkeypatch.delenv("REPRO_GIT_SHA")
+        assert manifest._git_sha() == sha
+        assert spawned == [["git", "rev-parse", "HEAD"]]
+
     def test_default_grid_cells(self):
         """Nine paper experiments plus four spill cells (star under lru,
         whose P-RBW strategy always evicts LRU; chains under lru and

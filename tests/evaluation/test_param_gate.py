@@ -16,12 +16,15 @@ The bound server's builder specs go through the same value rule
 (``check_fields``) over each builder's defaults: a malformed spec is one
 message naming the builder and the param, from the spec functions and as
 a 400 from ``/v1/compiled``, ``/v1/schedule`` and ``/v1/bound``, before
-anything is built or the store is read.
+anything is built or the store is read.  A bound spec's own fields
+(``s``, ``max_candidates``, ``u_upper``) follow the HTTP layer's number
+rule on the library path too.
 """
 
 import inspect
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +47,7 @@ from repro.store.analysis import (
     _SPILL_BUILDERS,
     BUILDERS,
     bound_spec,
+    cached_bound,
     cached_spill,
     compiled_spec,
     schedule_spec,
@@ -241,6 +245,47 @@ class TestOneMessagePerBuilderPath:
             assert service.store.counters["misses"] == 0
         finally:
             service.close()
+
+
+#: (bound spec fields, the message the library path gives)
+BOUND_FIELD_CASES = [
+    pytest.param({"s": "4"}, "'s' must be an integer, got '4'",
+                 id="s-string"),
+    pytest.param({"max_candidates": 7.9},
+                 "'max_candidates' must be an integer, got 7.9",
+                 id="max-candidates-float"),
+    pytest.param({"s": True}, "'s' must be an integer, got True",
+                 id="s-bool"),
+    pytest.param({"method": "hong_kung", "u_upper": "12.5"},
+                 "'u_upper' must be a number, got '12.5'",
+                 id="u-upper-string"),
+]
+
+
+class TestBoundSpecFields:
+    """``bound_spec`` takes what ``http.number`` takes: integer fields
+    an integer (a numpy integer too, a bool never), ``u_upper`` any real
+    number.  It converts nothing else, so no malformed argument is keyed
+    as a well-typed one."""
+
+    @pytest.mark.parametrize("fields, message", BOUND_FIELD_CASES)
+    def test_malformed_fields_are_refused(self, tmp_path, fields, message):
+        with pytest.raises(ValueError) as exc:
+            bound_spec("chain", **fields)
+        assert str(exc.value) == message
+        with ArtifactStore(tmp_path / "store.db") as store:
+            with pytest.raises(ValueError, match=message):
+                cached_bound(store, "chain", **fields)
+            assert store.counters["misses"] == 0
+
+    def test_numpy_and_python_numbers_key_alike(self):
+        assert bound_spec("chain", s=np.int64(4),
+                          max_candidates=np.int32(7)) \
+            == bound_spec("chain", s=4, max_candidates=7)
+        assert bound_spec("chain", method="hong_kung", u_upper=40) \
+            == bound_spec("chain", method="hong_kung", u_upper=40.0) \
+            == bound_spec("chain", method="hong_kung",
+                          u_upper=np.float64(40.0))
 
 
 class TestCheckedBeforeAnythingRuns:

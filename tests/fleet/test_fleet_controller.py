@@ -1,6 +1,7 @@
 """Unit tests for :class:`repro.fleet.FleetController` — queue, lease,
 retry, and resume logic, exercised directly (no HTTP, no processes)."""
 
+import threading
 import time
 
 import pytest
@@ -222,3 +223,107 @@ class TestIntrospection:
         assert status == 400
         assert "'slots'" in body["error"]
         assert ctl.status()["workers"] == []
+
+
+def _lease_in_thread(ctl, worker, wait_s):
+    """Start ``ctl.lease(worker, wait_s=wait_s)`` on a thread; returns
+    the thread and a dict that gets the answer and its seconds."""
+    out = {}
+
+    def run():
+        start = time.monotonic()
+        out["resp"] = ctl.lease(worker, wait_s=wait_s)
+        out["seconds"] = time.monotonic() - start
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, out
+
+
+def _answered(thread, out):
+    """The lease's answer once its thread is done (which it must be well
+    before the 30 s poll these tests configure)."""
+    thread.join(5.0)
+    assert not thread.is_alive(), "the idle lease did not wake up"
+    assert out["seconds"] < 5.0
+    return out["resp"]
+
+
+class TestLongPollLease:
+    """An idle lease waits on the controller for the queue to change
+    (``wait_s``, capped at ``poll_s``), so a worker hears of new work or
+    of the grid's completion when it happens, not a poll later."""
+
+    def test_idle_lease_returns_when_the_last_report_lands(self, tmp_path):
+        specs = _specs(2)
+        ctl = make_controller(tmp_path, poll_s=30.0)
+        ctl.submit_grid(_wire(specs))
+        first = ctl.lease("w1")["cell"]["label"]
+        second = ctl.lease("w2")["cell"]["label"]
+        _commit(specs, tmp_path)
+        assert ctl.report("w1", first, ok=True)["accepted"]
+        thread, out = _lease_in_thread(ctl, "w1", wait_s=30.0)
+        time.sleep(0.2)
+        assert thread.is_alive()  # w2's cell is still out
+        assert ctl.report("w2", second, ok=True)["accepted"]
+        resp = _answered(thread, out)
+        assert resp["cell"] is None and resp["complete"] is True
+
+    def test_idle_lease_returns_on_submit(self, tmp_path):
+        ctl = make_controller(tmp_path, poll_s=30.0)
+        thread, out = _lease_in_thread(ctl, "w1", wait_s=30.0)
+        time.sleep(0.2)
+        assert thread.is_alive()  # no grid yet
+        ctl.submit_grid(_wire(_specs(1)))
+        assert _answered(thread, out)["cell"]["label"] == "cell0"
+
+    def test_idle_lease_returns_on_a_requeue(self, tmp_path):
+        ctl = make_controller(tmp_path, poll_s=30.0, backoff_s=0.05)
+        ctl.submit_grid(_wire(_specs(1)))
+        assert ctl.lease("w1")["cell"]["label"] == "cell0"
+        thread, out = _lease_in_thread(ctl, "w2", wait_s=30.0)
+        time.sleep(0.2)
+        assert thread.is_alive()
+        ctl.report("w1", "cell0", ok=False, error="boom")
+        # woken by the re-queue, it waits out the backoff, then leases
+        resp = _answered(thread, out)
+        assert resp["cell"]["label"] == "cell0" and resp["attempt"] == 1
+
+    def test_no_wait_answers_at_once(self, tmp_path):
+        ctl = make_controller(tmp_path, poll_s=30.0)
+        ctl.submit_grid(_wire(_specs(1)))
+        ctl.lease("w1")
+        for resp in (ctl.lease("w2"), ctl.lease("w2", wait_s=0.0)):
+            assert resp["cell"] is None and resp["complete"] is False
+            assert resp["retry_in_s"] == 30.0
+        status, body = ctl.handle("POST", "/v1/lease", {"worker": "w2"})
+        assert status == 200 and body["cell"] is None
+
+    def test_the_wait_is_capped_at_poll_s(self, tmp_path):
+        ctl = make_controller(tmp_path, poll_s=0.3)
+        ctl.submit_grid(_wire(_specs(1)))
+        ctl.lease("w1")
+        start = time.monotonic()
+        resp = ctl.lease("w2", wait_s=60.0)
+        assert 0.25 <= time.monotonic() - start < 5.0
+        assert resp["cell"] is None and resp["complete"] is False
+
+    def test_a_complete_grid_answers_at_once(self, tmp_path):
+        specs = _specs(1)
+        ctl = make_controller(tmp_path, poll_s=30.0)
+        ctl.submit_grid(_wire(specs))
+        ctl.lease("w1")
+        _commit(specs, tmp_path)
+        ctl.report("w1", "cell0", ok=True)
+        start = time.monotonic()
+        assert ctl.lease("w1", wait_s=30.0)["complete"] is True
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("wait_s", [-1, "1", True, None])
+    def test_wait_s_is_a_checked_number_field(self, tmp_path, wait_s):
+        ctl = make_controller(tmp_path)
+        status, body = ctl.handle(
+            "POST", "/v1/lease", {"worker": "w", "wait_s": wait_s}
+        )
+        assert status == 400
+        assert "'wait_s'" in body["error"]

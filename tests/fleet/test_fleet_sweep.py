@@ -5,13 +5,15 @@ same machinery."""
 
 import json
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.evaluation.harness import run_grid, smoke_grid
+from repro.evaluation.harness import ExperimentDef, RunSpec, run_grid, smoke_grid
 from repro.fleet import FleetClient, FleetWorker, fleet_sweep, make_fleet_server
+from repro.fleet.controller import spec_to_wire
 
 ARTIFACTS = ("manifest.json", "metrics.jsonl", "summary.json")
 
@@ -125,3 +127,57 @@ def test_health_endpoint(fleet):
     assert health["status"] == "ok"
     assert health["cells"]["total"] == 0
     assert health["complete"] is False  # no grid submitted yet
+
+
+def _run_quick(params, seed):
+    return [{"x": params["x"], "seed": seed}]
+
+
+QUICK_REGISTRY = {"quick": ExperimentDef("quick", _run_quick, {"x": 1})}
+
+
+def test_workers_wake_on_events_not_on_a_poll_timer(tmp_path, monkeypatch):
+    """With a 30 s poll, two workers started before the grid exists pick
+    it up when it is submitted, and both leave as soon as the last cell
+    commits: each idle lease waits on the controller until the queue
+    changes, and each worker waits on its cell's exit.  A worker that
+    slept out a poll, or ticked on ``time.sleep``, would blow the
+    budget."""
+
+    def no_sleep(seconds):
+        raise AssertionError(f"a worker slept {seconds}s on a timer")
+
+    root = tmp_path / "fleet"
+    server = make_fleet_server(root, port=0, lease_ttl_s=90.0, poll_s=30.0,
+                               registry=QUICK_REGISTRY, log=lambda m: None)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_port}"
+    results = []
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    workers = [
+        threading.Thread(
+            target=lambda i=i: results.append(FleetWorker(
+                url, root, name=f"w{i}", poll_s=30.0,
+                registry=QUICK_REGISTRY, log=lambda m: None,
+            ).run()),
+            daemon=True,
+        )
+        for i in range(2)
+    ]
+    try:
+        for worker in workers:
+            worker.start()
+        specs = [RunSpec("quick", {"x": x}, 0, f"q{x}") for x in range(1, 5)]
+        start = time.monotonic()
+        FleetClient(url).submit_grid([spec_to_wire(s) for s in specs])
+        for worker in workers:
+            worker.join(20.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert time.monotonic() - start < 10.0
+        assert sum(r["executed"] for r in results) == len(specs)
+        assert FleetClient(url).status()["complete"] is True
+    finally:
+        server.shutdown()
+        thread.join(5.0)
+        server.server_close()

@@ -8,7 +8,9 @@ the default grid, every builder's bound, the lines and dominator
 queries and the bound server all run with scipy unimportable.  A sweep
 runs without the artifact store, so it must not load ``sqlite3`` or
 ``repro.store`` either, ``--help`` loads no numpy, the fork point of
-cell processes loads ``numpy.random``, the two HTTP
+cell processes loads ``numpy.random`` and the experiment drivers, the
+fleet controller (bound, or ``fleet serve --help``) loads neither numpy
+nor the drivers, the two HTTP
 servers load no ``http.server``, and a bound server loads no HTTP client
 (``repro.service.client``, ``urllib.request``, ``http.client``).  The probes run
 in a fresh interpreter because the test process may already hold those
@@ -63,6 +65,13 @@ from repro.service.server import make_server
 server = make_server(sys.argv[2], port=0)
 server.server_close()
 server.app.close()
+"""
+
+#: a fleet controller bound and closed
+CONTROLLER_PROBE = """
+from repro.fleet.controller import make_fleet_server
+server = make_fleet_server(sys.argv[2], port=0, log=lambda m: None)
+server.server_close()
 """
 
 #: every min-cut path, with any import of scipy failing
@@ -146,8 +155,25 @@ def test_help_loads_no_numpy(argv):
 def test_cell_processes_fork_with_numpy_random_loaded():
     """``numpy`` loads ``numpy.random`` lazily, so the fork point loads
     it: a forked cell that builds a seeded forest does not import it in
-    the child, once per cell."""
-    assert "numpy.random" in _loaded_by(FORK_PROBE, ["numpy.random"])
+    the child, once per cell.  The registry names its drivers without
+    importing them, so the fork point loads them too."""
+    roots = ["numpy.random", "repro.evaluation.experiments"]
+    assert set(roots) <= set(_loaded_by(FORK_PROBE, roots))
+
+
+#: what the fleet controller never runs
+NOT_IN_CONTROLLER = ["numpy", "repro.evaluation.experiments"]
+
+
+def test_fleet_controller_loads_no_numpy_or_drivers(tmp_path):
+    """The controller plans and checks grids; it runs no cell."""
+    assert _loaded_by(CONTROLLER_PROBE, NOT_IN_CONTROLLER,
+                      str(tmp_path / "root")) == []
+
+
+def test_fleet_serve_help_loads_no_numpy_or_drivers():
+    assert _loaded_by(HELP_PROBE, NOT_IN_CONTROLLER,
+                      "fleet", "serve", "--help") == []
 
 
 def test_sweep_without_min_cut_loads_no_scipy(tmp_path):
